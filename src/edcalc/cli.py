@@ -9,6 +9,7 @@ from pathlib import Path
 from random import Random
 
 from .core import (
+    BUILTIN_CERTIFICATE_ROWS,
     DEFAULT_BASIS_CAP,
     KNOWN_CASE_ROWS,
     SMALL_PRODUCTS,
@@ -24,7 +25,6 @@ from .core import (
     spec_to_doc,
 )
 from .extraspecial import (
-    BUILTIN_CERTIFICATE_ROWS,
     CertReport,
     builtin_certificate,
     certificate_from_doc,
@@ -54,29 +54,34 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--json", action="store_true", help="emit a JSON report")
     group.add_argument("--text", action="store_true", help="emit a text report (default)")
 
-    caps = argparse.ArgumentParser(add_help=False)
-    caps.add_argument(
+    basis_cap = argparse.ArgumentParser(add_help=False)
+    basis_cap.add_argument(
         "--basis-cap",
         type=int,
         default=DEFAULT_BASIS_CAP,
         help="largest basis count searched exhaustively (default %(default)s)",
     )
-    caps.add_argument(
+    enum_cap = argparse.ArgumentParser(add_help=False)
+    enum_cap.add_argument(
         "--enum-cap",
         type=int,
         default=DEFAULT_ENUM_CAP,
         help="largest element enumeration, for subspaces and closures (default 2^24)",
     )
 
-    p = sub.add_parser("compute", parents=[fmt, caps], help="compute the essential dimension")
+    p = sub.add_parser(
+        "compute", parents=[fmt, basis_cap, enum_cap], help="compute the essential dimension"
+    )
     p.add_argument("spec", help="path to a spec JSON document")
 
-    p = sub.add_parser("oracle", parents=[fmt, caps], help="compare greedy against exhaustive")
+    p = sub.add_parser(
+        "oracle", parents=[fmt, basis_cap], help="compare greedy against exhaustive"
+    )
     p.add_argument("spec", nargs="?", help="spec path; without it, seeded random trials run")
     p.add_argument("--trials", type=int, default=200, help="random trials (default %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
 
-    p = sub.add_parser("certify", parents=[fmt, caps], help="verify a lower-bound certificate")
+    p = sub.add_parser("certify", parents=[fmt, enum_cap], help="verify a lower-bound certificate")
     p.add_argument(
         "certificate",
         help="path to a certificate JSON document, or builtin:<key>"
@@ -86,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("table", parents=[fmt], help="print the built-in case tables")
 
-    p = sub.add_parser("batch", parents=[fmt, caps], help="compute every spec in a directory")
+    p = sub.add_parser(
+        "batch", parents=[fmt, basis_cap, enum_cap], help="compute every spec in a directory"
+    )
     p.add_argument("directory", help="directory of spec JSON documents")
     return parser
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gf2 import (
     DEFAULT_BASIS_CAP,
@@ -246,141 +246,159 @@ class KnownCase:
     description: str
 
 
-def _rule_spin3_power_diagonal(spec: GroupSpecB) -> KnownCase | None:
-    m = spec.m
-    if m >= 2 and all(r == 1 for r in spec.n) and spec.mu_subspace() == diagonal_mu(m):
-        return KnownCase(
-            "exact",
-            m + 1,
-            "spin3-power-diagonal",
-            f"product of {m} copies of Spin(3) modulo the diagonal sign: exactly {m + 1}",
+# pattern text and modulo phrase for each kind of mu a ledger family matches
+_MU_TEXT = {
+    "diagonal": ("diagonal mu", "the diagonal sign"),
+    "maximal": ("mu = all even sign patterns", "all even sign patterns"),
+}
+
+Ranks = tuple[int, ...]
+
+
+class LedgerFamily(NamedTuple):
+    """One family of the known-case ledger: a rank pattern under diagonal or maximal mu.
+
+    The value is a table keyed by sorted ranks, or a formula in the sorted ranks
+    that returns None off its pattern.  A lower family declares the built-in
+    certificate whose verified rank is its value.  Subjects may use {m} (number
+    of factors), {n} (smallest rank) and {ranks}; a certificate subject may use
+    {keys}, the table's rank tuples.
+    """
+
+    tag: str
+    kind: str  # "exact" or "lower"
+    mu: str  # "diagonal" or "maximal"
+    subject: str
+    values: dict[Ranks, int] | Callable[[Ranks], int | None]
+    shape: str = ""  # pattern text of a formula family
+    formula_text: str = ""
+    certificate: str = ""  # built-in certificate key pattern
+    certificate_subject: str = ""
+
+    @property
+    def table(self) -> dict[Ranks, int]:
+        """The value table; empty for a formula family."""
+        return {} if callable(self.values) else self.values
+
+    def value_for(self, ranks: Ranks) -> int | None:
+        return self.values(ranks) if callable(self.values) else self.values.get(ranks)
+
+    def describe(self, ranks: Ranks, value: int) -> str:
+        subject = self.subject.format(m=len(ranks), n=ranks[0], ranks=list(ranks))
+        claim = (
+            f"exactly {value}"
+            if self.kind == "exact"
+            else f"at least {value} (finite abelian subgroup of that rank)"
         )
-    return None
+        return f"{subject} modulo {_MU_TEXT[self.mu][1]}: {claim}"
 
 
-def _rule_small_pair_exact(spec: GroupSpecB) -> KnownCase | None:
-    if spec.m != 2 or spec.mu_subspace() != diagonal_mu(2):
-        return None
-    pair = tuple(sorted(spec.n))
-    if pair == (1, 2):
-        return KnownCase(
-            "exact", 4, "spin3-spin5-diagonal", "Spin(3) x Spin(5) modulo the diagonal sign: exactly 4"
-        )
-    if pair == (1, 3):
-        return KnownCase(
-            "exact", 4, "spin3-spin7-diagonal", "Spin(3) x Spin(7) modulo the diagonal sign: exactly 4"
-        )
-    return None
-
-
-def _rule_equal_rank_diagonal(spec: GroupSpecB) -> KnownCase | None:
-    m = spec.m
-    if m >= 2 and len(set(spec.n)) == 1 and spec.mu_subspace() == diagonal_mu(m):
-        r = spec.n[0]
-        return KnownCase(
-            "lower",
-            m + 2 * r - 1,
-            "equal-rank-diagonal",
-            f"{m} equal factors of rank {r} modulo the diagonal sign: at least {m + 2 * r - 1}"
-            " (finite abelian subgroup of that rank)",
-        )
-    return None
-
-
-_PAIR_TABLE = {(1, 2): 4, (1, 3): 4, (1, 4): 5, (1, 5): 7, (2, 3): 5}
-
-
-def _rule_small_pair_diagonal(spec: GroupSpecB) -> KnownCase | None:
-    if spec.m != 2 or spec.mu_subspace() != diagonal_mu(2):
-        return None
-    pair = tuple(sorted(spec.n))
-    value = _PAIR_TABLE.get(pair)
-    if value is None:
-        return None
-    return KnownCase(
-        "lower",
-        value,
-        "small-pair-diagonal",
-        f"rank pair {list(pair)} modulo the diagonal sign: at least {value}"
-        " (finite abelian subgroup of that rank)",
-    )
-
-
-_MAXIMAL_TABLE = {(1, 1, 1): 3, (1, 1, 2): 4, (1, 1, 3): 5, (1, 1, 1, 1): 5}
-
-
-def _rule_small_maximal(spec: GroupSpecB) -> KnownCase | None:
-    ranks = tuple(sorted(spec.n))
-    value = _MAXIMAL_TABLE.get(ranks)
-    if value is not None and spec.mu_subspace() == maximal_mu(spec.m):
-        return KnownCase(
-            "lower",
-            value,
-            "small-maximal-quotient",
-            f"ranks {list(ranks)} modulo all even sign patterns: at least {value}"
-            " (finite abelian subgroup of that rank)",
-        )
-    return None
-
-
-KNOWN_RULES: tuple[Callable[[GroupSpecB], KnownCase | None], ...] = (
-    _rule_spin3_power_diagonal,
-    _rule_small_pair_exact,
-    _rule_equal_rank_diagonal,
-    _rule_small_pair_diagonal,
-    _rule_small_maximal,
+# fmt: off
+LEDGER = (
+    LedgerFamily(
+        "spin3-power-diagonal", "exact", "diagonal", "product of {m} copies of Spin(3)",
+        lambda r: len(r) + 1 if len(r) >= 2 and r[-1] == 1 else None,
+        "m >= 2 factors of rank 1", "m + 1",
+    ),
+    LedgerFamily("spin3-spin5-diagonal", "exact", "diagonal", "Spin(3) x Spin(5)", {(1, 2): 4}),
+    LedgerFamily("spin3-spin7-diagonal", "exact", "diagonal", "Spin(3) x Spin(7)", {(1, 3): 4}),
+    LedgerFamily(
+        "equal-rank-diagonal", "lower", "diagonal", "{m} equal factors of rank {n}",
+        lambda r: len(r) + 2 * r[0] - 1 if len(r) >= 2 and r[0] == r[-1] else None,
+        "m >= 2 factors of equal rank n", "m + 2n - 1",
+        "diagonal:<n>:<m>", "m >= 2 copies of Spin(2n+1)",
+    ),
+    LedgerFamily(
+        "small-pair-diagonal", "lower", "diagonal", "rank pair {ranks}",
+        {(1, 2): 4, (1, 3): 4, (1, 4): 5, (1, 5): 7, (2, 3): 5},
+        certificate="pair:<n1>:<n2>", certificate_subject="rank pairs {keys}",
+    ),
+    LedgerFamily(
+        "small-maximal-quotient", "lower", "maximal", "ranks {ranks}",
+        {(1, 1, 1): 3, (1, 1, 2): 4, (1, 1, 3): 5},
+        certificate="small3:<v>",
+        certificate_subject="Spin(3) x Spin(3) x Spin(2v+1) for v in 1..3",
+    ),
+    LedgerFamily(
+        "small-maximal-quotient", "lower", "maximal", "ranks {ranks}", {(1, 1, 1, 1): 5},
+        certificate="small4", certificate_subject="four Spin(3) factors",
+    ),
 )
+# fmt: on
 
 
-KNOWN_CASE_ROWS = (
-    {
-        "tag": "spin3-power-diagonal",
-        "kind": "exact",
-        "pattern": "m >= 2 factors of rank 1, diagonal mu",
-        "value": "m + 1",
-    },
-    {
-        "tag": "spin3-spin5-diagonal",
-        "kind": "exact",
-        "pattern": "ranks [1, 2], diagonal mu",
-        "value": "4",
-    },
-    {
-        "tag": "spin3-spin7-diagonal",
-        "kind": "exact",
-        "pattern": "ranks [1, 3], diagonal mu",
-        "value": "4",
-    },
-    {
-        "tag": "equal-rank-diagonal",
-        "kind": "lower",
-        "pattern": "m >= 2 factors of equal rank n, diagonal mu",
-        "value": "m + 2n - 1",
-    },
-    {
-        "tag": "small-pair-diagonal",
-        "kind": "lower",
-        "pattern": "ranks [1,2] / [1,3] / [1,4] / [1,5] / [2,3], diagonal mu",
-        "value": "4 / 4 / 5 / 7 / 5",
-    },
-    {
-        "tag": "small-maximal-quotient",
-        "kind": "lower",
-        "pattern": "ranks [1,1,1] / [1,1,2] / [1,1,3] / [1,1,1,1], mu = all even sign patterns",
-        "value": "3 / 4 / 5 / 5",
-    },
-)
+def ledger_family(certificate: str) -> LedgerFamily:
+    """The lower family that declares a built-in certificate key pattern."""
+    return next(f for f in LEDGER if f.certificate == certificate)
+
+
+def _tight(ranks: Ranks) -> str:
+    return ",".join(map(str, ranks))
+
+
+def _known_case_rows() -> tuple[dict, ...]:
+    """One row per tag; families that share a tag list their tables together."""
+    merged: dict[str, tuple[LedgerFamily, dict[Ranks, int]]] = {}
+    for fam in LEDGER:
+        _, table = merged.setdefault(fam.tag, (fam, {}))
+        table.update(fam.table)
+    rows = []
+    for tag, (fam, table) in merged.items():
+        shape, value = fam.shape, fam.formula_text
+        if table:
+            # a lone rank list prints as a list, several print tight
+            keys = [str(list(k)) if len(table) == 1 else f"[{_tight(k)}]" for k in table]
+            shape, value = "ranks " + " / ".join(keys), " / ".join(map(str, table.values()))
+        pattern = f"{shape}, {_MU_TEXT[fam.mu][0]}"
+        rows.append({"tag": tag, "kind": fam.kind, "pattern": pattern, "value": value})
+    return tuple(rows)
+
+
+def _builtin_certificate_rows() -> tuple[dict, ...]:
+    rows = []
+    for fam in (f for f in LEDGER if f.certificate):
+        keys = ", ".join(f"({_tight(k)})" for k in fam.table)
+        subject = fam.certificate_subject.format(keys=keys)
+        values = list(map(str, fam.table.values())) or [fam.formula_text]
+        proves = ("ranks " if len(values) > 1 else "rank ") + ", ".join(values)
+        description = f"{subject} modulo {_MU_TEXT[fam.mu][1]}; proves {proves}"
+        rows.append({"key": fam.certificate, "description": description})
+    return tuple(rows)
+
+
+KNOWN_CASE_ROWS = _known_case_rows()
+BUILTIN_CERTIFICATE_ROWS = _builtin_certificate_rows()
+
+
+def _mu_kinds(spec: GroupSpecB) -> tuple[str, ...]:
+    """Which of the diagonal and the maximal central subgroups mu equals."""
+    mu = spec.mu_subspace()
+    kinds = ()
+    if mu.dim == 1 and mu.basis[0].bits == (1 << spec.m) - 1:
+        kinds += ("diagonal",)
+    # an (m-1)-dimensional space of even patterns is all of them
+    if mu.dim == spec.m - 1 and all(v.weight() % 2 == 0 for v in mu.basis):
+        kinds += ("maximal",)
+    return kinds
 
 
 def known_cases(spec: GroupSpecB) -> KnownCase | None:
     """Strongest applicable entry of the built-in case ledger; exact entries win."""
-    matches = [kc for rule in KNOWN_RULES if (kc := rule(spec)) is not None]
-    exact = [kc for kc in matches if kc.kind == "exact"]
-    if exact:
-        return max(exact, key=lambda kc: kc.value)
-    if matches:
-        return max(matches, key=lambda kc: kc.value)
-    return None
+    ranks = tuple(sorted(spec.n))
+    kinds: tuple[str, ...] | None = None
+    best: KnownCase | None = None
+    for fam in LEDGER:
+        value = fam.value_for(ranks)
+        if value is None:
+            continue
+        if kinds is None:
+            kinds = _mu_kinds(spec)
+        if fam.mu not in kinds:
+            continue
+        case = KnownCase(fam.kind, value, fam.tag, fam.describe(ranks, value))
+        if best is None or (case.kind == "exact", case.value) > (best.kind == "exact", best.value):
+            best = case
+    return best
 
 
 @dataclass(frozen=True)
@@ -433,56 +451,67 @@ def compute_ed(
     ]
     warnings: list[str] = []
 
+    capped = False
     try:
         basis, total = greedy_min_basis(dual, spec.n, dim_cap)
     except EnumerationTooLargeError:
-        return _capped_result(spec, dim_g, trace, dual.dim)
-
-    trace.append(
-        TraceEntry(
-            "greedy-minimal-basis",
-            f"matroid greedy over the {(1 << dual.dim) - 1} nonzero patterns in weight order;"
-            f" minimal total weight {total}",
-        )
-    )
-    raw = total - dim_g
-    lower = max(0, raw)
-    clamp_note = "" if raw >= 0 else "; clamped to 0"
-    trace.append(
-        TraceEntry(
-            "weight-formula-lower",
-            f"basis total weight {total} minus group dimension {dim_g} gives {raw}{clamp_note}",
-        )
-    )
-    holds, offenders = theorem_hypothesis_holds(spec)
-    trace.append(
-        TraceEntry(
-            "theorem-hypothesis",
-            "every factor has rank >= 7, or rank >= 3 and is not split off: holds"
-            if holds
-            else f"fails for factors {list(offenders)}; diagnostic only, bounds remain valid",
-        )
-    )
-
-    small = [v for v in basis if is_small_product(support_ranks(v, spec.n))]
-    if not small:
+        # too large to enumerate: the ledger alone decides
+        capped = True
+        basis, total, lower = (), 0, 0
+        warnings.append(WARN_ELEMENT_CAP)
         trace.append(
             TraceEntry(
-                "minimal-basis-exact",
-                "no minimal-basis vector has a small factor product, so the weight formula is exact",
+                "greedy-minimal-basis",
+                f"2^{dual.dim} - 1 nonzero patterns exceed the enumeration cap; greedy skipped",
             )
         )
-        return EdResult(
-            STATUS_EXACT, lower, lower, basis, total, dim_g, tuple(trace), tuple(warnings)
+    else:
+        trace.append(
+            TraceEntry(
+                "greedy-minimal-basis",
+                f"matroid greedy over the {(1 << dual.dim) - 1} nonzero patterns in weight order;"
+                f" minimal total weight {total}",
+            )
+        )
+        raw = total - dim_g
+        lower = max(0, raw)
+        clamp_note = "" if raw >= 0 else "; clamped to 0"
+        trace.append(
+            TraceEntry(
+                "weight-formula-lower",
+                f"basis total weight {total} minus group dimension {dim_g} gives {raw}{clamp_note}",
+            )
+        )
+        holds, offenders = theorem_hypothesis_holds(spec)
+        trace.append(
+            TraceEntry(
+                "theorem-hypothesis",
+                "every factor has rank >= 7, or rank >= 3 and is not split off: holds"
+                if holds
+                else f"fails for factors {list(offenders)}; diagnostic only, bounds remain valid",
+            )
         )
 
-    trace.append(
-        TraceEntry(
-            "small-product-list",
-            "minimal-basis vectors with small factor products: "
-            + ", ".join(f"{v} -> {list(support_ranks(v, spec.n))}" for v in small),
+        small = [v for v in basis if is_small_product(support_ranks(v, spec.n))]
+        if not small:
+            trace.append(
+                TraceEntry(
+                    "minimal-basis-exact",
+                    "no minimal-basis vector has a small factor product,"
+                    " so the weight formula is exact",
+                )
+            )
+            return EdResult(
+                STATUS_EXACT, lower, lower, basis, total, dim_g, tuple(trace), tuple(warnings)
+            )
+
+        trace.append(
+            TraceEntry(
+                "small-product-list",
+                "minimal-basis vectors with small factor products: "
+                + ", ".join(f"{v} -> {list(support_ranks(v, spec.n))}" for v in small),
+            )
         )
-    )
 
     case = known_cases(spec)
     if case is not None and case.kind == "exact":
@@ -503,6 +532,10 @@ def compute_ed(
         if case.value > lower:
             lower = case.value
         trace.append(TraceEntry(f"known-lower/{case.tag}", case.description))
+    if capped:
+        return EdResult(
+            STATUS_BOUNDS, lower, None, basis, total, dim_g, tuple(trace), tuple(warnings)
+        )
 
     upper: int | None = None
     if count_bases(dual.dim) <= basis_cap:
@@ -543,36 +576,6 @@ def compute_ed(
     return EdResult(
         STATUS_BOUNDS, lower, upper, basis, total, dim_g, tuple(trace), tuple(warnings)
     )
-
-
-def _capped_result(
-    spec: GroupSpecB, dim_g: int, trace: list[TraceEntry], dual_dim: int
-) -> EdResult:
-    """Fallback when the dual subspace is too large to enumerate: ledger rules only."""
-    trace.append(
-        TraceEntry(
-            "greedy-minimal-basis",
-            f"2^{dual_dim} - 1 nonzero patterns exceed the enumeration cap; greedy skipped",
-        )
-    )
-    case = known_cases(spec)
-    if case is not None and case.kind == "exact":
-        trace.append(TraceEntry(f"known-exact/{case.tag}", case.description))
-        return EdResult(
-            STATUS_EXACT,
-            case.value,
-            case.value,
-            (),
-            0,
-            dim_g,
-            tuple(trace),
-            (WARN_ELEMENT_CAP,),
-        )
-    lower = 0
-    if case is not None:
-        lower = max(0, case.value)
-        trace.append(TraceEntry(f"known-lower/{case.tag}", case.description))
-    return EdResult(STATUS_BOUNDS, lower, None, (), 0, dim_g, tuple(trace), (WARN_ELEMENT_CAP,))
 
 
 def spec_to_doc(spec: GroupSpecB) -> dict:

@@ -242,3 +242,18 @@ def test_argparse_rejects_unknown(capsys):
     with pytest.raises(SystemExit) as err:
         main(["compute"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "builtin:small4", "--basis-cap", "10"],
+        ["oracle", "--trials", "1", "--enum-cap", "10"],
+    ],
+)
+def test_unused_cap_options_are_rejected(argv, capsys):
+    # certify never searches bases and oracle never caps an enumeration
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

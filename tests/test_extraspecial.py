@@ -30,6 +30,7 @@ from edcalc import (
     verify_certificate,
 )
 from edcalc.extraspecial import (
+    _commutator_sign_vector,
     diagonal_certificate,
     pair_certificate,
     small_quadruple_certificate,
@@ -220,6 +221,35 @@ def test_builtin_certificates_verify(key, expected):
     assert report.abelian_in_quotient
     assert report.centralizer_finite
     assert report.lower_bound == report.rank == expected
+
+
+def search_pair_23_extra(spec, base):
+    """First element (x, c(5,7)), x of even support, that raises the (2, 3) pair to rank 5.
+
+    Candidates go in order of support size, then mask; one must commute with
+    every base generator modulo mu before its certificate is verified.
+    """
+    y = CliffordUnit.from_indices(7, (5, 7))
+    masks = sorted(
+        (mask for mask in range(1, 1 << 5) if mask.bit_count() % 2 == 0),
+        key=lambda mask: (mask.bit_count(), mask),
+    )
+    for mask in masks:
+        candidate = CliffordTuple((CliffordUnit(5, mask), y))
+        if any(_commutator_sign_vector(candidate, g) not in spec.mu_subspace() for g in base):
+            continue
+        if verify_certificate(Certificate(spec, base + (candidate,))).lower_bound == 5:
+            return candidate
+    return None
+
+
+def test_pair_23_extra_generator_is_first_search_hit():
+    cert = pair_certificate(2, 3)
+    base, extra = cert.generators[:-1], cert.generators[-1]
+    assert verify_certificate(Certificate(cert.spec, base)).rank == 4
+    found = search_pair_23_extra(cert.spec, base)
+    assert found == extra
+    assert (str(found.components[0]), str(found.components[1])) == ("c(4,5)", "c(5,7)")
 
 
 def test_pair_23_reports_search_note():

@@ -1,0 +1,45 @@
+"""Byte-for-byte reports of the command line, pinned by files under tests/data.
+
+The files were written by the calculator before the known-case ledger became
+one registry; every report the ledger feeds must stay exactly as it was.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from edcalc.cli import main
+
+DATA = Path(__file__).parent / "data"
+
+# (golden file, exit code, argv); spec arguments name files in DATA
+CASES = [
+    ("table_text", 0, ["table"]),
+    ("table_json", 0, ["table", "--json"]),
+    ("compute_c1", 0, ["compute", "--json", "c1.json"]),
+    ("compute_known_exact_formula", 0, ["compute", "--json", "spin3_cube_diagonal.json"]),
+    ("compute_known_exact_table", 0, ["compute", "--json", "pair_3_1_diagonal.json"]),
+    ("compute_known_lower_upper", 0, ["compute", "--json", "rank2_five_diagonal.json"]),
+    ("compute_known_lower_pair", 0, ["compute", "--json", "pair_1_5_diagonal.json"]),
+    ("compute_known_lower_maximal", 0, ["compute", "--json", "spin3_four_maximal.json"]),
+    (
+        "compute_capped_exact",
+        0,
+        ["compute", "--json", "--enum-cap", "16", "spin3_six_diagonal.json"],
+    ),
+    (
+        "compute_capped_lower",
+        4,
+        ["compute", "--json", "--enum-cap", "8", "rank2_five_diagonal.json"],
+    ),
+    ("certify_pair_2_3", 0, ["certify", "--json", "builtin:pair:2:3"]),
+]
+
+
+@pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
+def test_report_is_byte_identical(name, code, argv, capsys):
+    args = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    assert main(args) == code
+    assert capsys.readouterr().out == (DATA / f"{name}.out").read_text(encoding="utf-8")
