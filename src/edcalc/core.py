@@ -16,6 +16,7 @@ bounds, strengthened by a ledger of known small cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop
 from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -32,7 +33,6 @@ from .gf2 import (
     enumerate_elements,
     reduce_bits,
     rref,
-    rref_bits,
 )
 
 STATUS_EXACT = "exact"
@@ -165,26 +165,52 @@ def is_small_product(ranks: Sequence[int]) -> bool:
     return tuple(sorted(ranks)) in SMALL_PRODUCTS
 
 
+def _pattern_key_tables(n: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """Per-chunk tables for the greedy sort key of a pattern, 8 coordinates per chunk.
+
+    The key of a pattern is its weight exponent << m plus the pattern bit-reversed
+    (coordinate i at bit m-1-i), so integer order is weight order, then coordinate
+    tuple order.  Both parts add over disjoint coordinates, so the key is the sum
+    of one table entry per chunk, indexed by the chunk's bits.
+    """
+    m = len(n)
+    tables = []
+    for shift in range(0, m, 8):
+        table = [0]
+        for i in range(shift, min(shift + 8, m)):
+            w = n[i] << m | 1 << (m - 1 - i)
+            table += [x + w for x in table]
+        tables.append((shift, table))
+    return tables
+
+
 def greedy_min_basis(
     dual: SubspaceF2, n: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
 ) -> tuple[tuple[BitVec, ...], int]:
     """Minimal-total-weight basis by matroid greedy; ties broken by coordinate tuple."""
-    if len(n) != dual.m:
+    m = dual.m
+    if len(n) != m:
         raise DimensionMismatchError("rank list does not match the ambient dimension")
     elems = enumerate_elements(dual, dim_cap)
-    elems.sort(key=lambda v: (weight_exponent(v, n), v.coords()))
-    echelon: list[int] = []
-    chosen: list[BitVec] = []
+    (_, low_table), *tables = _pattern_key_tables(n)
+    keys = [low_table[b & 0xFF] for b in elems]
+    for shift, table in tables:
+        keys = [key + table[b >> shift & 0xFF] for key, b in zip(keys, elems)]
+    # keys are distinct, so the heap pops them in sorted order; the greedy
+    # usually stops after a few dozen, well short of a full sort
+    heapify(keys)
+    low = (1 << m) - 1
+    echelon: list[int] = []  # independence is tested on the reversed patterns
+    chosen: list[int] = []
     total = 0
-    for v in elems:
-        if len(chosen) == dual.dim:
-            break
-        if reduce_bits(v.bits, echelon) == 0:
-            continue
-        echelon = rref_bits(echelon + [v.bits])
-        chosen.append(v)
-        total += 1 << weight_exponent(v, n)
-    return tuple(chosen), total
+    while len(chosen) < dual.dim:
+        key = heappop(keys)
+        r = reduce_bits(key & low, echelon)
+        if r:
+            echelon.append(r)
+            chosen.append(key & low)
+            total += 1 << (key >> m)
+    return tuple(BitVec(m, int(f"{r:0{m}b}"[::-1], 2)) for r in chosen), total
 
 
 def brute_min_basis(
@@ -219,11 +245,12 @@ def theorem_hypothesis_holds(spec: GroupSpecB) -> tuple[bool, tuple[int, ...]]:
     Returns (holds, offending 1-based factors).  Diagnostic only: the bounds the
     calculator emits are valid regardless, but exactness rests on this shape.
     """
-    dual = spec.dual_subspace()
+    # the unit pattern e_i is orthogonal to mu iff no generator of mu has coordinate i
+    mu_support = 0
+    for v in spec.mu_gens:
+        mu_support |= v.bits
     bad = tuple(
-        i + 1
-        for i, r in enumerate(spec.n)
-        if r < 7 and (r < 3 or BitVec.unit(spec.m, i) in dual)
+        i + 1 for i, r in enumerate(spec.n) if r < 7 and (r < 3 or not mu_support >> i & 1)
     )
     return (not bad, bad)
 

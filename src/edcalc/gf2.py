@@ -165,20 +165,21 @@ def annihilator(space: SubspaceF2) -> SubspaceF2:
     return SubspaceF2(space.m, tuple(BitVec(space.m, r) for r in canon))
 
 
-def enumerate_elements(space: SubspaceF2, dim_cap: int = DEFAULT_DIM_CAP) -> list[BitVec]:
-    """All nonzero elements of the subspace; refuses when dim exceeds dim_cap."""
+def enumerate_elements(space: SubspaceF2, dim_cap: int = DEFAULT_DIM_CAP) -> list[int]:
+    """All nonzero elements of the subspace as packed ints, coordinate i at bit i.
+
+    The order is a Gray-code walk over the basis.  Refuses when dim exceeds dim_cap.
+    """
     k = space.dim
     if k > dim_cap:
         raise EnumerationTooLargeError(
             f"subspace of dimension {k} has {2 ** k - 1} nonzero elements, cap is 2^{dim_cap}"
         )
-    rows = [v.bits for v in space.basis]
-    out: list[BitVec] = []
-    cur = 0
-    for counter in range(1, 1 << k):
-        # Gray-code walk: one basis vector toggles per step
-        cur ^= rows[(counter & -counter).bit_length() - 1]
-        out.append(BitVec(space.m, cur))
+    out = [0]
+    for row in [v.bits for v in space.basis]:
+        # reflected Gray code: the walk so far, then back again with row toggled
+        out += [x ^ row for x in reversed(out)]
+    del out[0]
     return out
 
 
@@ -205,7 +206,7 @@ def enumerate_bases(
     if k == 0:
         yield ()
         return
-    elems = sorted(v.bits for v in enumerate_elements(space, dim_cap=max(k, DEFAULT_DIM_CAP)))
+    elems = sorted(enumerate_elements(space, dim_cap=max(k, DEFAULT_DIM_CAP)))
 
     def rec(start: int, echelon: list[int], chosen: list[int]) -> Iterator[tuple[BitVec, ...]]:
         if len(chosen) == k:

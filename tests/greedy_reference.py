@@ -1,0 +1,62 @@
+"""The greedy minimal basis as it was before it sorted one int key per pattern.
+
+Kept as a test oracle: `greedy_min_basis` must return the same basis, in the
+same order, and the same total as `reference_greedy_min_basis` on every dual
+subspace.  Elements are `BitVec`s sorted on (weight exponent, coordinate tuple).
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from edcalc.core import weight_exponent
+from edcalc.gf2 import (
+    DEFAULT_DIM_CAP,
+    BitVec,
+    DimensionMismatchError,
+    EnumerationTooLargeError,
+    SubspaceF2,
+    reduce_bits,
+    rref_bits,
+)
+
+
+def reference_enumerate_elements(
+    space: SubspaceF2, dim_cap: int = DEFAULT_DIM_CAP
+) -> list[BitVec]:
+    """All nonzero elements of the subspace; refuses when dim exceeds dim_cap."""
+    k = space.dim
+    if k > dim_cap:
+        raise EnumerationTooLargeError(
+            f"subspace of dimension {k} has {2 ** k - 1} nonzero elements, cap is 2^{dim_cap}"
+        )
+    rows = [v.bits for v in space.basis]
+    out: list[BitVec] = []
+    cur = 0
+    for counter in range(1, 1 << k):
+        # Gray-code walk: one basis vector toggles per step
+        cur ^= rows[(counter & -counter).bit_length() - 1]
+        out.append(BitVec(space.m, cur))
+    return out
+
+
+def reference_greedy_min_basis(
+    dual: SubspaceF2, n: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
+) -> tuple[tuple[BitVec, ...], int]:
+    """Minimal-total-weight basis by matroid greedy; ties broken by coordinate tuple."""
+    if len(n) != dual.m:
+        raise DimensionMismatchError("rank list does not match the ambient dimension")
+    elems = reference_enumerate_elements(dual, dim_cap)
+    elems.sort(key=lambda v: (weight_exponent(v, n), v.coords()))
+    echelon: list[int] = []
+    chosen: list[BitVec] = []
+    total = 0
+    for v in elems:
+        if len(chosen) == dual.dim:
+            break
+        if reduce_bits(v.bits, echelon) == 0:
+            continue
+        echelon = rref_bits(echelon + [v.bits])
+        chosen.append(v)
+        total += 1 << weight_exponent(v, n)
+    return tuple(chosen), total

@@ -161,6 +161,29 @@ def test_theorem_hypothesis():
     assert theorem_hypothesis_holds(split) == (False, (1, 2))
 
 
+def test_theorem_hypothesis_matches_dual_subspace_definition():
+    # the hypothesis read off the dual subspace, as it was first written
+    def by_dual(spec):
+        dual = spec.dual_subspace()
+        bad = tuple(
+            i + 1
+            for i, r in enumerate(spec.n)
+            if r < 7 and (r < 3 or BitVec.unit(spec.m, i) in dual)
+        )
+        return (not bad, bad)
+
+    rng = Random(99)
+    trivial = 0
+    for _ in range(500):
+        m = rng.randint(1, 10)
+        n = tuple(rng.randint(1, 9) for _ in range(m))
+        gens = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, 3)))
+        spec = GroupSpecB(n, gens)
+        trivial += spec.mu_subspace().dim == 0
+        assert theorem_hypothesis_holds(spec) == by_dual(spec), spec
+    assert trivial > 100
+
+
 def test_known_cases_matching():
     assert known_cases(mk([1, 1, 1], [[1, 1, 1]])).value == 4
     assert known_cases(mk([1, 1, 1], [[1, 1, 1]])).kind == "exact"

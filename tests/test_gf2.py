@@ -102,10 +102,15 @@ def test_annihilator_of_trivial_and_full():
 def test_enumerate_elements():
     space = rref(vecs(4, [[1, 1, 1, 0], [0, 0, 0, 1]]))
     elems = enumerate_elements(space)
+    assert all(type(b) is int for b in elems)
     assert len(elems) == 3
     assert len(set(elems)) == 3
-    assert all(v in space and not v.is_zero() for v in elems)
-    assert set(v.coords() for v in elems) == {(1, 1, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1)}
+    assert all(b != 0 and BitVec(4, b) in space for b in elems)
+    assert set(BitVec(4, b).coords() for b in elems) == {
+        (1, 1, 1, 0),
+        (0, 0, 0, 1),
+        (1, 1, 1, 1),
+    }
 
 
 def test_enumerate_elements_cap():

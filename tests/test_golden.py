@@ -1,7 +1,8 @@
 """Byte-for-byte reports of the command line, pinned by files under tests/data.
 
 The files were written by the calculator before the known-case ledger became
-one registry; every report the ledger feeds must stay exactly as it was.
+one registry, and the rank-7 report before the greedy sorted one int key per
+pattern; every report must stay exactly as it was.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ CASES = [
     ("table_text", 0, ["table"]),
     ("table_json", 0, ["table", "--json"]),
     ("compute_c1", 0, ["compute", "--json", "c1.json"]),
+    # twelve rank-7 factors: k = 11 and 66 tied weight-2 patterns pin the tie-break
+    ("compute_rank7_twelve_diagonal", 0, ["compute", "--json", "rank7_twelve_diagonal.json"]),
     ("compute_known_exact_formula", 0, ["compute", "--json", "spin3_cube_diagonal.json"]),
     ("compute_known_exact_table", 0, ["compute", "--json", "pair_3_1_diagonal.json"]),
     ("compute_known_lower_upper", 0, ["compute", "--json", "rank2_five_diagonal.json"]),
