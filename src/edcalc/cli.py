@@ -1,4 +1,4 @@
-"""Command-line interface: compute, oracle, certify, table, batch."""
+"""Command-line interface: compute, certify, table, batch."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from random import Random
 
 from .core import (
     BUILTIN_CERTIFICATE_ROWS,
@@ -18,11 +17,8 @@ from .core import (
     EmptySpecError,
     NotReducedError,
     SpecFormatError,
-    compare_greedy_brute,
     compute_ed,
-    random_group_spec,
     spec_from_doc,
-    spec_to_doc,
 )
 from .extraspecial import (
     CertReport,
@@ -41,6 +37,14 @@ EXIT_CERT = 5
 DEFAULT_ENUM_CAP = 1 << 24
 
 
+def cap_value(text: str) -> int:
+    """argparse type of --basis-cap and --enum-cap: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edcalc",
@@ -57,14 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     basis_cap = argparse.ArgumentParser(add_help=False)
     basis_cap.add_argument(
         "--basis-cap",
-        type=int,
+        type=cap_value,
         default=DEFAULT_BASIS_CAP,
         help="largest basis count searched exhaustively (default %(default)s)",
     )
     enum_cap = argparse.ArgumentParser(add_help=False)
     enum_cap.add_argument(
         "--enum-cap",
-        type=int,
+        type=cap_value,
         default=DEFAULT_ENUM_CAP,
         help="largest element enumeration, for subspaces and closures (default 2^24)",
     )
@@ -73,13 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compute", parents=[fmt, basis_cap, enum_cap], help="compute the essential dimension"
     )
     p.add_argument("spec", help="path to a spec JSON document")
-
-    p = sub.add_parser(
-        "oracle", parents=[fmt, basis_cap], help="compare greedy against exhaustive"
-    )
-    p.add_argument("spec", nargs="?", help="spec path; without it, seeded random trials run")
-    p.add_argument("--trials", type=int, default=200, help="random trials (default %(default)s)")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
 
     p = sub.add_parser("certify", parents=[fmt, enum_cap], help="verify a lower-bound certificate")
     p.add_argument(
@@ -102,7 +99,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "compute": cmd_compute,
-        "oracle": cmd_oracle,
         "certify": cmd_certify,
         "table": cmd_table,
         "batch": cmd_batch,
@@ -116,7 +112,7 @@ def _read_json(path: str | Path) -> object:
 
 
 def _dim_cap(enum_cap: int) -> int:
-    return max(1, enum_cap).bit_length() - 1
+    return enum_cap.bit_length() - 1
 
 
 def _emit(args: argparse.Namespace, doc: dict, text: str) -> None:
@@ -196,49 +192,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     assert result is not None
     _emit(args, result_to_doc(result), render_result_text(result))
     return code
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    if args.spec is not None:
-        try:
-            spec = spec_from_doc(_read_json(args.spec))
-        except (OSError, json.JSONDecodeError, SpecFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-        try:
-            greedy, brute = compare_greedy_brute(spec, args.basis_cap)
-        except EnumerationTooLargeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAP
-        agree = greedy == brute
-        doc = {"mode": "file", "greedy_total": greedy, "brute_total": brute, "agree": agree}
-        text = f"greedy total {greedy}, exhaustive total {brute}, {'agree' if agree else 'DISAGREE'}"
-        _emit(args, doc, text)
-        return EXIT_OK if agree else 1
-
-    rng = Random(args.seed)
-    counterexamples = []
-    for _ in range(args.trials):
-        spec = random_group_spec(rng)
-        greedy, brute = compare_greedy_brute(spec, args.basis_cap)
-        if greedy != brute:
-            counterexamples.append(
-                {"spec": spec_to_doc(spec), "greedy_total": greedy, "brute_total": brute}
-            )
-    doc = {
-        "mode": "random",
-        "seed": args.seed,
-        "trials": args.trials,
-        "disagreements": len(counterexamples),
-        "counterexamples": counterexamples,
-    }
-    lines = [f"seed {args.seed}", f"trials {args.trials}, disagreements {len(counterexamples)}"]
-    lines.extend("counterexample: " + json.dumps(c) for c in counterexamples)
-    _emit(args, doc, "\n".join(lines))
-    return EXIT_OK if not counterexamples else 1
 
 
 def report_to_doc(report: CertReport) -> dict:

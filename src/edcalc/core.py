@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop
-from random import Random
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .gf2 import (
@@ -59,10 +58,6 @@ class NotReducedError(ValueError):
             f"factor {factor} splits off as a direct factor"
             " (its unit sign pattern lies in the span of the mu generators)"
         )
-
-
-class NotABasisError(ValueError):
-    """The proposed vectors are not a basis of the dual subspace."""
 
 
 @dataclass(frozen=True)
@@ -129,18 +124,6 @@ def group_dim(n: Sequence[int]) -> int:
 def weight_exponent(r: BitVec, n: Sequence[int]) -> int:
     """Sum of the factor ranks over the support of r; the weight of r is 2 to this."""
     return sum(n[i] for i in r.support())
-
-
-@dataclass(frozen=True)
-class WeightedVector:
-    r: BitVec
-    exponent: int
-    weight: int
-
-
-def weight_of(r: BitVec, n: Sequence[int]) -> WeightedVector:
-    e = weight_exponent(r, n)
-    return WeightedVector(r, e, 1 << e)
 
 
 def support_ranks(r: BitVec, n: Sequence[int]) -> tuple[int, ...]:
@@ -211,32 +194,6 @@ def greedy_min_basis(
             chosen.append(key & low)
             total += 1 << (key >> m)
     return tuple(BitVec(m, int(f"{r:0{m}b}"[::-1], 2)) for r in chosen), total
-
-
-def brute_min_basis(
-    dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_BASIS_CAP
-) -> tuple[tuple[BitVec, ...], int]:
-    """Exhaustive minimum over all bases; independent check of the greedy result."""
-    best: tuple[BitVec, ...] | None = None
-    best_key: tuple | None = None
-    for basis in enumerate_bases(dual, cap):
-        total = sum(1 << weight_exponent(v, n) for v in basis)
-        key = (total, tuple(sorted(v.coords() for v in basis)))
-        if best_key is None or key < best_key:
-            best, best_key = basis, key
-    assert best is not None and best_key is not None
-    return tuple(sorted(best, key=lambda v: v.coords())), best_key[0]
-
-
-def upper_bound_for_basis(spec: GroupSpecB, basis: Sequence[BitVec]) -> int | None:
-    """Weight-sum upper bound from one basis, or None when some vector is small."""
-    dual = spec.dual_subspace()
-    if len(basis) != dual.dim or rref(list(basis), spec.m) != dual:
-        raise NotABasisError("vectors do not form a basis of the dual subspace")
-    if any(is_small_product(support_ranks(v, spec.n)) for v in basis):
-        return None
-    total = sum(1 << weight_exponent(v, spec.n) for v in basis)
-    return total - group_dim(spec.n)
 
 
 def theorem_hypothesis_holds(spec: GroupSpecB) -> tuple[bool, tuple[int, ...]]:
@@ -639,7 +596,8 @@ def spec_from_doc(doc: object) -> GroupSpecB:
         if not isinstance(rows, list) or any(
             not isinstance(row, list)
             or len(row) != len(n)
-            or any(c not in (0, 1) or isinstance(c, bool) for c in row)
+            # type(c) is int rejects bools and floats: 1.0 in (0, 1) holds
+            or any(type(c) is not int or c not in (0, 1) for c in row)
             for row in rows
         ):
             raise SpecFormatError(f"'{key}' must be a list of 0/1 rows of length {len(n)}")
@@ -648,29 +606,3 @@ def spec_from_doc(doc: object) -> GroupSpecB:
     if "r_generators" in doc:
         return GroupSpecB.from_dual_rows(n, rows_of("r_generators"))
     return GroupSpecB.from_mu_rows(n, rows_of("mu_generators"))
-
-
-def random_group_spec(
-    rng: Random, max_m: int = 8, max_rank: int = 9, max_dual_dim: int = 4
-) -> GroupSpecB:
-    """Seeded random spec for greedy-versus-exhaustive comparisons."""
-    m = rng.randint(1, max_m)
-    n = tuple(rng.randint(1, max_rank) for _ in range(m))
-    dual_dim = rng.randint(0, min(max_dual_dim, m))
-    target = m - dual_dim
-    gens: list[BitVec] = []
-    while rref(gens, m).dim < target:
-        bits = rng.getrandbits(m)
-        if bits:
-            gens.append(BitVec(m, bits))
-    return GroupSpecB(n, tuple(gens))
-
-
-def compare_greedy_brute(
-    spec: GroupSpecB, basis_cap: int = DEFAULT_BASIS_CAP
-) -> tuple[int, int]:
-    """Greedy and exhaustive minimal totals for the same spec."""
-    dual = spec.dual_subspace()
-    _, greedy_total = greedy_min_basis(dual, spec.n)
-    _, brute_total = brute_min_basis(dual, spec.n, basis_cap)
-    return greedy_total, brute_total

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import GroupSpecB, diagonal_mu, ledger_family, maximal_mu, validate
+from .core import (
+    GroupSpecB,
+    SpecFormatError,
+    diagonal_mu,
+    ledger_family,
+    maximal_mu,
+    spec_from_doc,
+    spec_to_doc,
+    validate,
+)
 from .gf2 import (
     BitVec,
     DimensionMismatchError,
@@ -493,8 +502,6 @@ def builtin_certificate(key: str) -> Certificate:
 
 def certificate_to_doc(cert: Certificate) -> dict:
     """JSON-ready document for a certificate."""
-    from .core import spec_to_doc
-
     doc = {
         "spec": spec_to_doc(cert.spec),
         "generators": [
@@ -509,8 +516,6 @@ def certificate_to_doc(cert: Certificate) -> dict:
 
 def certificate_from_doc(doc: dict) -> Certificate:
     """Parse a certificate document; raises SpecFormatError on malformed input."""
-    from .core import SpecFormatError, spec_from_doc
-
     if not isinstance(doc, dict):
         raise SpecFormatError("certificate document must be an object")
     if "spec" not in doc or "generators" not in doc:
@@ -530,8 +535,15 @@ def certificate_from_doc(doc: dict) -> Certificate:
                 raise SpecFormatError("generator entries must be {sign, indices} objects")
             sign = entry.get("sign", 1)
             indices = entry.get("indices", [])
-            if sign not in (1, -1) or not isinstance(indices, list):
-                raise SpecFormatError("generator entries must be {sign, indices} objects")
+            if (
+                type(sign) is not int
+                or sign not in (1, -1)
+                or not isinstance(indices, list)
+                or any(type(i) is not int for i in indices)
+            ):
+                raise SpecFormatError(
+                    "generator entries must be {sign, indices} objects with integer values"
+                )
             try:
                 comps.append(CliffordUnit.from_indices(dim, indices, sign))
             except ValueError as exc:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from edcalc import CliffordUnit
+from random import Random
+from typing import Sequence
+
+from edcalc import BitVec, CliffordUnit, GroupSpecB, SubspaceF2, greedy_min_basis, rref
+from edcalc.core import weight_exponent
+from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
 
 
 def word_product(
@@ -37,3 +42,44 @@ def even_masks(dim: int) -> list[int]:
 def all_units(dim: int) -> list[CliffordUnit]:
     """Every element of the signed even-product group inside Spin(dim)."""
     return [CliffordUnit(dim, mask, sign) for mask in even_masks(dim) for sign in (1, -1)]
+
+
+def brute_min_basis(
+    dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_BASIS_CAP
+) -> tuple[tuple[BitVec, ...], int]:
+    """Exhaustive minimum over all bases; independent check of the greedy result."""
+    best: tuple[BitVec, ...] | None = None
+    best_key: tuple | None = None
+    for basis in enumerate_bases(dual, cap):
+        total = sum(1 << weight_exponent(v, n) for v in basis)
+        key = (total, tuple(sorted(v.coords() for v in basis)))
+        if best_key is None or key < best_key:
+            best, best_key = basis, key
+    assert best is not None and best_key is not None
+    return tuple(sorted(best, key=lambda v: v.coords())), best_key[0]
+
+
+def random_group_spec(
+    rng: Random, max_m: int = 8, max_rank: int = 9, max_dual_dim: int = 4
+) -> GroupSpecB:
+    """Seeded random spec for greedy-versus-exhaustive comparisons."""
+    m = rng.randint(1, max_m)
+    n = tuple(rng.randint(1, max_rank) for _ in range(m))
+    dual_dim = rng.randint(0, min(max_dual_dim, m))
+    target = m - dual_dim
+    gens: list[BitVec] = []
+    while rref(gens, m).dim < target:
+        bits = rng.getrandbits(m)
+        if bits:
+            gens.append(BitVec(m, bits))
+    return GroupSpecB(n, tuple(gens))
+
+
+def compare_greedy_brute(
+    spec: GroupSpecB, basis_cap: int = DEFAULT_BASIS_CAP
+) -> tuple[int, int]:
+    """Greedy and exhaustive minimal totals for the same spec."""
+    dual = spec.dual_subspace()
+    _, greedy_total = greedy_min_basis(dual, spec.n)
+    _, brute_total = brute_min_basis(dual, spec.n, basis_cap)
+    return greedy_total, brute_total

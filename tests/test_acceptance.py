@@ -21,16 +21,14 @@ from edcalc import (
     annihilator,
     builtin_certificate,
     closure,
-    compare_greedy_brute,
     compute_ed,
     known_cases,
     maximal_mu,
-    random_group_spec,
     rref,
     verify_certificate,
 )
 
-from helpers import all_units, even_masks, word_product
+from helpers import all_units, compare_greedy_brute, even_masks, random_group_spec, word_product
 
 
 def _report(label: str, body: Callable[[], None]) -> None:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from edcalc.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 MIXED_DOC = {"type": "B", "n": [1, 2, 3, 7], "mu_generators": [[1, 1, 0, 0], [1, 0, 1, 0]]}
 
@@ -117,29 +120,6 @@ def test_compute_capped_exact_and_partial(tmp_path, capsys):
     assert "status: bounds-only, ed >= 0" in out
 
 
-def test_oracle_file_mode(tmp_path, capsys):
-    path = write_doc(tmp_path, "spec.json", MIXED_DOC)
-    code, out, _ = run(capsys, "oracle", path)
-    assert code == 0
-    assert "greedy total 192, exhaustive total 192, agree" in out
-
-
-def test_oracle_random_mode(capsys):
-    code, out, _ = run(capsys, "oracle", "--trials", "25", "--seed", "11")
-    assert code == 0
-    assert "seed 11" in out
-    assert "trials 25, disagreements 0" in out
-
-
-def test_oracle_random_mode_json(capsys):
-    code, out, _ = run(capsys, "oracle", "--trials", "10", "--seed", "3", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["mode"] == "random"
-    assert doc["disagreements"] == 0
-    assert doc["counterexamples"] == []
-
-
 def test_certify_builtin_text(capsys):
     code, out, _ = run(capsys, "certify", "builtin:pair:1:5")
     assert code == 0
@@ -244,16 +224,69 @@ def test_argparse_rejects_unknown(capsys):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["certify", "builtin:small4", "--basis-cap", "10"],
-        ["oracle", "--trials", "1", "--enum-cap", "10"],
-    ],
-)
+@pytest.mark.parametrize("argv", [["certify", "builtin:small4", "--basis-cap", "10"]])
 def test_unused_cap_options_are_rejected(argv, capsys):
-    # certify never searches bases and oracle never caps an enumeration
+    # certify never searches bases
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_oracle_command_is_gone(capsys):
+    # greedy-versus-exhaustive checks live in the test suite, not the CLI
+    with pytest.raises(SystemExit) as err:
+        main(["oracle", "--trials", "1"])
+    assert err.value.code == 2
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", str(DATA / "c1.json"), "--enum-cap", "0"],
+        ["compute", str(DATA / "rank2_five_diagonal.json"), "--basis-cap", "-1"],
+        ["batch", str(DATA), "--basis-cap", "0"],
+        ["batch", str(DATA), "--enum-cap", "-5"],
+        ["certify", "builtin:small4", "--enum-cap", "0"],
+    ],
+)
+def test_caps_below_one_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+CERT_SPEC = {"type": "B", "n": [1, 1], "mu_generators": [[1, 1]]}
+
+
+def cert_with_entry(entry):
+    return {"spec": CERT_SPEC, "generators": [[entry, {"sign": 1, "indices": [1, 2]}]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("compute", {"type": "B", "n": [1, 2], "mu_generators": [[1.0, 1]]}),
+        ("compute", {"type": "B", "n": [1, 2], "r_generators": [[1.0, 1]]}),
+        ("certify", cert_with_entry({"sign": 1, "indices": [1.0, 2.0]})),
+        ("certify", cert_with_entry({"sign": 1, "indices": ["1", 2]})),
+        ("certify", cert_with_entry({"sign": True, "indices": [1, 2]})),
+    ],
+)
+def test_non_integer_numbers_are_parse_errors(command, doc, tmp_path, capsys):
+    path = write_doc(tmp_path, "doc.json", doc)
+    code, out, err = run(capsys, command, path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_batch_reports_the_other_files_past_a_non_integer_spec(tmp_path, capsys):
+    write_doc(tmp_path, "a.json", {"type": "B", "n": [1, 2], "mu_generators": [[1.0, 1]]})
+    write_doc(tmp_path, "b.json", MIXED_DOC)
+    code, out, _ = run(capsys, "batch", str(tmp_path), "--json")
+    assert code == 2
+    a, b = json.loads(out)["results"]
+    assert a["exit_code"] == 2 and "must be a list of 0/1 rows" in a["error"]
+    assert b["report"]["value"] == 53

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import edcalc.core
 from edcalc import BitVec, GroupSpecB, greedy_min_basis
-from edcalc.core import random_group_spec
 from edcalc.gf2 import enumerate_elements, rref
 
 from greedy_reference import reference_enumerate_elements, reference_greedy_min_basis
+from helpers import random_group_spec
 
 
 def assert_same_greedy(spec: GroupSpecB) -> None:
