@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_CAP = 4
 EXIT_CERT = 5
+EXIT_PIPE = 141  # the shell's code for a process killed by SIGPIPE, 128 + 13
 
 DEFAULT_ENUM_CAP = 1 << 24
 
@@ -103,7 +105,13 @@ def main(argv: list[str] | None = None) -> int:
         "table": cmd_table,
         "batch": cmd_batch,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except BrokenPipeError:
+        # the reader of stdout left early; what is still buffered goes to
+        # devnull, so the flush at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 def _read_json(path: str | Path) -> object:
@@ -116,10 +124,8 @@ def _dim_cap(enum_cap: int) -> int:
 
 
 def _emit(args: argparse.Namespace, doc: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(text)
+    # flush here, so that a closed pipe shows up while main can still catch it
+    print(json.dumps(doc, indent=2) if args.json else text, flush=True)
 
 
 def result_to_doc(result: EdResult) -> dict:

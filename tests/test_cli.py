@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from edcalc.cli import main
+import edcalc
+from edcalc.cli import EXIT_PIPE, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -216,6 +220,31 @@ def test_batch_all_good(tmp_path, capsys):
 def test_batch_missing_directory(tmp_path, capsys):
     code, _, err = run(capsys, "batch", str(tmp_path / "nope"))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", str(DATA / "c1.json")], ["batch", str(DATA)], ["table", "--json"]],
+    ids=["compute", "batch", "table"],
+)
+def test_closed_stdout_pipe_exits_quietly(argv):
+    # the read end is closed before the process starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(edcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "edcalc.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE == 141
+    assert proc.stderr == b""
 
 
 def test_argparse_rejects_unknown(capsys):
