@@ -21,20 +21,6 @@ from .core import (
     spec_to_doc,
     validate,
 )
-from .extraspecial import (
-    Certificate,
-    CertReport,
-    CliffordTuple,
-    CliffordUnit,
-    NonAbelianQuotientError,
-    builtin_certificate,
-    centralizer_finite,
-    certificate_from_doc,
-    certificate_to_doc,
-    closure,
-    quotient_rank,
-    verify_certificate,
-)
 from .gf2 import (
     BitVec,
     DimensionMismatchError,
@@ -91,3 +77,36 @@ __all__ = [
     "validate",
     "verify_certificate",
 ]
+
+# names of the certificate layer, resolved on first access so that importing the
+# package, and the compute, table and batch commands, never load that module
+_CERTIFICATE_NAMES = (
+    "Certificate",
+    "CertReport",
+    "CliffordTuple",
+    "CliffordUnit",
+    "NonAbelianQuotientError",
+    "builtin_certificate",
+    "centralizer_finite",
+    "certificate_from_doc",
+    "certificate_to_doc",
+    "closure",
+    "quotient_rank",
+    "verify_certificate",
+)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _CERTIFICATE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import extraspecial
+
+    # bind every name at once: later lookups, and tools that patch the
+    # package namespace, then see plain module attributes
+    for lazy in _CERTIFICATE_NAMES:
+        globals()[lazy] = getattr(extraspecial, lazy)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_CERTIFICATE_NAMES))

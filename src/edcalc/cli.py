@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .core import (
     BUILTIN_CERTIFICATE_ROWS,
@@ -21,13 +22,10 @@ from .core import (
     compute_ed,
     spec_from_doc,
 )
-from .extraspecial import (
-    CertReport,
-    builtin_certificate,
-    certificate_from_doc,
-    verify_certificate,
-)
 from .gf2 import EnumerationTooLargeError
+
+if TYPE_CHECKING:
+    from .extraspecial import CertReport
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -228,6 +226,9 @@ def render_cert_text(report: CertReport) -> str:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    # the certificate layer is imported here, so the other commands never load it
+    from .extraspecial import builtin_certificate, certificate_from_doc, verify_certificate
+
     target = args.certificate
     if target.startswith("builtin:"):
         try:

@@ -15,7 +15,6 @@ bounds, strengthened by a ledger of known small cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -26,6 +25,7 @@ from .gf2 import (
     DimensionMismatchError,
     EnumerationTooLargeError,
     SubspaceF2,
+    _Record,
     annihilator,
     count_bases,
     enumerate_bases,
@@ -60,19 +60,20 @@ class NotReducedError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class GroupSpecB:
+class GroupSpecB(_Record):
     """Quotient of a product of odd spin groups Spin(2*n_i + 1) by a central 2-group."""
 
+    __slots__ = ("n", "mu_gens")
     n: tuple[int, ...]
-    mu_gens: tuple[BitVec, ...] = ()
+    mu_gens: tuple[BitVec, ...]
 
-    def __post_init__(self) -> None:
-        if any(not isinstance(r, int) or r < 1 for r in self.n):
+    def __init__(self, n: tuple[int, ...], mu_gens: tuple[BitVec, ...] = ()) -> None:
+        self._fill(n, mu_gens)
+        if any(not isinstance(r, int) or r < 1 for r in n):
             raise ValueError("factor ranks must be integers >= 1")
-        if len(self.n) > 64:
+        if len(n) > 64:
             raise ValueError("at most 64 factors are supported")
-        if any(v.m != self.m for v in self.mu_gens):
+        if any(v.m != self.m for v in mu_gens):
             raise DimensionMismatchError("mu generators must have one coordinate per factor")
 
     @classmethod
@@ -307,12 +308,15 @@ def maximal_mu(m: int) -> SubspaceF2:
     return annihilator(diagonal_mu(m))
 
 
-@dataclass(frozen=True)
-class KnownCase:
+class KnownCase(_Record):
+    __slots__ = ("kind", "value", "tag", "description")
     kind: str  # "exact" or "lower"
     value: int
     tag: str
     description: str
+
+    def __init__(self, kind: str, value: int, tag: str, description: str) -> None:
+        self._fill(kind, value, tag, description)
 
 
 # pattern text and modulo phrase for each kind of mu a ledger family matches
@@ -472,14 +476,26 @@ def known_cases(spec: GroupSpecB, mu: SubspaceF2 | None = None) -> KnownCase | N
     return best
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(_Record):
+    __slots__ = ("rule", "citation")
     rule: str
     citation: str
 
+    def __init__(self, rule: str, citation: str) -> None:
+        self._fill(rule, citation)
 
-@dataclass(frozen=True)
-class EdResult:
+
+class EdResult(_Record):
+    __slots__ = (
+        "status",
+        "lower",
+        "upper",
+        "minimal_basis",
+        "basis_total_weight",
+        "group_dim",
+        "trace",
+        "warnings",
+    )
     status: str
     lower: int
     upper: int | None
@@ -487,16 +503,29 @@ class EdResult:
     basis_total_weight: int
     group_dim: int
     trace: tuple[TraceEntry, ...]
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        if self.status not in (STATUS_EXACT, STATUS_BOUNDS):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.lower < 0:
+    def __init__(
+        self,
+        status: str,
+        lower: int,
+        upper: int | None,
+        minimal_basis: tuple[BitVec, ...],
+        basis_total_weight: int,
+        group_dim: int,
+        trace: tuple[TraceEntry, ...],
+        warnings: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(
+            status, lower, upper, minimal_basis, basis_total_weight, group_dim, trace, warnings
+        )
+        if status not in (STATUS_EXACT, STATUS_BOUNDS):
+            raise ValueError(f"unknown status {status!r}")
+        if lower < 0:
             raise ValueError("lower bound must be clamped at 0")
-        if self.status == STATUS_EXACT and self.upper != self.lower:
+        if status == STATUS_EXACT and upper != lower:
             raise ValueError("exact results must have matching bounds")
-        if self.upper is not None and self.upper < self.lower:
+        if upper is not None and upper < lower:
             raise ValueError("upper bound below lower bound")
 
     @property

@@ -11,7 +11,6 @@ quotient group described by the spec.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -30,6 +29,8 @@ from .gf2 import (
     DimensionMismatchError,
     EnumerationTooLargeError,
     SubspaceF2,
+    _Record,
+    _setattr,
     rref_bits,
 )
 
@@ -40,8 +41,7 @@ class NonAbelianQuotientError(ValueError):
     """The elements do not commute modulo the central subgroup mu."""
 
 
-@dataclass(frozen=True)
-class CliffordUnit:
+class CliffordUnit(_Record):
     """Signed even product of Clifford generators: +/- c(I) inside Spin(dim).
 
     Indices are 1-based; index i is stored at bit i - 1 of mask.  The defining
@@ -49,19 +49,32 @@ class CliffordUnit:
     over an even index set I is determined by I and a sign.
     """
 
+    __slots__ = ("dim", "mask", "sign")
     dim: int
     mask: int
-    sign: int = 1
+    sign: int
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    # written out, not inherited: closure builds and hashes one per factor per product
+    def __init__(self, dim: int, mask: int, sign: int = 1) -> None:
+        _setattr(self, "dim", dim)
+        _setattr(self, "mask", mask)
+        _setattr(self, "sign", sign)
+        if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        if self.sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.mask < 0 or self.mask >> self.dim:
+        if mask < 0 or mask >> dim:
             raise ValueError("index outside the ambient dimension")
-        if self.mask.bit_count() % 2:
+        if mask.bit_count() % 2:
             raise ValueError("index set must have even cardinality")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.mask == other.mask and self.sign == other.sign and self.dim == other.dim
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.mask, self.sign))
 
     @classmethod
     def from_indices(cls, dim: int, indices: Iterable[int], sign: int = 1) -> CliffordUnit:
@@ -130,15 +143,25 @@ def _inversions(a_mask: int, b_mask: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class CliffordTuple:
+class CliffordTuple(_Record):
     """Element of a product of the sign groups, one unit per spin factor."""
 
+    __slots__ = ("components",)
     components: tuple[CliffordUnit, ...]
 
-    def __post_init__(self) -> None:
-        if not self.components:
+    # written out, not inherited: closure builds and hashes one per product
+    def __init__(self, components: tuple[CliffordUnit, ...]) -> None:
+        _setattr(self, "components", components)
+        if not components:
             raise ValueError("a tuple needs at least one component")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.components == other.components
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components,))
 
     @classmethod
     def identity_like(cls, dims: Sequence[int]) -> CliffordTuple:
@@ -298,37 +321,68 @@ def centralizer_finite(tuples: Sequence[CliffordTuple], dims: Sequence[int]) -> 
     return True
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Finite abelian subgroup data for a lower bound on the essential dimension."""
 
+    __slots__ = ("spec", "generators", "note")
     spec: GroupSpecB
     generators: tuple[CliffordTuple, ...]
-    note: str = ""
+    note: str
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(
+        self, spec: GroupSpecB, generators: tuple[CliffordTuple, ...], note: str = ""
+    ) -> None:
+        self._fill(spec, generators, note)
+        if not generators:
             raise ValueError("a certificate needs at least one generator")
-        dims = tuple(2 * r + 1 for r in self.spec.n)
-        if any(g.dims != dims for g in self.generators):
+        dims = tuple(2 * r + 1 for r in spec.n)
+        if any(g.dims != dims for g in generators):
             raise DimensionMismatchError("generator shape does not match the spec factors")
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(_Record):
+    __slots__ = (
+        "abelian_in_quotient",
+        "subgroup_order",
+        "rank",
+        "centralizer_finite",
+        "lower_bound",
+        "failure_reason",
+        "notes",
+    )
     abelian_in_quotient: bool
     subgroup_order: int
     rank: int
     centralizer_finite: bool
     lower_bound: int | None
-    failure_reason: str | None = None
-    notes: tuple[str, ...] = ()
+    failure_reason: str | None
+    notes: tuple[str, ...]
+
+    def __init__(
+        self,
+        abelian_in_quotient: bool,
+        subgroup_order: int,
+        rank: int,
+        centralizer_finite: bool,
+        lower_bound: int | None,
+        failure_reason: str | None = None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        self._fill(
+            abelian_in_quotient,
+            subgroup_order,
+            rank,
+            centralizer_finite,
+            lower_bound,
+            failure_reason,
+            notes,
+        )
 
 
 def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_CLOSURE_CAP) -> CertReport:
     """Check a certificate from scratch and report the lower bound it proves."""
-    validate(cert.spec)
     mu = cert.spec.mu_subspace()
+    validate(cert.spec, mu)
     notes = (cert.note,) if cert.note else ()
     dims = tuple(2 * r + 1 for r in cert.spec.n)
 

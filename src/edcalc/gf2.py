@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 MAX_DIM = 64
@@ -41,18 +40,73 @@ def reduce_bits(row: int, basis: Iterable[int]) -> int:
     return row
 
 
-@dataclass(frozen=True)
-class BitVec:
+_setattr = object.__setattr__
+
+
+class _Record:
+    """Immutable record whose fields are the names in ``__slots__``, in order.
+
+    A record equals only a record of its own class with equal fields, and hashes
+    as the tuple of its fields.  Its repr is ``Name(field=value, ...)``; copy and
+    pickle rebuild it through the constructor, which takes the fields
+    positionally in slot order and checks them again.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        """Set the fields in slot order; for constructors off the hot paths."""
+        for name, value in zip(self.__slots__, values):
+            _setattr(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._fields()
+
+
+class BitVec(_Record):
     """Vector in GF(2)^m packed into a single int; coordinate i sits at bit i."""
 
+    __slots__ = ("m", "bits")
     m: int
-    bits: int = 0
+    bits: int
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.m <= MAX_DIM:
-            raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}, got {self.m}")
-        if self.bits < 0 or self.bits >> self.m:
+    # written out, not inherited: closure and basis search build and hash one per element
+    def __init__(self, m: int, bits: int = 0) -> None:
+        _setattr(self, "m", m)
+        _setattr(self, "bits", bits)
+        if not 1 <= m <= MAX_DIM:
+            raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}, got {m}")
+        if bits < 0 or bits >> m:
             raise ValueError("coordinates outside the ambient dimension")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.m == other.m and self.bits == other.bits
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.bits))
 
     @classmethod
     def from_coords(cls, coords: Iterable[int]) -> BitVec:
@@ -104,16 +158,17 @@ class BitVec:
         return "(" + ",".join(str(c) for c in self.coords()) + ")"
 
 
-@dataclass(frozen=True)
-class SubspaceF2:
+class SubspaceF2(_Record):
     """Subspace of GF(2)^m held as a canonical RREF basis with ascending pivots."""
 
+    __slots__ = ("m", "basis")
     m: int
     basis: tuple[BitVec, ...]
 
-    def __post_init__(self) -> None:
-        rows = [v.bits for v in self.basis]
-        if any(v.m != self.m for v in self.basis):
+    def __init__(self, m: int, basis: tuple[BitVec, ...]) -> None:
+        self._fill(m, basis)
+        rows = [v.bits for v in basis]
+        if any(v.m != m for v in basis):
             raise DimensionMismatchError("basis vectors outside the ambient space")
         if rows != rref_bits(rows):
             raise ValueError("basis is not in reduced row echelon form")

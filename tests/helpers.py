@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 from typing import Sequence
 
+import edcalc
 from edcalc import BitVec, CliffordUnit, GroupSpecB, SubspaceF2, greedy_min_basis, rref
 from edcalc.core import weight_exponent
 from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
@@ -83,3 +89,28 @@ def compare_greedy_brute(
     _, greedy_total = greedy_min_basis(dual, spec.n)
     _, brute_total = brute_min_basis(dual, spec.n, basis_cap)
     return greedy_total, brute_total
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a fresh interpreter that imports the package under test."""
+    src = str(Path(edcalc.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def run_fresh(script: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a fresh interpreter; its last stdout line is sorted(sys.modules)."""
+    code = f"{script}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+
+
+def cli_modules(*argv: str) -> list[str]:
+    """sorted(sys.modules) after one CLI command ran in a fresh interpreter."""
+    proc = run_fresh("import sys\nfrom edcalc.cli import main\nmain(sys.argv[1:])", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])

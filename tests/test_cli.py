@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-import edcalc
 from edcalc.cli import EXIT_PIPE, main
+
+from helpers import child_env
 
 DATA = Path(__file__).parent / "data"
 
@@ -231,14 +232,12 @@ def test_closed_stdout_pipe_exits_quietly(argv):
     # the read end is closed before the process starts, so its first write fails
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(edcalc.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "edcalc.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
-            env=env,
+            env=child_env(),
             timeout=60,
         )
     finally:

@@ -1,8 +1,9 @@
 """Byte-for-byte reports of the command line, pinned by files under tests/data.
 
 The files were written by the calculator before the known-case ledger became
-one registry, and the rank-7 report before the greedy sorted one int key per
-pattern; every report must stay exactly as it was.
+one registry, the rank-7 report before the greedy sorted one int key per
+pattern, and the help texts before the certificate layer was imported only by
+certify; every report must stay exactly as it was.
 """
 
 from __future__ import annotations
@@ -45,4 +46,23 @@ CASES = [
 def test_report_is_byte_identical(name, code, argv, capsys):
     args = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     assert main(args) == code
+    assert capsys.readouterr().out == (DATA / f"{name}.out").read_text(encoding="utf-8")
+
+
+# (golden file, argv); the help texts were written at 80 terminal columns
+HELP_CASES = [
+    ("help", []),
+    ("help_compute", ["compute"]),
+    ("help_certify", ["certify"]),
+    ("help_table", ["table"]),
+    ("help_batch", ["batch"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", HELP_CASES, ids=[c[0] for c in HELP_CASES])
+def test_help_is_byte_identical(name, argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
     assert capsys.readouterr().out == (DATA / f"{name}.out").read_text(encoding="utf-8")
