@@ -30,8 +30,8 @@ from .gf2 import (
     count_bases,
     enumerate_bases,
     enumerate_elements,
-    reduce_bits,
     rref,
+    rref_bits,
 )
 
 STATUS_EXACT = "exact"
@@ -182,63 +182,105 @@ def _enumerated_keys(dual: SubspaceF2, n: Sequence[int], dim_cap: int) -> Iterat
     return (heappop(keys) for _ in range(len(keys)))
 
 
-class _WalkBudgetSpent(Exception):
-    """The lazy walk visited its budget of factor sets before the greedy was done."""
-
-
-def _walked_keys(n: Sequence[int], mu_rows: Sequence[int], max_visits: int) -> Iterator[int]:
+def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
     """Greedy keys of the nonzero patterns orthogonal to mu_rows, ascending, found lazily.
 
     Factors are sorted so that their key increments rise strictly: rank
-    ascending, then index descending.  Every nonempty set of sorted positions
-    is reached once from {0} by two moves on its highest position p: add p+1,
-    or replace p by p+1.  Both raise the key, so a heap of the frontier pops
-    the sets of factors in key order.  A set's syndrome is the XOR of its
-    factors' columns of the mu rows; the pattern lies in the dual iff it is 0.
-    A heap entry is one int, key << (6+d) | p << d | syndrome with d = dim mu.
-    Raises _WalkBudgetSpent after max_visits sets, at most the 2^m - 1 there are.
+    ascending, then index descending.  Keys add over disjoint sets of factors.
+    A set's syndrome is the XOR of its factors' columns of the mu rows, and its
+    pattern lies in the dual iff the syndrome is 0.  The factors split in two:
+
+    - The light part holds the pivots, the first d = dim mu sorted positions
+      with independent columns, and the LIGHT_EXTRA lightest other positions.
+      Once mu is reduced on the pivots, pivot j's column is 1 << j, so the set
+      of pivots with syndrome s is s itself and `completion[s]` is its key.
+      Each syndrome is then reached by 2^LIGHT_EXTRA light sets, one per set
+      of extra positions.
+    - The heavy part, the other k - LIGHT_EXTRA positions, is walked in key
+      order.  Every nonempty set of heavy positions is reached once from {0}
+      by two moves on its highest position p, add p+1 or replace p by p+1, and
+      both raise the key.  A heavy set with syndrome s joins each light set of
+      syndrome s into a dual pattern.
+
+    A second heap holds those patterns and gives out a key only while it is
+    below the next heavy set's key, so the keys come in the order of a sort of
+    the whole dual.  Heap entries are ints: key << (6+d) | p << d | syndrome
+    for heavy sets, key << (6+d) for patterns.  Ends after the last pattern.
+    The walk meets fewer than 2^(k - LIGHT_EXTRA) heavy sets, and the greedy
+    takes at most 2^(k-1) patterns: the first k-1 it keeps span 2^(k-1) - 1.
     """
-    m, d = len(n), len(mu_rows)
-    order = sorted(range(m), key=lambda i: (n[i], -i))
+    m = len(n)
+    order = sorted(range(m - 1, -1, -1), key=n.__getitem__)  # stable: ties by index descending
     inc = [n[i] << m | 1 << (m - 1 - i) for i in order]
-    col = [sum((g >> i & 1) << j for j, g in enumerate(mu_rows)) for i in order]
+    # mu's rows over the sorted positions, reduced again: their pivots are the
+    # lightest positions with independent columns, and pivot j's column is 1 << j
+    rows = rref_bits(sum((g >> i & 1) << p for p, i in enumerate(order)) for g in mu_rows)
+    d = len(rows)
+    col = [sum((r >> p & 1) << j for j, r in enumerate(rows)) for p in range(m)]
+    pivots = [(r & -r).bit_length() - 1 for r in rows]
+    rest = [p for p in range(m) if p not in pivots]
+    extra, heavy = rest[:LIGHT_EXTRA], rest[LIGHT_EXTRA:]
     shift = 6 + d
+    # the set of pivots with syndrome s has key completion[s], in entry units
+    completion = [0]
+    for p in pivots:
+        completion += [x + (inc[p] << shift) for x in completion]
+    # (key in entry units, syndrome) of each set of extra positions
+    extras = [(0, 0)]
+    for p in extra:
+        extras += [(x + (inc[p] << shift), s ^ col[p]) for x, s in extras]
+
+    a_inc = [inc[p] for p in heavy]
+    a_col = [col[p] for p in heavy]
+    last = len(heavy) - 1
     # moves from highest position p, in entry units: the key change plus the new p
-    add = [inc[p + 1] << shift | (p + 1) << d for p in range(m - 1)]
-    replace = [(inc[p + 1] - inc[p]) << shift | (p + 1) << d for p in range(m - 1)]
-    add_col = col[1:]
-    replace_col = [a ^ b for a, b in zip(col, col[1:])]
+    add = [a_inc[p + 1] << shift | (p + 1) << d for p in range(last)]
+    replace = [(a_inc[p + 1] - a_inc[p]) << shift | (p + 1) << d for p in range(last)]
+    add_col = a_col[1:]
+    replace_col = [a ^ b for a, b in zip(a_col, a_col[1:])]
     syndrome_mask = (1 << d) - 1
     key_mask = -1 << shift
-    heap = [inc[0] << shift | col[0]]
-    for _ in range(max_visits):
-        entry = heap[0]
+    end = (sum(n) + 1 << m) << shift  # above every entry of both heaps
+    walk = [a_inc[0] << shift | a_col[0], end] if heavy else [end]
+    # the patterns of the empty set of heavy positions
+    patterns = [completion[s] + x for x, s in extras[1:]] + [end]
+    heapify(patterns)
+    while True:
+        entry = patterns[0]
+        if entry < walk[0]:
+            yield entry >> shift
+            heappop(patterns)
+            continue
+        entry = walk[0]
+        if entry == end:
+            return
         syndrome = entry & syndrome_mask
         p = entry >> d & 63
-        if p < m - 1:
-            base = entry & key_mask
-            heapreplace(heap, base + add[p] | syndrome ^ add_col[p])
-            heappush(heap, base + replace[p] | syndrome ^ replace_col[p])
+        base = entry & key_mask
+        for x, s in extras:
+            heappush(patterns, base + x + completion[syndrome ^ s])
+        if p < last:
+            heapreplace(walk, base + add[p] | syndrome ^ add_col[p])
+            heappush(walk, base + replace[p] | syndrome ^ replace_col[p])
         else:
-            heappop(heap)
-        if not syndrome:
-            yield entry >> shift
-    raise _WalkBudgetSpent
+            heappop(walk)
 
 
-# The walk pays per visited set of factors, enumeration per element of the
-# dual.  Measured with CPython 3.11 on a 2-vCPU VM, on specs shaped like the
-# benchmark's compute-large ones (ranks 7..12, k = dim dual 11..16, d = dim mu
-# 4..10): the walk visits 15-45 x 2^d sets at about 1 us each, enumeration
-# costs 0.3-0.45 us per element, 2^k in all.  So the walk wins once 2^(k-d)
-# passes about 100.  At k - d = 6 the two are within 20% of each other either
-# way; at k - d = 4, (k, d) = (14, 10), the walk takes 20 ms against 7 ms.
-# Very uneven ranks defeat the walk: under n = (1,) * 19 + (20,) every light
-# set of rank-1 factors comes before the rank-20 factor is reached.  So the
-# walk stops after 2^(k-1) visits, about what enumeration costs, and the greedy
-# enumerates instead; that bounds a walk that pays off nothing to ~2.5 times
-# enumeration.
-WALK_MIN_MARGIN = 7
+# The light part of the split walk is the d pivots and this many more factors.
+# Measured with CPython 3.11 on a 2-vCPU VM, greedy time per call on the twenty
+# base specs of the benchmark's compute-large pool (ranks 7..12), walk against
+# listing the dual: (k, d) = (13, 3..7) 0.2-0.8 ms against 2.1-3.1 ms, (14, 10) 2.1
+# against 7.3 ms, (16, 4) 0.6 against 28 ms, (14, 0) 0.1 against 4.0 ms; the
+# walk peaks under 0.25 MB of allocations where listing reaches 2-8 MB.  With
+# 0, 1 or 3 extra factors instead of 2, those twenty specs took 19-27%, 5-12%
+# and 11-19% longer in all.  The walk runs while the light part is smaller than
+# the dual, d + LIGHT_EXTRA < k; near that line the two cost the same, (11, 10)
+# 0.82 against 0.85 ms and (10, 8) 0.37 against 0.41 ms.  On tiny duals, k =
+# 3..6, the walk's set-up costs 7-18 us more than listing their 7-63 patterns.
+# Very uneven ranks, n = (1,) * 19 + (20,), make the greedy take 2^19 of the
+# 2^20 - 1 patterns; even then the walk took 1.1-1.5 s against 1.8-2.4 s for
+# listing, so it needs no visit budget and no fallback to listing.
+LIGHT_EXTRA = 2
 
 
 def greedy_min_basis(
@@ -250,35 +292,38 @@ def greedy_min_basis(
 ) -> tuple[tuple[BitVec, ...], int]:
     """Minimal-total-weight basis by matroid greedy; ties broken by coordinate tuple.
 
-    mu, when given, is the annihilator of dual; the lazy walk needs its rows.
+    mu, when given, is the annihilator of dual; the split walk needs its rows.
     Refuses a dual of dimension above dim_cap on either path.
     """
     m, k = dual.m, dual.dim
     if len(n) != m:
         raise DimensionMismatchError("rank list does not match the ambient dimension")
-    if k <= dim_cap and k - (m - k) >= WALK_MIN_MARGIN:
+    # the walk's light part has d = m - k pivots and LIGHT_EXTRA more factors
+    if k <= dim_cap and m - k + LIGHT_EXTRA < k:
         if mu is None:
             mu = annihilator(dual)
-        try:
-            return _greedy(_walked_keys(n, [v.bits for v in mu.basis], 1 << k - 1), m, k)
-        except _WalkBudgetSpent:
-            pass
+        return _greedy(_split_walk_keys(n, [v.bits for v in mu.basis]), m, k)
     return _greedy(_enumerated_keys(dual, n, dim_cap), m, k)
 
 
 def _greedy(keys: Iterator[int], m: int, k: int) -> tuple[tuple[BitVec, ...], int]:
     """The first k independent patterns of an ascending key stream, and their total weight."""
     low = (1 << m) - 1
-    echelon: list[int] = []  # independence is tested on the reversed patterns
+    # independence is tested on the reversed patterns, by (pivot bit, row) pairs
+    echelon: list[tuple[int, int]] = []
     chosen: list[int] = []
     total = 0
-    while len(chosen) < k:
-        key = next(keys)
-        r = reduce_bits(key & low, echelon)
+    for key in keys:
+        r = key & low
+        for pivot, row in echelon:
+            if r & pivot:
+                r ^= row
         if r:
-            echelon.append(r)
+            echelon.append((r & -r, r))
             chosen.append(key & low)
             total += 1 << (key >> m)
+            if len(chosen) == k:
+                break
     return tuple(BitVec(m, int(f"{r:0{m}b}"[::-1], 2)) for r in chosen), total
 
 

@@ -173,6 +173,13 @@ class SubspaceF2(_Record):
         if rows != rref_bits(rows):
             raise ValueError("basis is not in reduced row echelon form")
 
+    @classmethod
+    def _from_rref(cls, m: int, rows: Iterable[int]) -> SubspaceF2:
+        """Build from rows already in reduced row echelon form, without checking them."""
+        space = object.__new__(cls)
+        space._fill(m, tuple(BitVec(m, r) for r in rows))
+        return space
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -198,8 +205,7 @@ def rref(vectors: Iterable[BitVec], m: int | None = None) -> SubspaceF2:
         m = vectors[0].m
     if any(v.m != m for v in vectors):
         raise DimensionMismatchError("spanning vectors of mixed lengths")
-    rows = rref_bits(v.bits for v in vectors)
-    return SubspaceF2(m, tuple(BitVec(m, r) for r in rows))
+    return SubspaceF2._from_rref(m, rref_bits(v.bits for v in vectors))
 
 
 def annihilator(space: SubspaceF2) -> SubspaceF2:
@@ -216,8 +222,7 @@ def annihilator(space: SubspaceF2) -> SubspaceF2:
             if (r >> f) & 1:
                 bits |= r & -r
         out.append(bits)
-    canon = rref_bits(out)
-    return SubspaceF2(space.m, tuple(BitVec(space.m, r) for r in canon))
+    return SubspaceF2._from_rref(space.m, rref_bits(out))
 
 
 def enumerate_elements(space: SubspaceF2, dim_cap: int = DEFAULT_DIM_CAP) -> list[int]:

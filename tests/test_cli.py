@@ -176,8 +176,11 @@ def test_certify_spec_validation_error(tmp_path, capsys):
 
 
 def test_certify_closure_cap(capsys):
-    code, _, err = run(capsys, "certify", "builtin:diagonal:3:4", "--enum-cap", "100")
+    # unlike compute, certify prints no partial report when its cap is hit
+    code, out, err = run(capsys, "certify", "builtin:diagonal:3:4", "--enum-cap", "100")
     assert code == 4
+    assert out == ""
+    assert err == "error: closure exceeds the cap of 100 elements\n"
 
 
 def test_table(capsys):

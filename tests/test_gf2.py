@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from edcalc import (
     enumerate_elements,
     rref,
 )
+from edcalc.gf2 import rref_bits
 
 
 def vecs(m, rows):
@@ -182,3 +185,21 @@ def test_double_annihilator(case):
     assert space.dim + dual.dim == m
     assert annihilator(dual) == space
     assert all(u.dot(v) == 0 for u in space.basis for v in dual.basis)
+
+
+def test_rref_and_annihilator_rows_are_reduced():
+    # both build their subspace without the constructor's check, so check here
+    # that the rows they return are exactly rref_bits of themselves
+    rng = Random(71)
+    for _ in range(300):
+        m = rng.randint(1, 64)
+        vectors = [BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, 8))]
+        space = rref(vectors, m=m)
+        rows = [v.bits for v in space.basis]
+        assert rows == rref_bits(rows) == rref_bits(v.bits for v in vectors)
+        dual = annihilator(space)
+        dual_rows = [v.bits for v in dual.basis]
+        assert dual_rows == rref_bits(dual_rows)
+        assert dual.dim == m - space.dim
+        assert all(v.m == m for v in space.basis + dual.basis)
+        assert SubspaceF2(m, space.basis) == space and SubspaceF2(m, dual.basis) == dual

@@ -2,12 +2,15 @@
 
 Both must pick the same basis vectors in the same order and report the same
 total, ties included.  The greedy reads its keys either from a full enumeration
-of the dual or from a lazy walk over sets of factors; each path is also run on
-its own, whichever of the two `greedy_min_basis` would pick.
+of the dual or from the split walk over sets of factors; each source is also
+run on its own, whichever of the two `greedy_min_basis` would pick, and the
+walk must give out exactly the keys of the enumeration, in the same order.
 """
 
 from __future__ import annotations
 
+import tracemalloc
+from itertools import islice
 from random import Random
 
 import pytest
@@ -17,10 +20,10 @@ from hypothesis import strategies as st
 import edcalc.core
 from edcalc import BitVec, GroupSpecB, compute_ed, greedy_min_basis
 from edcalc.core import (
+    LIGHT_EXTRA,
     _enumerated_keys,
     _greedy,
-    _walked_keys,
-    _WalkBudgetSpent,
+    _split_walk_keys,
     weight_exponent,
 )
 from edcalc.gf2 import enumerate_elements, rref
@@ -38,13 +41,21 @@ def assert_same_greedy(spec: GroupSpecB) -> None:
     assert total == ref_total, spec
 
 
+def walk_takes_the_spec(spec: GroupSpecB) -> bool:
+    """The rule in greedy_min_basis: the light part is smaller than the dual."""
+    k = spec.dual_subspace().dim
+    return spec.m - k + LIGHT_EXTRA < k
+
+
 def assert_both_paths_match(spec: GroupSpecB) -> None:
     mu, dual = spec.mu_subspace(), spec.dual_subspace()
     ref_basis, ref_total = reference_greedy_min_basis(dual, spec.n)
     expected = ([v.bits for v in ref_basis], ref_total)
     mu_rows = [v.bits for v in mu.basis]
-    walked = _greedy(_walked_keys(spec.n, mu_rows, (1 << spec.m) - 1), spec.m, dual.dim)
-    enumerated = _greedy(_enumerated_keys(dual, spec.n, dual.dim), spec.m, dual.dim)
+    enumerated_keys = list(_enumerated_keys(dual, spec.n, dual.dim))
+    assert list(_split_walk_keys(spec.n, mu_rows)) == enumerated_keys, spec
+    walked = _greedy(_split_walk_keys(spec.n, mu_rows), spec.m, dual.dim)
+    enumerated = _greedy(iter(enumerated_keys), spec.m, dual.dim)
     for basis, total in (walked, enumerated):
         assert ([v.bits for v in basis], total) == expected, spec
 
@@ -110,7 +121,8 @@ def test_matches_reference_on_tie_heavy_specs(spec):
 
 
 def test_both_paths_match_reference_across_the_crossover():
-    # k - d from -3 to 12, so each margin is run by both paths whatever the crossover says
+    # k - d from -3 to 12, so each margin is run by both paths whatever the rule
+    # picks; the walk is chosen from k - d = LIGHT_EXTRA + 1 up
     rng = Random(31)
     for margin in range(-3, 13):
         for _ in range(6):
@@ -121,11 +133,13 @@ def test_both_paths_match_reference_across_the_crossover():
             n = tuple(rng.choice(ranks) for _ in range(k + d))
             spec = spec_with_dims(rng, n, d)
             assert spec.dual_subspace().dim == k
+            assert walk_takes_the_spec(spec) == (margin > LIGHT_EXTRA)
             assert_both_paths_match(spec)
 
 
 def test_both_paths_match_reference_on_equal_rank_specs():
-    # every pattern of one support size ties on weight: only the tie-break orders them
+    # every pattern of one support size ties on weight: only the tie-break orders
+    # them, in the walk's heaps as in the enumeration
     rng = Random(37)
     for m in range(1, 13):
         for d in range(0, min(m, 6)):
@@ -149,11 +163,64 @@ def test_both_paths_match_reference_on_tie_heavy_specs(spec):
     assert_both_paths_match(spec)
 
 
+def columns(spec: GroupSpecB) -> list[int]:
+    """Each factor's column of mu's reduced rows: its syndrome."""
+    rows = [v.bits for v in spec.mu_subspace().basis]
+    return [sum((r >> i & 1) << j for j, r in enumerate(rows)) for i in range(spec.m)]
+
+
+def test_walk_with_zero_syndrome_columns():
+    # mu lives on the heavy factors, so the four lightest have zero columns: they
+    # are never pivots, and two of them fill the light part past the pivots
+    rng = Random(41)
+    for _ in range(5):
+        n = (7, 7, 8, 8) + tuple(rng.randint(9, 12) for _ in range(8))
+        gens = [BitVec(12, rng.getrandbits(8) << 4) for _ in range(3)]
+        spec = GroupSpecB(n, tuple(gens))
+        assert columns(spec)[:4] == [0] * 4
+        assert_both_paths_match(spec)
+
+
+def test_walk_skips_dependent_light_columns():
+    # the three rank-7 factors share one column, so only one of them is a pivot;
+    # the next pivots are found further up the sorted order
+    rng = Random(43)
+    for _ in range(5):
+        n = (7, 7, 7) + tuple(rng.randint(8, 12) for _ in range(9))
+        rows = [rng.getrandbits(9) << 3 | rng.choice([0, 0b111]) for _ in range(4)]
+        spec = GroupSpecB(n, tuple(BitVec(12, r) for r in rows))
+        cols = columns(spec)
+        assert cols[0] == cols[1] == cols[2] != 0
+        assert_both_paths_match(spec)
+
+
+def test_walk_at_its_smallest_margin():
+    # k = d + LIGHT_EXTRA + 1: the light part has k - 1 factors, the heavy part one
+    # more than the extras, and the rule still picks the walk; d = 0 is trivial
+    # mu, with no pivots at all
+    rng = Random(53)
+    for d in range(0, 6):
+        k = d + LIGHT_EXTRA + 1
+        spec = spec_with_dims(rng, tuple(rng.randint(1, 12) for _ in range(k + d)), d)
+        assert spec.dual_subspace().dim == k
+        assert walk_takes_the_spec(spec)
+        assert_both_paths_match(spec)
+
+
 def test_walk_reaches_position_63():
-    # m = 64 packs positions 0..63 into the walk's 6-bit field.  mu lives on six
-    # factors, so the dual splits into the other 58 unit patterns plus a small
-    # dual on those six: the basis is both bases merged in key order.
+    # m = 64: the sorted positions run to 63, and the heaviest factor is the last
+    # heavy position; the heavy part packs its index, 64 - d - 3, into the walk's
+    # 6-bit field.  Under trivial mu the basis is the 64 unit patterns.  Otherwise
+    # mu lives on six factors, so the dual splits into the other 58 unit patterns
+    # plus a small dual on those six: the basis is both bases merged in key order.
     rng = Random(64)
+    n = tuple(rng.choice([7, 8, 12]) for _ in range(64))
+    units = sorted(
+        (BitVec(64, 1 << i) for i in range(64)),
+        key=lambda v: (weight_exponent(v, n), v.coords()),
+    )
+    basis, _ = _greedy(_split_walk_keys(n, []), 64, 64)
+    assert list(basis) == units
     for _ in range(3):
         n = tuple(rng.choice([7, 8, 12]) for _ in range(64))
         block = sorted(rng.sample(range(64), 6))
@@ -166,39 +233,58 @@ def test_walk_reaches_position_63():
             key=lambda v: (weight_exponent(v, n), v.coords()),
         )
         mu_rows = [sum(1 << block[j] for j in v.support()) for v in sub.mu_subspace().basis]
-        basis, total = _greedy(_walked_keys(n, mu_rows, 1 << 20), 64, 62)
+        basis, total = _greedy(_split_walk_keys(n, mu_rows), 64, 62)
         assert list(basis) == expected
         assert total == sum(1 << weight_exponent(v, n) for v in expected)
 
 
-def test_walk_over_budget_falls_back_to_enumeration():
+def test_walk_on_uneven_ranks_needs_no_fallback():
     # twelve rank-1 factors make every one of their 4095 sets lighter than the
-    # rank-13 factor, so the walk would visit them all before its last pattern
+    # rank-13 factor, so the greedy takes many patterns before its last one; it
+    # never takes more than 2^(k-1), since the first k-1 it keeps span 2^(k-1) - 1
     rng = Random(13)
     spec = spec_with_dims(rng, (1,) * 12 + (13,), 2)
     mu, dual = spec.mu_subspace(), spec.dual_subspace()
     assert dual.dim == 11
-    with pytest.raises(_WalkBudgetSpent):
-        _greedy(_walked_keys(spec.n, [v.bits for v in mu.basis], 1 << 10), spec.m, 11)
+    taken: list[int] = []
+    walk = _split_walk_keys(spec.n, [v.bits for v in mu.basis])
+    _greedy((taken.append(key) or key for key in walk), spec.m, 11)
+    assert 1 << 9 < len(taken) <= 1 << 10
+    assert taken == list(islice(_enumerated_keys(dual, spec.n, 11), len(taken)))
     assert_same_greedy(spec)
 
 
-def test_compute_large_shape_takes_the_walk(monkeypatch):
-    # k = 16, d = 4 as in the benchmark's compute-large pool: enumerating its
-    # 65535 patterns instead of walking would fail here, not only run slower
-    rng = Random(16)
-    spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(20)), 4)
-    assert spec.dual_subspace().dim == 16
-    monkeypatch.setattr(edcalc.core, "WALK_MIN_MARGIN", 1 << 30)
-    enumerated = compute_ed(spec)
-    monkeypatch.undo()
+@pytest.mark.parametrize("k, d", [(14, 10), (13, 7), (16, 4)])
+def test_compute_large_shapes_never_enumerate(monkeypatch, k, d):
+    # shapes of the benchmark's compute-large pool, ranks 7..12
+    rng = Random(100 * k + d)
+    spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(k + d)), d)
+    dual = spec.dual_subspace()
+    assert dual.dim == k
+    expected = _greedy(_enumerated_keys(dual, spec.n, k), spec.m, k)
 
     def refuse(*args):
         raise AssertionError("compute_ed enumerated the dual")
 
     monkeypatch.setattr(edcalc.core, "enumerate_elements", refuse)
-    assert compute_ed(spec) == enumerated
-    assert enumerated.status == "exact"
+    result = compute_ed(spec)
+    assert (result.minimal_basis, result.basis_total_weight) == expected
+    assert result.status == "exact"
+
+
+def test_walk_memory_on_a_wide_mu():
+    # (k, d) = (14, 10), ranks 7..12: listing the dual peaked at 2.06 MB
+    rng = Random(1410)
+    spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(24)), 10)
+    mu, dual = spec.mu_subspace(), spec.dual_subspace()
+    assert dual.dim == 14
+    tracemalloc.start()
+    try:
+        greedy_min_basis(dual, spec.n, mu=mu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_only_the_chosen_vectors_become_bitvecs(monkeypatch):
