@@ -22,7 +22,7 @@ from .core import (
     compute_ed,
     spec_from_doc,
 )
-from .gf2 import EnumerationTooLargeError
+from .gf2 import DEFAULT_DIM_CAP, EnumerationTooLargeError
 
 if TYPE_CHECKING:
     from .extraspecial import CertReport
@@ -34,7 +34,7 @@ EXIT_CAP = 4
 EXIT_CERT = 5
 EXIT_PIPE = 141  # the shell's code for a process killed by SIGPIPE, 128 + 13
 
-DEFAULT_ENUM_CAP = 1 << 24
+DEFAULT_ENUM_CAP = 1 << DEFAULT_DIM_CAP
 
 
 def cap_value(text: str) -> int:

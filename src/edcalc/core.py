@@ -107,15 +107,17 @@ def pad_row(row: Sequence[int], m: int) -> Sequence[int]:
     return row
 
 
-def validate(spec: GroupSpecB, mu: SubspaceF2 | None = None) -> None:
-    """Reject empty specs and non-reduced groups; mu, when given, is spec.mu_subspace()."""
+def validate(spec: GroupSpecB) -> SubspaceF2:
+    """Reject empty specs and non-reduced groups; returns mu, spec.mu_subspace()."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
-    if mu is None:
-        mu = spec.mu_subspace()
-    for i in range(spec.m):
-        if BitVec.unit(spec.m, i) in mu:
-            raise NotReducedError(i + 1)
+    mu = spec.mu_subspace()
+    # a unit pattern lies in mu iff it is one of mu's reduced rows, and the rows
+    # come in pivot order, so the first unit row names the lowest such factor
+    for v in mu.basis:
+        if v.weight() == 1:
+            raise NotReducedError(v.bits.bit_length())
+    return mu
 
 
 def group_dim(n: Sequence[int]) -> int:
@@ -284,26 +286,21 @@ LIGHT_EXTRA = 2
 
 
 def greedy_min_basis(
-    dual: SubspaceF2,
-    n: Sequence[int],
-    dim_cap: int = DEFAULT_DIM_CAP,
-    *,
-    mu: SubspaceF2 | None = None,
+    mu: SubspaceF2, n: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
 ) -> tuple[tuple[BitVec, ...], int]:
-    """Minimal-total-weight basis by matroid greedy; ties broken by coordinate tuple.
+    """Minimal-total-weight basis of the dual of mu by matroid greedy.
 
-    mu, when given, is the annihilator of dual; the split walk needs its rows.
-    Refuses a dual of dimension above dim_cap on either path.
+    Ties are broken by coordinate tuple.  Refuses a dual of dimension above
+    dim_cap on either path.
     """
-    m, k = dual.m, dual.dim
+    m, d = mu.m, mu.dim
+    k = m - d
     if len(n) != m:
         raise DimensionMismatchError("rank list does not match the ambient dimension")
-    # the walk's light part has d = m - k pivots and LIGHT_EXTRA more factors
-    if k <= dim_cap and m - k + LIGHT_EXTRA < k:
-        if mu is None:
-            mu = annihilator(dual)
+    # the walk's light part has d pivots and LIGHT_EXTRA more factors
+    if k <= dim_cap and d + LIGHT_EXTRA < k:
         return _greedy(_split_walk_keys(n, [v.bits for v in mu.basis]), m, k)
-    return _greedy(_enumerated_keys(dual, n, dim_cap), m, k)
+    return _greedy(_enumerated_keys(annihilator(mu), n, dim_cap), m, k)
 
 
 def _greedy(keys: Iterator[int], m: int, k: int) -> tuple[tuple[BitVec, ...], int]:
@@ -499,11 +496,8 @@ def _mu_kinds(spec: GroupSpecB, mu: SubspaceF2) -> tuple[str, ...]:
     return kinds
 
 
-def known_cases(spec: GroupSpecB, mu: SubspaceF2 | None = None) -> KnownCase | None:
-    """Strongest applicable entry of the built-in case ledger; exact entries win.
-
-    mu, when given, is spec.mu_subspace().
-    """
+def known_cases(spec: GroupSpecB) -> KnownCase | None:
+    """Strongest applicable entry of the built-in case ledger; exact entries win."""
     ranks = tuple(sorted(spec.n))
     kinds: tuple[str, ...] | None = None
     best: KnownCase | None = None
@@ -512,7 +506,7 @@ def known_cases(spec: GroupSpecB, mu: SubspaceF2 | None = None) -> KnownCase | N
         if value is None:
             continue
         if kinds is None:
-            kinds = _mu_kinds(spec, spec.mu_subspace() if mu is None else mu)
+            kinds = _mu_kinds(spec, spec.mu_subspace())
         if fam.mu not in kinds:
             continue
         case = KnownCase(fam.kind, value, fam.tag, fam.describe(ranks, value))
@@ -585,21 +579,20 @@ def compute_ed(
     dim_cap: int = DEFAULT_DIM_CAP,
 ) -> EdResult:
     """Full decision procedure: greedy formula, exactness test, known cases, bound search."""
-    mu = spec.mu_subspace()
-    validate(spec, mu)
-    dual = annihilator(mu)
+    mu = validate(spec)
+    k = spec.m - mu.dim
     dim_g = group_dim(spec.n)
     trace = [
         TraceEntry(
             "dual-subspace",
-            f"sign-character patterns orthogonal to mu form a subspace of dimension {dual.dim}",
+            f"sign-character patterns orthogonal to mu form a subspace of dimension {k}",
         )
     ]
     warnings: list[str] = []
 
     capped = False
     try:
-        basis, total = greedy_min_basis(dual, spec.n, dim_cap, mu=mu)
+        basis, total = greedy_min_basis(mu, spec.n, dim_cap)
     except EnumerationTooLargeError:
         # too large to enumerate: the ledger alone decides
         capped = True
@@ -608,14 +601,14 @@ def compute_ed(
         trace.append(
             TraceEntry(
                 "greedy-minimal-basis",
-                f"2^{dual.dim} - 1 nonzero patterns exceed the enumeration cap; greedy skipped",
+                f"2^{k} - 1 nonzero patterns exceed the enumeration cap; greedy skipped",
             )
         )
     else:
         trace.append(
             TraceEntry(
                 "greedy-minimal-basis",
-                f"matroid greedy over the {(1 << dual.dim) - 1} nonzero patterns in weight order;"
+                f"matroid greedy over the {(1 << k) - 1} nonzero patterns in weight order;"
                 f" minimal total weight {total}",
             )
         )
@@ -659,7 +652,7 @@ def compute_ed(
             )
         )
 
-    case = known_cases(spec, mu)
+    case = known_cases(spec)
     if case is not None and case.kind == "exact":
         if case.value < lower:
             raise RuntimeError("known exact value contradicts the weight-formula lower bound")
@@ -684,10 +677,10 @@ def compute_ed(
         )
 
     upper: int | None = None
-    if count_bases(dual.dim) <= basis_cap:
+    if count_bases(k) <= basis_cap:
         best: int | None = None
         candidates = 0
-        for b in enumerate_bases(dual, basis_cap):
+        for b in enumerate_bases(annihilator(mu), basis_cap):
             if any(is_small_product(support_ranks(v, spec.n)) for v in b):
                 continue
             candidates += 1
@@ -714,7 +707,7 @@ def compute_ed(
         trace.append(
             TraceEntry(
                 "upper-bound-search",
-                f"{count_bases(dual.dim)} bases exceed the cap of {basis_cap}; search skipped",
+                f"{count_bases(k)} bases exceed the cap of {basis_cap}; search skipped",
             )
         )
     if upper is not None and upper < lower:

@@ -31,6 +31,7 @@ from .gf2 import (
     SubspaceF2,
     _Record,
     _setattr,
+    reduce_bits,
     rref_bits,
 )
 
@@ -113,16 +114,6 @@ class CliffordUnit(_Record):
         sign = self.sign * other.sign * (-1 if flips % 2 else 1)
         return CliffordUnit(self.dim, self.mask ^ other.mask, sign)
 
-    def inverse(self) -> CliffordUnit:
-        sq = (self * self).sign
-        return CliffordUnit(self.dim, self.mask, self.sign * sq)
-
-    def square(self) -> CliffordUnit:
-        return self * self
-
-    def commutes(self, other: CliffordUnit) -> bool:
-        return self * other == other * self
-
     def vector_image(self) -> frozenset[int]:
         """Index set of the image in the orthogonal group; the sign is forgotten."""
         return frozenset(self.indices)
@@ -175,9 +166,6 @@ class CliffordTuple(_Record):
         if self.dims != other.dims:
             raise DimensionMismatchError("tuples from different products")
         return CliffordTuple(tuple(a * b for a, b in zip(self.components, other.components)))
-
-    def inverse(self) -> CliffordTuple:
-        return CliffordTuple(tuple(c.inverse() for c in self.components))
 
     def is_scalar(self) -> bool:
         return all(c.is_scalar() for c in self.components)
@@ -261,26 +249,29 @@ def quotient_rank(elements: Iterable[CliffordTuple], mu: SubspaceF2) -> tuple[in
                 f" {sv}, outside mu"
             )
 
-    unit_classes = [t for t in elems if t.is_scalar() and t.sign_vector() in mu]
-    order_h, rem = divmod(len(elems), len(unit_classes))
-    if rem:
+    # two elements of H with equal masks differ by a scalar in H, so the coset of
+    # x modulo mu, met with H, is x times U, the scalars of H with signs in mu:
+    # packed masks and signs reduced by mu's rows name it
+    mu_rows = [v.bits for v in mu.basis]
+    cosets = [
+        (_packed_masks(x, offsets), reduce_bits(x.sign_vector().bits, mu_rows)) for x in elems
+    ]
+    units = cosets.count((0, 0))
+    order_h = len(set(cosets))
+    if not units or units * order_h != len(elems):
         raise ValueError("elements do not form a subgroup compatible with mu")
-
-    def canon(x: CliffordTuple) -> tuple:
-        return min(_encode(x * u) for u in unit_classes)
-
-    classes = {canon(x) for x in elems}
-    if len(classes) != order_h:
-        raise ValueError("elements do not form a subgroup compatible with mu")
-    squares = {canon(x * x) for x in elems}
+    # x * x is the scalar that is -1 on the components whose masks hold 2 mod 4
+    # indices, so its coset is that sign pattern reduced by mu's rows
+    squares = {
+        reduce_bits(
+            sum((c.mask.bit_count() >> 1 & 1) << i for i, c in enumerate(x.components)), mu_rows
+        )
+        for x in elems
+    }
     quotient, rem = divmod(order_h, len(squares))
     if rem or quotient & (quotient - 1):
         raise ValueError("image order divided by squares is not a power of two")
     return order_h, quotient.bit_length() - 1
-
-
-def _encode(x: CliffordTuple) -> tuple:
-    return tuple((0 if c.sign > 0 else 1, c.mask) for c in x.components)
 
 
 def _unpack(row: int, dims: Sequence[int], offsets: Sequence[int]) -> tuple[int, ...]:
@@ -381,8 +372,7 @@ class CertReport(_Record):
 
 def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_CLOSURE_CAP) -> CertReport:
     """Check a certificate from scratch and report the lower bound it proves."""
-    mu = cert.spec.mu_subspace()
-    validate(cert.spec, mu)
+    mu = validate(cert.spec)
     notes = (cert.note,) if cert.note else ()
     dims = tuple(2 * r + 1 for r in cert.spec.n)
 

@@ -120,10 +120,6 @@ class BitVec(_Record):
         return cls(len(coords), bits)
 
     @classmethod
-    def zero(cls, m: int) -> BitVec:
-        return cls(m, 0)
-
-    @classmethod
     def unit(cls, m: int, i: int) -> BitVec:
         """Standard basis vector with a 1 in coordinate i (0-based)."""
         if not 0 <= i < m:
@@ -139,20 +135,6 @@ class BitVec(_Record):
 
     def weight(self) -> int:
         return self.bits.bit_count()
-
-    def __xor__(self, other: BitVec) -> BitVec:
-        if self.m != other.m:
-            raise DimensionMismatchError(f"cannot add vectors of lengths {self.m} and {other.m}")
-        return BitVec(self.m, self.bits ^ other.bits)
-
-    def dot(self, other: BitVec) -> int:
-        """Mod-2 dot product."""
-        if self.m != other.m:
-            raise DimensionMismatchError(f"cannot pair vectors of lengths {self.m} and {other.m}")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords()) + ")"

@@ -41,6 +41,17 @@ def word_product(
     return sign, tuple(word)
 
 
+def word_inverse(u: CliffordUnit) -> CliffordUnit:
+    """Inverse by the word oracle.
+
+    c(i)^-1 = -c(i), so a word inverts letter by letter in reverse order, with
+    one sign flip per letter.
+    """
+    reverse = tuple(reversed(u.indices))
+    sign, word = word_product(reverse, u.sign * (-1) ** len(reverse), (), 1)
+    return CliffordUnit.from_indices(u.dim, word, sign)
+
+
 def even_masks(dim: int) -> list[int]:
     return [mask for mask in range(1 << dim) if mask.bit_count() % 2 == 0]
 
@@ -85,9 +96,8 @@ def compare_greedy_brute(
     spec: GroupSpecB, basis_cap: int = DEFAULT_BASIS_CAP
 ) -> tuple[int, int]:
     """Greedy and exhaustive minimal totals for the same spec."""
-    dual = spec.dual_subspace()
-    _, greedy_total = greedy_min_basis(dual, spec.n)
-    _, brute_total = brute_min_basis(dual, spec.n, basis_cap)
+    _, greedy_total = greedy_min_basis(spec.mu_subspace(), spec.n)
+    _, brute_total = brute_min_basis(spec.dual_subspace(), spec.n, basis_cap)
     return greedy_total, brute_total
 
 

@@ -66,6 +66,40 @@ def test_validate_not_reduced():
         validate(spec)
 
 
+def per_factor_validate(spec):
+    """The check validate made before it read mu's reduced rows: one unit pattern per factor."""
+    if spec.m == 0:
+        raise EmptySpecError("spec has no factors")
+    mu = spec.mu_subspace()
+    for i in range(spec.m):
+        if BitVec.unit(spec.m, i) in mu:
+            raise NotReducedError(i + 1)
+
+
+def test_validate_matches_the_per_factor_check():
+    rng = Random(909)
+    outcomes = {"reduced": 0, "not reduced": 0}
+    for _ in range(600):
+        m = rng.randint(1, 12)
+        gens = [BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m))]
+        if gens and rng.random() < 0.3:
+            # hide a unit pattern in a sum of generators
+            gens.append(BitVec(m, gens[0].bits ^ 1 << rng.randrange(m)))
+        spec = GroupSpecB(tuple(rng.randint(1, 9) for _ in range(m)), tuple(gens))
+        try:
+            per_factor_validate(spec)
+        except NotReducedError as expected:
+            outcomes["not reduced"] += 1
+            with pytest.raises(NotReducedError) as err:
+                validate(spec)
+            assert err.value.factor == expected.factor
+            assert str(err.value) == str(expected)
+        else:
+            outcomes["reduced"] += 1
+            assert validate(spec) == spec.mu_subspace()
+    assert min(outcomes.values()) > 150, outcomes
+
+
 def test_group_dim():
     assert group_dim([1]) == 3
     assert group_dim([2]) == 10
@@ -79,7 +113,7 @@ def test_weights():
     assert weight_exponent(BitVec.from_coords([1, 1, 0, 0]), n) == 3
     assert weight_exponent(BitVec.from_coords([1, 1, 1, 0]), n) == 6
     assert weight_exponent(BitVec.from_coords([0, 0, 0, 1]), n) == 7
-    assert weight_exponent(BitVec.zero(4), n) == 0
+    assert weight_exponent(BitVec(4, 0), n) == 0
 
 
 def test_small_products():
@@ -110,14 +144,14 @@ def test_support_ranks():
 
 def test_greedy_on_full_space_picks_units():
     n = (2, 1, 3)
-    dual = rref([BitVec.unit(3, i) for i in range(3)])
-    basis, total = greedy_min_basis(dual, n)
+    # trivial mu: the dual is the whole space
+    basis, total = greedy_min_basis(rref([], m=3), n)
     assert set(v.coords() for v in basis) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert total == sum(1 << r for r in n)
 
 
 def test_greedy_example_mixed():
-    basis, total = greedy_min_basis(MIXED.dual_subspace(), MIXED.n)
+    basis, total = greedy_min_basis(MIXED.mu_subspace(), MIXED.n)
     assert [v.coords() for v in basis] == [(1, 1, 1, 0), (0, 0, 0, 1)]
     assert total == 192
 

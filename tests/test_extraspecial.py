@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import copy
+import importlib.util
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -36,7 +39,8 @@ from edcalc.extraspecial import (
     small_quadruple_certificate,
     small_triple_certificate,
 )
-from helpers import all_units, even_masks, word_product
+from helpers import all_units, even_masks, word_inverse, word_product
+from quotient_reference import reference_quotient_rank
 
 
 def cu(dim, *indices, sign=1):
@@ -66,12 +70,10 @@ def test_unit_validation():
 
 def test_defining_relations():
     c12, c13 = cu(3, 1, 2), cu(3, 1, 3)
-    assert c12.square() == CliffordUnit.scalar(3, -1)
+    assert c12 * c12 == CliffordUnit.scalar(3, -1)
     assert c12 * c13 == cu(3, 2, 3)
     assert c13 * c12 == cu(3, 2, 3, sign=-1)
-    assert not c12.commutes(c13)
-    assert c12.commutes(c12)
-    assert cu(5, 1, 2).commutes(cu(5, 3, 4))
+    assert cu(5, 1, 2) * cu(5, 3, 4) == cu(5, 3, 4) * cu(5, 1, 2) == cu(5, 1, 2, 3, 4)
     with pytest.raises(DimensionMismatchError):
         cu(3, 1, 2) * cu(5, 1, 2)
 
@@ -92,8 +94,7 @@ def test_square_law():
             u = CliffordUnit(dim, mask)
             k = mask.bit_count()
             expected = -1 if (k * (k + 1) // 2) % 2 else 1
-            assert u.square() == CliffordUnit.scalar(dim, expected)
-            assert u * u == u.square()
+            assert u * u == CliffordUnit.scalar(dim, expected)
 
 
 def test_commutation_law():
@@ -101,7 +102,7 @@ def test_commutation_law():
         for ma in even_masks(dim):
             for mb in even_masks(dim):
                 a, b = CliffordUnit(dim, ma), CliffordUnit(dim, mb)
-                assert a.commutes(b) == ((ma & mb).bit_count() % 2 == 0)
+                assert (a * b == b * a) == ((ma & mb).bit_count() % 2 == 0)
 
 
 def test_associativity_exhaustive():
@@ -115,8 +116,8 @@ def test_associativity_exhaustive():
 def test_inverse():
     for dim in range(2, 7):
         for u in all_units(dim):
-            assert u * u.inverse() == CliffordUnit.identity(dim)
-            assert u.inverse() * u == CliffordUnit.identity(dim)
+            assert u * word_inverse(u) == CliffordUnit.identity(dim)
+            assert word_inverse(u) * u == CliffordUnit.identity(dim)
 
 
 def test_tuple_arithmetic():
@@ -126,7 +127,8 @@ def test_tuple_arithmetic():
     s = t * t
     assert s.is_scalar()
     assert s.sign_vector().coords() == (1, 1)
-    assert (t * t.inverse()) == CliffordTuple.identity_like((3, 5))
+    t_inv = CliffordTuple(tuple(word_inverse(c) for c in t.components))
+    assert t * t_inv == t_inv * t == CliffordTuple.identity_like((3, 5))
     with pytest.raises(DimensionMismatchError):
         t * CliffordTuple((cu(3, 1, 2), cu(7, 3, 4)))
     with pytest.raises(ValueError):
@@ -180,6 +182,68 @@ def test_quotient_rank_rejects_non_abelian():
     assert len(group) == 8
     with pytest.raises(NonAbelianQuotientError):
         quotient_rank(group, rref([], m=1))
+
+
+def test_quotient_rank_rejects_a_set_that_is_not_a_subgroup():
+    cyclic = closure([CliffordTuple((cu(3, 1, 2),))])
+    trivial = rref([], m=1)
+    with pytest.raises(ValueError):
+        quotient_rank([CliffordTuple((cu(3, 1, 2),))], trivial)  # no identity
+    with pytest.raises(ValueError):
+        quotient_rank(cyclic - {CliffordTuple((cu(3, 1, 2, sign=-1),))}, trivial)
+
+
+def bench_workloads():
+    """The benchmark's input module, loaded from its file; it needs only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_quotient_rank_matches_reference(generators, mu):
+    group = closure(generators)
+    assert quotient_rank(group, mu) == reference_quotient_rank(group, mu)
+
+
+def test_quotient_rank_matches_reference_on_the_benchmark_certificates():
+    # every built-in key of the certify workload, and the document derived from
+    # each: equivalent ones, non-abelian ones, and ones with a rank raised
+    workloads = bench_workloads()
+    certs = [builtin_certificate(key) for key in workloads.CERT_KEYS]
+    pool = workloads.build_pool("certify", 0, workloads.load_refs())
+    docs = [certificate_from_doc(json.loads(op["text"])) for op in pool if op["op"] == "certdoc"]
+    assert len(certs) == len(docs) == 21
+    non_abelian = 0
+    for cert in certs + docs:
+        mu = cert.spec.mu_subspace()
+        gens = cert.generators
+        if any(_commutator_sign_vector(a, b) not in mu for a in gens for b in gens):
+            non_abelian += 1
+            with pytest.raises(NonAbelianQuotientError):
+                quotient_rank(closure(cert.generators), mu)
+        else:
+            assert_quotient_rank_matches_reference(cert.generators, mu)
+    assert non_abelian == 5
+
+
+def test_quotient_rank_matches_reference_on_random_abelian_certificates():
+    # generators are drawn at random and kept while they commute modulo mu with
+    # those kept so far, so the image is abelian; mu need not be reduced
+    rng = Random(8086)
+    for _ in range(150):
+        m = rng.randint(1, 3)
+        dims = [2 * rng.randint(1, 3) + 1 for _ in range(m)]
+        mu = rref([BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m))], m)
+        gens: list[CliffordTuple] = []
+        for _ in range(rng.randint(1, 6)):
+            g = CliffordTuple(
+                tuple(CliffordUnit(d, rng.choice(even_masks(d)), rng.choice((1, -1))) for d in dims)
+            )
+            if all(_commutator_sign_vector(g, h) in mu for h in gens):
+                gens.append(g)
+        assert_quotient_rank_matches_reference(gens, mu)
 
 
 def test_centralizer_finite():

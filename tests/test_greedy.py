@@ -10,6 +10,7 @@ walk must give out exactly the keys of the enumeration, in the same order.
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 from itertools import islice
 from random import Random
 
@@ -33,9 +34,8 @@ from helpers import random_group_spec
 
 
 def assert_same_greedy(spec: GroupSpecB) -> None:
-    dual = spec.dual_subspace()
-    basis, total = greedy_min_basis(dual, spec.n)
-    ref_basis, ref_total = reference_greedy_min_basis(dual, spec.n)
+    basis, total = greedy_min_basis(spec.mu_subspace(), spec.n)
+    ref_basis, ref_total = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
     assert [v.bits for v in basis] == [v.bits for v in ref_basis], spec
     assert all(v.m == spec.m for v in basis)
     assert total == ref_total, spec
@@ -101,7 +101,7 @@ def test_rank7_twelve_diagonal_ties():
     # k = 11 with 66 tied weight-2 patterns; the tie-break decides the basis
     spec = GroupSpecB((7,) * 12, (BitVec(12, (1 << 12) - 1),))
     assert_same_greedy(spec)
-    basis, _ = greedy_min_basis(spec.dual_subspace(), spec.n)
+    basis, _ = greedy_min_basis(spec.mu_subspace(), spec.n)
     assert basis[0].coords() == (0,) * 10 + (1, 1)
 
 
@@ -272,15 +272,41 @@ def test_compute_large_shapes_never_enumerate(monkeypatch, k, d):
     assert result.status == "exact"
 
 
+def test_compute_large_shape_reduces_mu_twice_and_builds_no_dual(monkeypatch):
+    # (k, d) = (14, 10), ranks 7..12: validate reduces mu and the walk re-reduces
+    # it over its own factor order; the result is exact, so no basis search runs
+    rng = Random(1410)
+    spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(24)), 10)
+    expected = compute_ed(spec)
+    assert expected.status == "exact"
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    rref_bits = counting("rref_bits", edcalc.gf2.rref_bits)
+    annihilator = counting("annihilator", edcalc.gf2.annihilator)
+    for module in (edcalc.gf2, edcalc.core):
+        monkeypatch.setattr(module, "rref_bits", rref_bits)
+        monkeypatch.setattr(module, "annihilator", annihilator)
+    assert compute_ed(spec) == expected
+    assert calls["annihilator"] == 0
+    assert 1 <= calls["rref_bits"] <= 2
+
+
 def test_walk_memory_on_a_wide_mu():
     # (k, d) = (14, 10), ranks 7..12: listing the dual peaked at 2.06 MB
     rng = Random(1410)
     spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(24)), 10)
-    mu, dual = spec.mu_subspace(), spec.dual_subspace()
-    assert dual.dim == 14
+    mu = spec.mu_subspace()
+    assert spec.m - mu.dim == 14
     tracemalloc.start()
     try:
-        greedy_min_basis(dual, spec.n, mu=mu)
+        greedy_min_basis(mu, spec.n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -298,12 +324,12 @@ def test_only_the_chosen_vectors_become_bitvecs(monkeypatch):
         raise AssertionError("the greedy must not compute weights per element")
 
     spec = GroupSpecB((7, 8, 9, 10, 11, 12, 7, 8), (BitVec(8, 0b11),))
-    dual = spec.dual_subspace()
-    expected = greedy_min_basis(dual, spec.n)
+    mu = spec.mu_subspace()
+    expected = greedy_min_basis(mu, spec.n)
     monkeypatch.setattr(edcalc.core, "BitVec", counting_bitvec)
     monkeypatch.setattr(edcalc.core, "weight_exponent", no_weight_exponent)
-    assert greedy_min_basis(dual, spec.n) == expected
-    assert len(built) == dual.dim == 7
+    assert greedy_min_basis(mu, spec.n) == expected
+    assert len(built) == spec.m - mu.dim == 7
 
 
 def test_elements_come_in_the_gray_walk_order():
