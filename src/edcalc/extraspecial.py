@@ -55,7 +55,7 @@ class CliffordUnit(_Record):
     mask: int
     sign: int
 
-    # written out, not inherited: closure builds and hashes one per factor per product
+    # written out, not inherited: the public closure builds one per factor per element
     def __init__(self, dim: int, mask: int, sign: int = 1) -> None:
         _setattr(self, "dim", dim)
         _setattr(self, "mask", mask)
@@ -68,14 +68,6 @@ class CliffordUnit(_Record):
             raise ValueError("index outside the ambient dimension")
         if mask.bit_count() % 2:
             raise ValueError("index set must have even cardinality")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.mask == other.mask and self.sign == other.sign and self.dim == other.dim
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.mask, self.sign))
 
     @classmethod
     def from_indices(cls, dim: int, indices: Iterable[int], sign: int = 1) -> CliffordUnit:
@@ -140,19 +132,11 @@ class CliffordTuple(_Record):
     __slots__ = ("components",)
     components: tuple[CliffordUnit, ...]
 
-    # written out, not inherited: closure builds and hashes one per product
+    # written out, not inherited: the public closure builds one per element
     def __init__(self, components: tuple[CliffordUnit, ...]) -> None:
         _setattr(self, "components", components)
         if not components:
             raise ValueError("a tuple needs at least one component")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.components == other.components
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.components,))
 
     @classmethod
     def identity_like(cls, dims: Sequence[int]) -> CliffordTuple:
@@ -182,6 +166,124 @@ class CliffordTuple(_Record):
         return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
+class _Packing:
+    """One int per element of a product of the sign groups with fixed dimensions.
+
+    Factor i owns mask bits [o_i, o_i + d_i) of a word of W = d_0 + ... + d_{m-1}
+    bits, where o_i = d_0 + ... + d_{i-1}.  Signs are kept cumulatively at the
+    offsets: bit o_i of the sign word sigma is the parity of the negative signs of
+    factors i, i + 1, ..., m - 1.  An element is packed as A << W | sigma.
+
+    With S(x) the suffix parity (bit j of S(x) is the parity of the bits of x at
+    j and above) and OFF the bits at the offsets, the sign laws read:
+
+    - (A, sa) * (B, sb) = (A ^ B, sa ^ sb ^ (S(B & S(A)) & OFF));
+    - the square of (A, sa) is the scalar S(A & S(A)) & OFF;
+    - the commutator of (A, sa) and (B, sb) is the scalar S(A & B) & OFF.
+
+    Moving c(j) of B past the generators of A at indices >= j costs one flip each
+    (a collision squares to -1), and every factor's index set has even size, so the
+    bits that higher factors contribute to S(A) cancel.
+    """
+
+    __slots__ = ("dims", "offsets", "width", "off", "shifts")
+
+    def __init__(self, dims: Sequence[int]) -> None:
+        self.dims = tuple(dims)
+        self.offsets = tuple(sum(self.dims[:i]) for i in range(len(self.dims)))
+        self.width = sum(self.dims)
+        self.off = sum(1 << o for o in self.offsets)
+        # x ^= x >> s for these s leaves at bit j the parity of the W bits from j up
+        self.shifts = tuple(1 << i for i in range(max(self.width - 1, 0).bit_length()))
+
+    def suffix_parity(self, x: int) -> int:
+        for s in self.shifts:
+            x ^= x >> s
+        return x
+
+    def sign_code(self, pattern: int) -> int:
+        """Sign word of a sign pattern whose bit i is set when factor i is negative."""
+        code = parity = 0
+        for i in reversed(range(len(self.offsets))):
+            parity ^= pattern >> i & 1
+            code |= parity << self.offsets[i]
+        return code
+
+    def pack(self, t: CliffordTuple) -> int:
+        masks = sum(c.mask << o for c, o in zip(t.components, self.offsets))
+        return masks << self.width | self.sign_code(t.sign_vector().bits)
+
+    def unpack(self, x: int) -> CliffordTuple:
+        masks, sigma = x >> self.width, x & ((1 << self.width) - 1)
+        units = []
+        for d, o, end in zip(self.dims, self.offsets, self.offsets[1:] + (self.width,)):
+            negative = ((sigma >> o) ^ (sigma >> end)) & 1
+            units.append(CliffordUnit(d, (masks >> o) & ((1 << d) - 1), -1 if negative else 1))
+        return CliffordTuple(tuple(units))
+
+
+def _closure_packed(gens: Sequence[int], packing: _Packing, cap: int) -> set[int]:
+    """Subgroup generated by packed elements, by breadth-first multiplication."""
+    width, off, shifts = packing.width, packing.off, packing.shifts
+    moves = [(g, g >> width) for g in gens]
+    seen = {0}
+    queue = deque([0])
+    # the product law with a = S(A) and t = S(B & a); the suffix parities are
+    # written out, not called, because this loop runs once per element and generator
+    while queue:
+        x = queue.popleft()
+        a = x >> width
+        for s in shifts:
+            a ^= a >> s
+        for g, b in moves:
+            t = b & a
+            for s in shifts:
+                t ^= t >> s
+            y = x ^ g ^ (t & off)
+            if y not in seen:
+                if len(seen) >= cap:
+                    raise EnumerationTooLargeError(f"closure exceeds the cap of {cap} elements")
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+def _quotient_rank_packed(
+    elements: set[int], packing: _Packing, mu: SubspaceF2
+) -> tuple[int, int]:
+    """Order and rank of the image of a packed finite subgroup in the quotient by mu."""
+    width, off = packing.width, packing.off
+    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
+    masks = {x >> width for x in elements}
+
+    # commutator signs are bilinear in the index masks, so checking a basis of
+    # the mask space covers every pair of elements
+    for u, v in combinations(rref_bits(masks), 2):
+        commutator = packing.suffix_parity(u & v) & off
+        if reduce_bits(commutator, mu_rows):
+            raise NonAbelianQuotientError(
+                f"elements {packing.unpack(u << width)} and {packing.unpack(v << width)}"
+                f" have commutator {packing.unpack(commutator)}, outside mu"
+            )
+
+    # two elements of H with equal masks differ by a scalar in H, so the coset of
+    # x modulo mu, met with H, is x times U, the scalars of H with signs in mu:
+    # the packed element with its signs reduced by mu's rows names it
+    cosets = [reduce_bits(x, mu_rows) for x in elements]
+    units = cosets.count(0)
+    order_h = len(set(cosets))
+    if not units or units * order_h != len(elements):
+        raise ValueError("elements do not form a subgroup compatible with mu")
+    squares = {
+        reduce_bits(packing.suffix_parity(a & packing.suffix_parity(a)) & off, mu_rows)
+        for a in masks
+    }
+    quotient, rem = divmod(order_h, len(squares))
+    if rem or quotient & (quotient - 1):
+        raise ValueError("image order divided by squares is not a power of two")
+    return order_h, quotient.bit_length() - 1
+
+
 def closure(
     generators: Iterable[CliffordTuple], cap: int = DEFAULT_CLOSURE_CAP
 ) -> frozenset[CliffordTuple]:
@@ -192,19 +294,9 @@ def closure(
     dims = gens[0].dims
     if any(g.dims != dims for g in gens):
         raise DimensionMismatchError("generators from different products")
-    identity = CliffordTuple.identity_like(dims)
-    seen = {identity}
-    queue = deque([identity])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = x * g
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise EnumerationTooLargeError(f"closure exceeds the cap of {cap} elements")
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    packing = _Packing(dims)
+    subgroup = _closure_packed([packing.pack(g) for g in gens], packing, cap)
+    return frozenset(map(packing.unpack, subgroup))
 
 
 def _commutator_sign_vector(a: CliffordTuple, b: CliffordTuple) -> BitVec:
@@ -216,74 +308,20 @@ def _commutator_sign_vector(a: CliffordTuple, b: CliffordTuple) -> BitVec:
     return BitVec(len(a.components), bits)
 
 
-def _packed_masks(t: CliffordTuple, offsets: Sequence[int]) -> int:
-    packed = 0
-    for c, off in zip(t.components, offsets):
-        packed |= c.mask << off
-    return packed
-
-
 def quotient_rank(elements: Iterable[CliffordTuple], mu: SubspaceF2) -> tuple[int, int]:
     """Order and rank of the image of a finite subgroup in the quotient by mu.
 
     The elements must form a subgroup of a product of the sign groups, and their
     image must be abelian; mu is read as a subspace of central sign patterns.
     """
-    elems = list(set(elements))
+    elems = set(elements)
     if not elems:
         raise ValueError("at least one element is required")
-    m = len(elems[0].components)
-    if mu.m != m:
+    dims = next(iter(elems)).dims
+    if mu.m != len(dims):
         raise DimensionMismatchError("mu does not match the number of factors")
-    dims = elems[0].dims
-    offsets = [sum(dims[:i]) for i in range(m)]
-
-    # commutator sign patterns are bilinear in the index masks, so checking a
-    # basis of the packed mask space covers every pair of elements
-    basis_rows = rref_bits(_packed_masks(t, offsets) for t in elems)
-    for u, v in combinations([_unpack(row, dims, offsets) for row in basis_rows], 2):
-        sv = _mask_commutator(u, v, m)
-        if sv not in mu:
-            raise NonAbelianQuotientError(
-                f"elements with index masks {u} and {v} have commutator sign pattern"
-                f" {sv}, outside mu"
-            )
-
-    # two elements of H with equal masks differ by a scalar in H, so the coset of
-    # x modulo mu, met with H, is x times U, the scalars of H with signs in mu:
-    # packed masks and signs reduced by mu's rows name it
-    mu_rows = [v.bits for v in mu.basis]
-    cosets = [
-        (_packed_masks(x, offsets), reduce_bits(x.sign_vector().bits, mu_rows)) for x in elems
-    ]
-    units = cosets.count((0, 0))
-    order_h = len(set(cosets))
-    if not units or units * order_h != len(elems):
-        raise ValueError("elements do not form a subgroup compatible with mu")
-    # x * x is the scalar that is -1 on the components whose masks hold 2 mod 4
-    # indices, so its coset is that sign pattern reduced by mu's rows
-    squares = {
-        reduce_bits(
-            sum((c.mask.bit_count() >> 1 & 1) << i for i, c in enumerate(x.components)), mu_rows
-        )
-        for x in elems
-    }
-    quotient, rem = divmod(order_h, len(squares))
-    if rem or quotient & (quotient - 1):
-        raise ValueError("image order divided by squares is not a power of two")
-    return order_h, quotient.bit_length() - 1
-
-
-def _unpack(row: int, dims: Sequence[int], offsets: Sequence[int]) -> tuple[int, ...]:
-    return tuple((row >> off) & ((1 << d) - 1) for d, off in zip(dims, offsets))
-
-
-def _mask_commutator(u: Sequence[int], v: Sequence[int], m: int) -> BitVec:
-    bits = 0
-    for i in range(m):
-        if (u[i] & v[i]).bit_count() % 2:
-            bits |= 1 << i
-    return BitVec(m, bits)
+    packing = _Packing(dims)
+    return _quotient_rank_packed({packing.pack(x) for x in elems}, packing, mu)
 
 
 def centralizer_finite(tuples: Sequence[CliffordTuple], dims: Sequence[int]) -> bool:
@@ -392,8 +430,9 @@ def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_CLOSURE_CAP
                 notes=notes,
             )
 
-    subgroup = closure(cert.generators, closure_cap)
-    order, rank = quotient_rank(subgroup, mu)
+    packing = _Packing(dims)
+    subgroup = _closure_packed([packing.pack(g) for g in cert.generators], packing, closure_cap)
+    order, rank = _quotient_rank_packed(subgroup, packing, mu)
     finite = centralizer_finite(cert.generators, dims)
     if not finite:
         return CertReport(
@@ -564,6 +603,9 @@ def certificate_from_doc(doc: dict) -> Certificate:
         raise SpecFormatError("certificate document must be an object")
     if "spec" not in doc or "generators" not in doc:
         raise SpecFormatError("certificate document needs 'spec' and 'generators'")
+    unknown = set(doc) - {"spec", "generators", "note"}
+    if unknown:
+        raise SpecFormatError(f"unknown certificate fields: {sorted(unknown)}")
     spec = spec_from_doc(doc["spec"])
     dims = tuple(2 * r + 1 for r in spec.n)
     raw_gens = doc["generators"]

@@ -1,0 +1,36 @@
+"""Subgroup closure as computed before elements were packed into one int each.
+
+Kept as a test oracle: `closure` must return the same element set, and raise
+at the same cap, on every list of generators.  This breadth-first search
+multiplies `CliffordTuple` objects with `CliffordTuple.__mul__`.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Iterable
+
+from edcalc import CliffordTuple, DimensionMismatchError, EnumerationTooLargeError
+
+
+def reference_closure(generators: Iterable[CliffordTuple], cap: int) -> frozenset[CliffordTuple]:
+    """Subgroup generated by the tuples, by breadth-first multiplication."""
+    gens = list(generators)
+    if not gens:
+        raise ValueError("at least one generator is required")
+    dims = gens[0].dims
+    if any(g.dims != dims for g in gens):
+        raise DimensionMismatchError("generators from different products")
+    identity = CliffordTuple.identity_like(dims)
+    seen = {identity}
+    queue = deque([identity])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = x * g
+            if y not in seen:
+                if len(seen) >= cap:
+                    raise EnumerationTooLargeError(f"closure exceeds the cap of {cap} elements")
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)

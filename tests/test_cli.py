@@ -165,6 +165,18 @@ def test_certify_malformed_certificate(tmp_path, capsys):
     assert code == 2
 
 
+def test_certify_rejects_unknown_certificate_fields(tmp_path, capsys):
+    doc = {
+        "spec": {"type": "B", "n": [1], "mu_generators": []},
+        "generators": [[{"sign": 1, "indices": [1, 2]}]],
+        "notes": "a mistyped note",
+    }
+    path = write_doc(tmp_path, "cert.json", doc)
+    code, out, err = run(capsys, "certify", path)
+    assert code == 2 and out == ""
+    assert "unknown certificate fields: ['notes']" in err
+
+
 def test_certify_spec_validation_error(tmp_path, capsys):
     doc = {
         "spec": {"type": "B", "n": [1, 1], "mu_generators": [[1, 0]]},

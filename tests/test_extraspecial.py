@@ -33,12 +33,15 @@ from edcalc import (
     verify_certificate,
 )
 from edcalc.extraspecial import (
+    DEFAULT_CLOSURE_CAP,
     _commutator_sign_vector,
+    _Packing,
     diagonal_certificate,
     pair_certificate,
     small_quadruple_certificate,
     small_triple_certificate,
 )
+from closure_reference import reference_closure
 from helpers import all_units, even_masks, word_inverse, word_product
 from quotient_reference import reference_quotient_rank
 
@@ -158,6 +161,51 @@ def test_closure_cap():
         closure(adjacent, cap=7)
     with pytest.raises(ValueError):
         closure([])
+    # the cap counts elements, the identity included: |H| fits, |H| - 1 does not
+    order = len(reference_closure(adjacent, DEFAULT_CLOSURE_CAP))
+    assert order == 16
+    assert closure(adjacent, cap=order) == reference_closure(adjacent, order)
+    message = f"closure exceeds the cap of {order - 1} elements"
+    with pytest.raises(EnumerationTooLargeError, match=message):
+        closure(adjacent, cap=order - 1)
+    with pytest.raises(EnumerationTooLargeError, match=message):
+        reference_closure(adjacent, order - 1)
+
+
+def random_even_mask(rng, dim):
+    mask = rng.getrandbits(dim)
+    if mask.bit_count() % 2:
+        mask ^= 1 << rng.randrange(dim)
+    return mask
+
+
+def random_tuple(rng, dims):
+    return CliffordTuple(
+        tuple(CliffordUnit(d, random_even_mask(rng, d), rng.choice((1, -1))) for d in dims)
+    )
+
+
+def tuple_inverse(t):
+    return CliffordTuple(tuple(word_inverse(c) for c in t.components))
+
+
+@pytest.mark.parametrize("dims", [(3, 41, 9, 17), (45, 7, 61, 23), (5, 3), (129,)])
+def test_packed_sign_laws_match_tuple_arithmetic(dims):
+    # uneven dims, total widths 70, 136, 8 and 129 bits: the suffix-parity
+    # shifts must reach across the whole word, past 64 and 128 bits
+    rng = Random(sum(dims))
+    packing = _Packing(dims)
+    width, off, parity = packing.width, packing.off, packing.suffix_parity
+    assert width == sum(dims)
+    for _ in range(200):
+        a, b = random_tuple(rng, dims), random_tuple(rng, dims)
+        pa, pb = packing.pack(a), packing.pack(b)
+        assert packing.unpack(pa) == a
+        ma, mb = pa >> width, pb >> width
+        assert packing.pack(a * b) == pa ^ pb ^ (parity(mb & parity(ma)) & off)
+        assert packing.pack(a * a) == parity(ma & parity(ma)) & off
+        commutator = a * b * tuple_inverse(a) * tuple_inverse(b)
+        assert packing.pack(commutator) == parity(ma & mb) & off
 
 
 def test_quotient_rank_cyclic():
@@ -207,16 +255,44 @@ def assert_quotient_rank_matches_reference(generators, mu):
     assert quotient_rank(group, mu) == reference_quotient_rank(group, mu)
 
 
-def test_quotient_rank_matches_reference_on_the_benchmark_certificates():
-    # every built-in key of the certify workload, and the document derived from
-    # each: equivalent ones, non-abelian ones, and ones with a rank raised
+def benchmark_certificates():
+    """Every built-in key of the certify workload, and the document derived from
+    each: equivalent ones, non-abelian ones, and ones with a rank raised."""
     workloads = bench_workloads()
     certs = [builtin_certificate(key) for key in workloads.CERT_KEYS]
     pool = workloads.build_pool("certify", 0, workloads.load_refs())
     docs = [certificate_from_doc(json.loads(op["text"])) for op in pool if op["op"] == "certdoc"]
     assert len(certs) == len(docs) == 21
+    return certs + docs
+
+
+def test_closure_matches_reference_on_the_benchmark_certificates():
+    for cert in benchmark_certificates():
+        group = closure(cert.generators)
+        assert group == reference_closure(cert.generators, DEFAULT_CLOSURE_CAP)
+
+
+def test_closure_matches_reference_on_random_certificates():
+    # no commutation filter, so half or more are non-abelian; the dims are uneven,
+    # and some products are wider than 64 or 128 bits.  A closure has at most
+    # 2^(generators + factors) elements, whatever the dims.
+    rng = Random(4242)
+    sizes, widths, non_abelian = set(), set(), 0
+    for _ in range(120):
+        m = rng.randint(1, 4)
+        dims = [2 * rng.randint(1, 24) + 1 for _ in range(m)]
+        gens = [random_tuple(rng, dims) for _ in range(rng.randint(1, 5))]
+        group = closure(gens)
+        assert group == reference_closure(gens, DEFAULT_CLOSURE_CAP)
+        sizes.add(len(group))
+        widths.add(sum(dims))
+        non_abelian += any(a * b != b * a for a in gens for b in gens)
+    assert max(sizes) >= 256 and max(widths) > 128 and non_abelian >= 60
+
+
+def test_quotient_rank_matches_reference_on_the_benchmark_certificates():
     non_abelian = 0
-    for cert in certs + docs:
+    for cert in benchmark_certificates():
         mu = cert.spec.mu_subspace()
         gens = cert.generators
         if any(_commutator_sign_vector(a, b) not in mu for a in gens for b in gens):
@@ -398,6 +474,7 @@ def test_certificate_from_doc_rejects_malformed():
         lambda d: d["generators"][0].__setitem__(0, {"sign": 1, "indices": [1, 99]}),
         lambda d: d["generators"][0].__setitem__(0, {"sign": 1, "indices": [1, 1]}),
         lambda d: d.__setitem__("note", 3),
+        lambda d: d.__setitem__("extra", 1),
     ]:
         doc = copy.deepcopy(good)
         mutate(doc)
