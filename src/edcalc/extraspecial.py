@@ -96,34 +96,9 @@ class CliffordUnit(_Record):
     def is_scalar(self) -> bool:
         return self.mask == 0
 
-    def __mul__(self, other: CliffordUnit) -> CliffordUnit:
-        if self.dim != other.dim:
-            raise DimensionMismatchError("units from different ambient dimensions")
-        # moving each generator of other past the larger-index generators of self
-        # costs one sign flip per inversion; colliding pairs square to -1
-        flips = _inversions(self.mask, other.mask)
-        flips += (self.mask & other.mask).bit_count()
-        sign = self.sign * other.sign * (-1 if flips % 2 else 1)
-        return CliffordUnit(self.dim, self.mask ^ other.mask, sign)
-
-    def vector_image(self) -> frozenset[int]:
-        """Index set of the image in the orthogonal group; the sign is forgotten."""
-        return frozenset(self.indices)
-
     def __str__(self) -> str:
         body = "1" if self.is_scalar() else "c(" + ",".join(map(str, self.indices)) + ")"
         return ("-" if self.sign < 0 else "") + body
-
-
-def _inversions(a_mask: int, b_mask: int) -> int:
-    """Number of pairs (i in A, j in B) with i > j."""
-    count = 0
-    b = b_mask
-    while b:
-        low = b & -b
-        count += (a_mask >> low.bit_length()).bit_count()
-        b ^= low
-    return count
 
 
 class CliffordTuple(_Record):
@@ -146,21 +121,8 @@ class CliffordTuple(_Record):
     def dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.components)
 
-    def __mul__(self, other: CliffordTuple) -> CliffordTuple:
-        if self.dims != other.dims:
-            raise DimensionMismatchError("tuples from different products")
-        return CliffordTuple(tuple(a * b for a, b in zip(self.components, other.components)))
-
     def is_scalar(self) -> bool:
         return all(c.is_scalar() for c in self.components)
-
-    def sign_vector(self) -> BitVec:
-        """Sign pattern as a GF(2) vector: coordinate i is 1 iff component i is negative."""
-        bits = 0
-        for i, c in enumerate(self.components):
-            if c.sign < 0:
-                bits |= 1 << i
-        return BitVec(len(self.components), bits)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
@@ -201,6 +163,14 @@ class _Packing:
             x ^= x >> s
         return x
 
+    def square(self, a: int) -> int:
+        """Sign word of the square of an element with index masks a."""
+        return self.suffix_parity(a & self.suffix_parity(a)) & self.off
+
+    def commutator(self, a: int, b: int) -> int:
+        """Sign word of the commutator of elements with index masks a and b."""
+        return self.suffix_parity(a & b) & self.off
+
     def sign_code(self, pattern: int) -> int:
         """Sign word of a sign pattern whose bit i is set when factor i is negative."""
         code = parity = 0
@@ -209,21 +179,55 @@ class _Packing:
             code |= parity << self.offsets[i]
         return code
 
+    def sign_pattern(self, code: int) -> int:
+        """Sign pattern of a sign word: bit i is set when factor i is negative."""
+        ends = self.offsets[1:] + (self.width,)
+        pattern = 0
+        for i, (o, end) in enumerate(zip(self.offsets, ends)):
+            pattern |= ((code >> o ^ code >> end) & 1) << i
+        return pattern
+
     def pack(self, t: CliffordTuple) -> int:
         masks = sum(c.mask << o for c, o in zip(t.components, self.offsets))
-        return masks << self.width | self.sign_code(t.sign_vector().bits)
+        negative = sum(1 << i for i, c in enumerate(t.components) if c.sign < 0)
+        return masks << self.width | self.sign_code(negative)
 
     def unpack(self, x: int) -> CliffordTuple:
-        masks, sigma = x >> self.width, x & ((1 << self.width) - 1)
-        units = []
-        for d, o, end in zip(self.dims, self.offsets, self.offsets[1:] + (self.width,)):
-            negative = ((sigma >> o) ^ (sigma >> end)) & 1
-            units.append(CliffordUnit(d, (masks >> o) & ((1 << d) - 1), -1 if negative else 1))
-        return CliffordTuple(tuple(units))
+        masks, pattern = x >> self.width, self.sign_pattern(x & ((1 << self.width) - 1))
+        return CliffordTuple(tuple(
+            CliffordUnit(d, (masks >> o) & ((1 << d) - 1), -1 if pattern >> i & 1 else 1)
+            for i, (d, o) in enumerate(zip(self.dims, self.offsets))
+        ))
 
 
-def _closure_packed(gens: Sequence[int], packing: _Packing, cap: int) -> set[int]:
-    """Subgroup generated by packed elements, by breadth-first multiplication."""
+def _order_bound_log2(gens: Sequence[int], packing: _Packing, commutators: Iterable[int]) -> int:
+    """Exponent e with 2^e at most the order of the subgroup H the packed elements generate.
+
+    Index masks multiply by XOR, so H maps onto the span M of the generator masks
+    with the scalars of H as kernel.  The generators' squares, their commutators
+    and the generators with empty masks are scalars of H, so |H| is at least
+    2^(rank M + rank S0), S0 the span of their sign words.
+    """
+    masks = [g >> packing.width for g in gens]
+    scalars = [packing.square(a) for a in masks]
+    scalars += [g for g, a in zip(gens, masks) if not a]
+    scalars += commutators
+    return len(rref_bits(masks)) + len(rref_bits(scalars))
+
+
+def _closure_packed(
+    gens: Sequence[int], packing: _Packing, cap: int, commutators: Iterable[int]
+) -> set[int]:
+    """Subgroup generated by packed elements, by breadth-first multiplication.
+
+    commutators holds the sign words of the generators' pairwise commutators (the
+    zero ones may be left out); with them a subgroup provably larger than the cap
+    is refused before the search.
+    """
+    # |H| <= 2^(generators + factors), so only a larger count can need the bound
+    too_many = 1 << (len(gens) + len(packing.dims)) > cap
+    if too_many and 1 << _order_bound_log2(gens, packing, commutators) > cap:
+        raise EnumerationTooLargeError(f"closure exceeds the cap of {cap} elements")
     width, off, shifts = packing.width, packing.off, packing.shifts
     moves = [(g, g >> width) for g in gens]
     seen = {0}
@@ -249,35 +253,26 @@ def _closure_packed(gens: Sequence[int], packing: _Packing, cap: int) -> set[int
 
 
 def _quotient_rank_packed(
-    elements: set[int], packing: _Packing, mu: SubspaceF2
+    elements: set[int], packing: _Packing, mu_rows: Sequence[int]
 ) -> tuple[int, int]:
-    """Order and rank of the image of a packed finite subgroup in the quotient by mu."""
-    width, off = packing.width, packing.off
-    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
-    masks = {x >> width for x in elements}
+    """Order and rank of the image of a packed finite subgroup in the quotient by mu.
 
-    # commutator signs are bilinear in the index masks, so checking a basis of
-    # the mask space covers every pair of elements
-    for u, v in combinations(rref_bits(masks), 2):
-        commutator = packing.suffix_parity(u & v) & off
-        if reduce_bits(commutator, mu_rows):
-            raise NonAbelianQuotientError(
-                f"elements {packing.unpack(u << width)} and {packing.unpack(v << width)}"
-                f" have commutator {packing.unpack(commutator)}, outside mu"
-            )
-
+    mu_rows is the RREF of mu's basis mapped into sign words.  The image must be
+    abelian; the callers check that on the generators or on a basis of the masks.
+    """
     # two elements of H with equal masks differ by a scalar in H, so the coset of
     # x modulo mu, met with H, is x times U, the scalars of H with signs in mu:
     # the packed element with its signs reduced by mu's rows names it
-    cosets = [reduce_bits(x, mu_rows) for x in elements]
+    cosets = list(elements)
+    for row in mu_rows:  # row by row, in reduce_bits' order, to call nothing per element
+        pivot = row & -row
+        cosets = [x ^ row if x & pivot else x for x in cosets]
     units = cosets.count(0)
     order_h = len(set(cosets))
     if not units or units * order_h != len(elements):
         raise ValueError("elements do not form a subgroup compatible with mu")
-    squares = {
-        reduce_bits(packing.suffix_parity(a & packing.suffix_parity(a)) & off, mu_rows)
-        for a in masks
-    }
+    masks = {x >> packing.width for x in elements}
+    squares = {reduce_bits(packing.square(a), mu_rows) for a in masks}
     quotient, rem = divmod(order_h, len(squares))
     if rem or quotient & (quotient - 1):
         raise ValueError("image order divided by squares is not a power of two")
@@ -295,17 +290,10 @@ def closure(
     if any(g.dims != dims for g in gens):
         raise DimensionMismatchError("generators from different products")
     packing = _Packing(dims)
-    subgroup = _closure_packed([packing.pack(g) for g in gens], packing, cap)
-    return frozenset(map(packing.unpack, subgroup))
-
-
-def _commutator_sign_vector(a: CliffordTuple, b: CliffordTuple) -> BitVec:
-    """Sign pattern of the commutator [a, b]; depends only on the index masks."""
-    bits = 0
-    for i, (x, y) in enumerate(zip(a.components, b.components)):
-        if (x.mask & y.mask).bit_count() % 2:
-            bits |= 1 << i
-    return BitVec(len(a.components), bits)
+    packed = [packing.pack(g) for g in gens]
+    width = packing.width
+    commutators = [packing.commutator(a >> width, b >> width) for a, b in combinations(packed, 2)]
+    return frozenset(map(packing.unpack, _closure_packed(packed, packing, cap, commutators)))
 
 
 def quotient_rank(elements: Iterable[CliffordTuple], mu: SubspaceF2) -> tuple[int, int]:
@@ -321,7 +309,20 @@ def quotient_rank(elements: Iterable[CliffordTuple], mu: SubspaceF2) -> tuple[in
     if mu.m != len(dims):
         raise DimensionMismatchError("mu does not match the number of factors")
     packing = _Packing(dims)
-    return _quotient_rank_packed({packing.pack(x) for x in elems}, packing, mu)
+    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
+    packed = {packing.pack(x) for x in elems}
+
+    # commutator signs are bilinear in the index masks, so checking a basis of
+    # the mask space covers every pair of elements
+    for u, v in combinations(rref_bits({x >> packing.width for x in packed}), 2):
+        commutator = packing.commutator(u, v)
+        if reduce_bits(commutator, mu_rows):
+            raise NonAbelianQuotientError(
+                f"elements {packing.unpack(u << packing.width)}"
+                f" and {packing.unpack(v << packing.width)}"
+                f" have commutator {packing.unpack(commutator)}, outside mu"
+            )
+    return _quotient_rank_packed(packed, packing, mu_rows)
 
 
 def centralizer_finite(tuples: Sequence[CliffordTuple], dims: Sequence[int]) -> bool:
@@ -329,23 +330,19 @@ def centralizer_finite(tuples: Sequence[CliffordTuple], dims: Sequence[int]) -> 
 
     The common centralizer of the images is a product of orthogonal groups, one
     per block of the partition that the index sets cut out of the coordinates;
-    it is finite exactly when all blocks are singletons.
+    it is finite exactly when all blocks are singletons.  A block is held as a
+    bit mask over the factor's coordinates and split by each index mask.
     """
     for f, d in enumerate(dims):
-        blocks = [frozenset(range(1, d + 1))]
+        blocks = [(1 << d) - 1]
         for t in tuples:
-            if t.dims[f] != d:
+            unit = t.components[f]
+            if unit.dim != d:
                 raise DimensionMismatchError("tuple does not match the ambient dimensions")
-            image = t.components[f].vector_image()
-            refined = []
-            for b in blocks:
-                inside, outside = b & image, b - image
-                if inside:
-                    refined.append(inside)
-                if outside:
-                    refined.append(outside)
-            blocks = refined
-        if any(len(b) > 1 for b in blocks):
+            image = unit.mask
+            blocks = [part for b in blocks for part in (b & image, b & ~image) if part]
+        # the blocks partition d coordinates, so d of them are all singletons
+        if len(blocks) < d:
             return False
     return True
 
@@ -413,10 +410,16 @@ def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_CLOSURE_CAP
     mu = validate(cert.spec)
     notes = (cert.note,) if cert.note else ()
     dims = tuple(2 * r + 1 for r in cert.spec.n)
+    packing = _Packing(dims)
+    gens = [packing.pack(g) for g in cert.generators]
+    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
+    masks = [g >> packing.width for g in gens]
 
-    for (i, a), (j, b) in combinations(enumerate(cert.generators), 2):
-        sv = _commutator_sign_vector(a, b)
-        if sv not in mu:
+    commutators = []
+    for (i, a), (j, b) in combinations(enumerate(masks), 2):
+        commutator = packing.commutator(a, b)
+        if reduce_bits(commutator, mu_rows):
+            pattern = BitVec(len(dims), packing.sign_pattern(commutator))
             return CertReport(
                 abelian_in_quotient=False,
                 subgroup_order=0,
@@ -425,35 +428,26 @@ def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_CLOSURE_CAP
                 lower_bound=None,
                 failure_reason=(
                     f"NonAbelianQuotient: generators {i + 1} and {j + 1} have commutator"
-                    f" sign pattern {sv}, outside mu"
+                    f" sign pattern {pattern}, outside mu"
                 ),
                 notes=notes,
             )
+        if commutator:
+            commutators.append(commutator)
 
-    packing = _Packing(dims)
-    subgroup = _closure_packed([packing.pack(g) for g in cert.generators], packing, closure_cap)
-    order, rank = _quotient_rank_packed(subgroup, packing, mu)
+    subgroup = _closure_packed(gens, packing, closure_cap, commutators)
+    order, rank = _quotient_rank_packed(subgroup, packing, mu_rows)
     finite = centralizer_finite(cert.generators, dims)
-    if not finite:
-        return CertReport(
-            abelian_in_quotient=True,
-            subgroup_order=order,
-            rank=rank,
-            centralizer_finite=False,
-            lower_bound=None,
-            failure_reason=(
-                "centralizer not certified finite: some coordinates are not separated"
-                " by the vector images"
-            ),
-            notes=notes,
-        )
     return CertReport(
         abelian_in_quotient=True,
         subgroup_order=order,
         rank=rank,
-        centralizer_finite=True,
-        lower_bound=rank,
-        failure_reason=None,
+        centralizer_finite=finite,
+        lower_bound=rank if finite else None,
+        failure_reason=None if finite else (
+            "centralizer not certified finite: some coordinates are not separated"
+            " by the vector images"
+        ),
         notes=notes,
     )
 
@@ -500,8 +494,9 @@ def pair_certificate(n1: int, n2: int) -> Certificate:
     gens = [
         CliffordTuple((_unit(d1, *a), _unit(d2, *b))) for a, b in zip(first, second)
     ]
-    h1_sq = gens[0] * gens[0]
-    if h1_sq.sign_vector() in diagonal_mu(2):
+    packing = _Packing((d1, d2))
+    h1_sq = packing.sign_pattern(packing.square(packing.pack(gens[0]) >> packing.width))
+    if BitVec(2, h1_sq) in diagonal_mu(2):
         # the square of the first generator is already trivial in the quotient,
         # so the lone sign flip adds an independent order-2 element
         gens.append(

@@ -2,7 +2,7 @@
 
 Kept as a test oracle: `closure` must return the same element set, and raise
 at the same cap, on every list of generators.  This breadth-first search
-multiplies `CliffordTuple` objects with `CliffordTuple.__mul__`.
+multiplies `CliffordTuple` objects with the object oracle `tuple_product`.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from collections import deque
 from typing import Iterable
 
 from edcalc import CliffordTuple, DimensionMismatchError, EnumerationTooLargeError
+
+from clifford_reference import tuple_product
 
 
 def reference_closure(generators: Iterable[CliffordTuple], cap: int) -> frozenset[CliffordTuple]:
@@ -27,7 +29,7 @@ def reference_closure(generators: Iterable[CliffordTuple], cap: int) -> frozense
     while queue:
         x = queue.popleft()
         for g in gens:
-            y = x * g
+            y = tuple_product(x, g)
             if y not in seen:
                 if len(seen) >= cap:
                     raise EnumerationTooLargeError(f"closure exceeds the cap of {cap} elements")

@@ -11,8 +11,17 @@ from random import Random
 from typing import Sequence
 
 import edcalc
-from edcalc import BitVec, CliffordUnit, GroupSpecB, SubspaceF2, greedy_min_basis, rref
+from edcalc import (
+    BitVec,
+    CliffordTuple,
+    CliffordUnit,
+    GroupSpecB,
+    SubspaceF2,
+    greedy_min_basis,
+    rref,
+)
 from edcalc.core import weight_exponent
+from edcalc.extraspecial import _Packing
 from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
 
 
@@ -59,6 +68,37 @@ def even_masks(dim: int) -> list[int]:
 def all_units(dim: int) -> list[CliffordUnit]:
     """Every element of the signed even-product group inside Spin(dim)."""
     return [CliffordUnit(dim, mask, sign) for mask in even_masks(dim) for sign in (1, -1)]
+
+
+def random_even_mask(rng: Random, dim: int) -> int:
+    mask = rng.getrandbits(dim)
+    if mask.bit_count() % 2:
+        mask ^= 1 << rng.randrange(dim)
+    return mask
+
+
+def random_tuple(rng: Random, dims: Sequence[int]) -> CliffordTuple:
+    """Random element of a product of sign groups: every sign and even mask equally likely."""
+    return CliffordTuple(
+        tuple(CliffordUnit(d, random_even_mask(rng, d), rng.choice((1, -1))) for d in dims)
+    )
+
+
+def packed_product(packing: _Packing, x: int, y: int) -> int:
+    """Product of packed elements by the law the closure search inlines:
+    (A, sa)(B, sb) = (A ^ B, sa ^ sb ^ (S(B & S(A)) & OFF)).
+    """
+    parity, width = packing.suffix_parity, packing.width
+    return x ^ y ^ (parity((y >> width) & parity(x >> width)) & packing.off)
+
+
+def packed_unit_product(a: CliffordUnit, b: CliffordUnit) -> CliffordUnit:
+    """Product of two units by the packed product law, on a one-factor packing."""
+    packing = _Packing((a.dim,))
+    prod = packed_product(
+        packing, packing.pack(CliffordTuple((a,))), packing.pack(CliffordTuple((b,)))
+    )
+    return packing.unpack(prod).components[0]
 
 
 def brute_min_basis(

@@ -13,6 +13,8 @@ from typing import Iterable
 
 from edcalc import CliffordTuple, SubspaceF2
 
+from clifford_reference import sign_vector, tuple_product
+
 
 def _encode(x: CliffordTuple) -> tuple:
     return tuple((0 if c.sign > 0 else 1, c.mask) for c in x.components)
@@ -26,18 +28,18 @@ def reference_quotient_rank(
     The image must be abelian; this oracle does not check it.
     """
     elems = list(set(elements))
-    unit_classes = [t for t in elems if t.is_scalar() and t.sign_vector() in mu]
+    unit_classes = [t for t in elems if t.is_scalar() and sign_vector(t) in mu]
     order_h, rem = divmod(len(elems), len(unit_classes))
     if rem:
         raise ValueError("elements do not form a subgroup compatible with mu")
 
     def canon(x: CliffordTuple) -> tuple:
-        return min(_encode(x * u) for u in unit_classes)
+        return min(_encode(tuple_product(x, u)) for u in unit_classes)
 
     classes = {canon(x) for x in elems}
     if len(classes) != order_h:
         raise ValueError("elements do not form a subgroup compatible with mu")
-    squares = {canon(x * x) for x in elems}
+    squares = {canon(tuple_product(x, x)) for x in elems}
     quotient, rem = divmod(order_h, len(squares))
     if rem or quotient & (quotient - 1):
         raise ValueError("image order divided by squares is not a power of two")

@@ -27,11 +27,15 @@ from edcalc import (
     rref,
     verify_certificate,
 )
+from edcalc.extraspecial import _Packing
 
+from clifford_reference import unit_product
 from helpers import (
     all_units,
     compare_greedy_brute,
     even_masks,
+    packed_product,
+    packed_unit_product,
     random_group_spec,
     word_inverse,
     word_product,
@@ -182,52 +186,74 @@ def test_c7_clifford_relation_suite() -> None:
                     s_ji, w_ji = word_product((j,), 1, (i,), 1)
                     assert w_ij == w_ji and s_ij == -s_ji
 
+        # the packed laws the verifier runs, and the object oracle the
+        # reference closure runs, each checked against the word oracle
         for dim in range(2, 6):
+            packing = _Packing((dim,))
             units = all_units(dim)
+            packed = {u: packing.pack(CliffordTuple((u,))) for u in units}
             # every product matches the oracle
             for a in units:
                 for b in units:
-                    prod = a * b
                     sign, word = word_product(a.indices, a.sign, b.indices, b.sign)
-                    assert prod.sign == sign and prod.indices == word
+                    for prod in (unit_product(a, b), packed_unit_product(a, b)):
+                        assert prod.sign == sign and prod.indices == word
             # index-pair elements square to -1
             for i, j in combinations(range(1, dim + 1), 2):
                 pair = CliffordUnit.from_indices(dim, (i, j))
-                assert pair * pair == CliffordUnit.scalar(dim, -1)
+                assert unit_product(pair, pair) == CliffordUnit.scalar(dim, -1)
+                assert packing.sign_pattern(packing.square(pair.mask)) == 1
             # two elements commute up to the parity of their overlap
             for a in units:
                 for b in units:
-                    ab, ba = a * b, b * a
+                    ab, ba = unit_product(a, b), unit_product(b, a)
                     assert ab.mask == ba.mask
                     assert ab.sign == ba.sign * (-1) ** (a.mask & b.mask).bit_count()
+                    commutator = packing.sign_pattern(packing.commutator(a.mask, b.mask))
+                    assert commutator == (a.mask & b.mask).bit_count() % 2
             # associativity over all triples
             for a in units:
                 for b in units:
-                    ab = a * b
+                    ab = unit_product(a, b)
+                    pab = packed_product(packing, packed[a], packed[b])
                     for c in units:
-                        assert ab * c == a * (b * c)
+                        assert unit_product(ab, c) == unit_product(a, unit_product(b, c))
+                        pc = packed[c]
+                        assert packed_product(packing, pab, pc) == packed_product(
+                            packing, packed[a], packed_product(packing, packed[b], pc)
+                        )
 
         # sampled versions of the same checks out to nine indices
         rng = Random(97)
         for dim in range(6, 10):
+            packing = _Packing((dim,))
             masks = even_masks(dim)
 
             def pick() -> CliffordUnit:
                 return CliffordUnit(dim, rng.choice(masks), rng.choice((1, -1)))
 
+            def pack(u: CliffordUnit) -> int:
+                return packing.pack(CliffordTuple((u,)))
+
             for _ in range(300):
                 a, b = pick(), pick()
-                prod = a * b
                 sign, word = word_product(a.indices, a.sign, b.indices, b.sign)
-                assert prod.sign == sign and prod.indices == word
+                for prod in (unit_product(a, b), packed_unit_product(a, b)):
+                    assert prod.sign == sign and prod.indices == word
                 a_inv, b_inv = word_inverse(a), word_inverse(b)
-                assert a * a_inv == CliffordUnit.identity(dim)
-                assert (a * b * a_inv * b_inv).sign == (
-                    -1 if (a.mask & b.mask).bit_count() % 2 else 1
-                )
+                assert unit_product(a, a_inv) == CliffordUnit.identity(dim)
+                assert packed_product(packing, pack(a), pack(a_inv)) == 0
+                overlap = (a.mask & b.mask).bit_count() % 2
+                commutator = unit_product(unit_product(unit_product(a, b), a_inv), b_inv)
+                assert commutator.sign == (-1 if overlap else 1)
+                assert packing.sign_pattern(packing.commutator(a.mask, b.mask)) == overlap
             for _ in range(150):
                 a, b, c = pick(), pick(), pick()
-                assert (a * b) * c == a * (b * c)
+                assert unit_product(unit_product(a, b), c) == unit_product(a, unit_product(b, c))
+                pa, pb, pc = pack(a), pack(b), pack(c)
+                assert packed_product(packing, packed_product(packing, pa, pb), pc) == (
+                    packed_product(packing, pa, packed_product(packing, pb, pc))
+                )
 
     _report("C7 (signed even products satisfy the defining relations)", body)
 

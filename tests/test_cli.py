@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,16 @@ def test_certify_closure_cap(capsys):
     assert code == 4
     assert out == ""
     assert err == "error: closure exceeds the cap of 100 elements\n"
+
+
+def test_certify_refuses_a_provably_large_closure_up_front(capsys):
+    # 401 generators: the order bound 2^402 is over the default cap of 2^24, so
+    # certify exits before the search instead of running for minutes
+    start = time.monotonic()
+    code, out, err = run(capsys, "certify", "builtin:diagonal:200:2")
+    assert time.monotonic() - start < 10
+    assert (code, out) == (4, "")
+    assert err == "error: closure exceeds the cap of 16777216 elements\n"
 
 
 def test_table(capsys):

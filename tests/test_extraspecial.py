@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import importlib.util
 import json
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -34,15 +35,33 @@ from edcalc import (
 )
 from edcalc.extraspecial import (
     DEFAULT_CLOSURE_CAP,
-    _commutator_sign_vector,
+    _order_bound_log2,
     _Packing,
     diagonal_certificate,
     pair_certificate,
     small_quadruple_certificate,
     small_triple_certificate,
 )
+from edcalc.gf2 import rref_bits
+from clifford_reference import (
+    commutator_sign_vector,
+    reference_centralizer_finite,
+    reference_pair_failure,
+    sign_vector,
+    tuple_product,
+    unit_product,
+    vector_image,
+)
 from closure_reference import reference_closure
-from helpers import all_units, even_masks, word_inverse, word_product
+from helpers import (
+    all_units,
+    even_masks,
+    packed_product,
+    packed_unit_product,
+    random_tuple,
+    word_inverse,
+    word_product,
+)
 from quotient_reference import reference_quotient_rank
 
 
@@ -50,10 +69,15 @@ def cu(dim, *indices, sign=1):
     return CliffordUnit.from_indices(dim, indices, sign)
 
 
+def products(a, b):
+    """The product by the object oracle and by the packed law; the tests check both."""
+    return unit_product(a, b), packed_unit_product(a, b)
+
+
 def test_unit_construction():
     u = cu(5, 1, 3)
     assert u.indices == (1, 3)
-    assert u.vector_image() == frozenset({1, 3})
+    assert vector_image(u) == frozenset({1, 3})
     assert str(u) == "c(1,3)"
     assert str(cu(5, 1, 3, sign=-1)) == "-c(1,3)"
     assert str(CliffordUnit.scalar(3, -1)) == "-1"
@@ -73,12 +97,13 @@ def test_unit_validation():
 
 def test_defining_relations():
     c12, c13 = cu(3, 1, 2), cu(3, 1, 3)
-    assert c12 * c12 == CliffordUnit.scalar(3, -1)
-    assert c12 * c13 == cu(3, 2, 3)
-    assert c13 * c12 == cu(3, 2, 3, sign=-1)
-    assert cu(5, 1, 2) * cu(5, 3, 4) == cu(5, 3, 4) * cu(5, 1, 2) == cu(5, 1, 2, 3, 4)
+    for mul in (unit_product, packed_unit_product):
+        assert mul(c12, c12) == CliffordUnit.scalar(3, -1)
+        assert mul(c12, c13) == cu(3, 2, 3)
+        assert mul(c13, c12) == cu(3, 2, 3, sign=-1)
+        assert mul(cu(5, 1, 2), cu(5, 3, 4)) == mul(cu(5, 3, 4), cu(5, 1, 2)) == cu(5, 1, 2, 3, 4)
     with pytest.raises(DimensionMismatchError):
-        cu(3, 1, 2) * cu(5, 1, 2)
+        unit_product(cu(3, 1, 2), cu(5, 1, 2))
 
 
 def test_multiply_matches_word_reduction_exhaustively():
@@ -87,53 +112,74 @@ def test_multiply_matches_word_reduction_exhaustively():
         for a in units:
             for b in units:
                 sign, word = word_product(a.indices, a.sign, b.indices, b.sign)
-                prod = a * b
-                assert prod.sign == sign and prod.indices == word
+                for prod in products(a, b):
+                    assert prod.sign == sign and prod.indices == word
 
 
 def test_square_law():
     for dim in range(2, 7):
+        packing = _Packing((dim,))
         for mask in even_masks(dim):
             u = CliffordUnit(dim, mask)
             k = mask.bit_count()
             expected = -1 if (k * (k + 1) // 2) % 2 else 1
-            assert u * u == CliffordUnit.scalar(dim, expected)
+            assert products(u, u) == (CliffordUnit.scalar(dim, expected),) * 2
+            assert packing.sign_pattern(packing.square(mask)) == (expected < 0)
 
 
 def test_commutation_law():
     for dim in range(2, 7):
+        packing = _Packing((dim,))
         for ma in even_masks(dim):
             for mb in even_masks(dim):
                 a, b = CliffordUnit(dim, ma), CliffordUnit(dim, mb)
-                assert (a * b == b * a) == ((ma & mb).bit_count() % 2 == 0)
+                odd = (ma & mb).bit_count() % 2
+                for ab, ba in zip(products(a, b), products(b, a)):
+                    assert (ab == ba) == (not odd)
+                assert packing.sign_pattern(packing.commutator(ma, mb)) == odd
 
 
 def test_associativity_exhaustive():
     units = all_units(4)
+    packing = _Packing((4,))
+    packed = {u: packing.pack(CliffordTuple((u,))) for u in units}
     for a in units:
         for b in units:
+            ab = unit_product(a, b)
+            pab = packed_product(packing, packed[a], packed[b])
             for c in units:
-                assert (a * b) * c == a * (b * c)
+                assert unit_product(ab, c) == unit_product(a, unit_product(b, c))
+                assert packed_product(packing, pab, packed[c]) == packed_product(
+                    packing, packed[a], packed_product(packing, packed[b], packed[c])
+                )
 
 
 def test_inverse():
     for dim in range(2, 7):
         for u in all_units(dim):
-            assert u * word_inverse(u) == CliffordUnit.identity(dim)
-            assert word_inverse(u) * u == CliffordUnit.identity(dim)
+            identity = CliffordUnit.identity(dim)
+            assert products(u, word_inverse(u)) == (identity, identity)
+            assert products(word_inverse(u), u) == (identity, identity)
 
 
 def test_tuple_arithmetic():
     t = CliffordTuple((cu(3, 1, 2), cu(5, 3, 4)))
     assert t.dims == (3, 5)
     assert not t.is_scalar()
-    s = t * t
+    packing = _Packing(t.dims)
+    pt = packing.pack(t)
+    s = tuple_product(t, t)
     assert s.is_scalar()
-    assert s.sign_vector().coords() == (1, 1)
+    assert sign_vector(s).coords() == (1, 1)
+    assert packing.unpack(packed_product(packing, pt, pt)) == s
+    assert packing.unpack(packing.square(pt >> packing.width)) == s
     t_inv = CliffordTuple(tuple(word_inverse(c) for c in t.components))
-    assert t * t_inv == t_inv * t == CliffordTuple.identity_like((3, 5))
+    identity = CliffordTuple.identity_like((3, 5))
+    assert tuple_product(t, t_inv) == tuple_product(t_inv, t) == identity
+    pt_inv = packing.pack(t_inv)
+    assert packed_product(packing, pt, pt_inv) == packed_product(packing, pt_inv, pt) == 0
     with pytest.raises(DimensionMismatchError):
-        t * CliffordTuple((cu(3, 1, 2), cu(7, 3, 4)))
+        tuple_product(t, CliffordTuple((cu(3, 1, 2), cu(7, 3, 4))))
     with pytest.raises(ValueError):
         CliffordTuple(())
 
@@ -172,19 +218,6 @@ def test_closure_cap():
         reference_closure(adjacent, order - 1)
 
 
-def random_even_mask(rng, dim):
-    mask = rng.getrandbits(dim)
-    if mask.bit_count() % 2:
-        mask ^= 1 << rng.randrange(dim)
-    return mask
-
-
-def random_tuple(rng, dims):
-    return CliffordTuple(
-        tuple(CliffordUnit(d, random_even_mask(rng, d), rng.choice((1, -1))) for d in dims)
-    )
-
-
 def tuple_inverse(t):
     return CliffordTuple(tuple(word_inverse(c) for c in t.components))
 
@@ -195,17 +228,19 @@ def test_packed_sign_laws_match_tuple_arithmetic(dims):
     # shifts must reach across the whole word, past 64 and 128 bits
     rng = Random(sum(dims))
     packing = _Packing(dims)
-    width, off, parity = packing.width, packing.off, packing.suffix_parity
+    width = packing.width
     assert width == sum(dims)
     for _ in range(200):
         a, b = random_tuple(rng, dims), random_tuple(rng, dims)
         pa, pb = packing.pack(a), packing.pack(b)
         assert packing.unpack(pa) == a
         ma, mb = pa >> width, pb >> width
-        assert packing.pack(a * b) == pa ^ pb ^ (parity(mb & parity(ma)) & off)
-        assert packing.pack(a * a) == parity(ma & parity(ma)) & off
-        commutator = a * b * tuple_inverse(a) * tuple_inverse(b)
-        assert packing.pack(commutator) == parity(ma & mb) & off
+        assert packing.pack(tuple_product(a, b)) == packed_product(packing, pa, pb)
+        assert packing.pack(tuple_product(a, a)) == packing.square(ma)
+        commutator = tuple_product(tuple_product(a, b), tuple_inverse(a))
+        commutator = tuple_product(commutator, tuple_inverse(b))
+        assert packing.pack(commutator) == packing.commutator(ma, mb)
+        assert packing.sign_pattern(packing.commutator(ma, mb)) == commutator_sign_vector(a, b).bits
 
 
 def test_quotient_rank_cyclic():
@@ -286,7 +321,7 @@ def test_closure_matches_reference_on_random_certificates():
         assert group == reference_closure(gens, DEFAULT_CLOSURE_CAP)
         sizes.add(len(group))
         widths.add(sum(dims))
-        non_abelian += any(a * b != b * a for a in gens for b in gens)
+        non_abelian += any(tuple_product(a, b) != tuple_product(b, a) for a in gens for b in gens)
     assert max(sizes) >= 256 and max(widths) > 128 and non_abelian >= 60
 
 
@@ -295,7 +330,7 @@ def test_quotient_rank_matches_reference_on_the_benchmark_certificates():
     for cert in benchmark_certificates():
         mu = cert.spec.mu_subspace()
         gens = cert.generators
-        if any(_commutator_sign_vector(a, b) not in mu for a in gens for b in gens):
+        if any(commutator_sign_vector(a, b) not in mu for a in gens for b in gens):
             non_abelian += 1
             with pytest.raises(NonAbelianQuotientError):
                 quotient_rank(closure(cert.generators), mu)
@@ -314,24 +349,107 @@ def test_quotient_rank_matches_reference_on_random_abelian_certificates():
         mu = rref([BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m))], m)
         gens: list[CliffordTuple] = []
         for _ in range(rng.randint(1, 6)):
-            g = CliffordTuple(
-                tuple(CliffordUnit(d, rng.choice(even_masks(d)), rng.choice((1, -1))) for d in dims)
-            )
-            if all(_commutator_sign_vector(g, h) in mu for h in gens):
+            g = random_tuple(rng, dims)
+            if all(commutator_sign_vector(g, h) in mu for h in gens):
                 gens.append(g)
         assert_quotient_rank_matches_reference(gens, mu)
 
 
 def test_centralizer_finite():
-    assert not centralizer_finite([], (3,))
-    assert not centralizer_finite([], (2,))
     t12 = CliffordTuple((cu(3, 1, 2),))
     t13 = CliffordTuple((cu(3, 1, 3),))
-    assert not centralizer_finite([t12], (3,))
-    assert centralizer_finite([t12, t13], (3,))
     # second factor untouched: infinite centralizer there
     pair = CliffordTuple((cu(3, 1, 2), CliffordUnit.identity(5)))
-    assert not centralizer_finite([pair], (3, 5))
+    cases = [
+        ([], (3,), False),
+        ([], (2,), False),
+        ([], (1,), True),
+        ([t12], (3,), False),
+        ([t12, t13], (3,), True),
+        ([pair], (3, 5), False),
+    ]
+    for tuples, dims, finite in cases:
+        assert centralizer_finite(tuples, dims) == finite
+        assert reference_centralizer_finite(tuples, dims) == finite
+    with pytest.raises(DimensionMismatchError):
+        centralizer_finite([t12], (5,))
+
+
+def assert_packed_checks_match_oracles(cert):
+    """Compare every packed check of one certificate with the object oracles.
+
+    The pair verdict and failure text of verify_certificate, the commutator of
+    each generator pair, and the mask centralizer; and the order bound that
+    refuses large closures never exceeds the closure's order.  Returns whether
+    the certificate is non-abelian modulo mu.
+    """
+    gens, dims = cert.generators, cert.generators[0].dims
+    packing = _Packing(dims)
+    packed = [packing.pack(g) for g in gens]
+    masks = [x >> packing.width for x in packed]
+    commutators = []
+    for (a, ma), (b, mb) in combinations(zip(gens, masks), 2):
+        commutators.append(packing.commutator(ma, mb))
+        assert packing.sign_pattern(commutators[-1]) == commutator_sign_vector(a, b).bits
+
+    failure = reference_pair_failure(cert)
+    finite = reference_centralizer_finite(gens, dims)
+    assert centralizer_finite(gens, dims) == finite
+    report = verify_certificate(cert)
+    assert report.abelian_in_quotient == (failure is None)
+    assert report.centralizer_finite == finite
+    if failure is not None:
+        assert report.failure_reason == failure
+
+    bound, order = 1 << _order_bound_log2(packed, packing, commutators), len(closure(gens))
+    assert bound <= order
+    # with independent nonzero masks, every scalar of the subgroup is a product of
+    # squares, commutators and generators with empty masks: the bound is exact
+    nonzero = [a for a in masks if a]
+    if len(rref_bits(nonzero)) == len(nonzero):
+        assert bound == order
+    return failure is not None
+
+
+def random_certificate(rng, filtered):
+    """Seeded random certificate with uneven ranks and a random reduced mu.
+
+    With filtered set, a generator is kept only while it commutes modulo mu
+    with those kept so far; otherwise most certificates are non-abelian.
+    """
+    m = rng.randint(1, 4)
+    # small ranks too, so that some centralizers are finite
+    n = tuple(rng.randint(1, rng.choice((2, 40))) for _ in range(m))
+    while True:
+        rows = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m - 1)))
+        spec = GroupSpecB(n, tuple(r for r in rows if r.bits))
+        mu = spec.mu_subspace()
+        if all(BitVec(m, 1 << i) not in mu for i in range(m)):
+            break
+    dims = tuple(2 * r + 1 for r in n)
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        g = random_tuple(rng, dims)
+        if not filtered or all(commutator_sign_vector(g, h) in mu for h in gens):
+            gens.append(g)
+    return Certificate(spec, tuple(gens))
+
+
+def test_packed_checks_match_object_oracles_on_the_benchmark_certificates():
+    certs = benchmark_certificates()
+    assert len(certs) == 42
+    assert sum(map(assert_packed_checks_match_oracles, certs)) == 5
+
+
+def test_packed_checks_match_object_oracles_on_random_certificates():
+    # uneven ranks, words wider than 64 and 128 bits, and non-abelian ones
+    rng = Random(1111)
+    widths, non_abelian = set(), 0
+    for k in range(180):
+        cert = random_certificate(rng, filtered=k % 3 == 0)
+        widths.add(sum(cert.generators[0].dims))
+        non_abelian += assert_packed_checks_match_oracles(cert)
+    assert non_abelian >= 60 and max(widths) > 128 and any(64 < w <= 128 for w in widths)
 
 
 def test_certificate_shape_validation():
@@ -376,7 +494,7 @@ def search_pair_23_extra(spec, base):
     )
     for mask in masks:
         candidate = CliffordTuple((CliffordUnit(5, mask), y))
-        if any(_commutator_sign_vector(candidate, g) not in spec.mu_subspace() for g in base):
+        if any(commutator_sign_vector(candidate, g) not in spec.mu_subspace() for g in base):
             continue
         if verify_certificate(Certificate(spec, base + (candidate,))).lower_bound == 5:
             return candidate
@@ -451,6 +569,26 @@ def test_verify_closure_cap():
     cert = diagonal_certificate(2, 3)
     with pytest.raises(EnumerationTooLargeError):
         verify_certificate(cert, closure_cap=16)
+    order = len(closure(cert.generators))
+    assert verify_certificate(cert, closure_cap=order).lower_bound == 6
+    with pytest.raises(EnumerationTooLargeError, match=f"the cap of {order - 1} elements"):
+        verify_certificate(cert, closure_cap=order - 1)
+
+
+def test_verify_refuses_a_provably_large_closure_before_the_search():
+    # 401 generators on 802-bit words: the search would multiply up to the cap's
+    # number of elements by every generator; the order bound is 2^402
+    cert = diagonal_certificate(200, 2)
+    message = f"closure exceeds the cap of {DEFAULT_CLOSURE_CAP} elements"
+    with pytest.raises(EnumerationTooLargeError, match=message):
+        verify_certificate(cert)
+    # the pair check still runs first, so a non-abelian verdict is unchanged
+    extra = CliffordTuple((cu(401, 1, 3), CliffordUnit.identity(401)))
+    report = verify_certificate(Certificate(cert.spec, cert.generators + (extra,)))
+    assert not report.abelian_in_quotient
+    assert report.failure_reason == reference_pair_failure(
+        Certificate(cert.spec, cert.generators + (extra,))
+    )
 
 
 def test_certificate_doc_round_trip():
@@ -502,9 +640,10 @@ def test_sampled_relations_large_dims():
             sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
             a, b = CliffordUnit(dim, ma, sa), CliffordUnit(dim, mb, sb)
             sign, word = word_product(a.indices, a.sign, b.indices, b.sign)
-            assert a * b == CliffordUnit.from_indices(dim, word, sign)
+            assert products(a, b) == (CliffordUnit.from_indices(dim, word, sign),) * 2
         for _ in range(100):
             a, b, c = (
                 CliffordUnit(dim, rng.choice(masks), rng.choice((1, -1))) for _ in range(3)
             )
-            assert (a * b) * c == a * (b * c)
+            for mul in (unit_product, packed_unit_product):
+                assert mul(mul(a, b), c) == mul(a, mul(b, c))
