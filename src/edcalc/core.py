@@ -29,7 +29,6 @@ from .gf2 import (
     annihilator,
     count_bases,
     enumerate_bases,
-    enumerate_elements,
     rref,
     rref_bits,
 )
@@ -152,52 +151,37 @@ def is_small_product(ranks: Sequence[int]) -> bool:
     return tuple(sorted(ranks)) in SMALL_PRODUCTS
 
 
-def _pattern_key_tables(n: Sequence[int]) -> list[tuple[int, list[int]]]:
-    """Per-chunk tables for the greedy sort key of a pattern, 8 coordinates per chunk.
+class _ChunkSum:
+    """Completion of more than PIVOT_CHUNK pivots: one table entry per chunk of s, summed."""
 
-    The key of a pattern is its weight exponent << m plus the pattern bit-reversed
-    (coordinate i at bit m-1-i), so integer order is weight order, then coordinate
-    tuple order.  Both parts add over disjoint coordinates, so the key is the sum
-    of one table entry per chunk, indexed by the chunk's bits.
-    """
-    m = len(n)
-    tables = []
-    for shift in range(0, m, 8):
-        table = [0]
-        for i in range(shift, min(shift + 8, m)):
-            w = n[i] << m | 1 << (m - 1 - i)
-            table += [x + w for x in table]
-        tables.append((shift, table))
-    return tables
+    __slots__ = ("tables",)
 
+    def __init__(self, tables: list[tuple[int, list[int]]]) -> None:
+        self.tables = tables
 
-def _enumerated_keys(dual: SubspaceF2, n: Sequence[int], dim_cap: int) -> Iterator[int]:
-    """Greedy keys of every nonzero pattern of the dual, ascending; refuses dim > dim_cap."""
-    elems = enumerate_elements(dual, dim_cap)
-    (_, low_table), *tables = _pattern_key_tables(n)
-    keys = [low_table[b & 0xFF] for b in elems]
-    for shift, table in tables:
-        keys = [key + table[b >> shift & 0xFF] for key, b in zip(keys, elems)]
-    # keys are distinct, so the heap pops them in sorted order; the greedy
-    # usually stops after a few dozen, well short of a full sort
-    heapify(keys)
-    return (heappop(keys) for _ in range(len(keys)))
+    def __getitem__(self, s: int) -> int:
+        mask = (1 << PIVOT_CHUNK) - 1
+        return sum(table[s >> c & mask] for c, table in self.tables)
 
 
 def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
     """Greedy keys of the nonzero patterns orthogonal to mu_rows, ascending, found lazily.
 
-    Factors are sorted so that their key increments rise strictly: rank
-    ascending, then index descending.  Keys add over disjoint sets of factors.
-    A set's syndrome is the XOR of its factors' columns of the mu rows, and its
-    pattern lies in the dual iff the syndrome is 0.  The factors split in two:
+    The key of a pattern is its weight exponent << m plus the pattern bit-reversed
+    (coordinate i at bit m-1-i), so integer order is weight order, then coordinate
+    tuple order.  Factors are sorted so that their key increments rise strictly:
+    rank ascending, then index descending.  Keys add over disjoint sets of
+    factors.  A set's syndrome is the XOR of its factors' columns of the mu rows,
+    and its pattern lies in the dual iff the syndrome is 0.  The factors split in
+    two:
 
     - The light part holds the pivots, the first d = dim mu sorted positions
       with independent columns, and the LIGHT_EXTRA lightest other positions.
       Once mu is reduced on the pivots, pivot j's column is 1 << j, so the set
-      of pivots with syndrome s is s itself and `completion[s]` is its key.
-      Each syndrome is then reached by 2^LIGHT_EXTRA light sets, one per set
-      of extra positions.
+      of pivots with syndrome s is s itself.  Its key is the sum of one entry
+      per PIVOT_CHUNK pivots, each table indexed by that chunk of s.  Each
+      syndrome is then reached by 2^LIGHT_EXTRA light sets, one per set of
+      extra positions.
     - The heavy part, the other k - LIGHT_EXTRA positions, is walked in key
       order.  Every nonempty set of heavy positions is reached once from {0}
       by two moves on its highest position p, add p+1 or replace p by p+1, and
@@ -223,10 +207,16 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
     rest = [p for p in range(m) if p not in pivots]
     extra, heavy = rest[:LIGHT_EXTRA], rest[LIGHT_EXTRA:]
     shift = 6 + d
-    # the set of pivots with syndrome s has key completion[s], in entry units
-    completion = [0]
-    for p in pivots:
-        completion += [x + (inc[p] << shift) for x in completion]
+    # table c holds the keys, in entry units, of the sets of pivots c..c+PIVOT_CHUNK-1;
+    # trivial mu has one table, for the empty set
+    tables = []
+    for c in range(0, max(d, 1), PIVOT_CHUNK):
+        table = [0]
+        for p in pivots[c : c + PIVOT_CHUNK]:
+            table += [x + (inc[p] << shift) for x in table]
+        tables.append((c, table))
+    # completion[s] is the key of the set of pivots with syndrome s
+    completion = tables[0][1] if len(tables) == 1 else _ChunkSum(tables)
     # (key in entry units, syndrome) of each set of extra positions
     extras = [(0, 0)]
     for p in extra:
@@ -269,20 +259,22 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
 
 
 # The light part of the split walk is the d pivots and this many more factors.
-# Measured with CPython 3.11 on a 2-vCPU VM, greedy time per call on the twenty
-# base specs of the benchmark's compute-large pool (ranks 7..12), walk against
-# listing the dual: (k, d) = (13, 3..7) 0.2-0.8 ms against 2.1-3.1 ms, (14, 10) 2.1
-# against 7.3 ms, (16, 4) 0.6 against 28 ms, (14, 0) 0.1 against 4.0 ms; the
-# walk peaks under 0.25 MB of allocations where listing reaches 2-8 MB.  With
-# 0, 1 or 3 extra factors instead of 2, those twenty specs took 19-27%, 5-12%
-# and 11-19% longer in all.  The walk runs while the light part is smaller than
-# the dual, d + LIGHT_EXTRA < k; near that line the two cost the same, (11, 10)
-# 0.82 against 0.85 ms and (10, 8) 0.37 against 0.41 ms.  On tiny duals, k =
-# 3..6, the walk's set-up costs 7-18 us more than listing their 7-63 patterns.
+# Measured with CPython 3.11 on a 2-vCPU VM, greedy time summed over the twenty
+# base specs of the benchmark's compute-large pool (ranks 7..12, k = 11..16, d =
+# 0..10): with 0 or 1 extra factors instead of 2 they took 13-17% and 2-5%
+# longer, with 3 from 6% less to 3% more.  Each extra factor doubles the
+# patterns pushed per heavy set, and 3 raised the peak allocation of ranks 7..12,
+# (m, d) = (40, 20) and (44, 22), from 6.8 and 13.4 MB to 9.0 and 18.1 MB.
 # Very uneven ranks, n = (1,) * 19 + (20,), make the greedy take 2^19 of the
-# 2^20 - 1 patterns; even then the walk took 1.1-1.5 s against 1.8-2.4 s for
-# listing, so it needs no visit budget and no fallback to listing.
+# 2^20 - 1 patterns; even then the walk took 1.6 s, so it needs no visit budget.
 LIGHT_EXTRA = 2
+
+# Pivots per completion table.  Up to this many pivots, which covers every
+# compute-large spec, a syndrome's completion is one list lookup; past it each
+# pushed pattern sums one entry per table.  With 8, (k, d) = (14, 10) took 4.8
+# instead of 1.7 ms per greedy call; with 16, a table costs 2^16 entries of
+# set-up per call, and (12, 20) took 18 instead of 7 ms.
+PIVOT_CHUNK = 12
 
 
 def greedy_min_basis(
@@ -290,17 +282,16 @@ def greedy_min_basis(
 ) -> tuple[tuple[BitVec, ...], int]:
     """Minimal-total-weight basis of the dual of mu by matroid greedy.
 
-    Ties are broken by coordinate tuple.  Refuses a dual of dimension above
-    dim_cap on either path.
+    Ties are broken by coordinate tuple.  Refuses a dual of dimension above dim_cap.
     """
-    m, d = mu.m, mu.dim
-    k = m - d
+    m, k = mu.m, mu.m - mu.dim
     if len(n) != m:
         raise DimensionMismatchError("rank list does not match the ambient dimension")
-    # the walk's light part has d pivots and LIGHT_EXTRA more factors
-    if k <= dim_cap and d + LIGHT_EXTRA < k:
-        return _greedy(_split_walk_keys(n, [v.bits for v in mu.basis]), m, k)
-    return _greedy(_enumerated_keys(annihilator(mu), n, dim_cap), m, k)
+    if k > dim_cap:
+        raise EnumerationTooLargeError(
+            f"subspace of dimension {k} has {2 ** k - 1} nonzero elements, cap is 2^{dim_cap}"
+        )
+    return _greedy(_split_walk_keys(n, [v.bits for v in mu.basis]), m, k)
 
 
 def _greedy(keys: Iterator[int], m: int, k: int) -> tuple[tuple[BitVec, ...], int]:
@@ -485,20 +476,23 @@ KNOWN_CASE_ROWS = _known_case_rows()
 BUILTIN_CERTIFICATE_ROWS = _builtin_certificate_rows()
 
 
-def _mu_kinds(spec: GroupSpecB, mu: SubspaceF2) -> tuple[str, ...]:
+def _mu_kinds(mu: SubspaceF2) -> tuple[str, ...]:
     """Which of the diagonal and the maximal central subgroups mu equals."""
     kinds = ()
-    if mu.dim == 1 and mu.basis[0].bits == (1 << spec.m) - 1:
+    if mu.dim == 1 and mu.basis[0].bits == (1 << mu.m) - 1:
         kinds += ("diagonal",)
     # an (m-1)-dimensional space of even patterns is all of them
-    if mu.dim == spec.m - 1 and all(v.weight() % 2 == 0 for v in mu.basis):
+    if mu.dim == mu.m - 1 and all(v.weight() % 2 == 0 for v in mu.basis):
         kinds += ("maximal",)
     return kinds
 
 
-def known_cases(spec: GroupSpecB) -> KnownCase | None:
-    """Strongest applicable entry of the built-in case ledger; exact entries win."""
-    ranks = tuple(sorted(spec.n))
+def known_cases(mu: SubspaceF2, n: Sequence[int]) -> KnownCase | None:
+    """Strongest entry of the built-in case ledger for ranks n modulo mu; exact entries win.
+
+    mu is the reduced subspace that `validate` returns.
+    """
+    ranks = tuple(sorted(n))
     kinds: tuple[str, ...] | None = None
     best: KnownCase | None = None
     for fam in LEDGER:
@@ -506,7 +500,7 @@ def known_cases(spec: GroupSpecB) -> KnownCase | None:
         if value is None:
             continue
         if kinds is None:
-            kinds = _mu_kinds(spec, spec.mu_subspace())
+            kinds = _mu_kinds(mu)
         if fam.mu not in kinds:
             continue
         case = KnownCase(fam.kind, value, fam.tag, fam.describe(ranks, value))
@@ -594,7 +588,7 @@ def compute_ed(
     try:
         basis, total = greedy_min_basis(mu, spec.n, dim_cap)
     except EnumerationTooLargeError:
-        # too large to enumerate: the ledger alone decides
+        # the dual is over the dim cap: the ledger alone decides
         capped = True
         basis, total, lower = (), 0, 0
         warnings.append(WARN_ELEMENT_CAP)
@@ -652,7 +646,7 @@ def compute_ed(
             )
         )
 
-    case = known_cases(spec)
+    case = known_cases(mu, spec.n)
     if case is not None and case.kind == "exact":
         if case.value < lower:
             raise RuntimeError("known exact value contradicts the weight-formula lower bound")

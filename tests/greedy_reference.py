@@ -3,6 +3,8 @@
 Kept as a test oracle: `greedy_min_basis` must return the same basis, in the
 same order, and the same total as `reference_greedy_min_basis` on every dual
 subspace.  Elements are `BitVec`s sorted on (weight exponent, coordinate tuple).
+`reference_greedy_keys` lists the int key of every pattern of the dual in
+sorted order: the key stream the greedy read before it walked sets of factors.
 """
 
 from __future__ import annotations
@@ -60,3 +62,18 @@ def reference_greedy_min_basis(
         chosen.append(v)
         total += 1 << weight_exponent(v, n)
     return tuple(chosen), total
+
+
+def reference_greedy_keys(
+    dual: SubspaceF2, n: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
+) -> list[int]:
+    """Greedy keys of every nonzero pattern of the dual, ascending.
+
+    A key is the weight exponent << m plus the pattern bit-reversed (coordinate
+    i at bit m-1-i), so integer order is (weight exponent, coordinate tuple).
+    """
+    m = dual.m
+    return sorted(
+        weight_exponent(v, n) << m | sum(1 << (m - 1 - i) for i in v.support())
+        for v in reference_enumerate_elements(dual, dim_cap)
+    )

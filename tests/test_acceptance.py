@@ -25,6 +25,7 @@ from edcalc import (
     known_cases,
     maximal_mu,
     rref,
+    validate,
     verify_certificate,
 )
 from edcalc.extraspecial import _Packing
@@ -115,7 +116,8 @@ def test_c4_builtin_certificate_table() -> None:
         # table value is also pinned independently by the known-case rules
         report_23 = verify_certificate(builtin_certificate("pair:2:3"))
         assert any("search" in note for note in report_23.notes)
-        case = known_cases(GroupSpecB.from_mu_rows((2, 3), [[1, 1]]))
+        spec = GroupSpecB.from_mu_rows((2, 3), [[1, 1]])
+        case = known_cases(validate(spec), spec.n)
         assert case is not None and case.kind == "lower" and case.value == 5
 
     _report("C4 (builtin certificates prove 4,4,5,7,5 and 3,4,5,5)", body)

@@ -111,6 +111,17 @@ def test_compute_validation_errors(tmp_path, capsys):
     assert code == 3
 
 
+def test_more_than_64_factors_is_a_validation_error(tmp_path, capsys):
+    path = write_doc(tmp_path, "wide.json", {"type": "B", "n": [7] * 65})
+    code, out, err = run(capsys, "compute", path)
+    assert code == 3 and out == ""
+    assert err == f"error: {path}: at most 64 factors are supported\n"
+    # 64 factors pass validation; trivial mu leaves a dual over the element cap
+    path = write_doc(tmp_path, "widest.json", {"type": "B", "n": [7] * 64})
+    code, out, _ = run(capsys, "compute", path)
+    assert code == 4 and "warning: element-cap-exceeded" in out
+
+
 def test_compute_capped_exact_and_partial(tmp_path, capsys):
     path = write_doc(
         tmp_path, "big.json", {"type": "B", "n": [1] * 30, "mu_generators": [[1] * 30]}

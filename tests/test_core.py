@@ -203,25 +203,29 @@ def test_theorem_hypothesis_matches_dual_subspace_definition():
 
 
 def test_known_cases_matching():
-    assert known_cases(mk([1, 1, 1], [[1, 1, 1]])).value == 4
-    assert known_cases(mk([1, 1, 1], [[1, 1, 1]])).kind == "exact"
+    def ledger(n, mu_rows=()):
+        spec = mk(n, mu_rows)
+        return known_cases(validate(spec), spec.n)
+
+    assert ledger([1, 1, 1], [[1, 1, 1]]).value == 4
+    assert ledger([1, 1, 1], [[1, 1, 1]]).kind == "exact"
     # redundant generators and permuted ranks still match
-    kc = known_cases(mk([2, 1], [[1, 1], [1, 1]]))
+    kc = ledger([2, 1], [[1, 1], [1, 1]])
     assert kc.kind == "exact" and kc.value == 4
-    kc = known_cases(mk([2, 2], [[1, 1]]))
+    kc = ledger([2, 2], [[1, 1]])
     assert kc.kind == "lower" and kc.value == 5 and kc.tag == "equal-rank-diagonal"
-    kc = known_cases(mk([1, 4], [[1, 1]]))
+    kc = ledger([1, 4], [[1, 1]])
     assert kc.kind == "lower" and kc.value == 5
-    kc = known_cases(mk([1, 5], [[1, 1]]))
+    kc = ledger([1, 5], [[1, 1]])
     assert kc.value == 7
-    kc = known_cases(mk([3, 2], [[1, 1]]))
+    kc = ledger([3, 2], [[1, 1]])
     assert kc.value == 5
-    kc = known_cases(mk([1, 1, 2], [[1, 1, 0], [0, 1, 1]]))
+    kc = ledger([1, 1, 2], [[1, 1, 0], [0, 1, 1]])
     assert kc.kind == "lower" and kc.value == 4 and kc.tag == "small-maximal-quotient"
-    kc = known_cases(mk([1, 1, 1, 1], [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]))
+    kc = ledger([1, 1, 1, 1], [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
     assert kc.value == 5
-    assert known_cases(GroupSpecB((7,))) is None
-    assert known_cases(mk([1, 1, 2], [[1, 1, 1]])) is None  # diagonal, not maximal
+    assert ledger([7]) is None
+    assert ledger([1, 1, 2], [[1, 1, 1]]) is None  # diagonal, not maximal
 
 
 def test_compute_ed_exact_mixed():

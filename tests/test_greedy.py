@@ -1,17 +1,16 @@
 """The int-key greedy against the (weight exponent, coordinate tuple) greedy it replaced.
 
 Both must pick the same basis vectors in the same order and report the same
-total, ties included.  The greedy reads its keys either from a full enumeration
-of the dual or from the split walk over sets of factors; each source is also
-run on its own, whichever of the two `greedy_min_basis` would pick, and the
-walk must give out exactly the keys of the enumeration, in the same order.
+total, ties included.  The greedy reads its keys from the split walk over sets
+of factors, which must give out exactly the keys of a sorted listing of the
+whole dual (`reference_greedy_keys`), in the same order, whatever the
+dimensions of mu and of its dual.
 """
 
 from __future__ import annotations
 
 import tracemalloc
 from collections import Counter
-from itertools import islice
 from random import Random
 
 import pytest
@@ -19,17 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edcalc.core
-from edcalc import BitVec, GroupSpecB, compute_ed, greedy_min_basis
-from edcalc.core import (
-    LIGHT_EXTRA,
-    _enumerated_keys,
-    _greedy,
-    _split_walk_keys,
-    weight_exponent,
-)
+import edcalc.gf2
+from edcalc import BitVec, EnumerationTooLargeError, GroupSpecB, compute_ed, greedy_min_basis
+from edcalc.core import PIVOT_CHUNK, _greedy, _split_walk_keys, weight_exponent
 from edcalc.gf2 import enumerate_elements, rref
 
-from greedy_reference import reference_enumerate_elements, reference_greedy_min_basis
+from greedy_reference import (
+    reference_enumerate_elements,
+    reference_greedy_keys,
+    reference_greedy_min_basis,
+)
 from helpers import random_group_spec
 
 
@@ -41,23 +39,14 @@ def assert_same_greedy(spec: GroupSpecB) -> None:
     assert total == ref_total, spec
 
 
-def walk_takes_the_spec(spec: GroupSpecB) -> bool:
-    """The rule in greedy_min_basis: the light part is smaller than the dual."""
-    k = spec.dual_subspace().dim
-    return spec.m - k + LIGHT_EXTRA < k
-
-
-def assert_both_paths_match(spec: GroupSpecB) -> None:
+def assert_walk_matches_listing(spec: GroupSpecB) -> None:
+    """The walk gives out every key of the listing, in order, and the greedy over it agrees."""
     mu, dual = spec.mu_subspace(), spec.dual_subspace()
+    keys = list(_split_walk_keys(spec.n, [v.bits for v in mu.basis]))
+    assert keys == reference_greedy_keys(dual, spec.n), spec
+    basis, total = _greedy(iter(keys), spec.m, dual.dim)
     ref_basis, ref_total = reference_greedy_min_basis(dual, spec.n)
-    expected = ([v.bits for v in ref_basis], ref_total)
-    mu_rows = [v.bits for v in mu.basis]
-    enumerated_keys = list(_enumerated_keys(dual, spec.n, dual.dim))
-    assert list(_split_walk_keys(spec.n, mu_rows)) == enumerated_keys, spec
-    walked = _greedy(_split_walk_keys(spec.n, mu_rows), spec.m, dual.dim)
-    enumerated = _greedy(iter(enumerated_keys), spec.m, dual.dim)
-    for basis, total in (walked, enumerated):
-        assert ([v.bits for v in basis], total) == expected, spec
+    assert ([v.bits for v in basis], total) == ([v.bits for v in ref_basis], ref_total), spec
 
 
 def spec_with_dims(rng: Random, n: tuple[int, ...], mu_dim: int) -> GroupSpecB:
@@ -120,33 +109,55 @@ def test_matches_reference_on_tie_heavy_specs(spec):
     assert_same_greedy(spec)
 
 
-def test_both_paths_match_reference_across_the_crossover():
-    # k - d from -3 to 12, so each margin is run by both paths whatever the rule
-    # picks; the walk is chosen from k - d = LIGHT_EXTRA + 1 up
+def test_walk_matches_listing_across_margins():
+    # k - d from -3 to 12: a dual smaller than mu, as large, and much larger;
+    # from margin 1 up, one spec of each margin has trivial mu (d = 0)
     rng = Random(31)
     for margin in range(-3, 13):
-        for _ in range(6):
+        for i in range(7):
             # k = d + margin >= 1, on at most 14 factors
-            d = rng.randint(max(0, 1 - margin), (14 - margin) // 2)
+            d = 0 if i == 0 and margin > 0 else rng.randint(max(0, 1 - margin), (14 - margin) // 2)
             k = d + margin
             ranks = rng.choice([range(1, 4), range(7, 13), range(1, 13), [5]])
             n = tuple(rng.choice(ranks) for _ in range(k + d))
             spec = spec_with_dims(rng, n, d)
             assert spec.dual_subspace().dim == k
-            assert walk_takes_the_spec(spec) == (margin > LIGHT_EXTRA)
-            assert_both_paths_match(spec)
+            assert_walk_matches_listing(spec)
 
 
-def test_both_paths_match_reference_on_equal_rank_specs():
+def test_walk_with_several_chunk_tables():
+    # d above PIVOT_CHUNK: a syndrome's completion sums one entry per table,
+    # up to four tables at d = 40
+    rng = Random(47)
+    for d in (PIVOT_CHUNK + 1, 2 * PIVOT_CHUNK, 2 * PIVOT_CHUNK + 1, 30, 40):
+        for k in (1, 2, 5, 9):
+            ranks = rng.choice([range(1, 4), range(7, 13), range(1, 13)])
+            spec = spec_with_dims(rng, tuple(rng.choice(ranks) for _ in range(k + d)), d)
+            assert spec.mu_subspace().dim == d > PIVOT_CHUNK
+            assert_walk_matches_listing(spec)
+
+
+def test_walk_on_64_factors_with_a_wide_mu():
+    # m = 64 and d up to 63: six tables, the last one short, and a dual of
+    # dimension 12 down to 1
+    rng = Random(6463)
+    for d in (52, 55, 58, 61, 62, 63):
+        n = tuple(rng.choice([1, 2, 7, 8, 12]) for _ in range(64))
+        spec = spec_with_dims(rng, n, d)
+        assert spec.dual_subspace().dim == 64 - d
+        assert_walk_matches_listing(spec)
+
+
+def test_walk_matches_listing_on_equal_rank_specs():
     # every pattern of one support size ties on weight: only the tie-break orders
     # them, in the walk's heaps as in the enumeration
     rng = Random(37)
     for m in range(1, 13):
         for d in range(0, min(m, 6)):
-            assert_both_paths_match(spec_with_dims(rng, (rng.randint(1, 12),) * m, d))
+            assert_walk_matches_listing(spec_with_dims(rng, (rng.randint(1, 12),) * m, d))
 
 
-# wide duals over small mu: the shapes the walk is chosen for
+# wide duals over small mu
 walk_specs = st.integers(min_value=1, max_value=12).flatmap(
     lambda m: st.tuples(
         st.lists(st.sampled_from([1, 2, 7]), min_size=m, max_size=m)
@@ -159,8 +170,8 @@ walk_specs = st.integers(min_value=1, max_value=12).flatmap(
 # no deadline: the reference lists all 2^12 patterns of the widest examples
 @settings(max_examples=200, deadline=None)
 @given(tie_heavy_specs | walk_specs)
-def test_both_paths_match_reference_on_tie_heavy_specs(spec):
-    assert_both_paths_match(spec)
+def test_walk_matches_listing_on_tie_heavy_specs(spec):
+    assert_walk_matches_listing(spec)
 
 
 def columns(spec: GroupSpecB) -> list[int]:
@@ -178,7 +189,7 @@ def test_walk_with_zero_syndrome_columns():
         gens = [BitVec(12, rng.getrandbits(8) << 4) for _ in range(3)]
         spec = GroupSpecB(n, tuple(gens))
         assert columns(spec)[:4] == [0] * 4
-        assert_both_paths_match(spec)
+        assert_walk_matches_listing(spec)
 
 
 def test_walk_skips_dependent_light_columns():
@@ -191,20 +202,19 @@ def test_walk_skips_dependent_light_columns():
         spec = GroupSpecB(n, tuple(BitVec(12, r) for r in rows))
         cols = columns(spec)
         assert cols[0] == cols[1] == cols[2] != 0
-        assert_both_paths_match(spec)
+        assert_walk_matches_listing(spec)
 
 
 def test_walk_at_its_smallest_margin():
-    # k = d + LIGHT_EXTRA + 1: the light part has k - 1 factors, the heavy part one
-    # more than the extras, and the rule still picks the walk; d = 0 is trivial
-    # mu, with no pivots at all
+    # k = 1 and 2 leave the heavy part empty, so every pattern comes from the
+    # extras; k = 3 gives it one position.  d runs from 0, trivial mu with no
+    # pivots at all, to 20, two tables, so k - d goes down to -19
     rng = Random(53)
-    for d in range(0, 6):
-        k = d + LIGHT_EXTRA + 1
-        spec = spec_with_dims(rng, tuple(rng.randint(1, 12) for _ in range(k + d)), d)
-        assert spec.dual_subspace().dim == k
-        assert walk_takes_the_spec(spec)
-        assert_both_paths_match(spec)
+    for d in (0, 1, 5, 12, 13, 20):
+        for k in (1, 2, 3):
+            spec = spec_with_dims(rng, tuple(rng.randint(1, 12) for _ in range(k + d)), d)
+            assert spec.dual_subspace().dim == k
+            assert_walk_matches_listing(spec)
 
 
 def test_walk_reaches_position_63():
@@ -250,26 +260,39 @@ def test_walk_on_uneven_ranks_needs_no_fallback():
     walk = _split_walk_keys(spec.n, [v.bits for v in mu.basis])
     _greedy((taken.append(key) or key for key in walk), spec.m, 11)
     assert 1 << 9 < len(taken) <= 1 << 10
-    assert taken == list(islice(_enumerated_keys(dual, spec.n, 11), len(taken)))
+    assert taken == reference_greedy_keys(dual, spec.n)[: len(taken)]
     assert_same_greedy(spec)
 
 
 @pytest.mark.parametrize("k, d", [(14, 10), (13, 7), (16, 4)])
 def test_compute_large_shapes_never_enumerate(monkeypatch, k, d):
-    # shapes of the benchmark's compute-large pool, ranks 7..12
+    # shapes of the benchmark's compute-large pool, ranks 7..12: the greedy
+    # walks, and an exact answer needs no basis search either
     rng = Random(100 * k + d)
     spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(k + d)), d)
     dual = spec.dual_subspace()
     assert dual.dim == k
-    expected = _greedy(_enumerated_keys(dual, spec.n, k), spec.m, k)
+    expected = reference_greedy_min_basis(dual, spec.n)
 
     def refuse(*args):
         raise AssertionError("compute_ed enumerated the dual")
 
-    monkeypatch.setattr(edcalc.core, "enumerate_elements", refuse)
+    assert not hasattr(edcalc.core, "enumerate_elements")
+    monkeypatch.setattr(edcalc.gf2, "enumerate_elements", refuse)
     result = compute_ed(spec)
     assert (result.minimal_basis, result.basis_total_weight) == expected
     assert result.status == "exact"
+
+
+def test_refuses_a_dual_above_the_dim_cap():
+    # the cap is on the dimension of the dual, whatever the shape of mu
+    rng = Random(17)
+    for k, d in ((14, 10), (10, 14), (5, 0)):
+        spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(k + d)), d)
+        mu = spec.mu_subspace()
+        with pytest.raises(EnumerationTooLargeError, match=f"dimension {k} .* cap is 2\\^{k - 1}$"):
+            greedy_min_basis(mu, spec.n, dim_cap=k - 1)
+        assert greedy_min_basis(mu, spec.n, dim_cap=k) == greedy_min_basis(mu, spec.n)
 
 
 def test_compute_large_shape_reduces_mu_twice_and_builds_no_dual(monkeypatch):
@@ -311,6 +334,23 @@ def test_walk_memory_on_a_wide_mu():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_walk_memory_on_a_dual_as_large_as_mu():
+    # (m, d) = (40, 20), ranks 7..12: listing the 2^20 - 1 patterns of the dual
+    # peaked at 134 MB and gave this total; the walk peaks near 7 MB
+    rng = Random(4020)
+    spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(40)), 20)
+    mu = spec.mu_subspace()
+    assert mu.dim == 20
+    tracemalloc.start()
+    try:
+        _, total = greedy_min_basis(mu, spec.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 2186011230328619794432
+    assert peak < 16_000_000
 
 
 def test_only_the_chosen_vectors_become_bitvecs(monkeypatch):

@@ -39,7 +39,7 @@ def test_registry_matches_reference_rules_on_grid():
     matched = 0
     for spec in specs:
         expected = reference_known_cases(spec)
-        assert known_cases(spec) == expected, spec
+        assert known_cases(spec.mu_subspace(), spec.n) == expected, spec
         matched += expected is not None
     assert matched > 50
 
@@ -48,13 +48,14 @@ def test_registry_matches_reference_rules_on_random_mu():
     matched = 0
     for spec in random_specs(3000, seed=31337):
         expected = reference_known_cases(spec)
-        assert known_cases(spec) == expected, spec
+        assert known_cases(spec.mu_subspace(), spec.n) == expected, spec
         matched += expected is not None
     assert matched > 40
 
 
 def test_registry_reaches_every_tag():
-    tags = {case.tag for spec in grid_specs() if (case := known_cases(spec)) is not None}
+    cases = (known_cases(spec.mu_subspace(), spec.n) for spec in grid_specs())
+    tags = {case.tag for case in cases if case is not None}
     assert tags == {fam.tag for fam in LEDGER}
 
 
@@ -98,5 +99,5 @@ def test_declared_lower_bound_is_certificate_rank(key, value):
     report = verify_certificate(cert)
     assert report.rank == report.lower_bound == value
     # the certificate is for a spec the family itself matches
-    case = known_cases(cert.spec)
+    case = known_cases(cert.spec.mu_subspace(), cert.spec.n)
     assert case is not None and case.value >= value
