@@ -15,6 +15,7 @@ bounds, strengthened by a ledger of known small cases.
 
 from __future__ import annotations
 
+from functools import cache
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -66,13 +67,14 @@ class GroupSpecB(_Record):
     n: tuple[int, ...]
     mu_gens: tuple[BitVec, ...]
 
-    def __init__(self, n: tuple[int, ...], mu_gens: tuple[BitVec, ...] = ()) -> None:
-        self._fill(n, mu_gens)
-        if any(not isinstance(r, int) or r < 1 for r in n):
+    def __init__(self, n: Sequence[int], mu_gens: Sequence[BitVec] = ()) -> None:
+        self._fill(tuple(n), tuple(mu_gens))
+        n = self.n
+        if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in n):
             raise ValueError("factor ranks must be integers >= 1")
         if len(n) > 64:
             raise ValueError("at most 64 factors are supported")
-        if any(v.m != self.m for v in mu_gens):
+        if any(v.m != self.m for v in self.mu_gens):
             raise DimensionMismatchError("mu generators must have one coordinate per factor")
 
     @classmethod
@@ -149,6 +151,55 @@ def is_small_product(ranks: Sequence[int]) -> bool:
     exactness claims require every minimal-basis vector to avoid this list.
     """
     return tuple(sorted(ranks)) in SMALL_PRODUCTS
+
+
+@cache
+def _small_limits(products: frozenset[tuple[int, ...]]) -> tuple[int, int]:
+    """The largest rank and the most factors of any entry of a small-product list."""
+    return max(map(max, products)), max(map(len, products))
+
+
+def _positions(bits: int) -> Iterator[int]:
+    """0-based positions of the set bits of an int pattern, ascending."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+class PatternWeights(dict):
+    """Weight of each int pattern (coordinate i at bit i) over ranks n, or None when
+    the pattern's rank multiset is a small factor product.
+
+    A pattern is classified and weighed on its first lookup and kept, so a search
+    over many bases of one dual pays once per pattern.  `is_small` rejects a
+    pattern that touches a factor ranked above every entry of SMALL_PRODUCTS, or
+    that has more factors than its longest entry, before it asks
+    `is_small_product`; both limits are read off the list.
+    """
+
+    __slots__ = ("n", "heavy", "max_factors")
+
+    def __init__(self, n: Sequence[int]) -> None:
+        super().__init__()
+        max_rank, self.max_factors = _small_limits(SMALL_PRODUCTS)
+        self.n = n
+        heavy = 0
+        for i, r in enumerate(n):
+            if r > max_rank:
+                heavy |= 1 << i
+        self.heavy = heavy
+
+    def is_small(self, bits: int) -> bool:
+        """Whether the rank multiset of the pattern's support is on SMALL_PRODUCTS."""
+        if bits & self.heavy or bits.bit_count() > self.max_factors:
+            return False
+        return is_small_product([self.n[i] for i in _positions(bits)])
+
+    def __missing__(self, bits: int) -> int | None:
+        weight = None if self.is_small(bits) else 1 << sum(self.n[i] for i in _positions(bits))
+        self[bits] = weight
+        return weight
 
 
 class _ChunkSum:
@@ -543,14 +594,21 @@ class EdResult(_Record):
         status: str,
         lower: int,
         upper: int | None,
-        minimal_basis: tuple[BitVec, ...],
+        minimal_basis: Sequence[BitVec],
         basis_total_weight: int,
         group_dim: int,
-        trace: tuple[TraceEntry, ...],
-        warnings: tuple[str, ...] = (),
+        trace: Sequence[TraceEntry],
+        warnings: Sequence[str] = (),
     ) -> None:
         self._fill(
-            status, lower, upper, minimal_basis, basis_total_weight, group_dim, trace, warnings
+            status,
+            lower,
+            upper,
+            tuple(minimal_basis),
+            basis_total_weight,
+            group_dim,
+            tuple(trace),
+            tuple(warnings),
         )
         if status not in (STATUS_EXACT, STATUS_BOUNDS):
             raise ValueError(f"unknown status {status!r}")
@@ -625,7 +683,8 @@ def compute_ed(
             )
         )
 
-        small = [v for v in basis if is_small_product(support_ranks(v, spec.n))]
+        weights = PatternWeights(spec.n)
+        small = [v for v in basis if weights.is_small(v.bits)]
         if not small:
             trace.append(
                 TraceEntry(
@@ -675,10 +734,11 @@ def compute_ed(
         best: int | None = None
         candidates = 0
         for b in enumerate_bases(annihilator(mu), basis_cap):
-            if any(is_small_product(support_ranks(v, spec.n)) for v in b):
+            ws = [weights[v.bits] for v in b]
+            if None in ws:
                 continue
             candidates += 1
-            t = sum(1 << weight_exponent(v, spec.n) for v in b)
+            t = sum(ws)
             if best is None or t < best:
                 best = t
         if best is not None:

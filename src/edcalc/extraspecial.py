@@ -62,7 +62,8 @@ class CliffordUnit(_Record):
         _setattr(self, "sign", sign)
         if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        if sign not in (1, -1):
+        # type(sign) is int rejects bools and floats: True in (1, -1) holds
+        if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
         if mask < 0 or mask >> dim:
             raise ValueError("index outside the ambient dimension")
@@ -108,9 +109,9 @@ class CliffordTuple(_Record):
     components: tuple[CliffordUnit, ...]
 
     # written out, not inherited: the public closure builds one per element
-    def __init__(self, components: tuple[CliffordUnit, ...]) -> None:
-        _setattr(self, "components", components)
-        if not components:
+    def __init__(self, components: Sequence[CliffordUnit]) -> None:
+        _setattr(self, "components", tuple(components))
+        if not self.components:
             raise ValueError("a tuple needs at least one component")
 
     @classmethod
@@ -356,13 +357,13 @@ class Certificate(_Record):
     note: str
 
     def __init__(
-        self, spec: GroupSpecB, generators: tuple[CliffordTuple, ...], note: str = ""
+        self, spec: GroupSpecB, generators: Sequence[CliffordTuple], note: str = ""
     ) -> None:
-        self._fill(spec, generators, note)
-        if not generators:
+        self._fill(spec, tuple(generators), note)
+        if not self.generators:
             raise ValueError("a certificate needs at least one generator")
         dims = tuple(2 * r + 1 for r in spec.n)
-        if any(g.dims != dims for g in generators):
+        if any(g.dims != dims for g in self.generators):
             raise DimensionMismatchError("generator shape does not match the spec factors")
 
 
@@ -392,7 +393,7 @@ class CertReport(_Record):
         centralizer_finite: bool,
         lower_bound: int | None,
         failure_reason: str | None = None,
-        notes: tuple[str, ...] = (),
+        notes: Sequence[str] = (),
     ) -> None:
         self._fill(
             abelian_in_quotient,
@@ -401,7 +402,7 @@ class CertReport(_Record):
             centralizer_finite,
             lower_bound,
             failure_reason,
-            notes,
+            tuple(notes),
         )
 
 

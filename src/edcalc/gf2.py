@@ -147,10 +147,10 @@ class SubspaceF2(_Record):
     m: int
     basis: tuple[BitVec, ...]
 
-    def __init__(self, m: int, basis: tuple[BitVec, ...]) -> None:
-        self._fill(m, basis)
-        rows = [v.bits for v in basis]
-        if any(v.m != m for v in basis):
+    def __init__(self, m: int, basis: Iterable[BitVec]) -> None:
+        self._fill(m, tuple(basis))
+        rows = [v.bits for v in self.basis]
+        if any(v.m != m for v in self.basis):
             raise DimensionMismatchError("basis vectors outside the ambient space")
         if rows != rref_bits(rows):
             raise ValueError("basis is not in reduced row echelon form")

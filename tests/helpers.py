@@ -20,7 +20,7 @@ from edcalc import (
     greedy_min_basis,
     rref,
 )
-from edcalc.core import weight_exponent
+from edcalc.core import is_small_product, support_ranks, weight_exponent
 from edcalc.extraspecial import _Packing
 from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
 
@@ -114,6 +114,37 @@ def brute_min_basis(
             best, best_key = basis, key
     assert best is not None and best_key is not None
     return tuple(sorted(best, key=lambda v: v.coords())), best_key[0]
+
+
+def brute_bounds(
+    dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_BASIS_CAP
+) -> tuple[int, int | None, int]:
+    """Exhaustive oracles of the greedy and of the upper-bound search, in one pass.
+
+    Returns the least total weight over all bases, the least over the bases with
+    no small factor product (None when there is none), and how many such bases
+    there are.  Each vector is classified through its BitVec support.
+    """
+    classes: dict[BitVec, tuple[int, bool]] = {}
+    least: int | None = None
+    best: int | None = None
+    candidates = 0
+    for basis in enumerate_bases(dual, cap):
+        total, small = 0, False
+        for v in basis:
+            if v not in classes:
+                classes[v] = (1 << weight_exponent(v, n), is_small_product(support_ranks(v, n)))
+            weight, is_small = classes[v]
+            total += weight
+            small = small or is_small
+        if least is None or total < least:
+            least = total
+        if not small:
+            candidates += 1
+            if best is None or total < best:
+                best = total
+    assert least is not None
+    return least, best, candidates
 
 
 def random_group_spec(

@@ -1,0 +1,100 @@
+"""Answer-quality survey: a fixed set of specs and what `compute_ed` answers on each.
+
+The set is the sorted rank tuples with m = 2..5 factors of ranks 1..4, under
+diagonal and under maximal mu; the single factors of ranks 1..13; and five
+structured specs with m = 64.  `tests/test_survey.py` recomputes every answer
+and compares it with `tests/data/survey.json`.  After a deliberate change to
+an answer, rewrite the file and review its diff:
+
+    PYTHONPATH=src python tests/survey.py
+
+This also prints the summary counts of the README's "Answer quality" section.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+from itertools import combinations_with_replacement
+from pathlib import Path
+from typing import Iterator
+
+from edcalc import STATUS_EXACT, BitVec, EdResult, GroupSpecB, compute_ed, diagonal_mu, maximal_mu
+
+SURVEY_FILE = Path(__file__).resolve().parent / "data" / "survey.json"
+
+# ranks 7..12 repeated over 64 factors
+CYCLE = tuple(7 + i % 6 for i in range(64))
+
+
+def blocks_mu(m: int, size: int) -> tuple[BitVec, ...]:
+    """The sign flip of each block of `size` consecutive factors."""
+    block = (1 << size) - 1
+    return tuple(BitVec(m, block << i) for i in range(0, m, size))
+
+
+def survey_specs() -> Iterator[tuple[str, str, GroupSpecB]]:
+    """(group, label, spec) for every spec of the survey, in a fixed order."""
+    for kind, mu_of in (("diagonal", diagonal_mu), ("maximal", maximal_mu)):
+        for m in range(2, 6):
+            for n in combinations_with_replacement(range(1, 5), m):
+                label = f"{kind} {','.join(map(str, n))}"
+                yield kind, label, GroupSpecB(n, mu_of(m).basis)
+    for r in range(1, 14):
+        yield "single", f"single {r}", GroupSpecB((r,))
+    yield "m64", "m64 diagonal cycle7-12", GroupSpecB(CYCLE, diagonal_mu(64).basis)
+    for size in (8, 4, 2):
+        label = f"m64 blocks-{64 // size}x{size} cycle7-12"
+        yield "m64", label, GroupSpecB(CYCLE, blocks_mu(64, size))
+    yield "m64", "m64 diagonal 7x64", GroupSpecB((7,) * 64, diagonal_mu(64).basis)
+
+
+def answer(result: EdResult) -> dict:
+    """The pinned part of a report: status, bounds and warnings."""
+    return {
+        "status": result.status,
+        "lower": result.lower,
+        "upper": result.upper,
+        "warnings": list(result.warnings),
+    }
+
+
+def survey() -> dict[str, dict]:
+    """Label -> answer for every spec, computed by the current code."""
+    return {label: answer(compute_ed(spec)) for _, label, spec in survey_specs()}
+
+
+def load() -> dict[str, dict]:
+    return json.loads(SURVEY_FILE.read_text())
+
+
+def dumps(answers: dict[str, dict]) -> str:
+    """One spec per line, so that a changed answer is a one-line diff."""
+    lines = [f"  {json.dumps(label)}: {json.dumps(a)}" for label, a in answers.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def summary(answers: dict[str, dict]) -> dict[str, Counter]:
+    """Per group: exact and bounds-only specs, lower = 0, no upper bound, capped."""
+    groups = {label: group for group, label, _ in survey_specs()}
+    counts: dict[str, Counter] = {}
+    for label, a in answers.items():
+        c = counts.setdefault(groups[label], Counter())
+        c["exact" if a["status"] == STATUS_EXACT else "bounds-only"] += 1
+        c["lower = 0"] += a["lower"] == 0
+        c["no upper"] += a["upper"] is None
+        c["capped"] += bool(a["warnings"])
+    return counts
+
+
+def main() -> None:
+    answers = survey()
+    SURVEY_FILE.write_text(dumps(answers))
+    print(f"wrote {len(answers)} answers to {SURVEY_FILE}")
+    for group, c in summary(answers).items():
+        print(f"{group}: " + ", ".join(f"{c[key]} {key}" for key in
+              ("exact", "bounds-only", "lower = 0", "no upper", "capped")))
+
+
+if __name__ == "__main__":
+    main()

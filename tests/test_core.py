@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+import edcalc.core
 from edcalc import (
     STATUS_BOUNDS,
     STATUS_EXACT,
@@ -29,6 +30,7 @@ from edcalc import (
 )
 from edcalc.core import (
     WARN_ELEMENT_CAP,
+    PatternWeights,
     support_ranks,
     theorem_hypothesis_holds,
     weight_exponent,
@@ -140,6 +142,78 @@ def test_small_products():
 
 def test_support_ranks():
     assert support_ranks(BitVec.from_coords([1, 0, 1, 1]), (5, 1, 2, 2)) == (2, 2, 5)
+
+
+def oracle_weight(bits, n):
+    """The pattern's weight by the BitVec helpers, or None for a small factor product."""
+    v = BitVec(len(n), bits)
+    return None if is_small_product(support_ranks(v, n)) else 1 << weight_exponent(v, n)
+
+
+def sample_patterns(rng, n):
+    """Supports of 1 to 6 factors, weighted to the small ranks, and some dense patterns."""
+    m = len(n)
+    low = [i for i in range(m) if n[i] <= 7] or list(range(m))
+    for _ in range(40):
+        size = rng.randint(1, min(6, m))
+        pool = low if rng.random() < 0.8 and len(low) >= size else range(m)
+        yield sum(1 << i for i in rng.sample(pool, size))
+    for _ in range(5):
+        yield rng.getrandbits(m) or 1
+
+
+def assert_weights_match_oracle(n, patterns):
+    weights = PatternWeights(n)
+    for bits in patterns:
+        expected = oracle_weight(bits, n)
+        assert weights.is_small(bits) == (expected is None), (n, bits)
+        assert weights[bits] == expected, (n, bits)
+        assert weights[bits] == expected  # a second lookup reads the stored answer
+    assert set(weights) == set(patterns)
+
+
+def test_pattern_weights_match_the_bitvec_oracle():
+    rng = Random(1313)
+    small = 0
+    for _ in range(300):
+        m = rng.randint(1, 64)
+        n = tuple(rng.randint(1, 12) for _ in range(m))
+        patterns = list(sample_patterns(rng, n))
+        assert_weights_match_oracle(n, patterns)
+        small += sum(oracle_weight(bits, n) is None for bits in patterns)
+    assert small > 500
+
+
+def test_pattern_weights_at_the_rank_and_size_limits():
+    # ranks 6 and 7 sit on either side of the largest listed rank; (1, 1, 1, 1)
+    # is the longest entry, so 4 factors can be small and 5 cannot
+    n = (6, 7, 1, 1, 1, 1, 1, 2, 3, 5)
+    m = len(n)
+    assert_weights_match_oracle(n, range(1, 1 << m))
+    weights = PatternWeights(n)
+    assert weights.is_small(0b1) and not weights.is_small(0b10)
+    assert weights.is_small(0b1000000100) and not weights.is_small(0b110)  # (1, 5) and (1, 7)
+    assert weights.is_small(0b0000111100) and not weights.is_small(0b0001111100)
+    assert not weights.is_small(0b0110001100)  # (1, 1, 2, 3) passes the rejects, but is not listed
+    assert weights[0b11] == 1 << 13 and weights[0b100] is None
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[(7,)], [(1, 7)], [(1, 1, 1, 1, 1)], [(2, 2, 2, 2, 2, 2)], [(6, 12), (1, 1, 1, 1, 1, 1)]],
+    ids=["rank7", "pair-1-7", "five-ones", "six-twos", "wide"],
+)
+def test_pattern_weights_follow_an_extended_list(monkeypatch, extra):
+    # both rejects read their limits off SMALL_PRODUCTS: entries past today's
+    # largest rank and longest entry must still be found
+    monkeypatch.setattr(edcalc.core, "SMALL_PRODUCTS", edcalc.core.SMALL_PRODUCTS | set(extra))
+    rng = Random(7)
+    for ranks in extra:
+        n = ranks + tuple(rng.randint(1, 12) for _ in range(8))
+        weights = PatternWeights(n)
+        assert weights.is_small((1 << len(ranks)) - 1), ranks
+        assert weights[(1 << len(ranks)) - 1] is None
+        assert_weights_match_oracle(n, range(1, 1 << len(n)))
 
 
 def test_greedy_on_full_space_picks_units():

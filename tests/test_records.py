@@ -143,6 +143,10 @@ def test_fields_cannot_be_set_or_deleted(name):
         lambda: EdResult("guess", 4, 4, (), 0, 0, ()),
         lambda: Certificate(GroupSpecB((1,)), ()),
         lambda: Certificate(GroupSpecB((2,)), (CliffordTuple((CliffordUnit(3, 3),)),)),
+        # bools and floats, which the spec and certificate documents reject too
+        lambda: GroupSpecB((True, 2)),
+        lambda: CliffordUnit(3, 3, True),
+        lambda: CliffordUnit(3, 3, -1.0),
     ],
 )
 def test_constructor_checks_still_reject(build):
@@ -181,3 +185,53 @@ def test_copies_are_equal_records(name, clone):
     assert twin == record and hash(twin) == hash(record)
     with pytest.raises(AttributeError):
         setattr(twin, type(twin).__slots__[0], 0)
+
+
+# each pair builds one record from lists and from tuples
+LIST_BUILT = {
+    "SubspaceF2": (
+        lambda: SubspaceF2(3, [BitVec(3, 1), BitVec(3, 6)]),
+        lambda: SubspaceF2(3, (BitVec(3, 1), BitVec(3, 6))),
+    ),
+    "GroupSpecB": (
+        lambda: GroupSpecB([1, 2], [BitVec(2, 3)]),
+        lambda: GroupSpecB((1, 2), (BitVec(2, 3),)),
+    ),
+    "EdResult": (
+        lambda: EdResult("bounds-only", 0, None, [BitVec(2, 1)], 4, 13, [], ["w"]),
+        lambda: EdResult("bounds-only", 0, None, (BitVec(2, 1),), 4, 13, (), ("w",)),
+    ),
+    "CliffordTuple": (
+        lambda: CliffordTuple([CliffordUnit(3, 3), CliffordUnit(3, 3)]),
+        lambda: CliffordTuple((CliffordUnit(3, 3), CliffordUnit(3, 3))),
+    ),
+    "Certificate": (
+        lambda: Certificate(
+            GroupSpecB([1, 1], [BitVec(2, 3)]), [CliffordTuple([CliffordUnit(3, 3)] * 2)]
+        ),
+        lambda: Certificate(
+            GroupSpecB((1, 1), (BitVec(2, 3),)), (CliffordTuple((CliffordUnit(3, 3),) * 2),)
+        ),
+    ),
+    "CertReport": (
+        lambda: CertReport(True, 8, 3, True, 3, None, ["a note"]),
+        lambda: CertReport(True, 8, 3, True, 3, None, ("a note",)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(LIST_BUILT))
+def test_sequence_fields_are_stored_as_tuples(name):
+    from_lists, from_tuples = (build() for build in LIST_BUILT[name])
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    for value in fields(from_lists):
+        assert not isinstance(value, list)
+    assert repr(from_lists) == repr(from_tuples)
+
+
+def test_sequence_fields_accept_generators():
+    assert GroupSpecB(r for r in (1, 2)).n == (1, 2)
+    assert CliffordTuple(CliffordUnit(3, 3) for _ in range(2)).dims == (3, 3)
+    with pytest.raises(ValueError):
+        CliffordTuple(c for c in ())

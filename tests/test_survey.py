@@ -1,0 +1,85 @@
+"""The answer-quality survey, pinned in tests/data/survey.json, and its guard rails."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from edcalc import builtin_certificate, compute_ed, verify_certificate
+from edcalc.core import group_dim
+
+from helpers import brute_bounds
+from survey import answer, load, summary, survey_specs
+
+# the certify benchmark's built-in keys: every pair, small3 and small4 key, and
+# the diagonal keys up to image order 2^10
+CERT_KEYS = (
+    "diagonal:1:2", "diagonal:1:3", "diagonal:1:5", "diagonal:1:7",
+    "diagonal:2:2", "diagonal:2:3", "diagonal:2:5",
+    "diagonal:3:2", "diagonal:3:3", "diagonal:3:4",
+    "diagonal:4:2", "diagonal:4:3",
+    "pair:1:2", "pair:1:3", "pair:1:4", "pair:1:5", "pair:2:3",
+    "small3:1", "small3:2", "small3:3", "small4",
+)  # fmt: skip
+
+
+@pytest.fixture(scope="module")
+def reports():
+    """Label -> (spec, report) for every survey spec."""
+    return {label: (spec, compute_ed(spec)) for _, label, spec in survey_specs()}
+
+
+def test_answers_equal_the_pinned_file(reports):
+    pinned = load()
+    got = {label: answer(result) for label, (_, result) in reports.items()}
+    assert list(got) == list(pinned)
+    changed = {label: (pinned[label], a) for label, a in got.items() if a != pinned[label]}
+    assert not changed, "regenerate with tests/survey.py if intended: " + repr(changed)
+
+
+def test_counts_equal_the_baseline(reports):
+    answers = {label: answer(result) for label, (_, result) in reports.items()}
+    counts = summary(answers)
+    diagonal, maximal, single, m64 = (counts[g] for g in ("diagonal", "maximal", "single", "m64"))
+    assert (diagonal["exact"], diagonal["bounds-only"], diagonal["lower = 0"]) == (28, 93, 62)
+    zero = [a for label, a in answers.items() if label.startswith("diagonal") and a["lower"] == 0]
+    assert sum(a["upper"] is not None for a in zero) == 41
+    assert (maximal["exact"], maximal["bounds-only"], maximal["lower = 0"]) == (114, 7, 0)
+    # Spin(3)..Spin(13) report 0 <= ed with no upper bound; Spin(15) on are exact
+    assert (single["bounds-only"], single["lower = 0"], single["no upper"]) == (6, 6, 6)
+    assert (m64["bounds-only"], m64["capped"]) == (5, 5)
+    assert answers["m64 diagonal 7x64"]["lower"] == 77
+
+
+def test_lower_never_exceeds_upper(reports):
+    for label, (_, result) in reports.items():
+        assert result.upper is None or result.lower <= result.upper, label
+
+
+@pytest.mark.parametrize("key", CERT_KEYS)
+def test_builtin_certificate_rank_is_within_the_upper_bound(key):
+    # a certificate above the computed upper bound means one of the two is wrong
+    cert = builtin_certificate(key)
+    report = verify_certificate(cert)
+    assert report.lower_bound == report.rank
+    upper = compute_ed(cert.spec).upper
+    assert upper is None or report.rank <= upper, (key, report.rank, upper)
+
+
+def test_small_duals_match_the_exhaustive_oracles(reports):
+    searched = 0
+    for label, (spec, result) in reports.items():
+        dual = spec.dual_subspace()
+        if dual.dim > 4:
+            continue
+        least, best, candidates = brute_bounds(dual, spec.n)
+        assert result.basis_total_weight == least, label
+        search = [t.citation for t in result.trace if t.rule == "upper-bound-search"]
+        if not search:
+            continue
+        searched += 1
+        assert result.upper == (None if best is None else best - group_dim(spec.n)), label
+        count = re.match(r"best of (\d+) bases", search[0])
+        assert (int(count.group(1)) if count else 0) == candidates, label
+    assert searched > 50
