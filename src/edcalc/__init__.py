@@ -1,112 +1,80 @@
-"""Exact essential-dimension calculator for quotients of products of odd spin groups."""
+"""Exact essential-dimension calculator for quotients of products of odd spin groups.
 
-from .core import (
-    STATUS_BOUNDS,
-    STATUS_EXACT,
-    EdResult,
-    EmptySpecError,
-    GroupSpecB,
-    KnownCase,
-    NotReducedError,
-    SpecFormatError,
-    TraceEntry,
-    compute_ed,
-    diagonal_mu,
-    greedy_min_basis,
-    group_dim,
-    is_small_product,
-    known_cases,
-    maximal_mu,
-    spec_from_doc,
-    spec_to_doc,
-    validate,
-)
-from .gf2 import (
-    BitVec,
-    DimensionMismatchError,
-    EnumerationTooLargeError,
-    SubspaceF2,
-    annihilator,
-    count_bases,
-    enumerate_bases,
-    enumerate_elements,
-    rref,
-)
+Importing the package loads none of its modules.  Each public name is resolved
+on first access from the module that defines it, so a command, or a caller
+that needs only the ledger, never loads the rest.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitVec",
-    "Certificate",
-    "CertReport",
-    "CliffordTuple",
-    "CliffordUnit",
-    "DimensionMismatchError",
-    "EdResult",
-    "EmptySpecError",
-    "EnumerationTooLargeError",
-    "GroupSpecB",
-    "KnownCase",
-    "NonAbelianQuotientError",
-    "NotReducedError",
-    "SpecFormatError",
-    "STATUS_BOUNDS",
-    "STATUS_EXACT",
-    "SubspaceF2",
-    "TraceEntry",
-    "annihilator",
-    "builtin_certificate",
-    "centralizer_finite",
-    "certificate_from_doc",
-    "certificate_to_doc",
-    "closure",
-    "compute_ed",
-    "count_bases",
-    "diagonal_mu",
-    "enumerate_bases",
-    "enumerate_elements",
-    "greedy_min_basis",
-    "group_dim",
-    "is_small_product",
-    "known_cases",
-    "maximal_mu",
-    "quotient_rank",
-    "rref",
-    "spec_from_doc",
-    "spec_to_doc",
-    "validate",
-    "verify_certificate",
-]
+# the public names, by the module that defines them
+_EXPORTS = {
+    "gf2": (
+        "BitVec",
+        "DimensionMismatchError",
+        "EnumerationTooLargeError",
+        "SubspaceF2",
+        "annihilator",
+        "count_bases",
+        "enumerate_bases",
+        "enumerate_elements",
+        "rref",
+    ),
+    "spec": (
+        "EmptySpecError",
+        "GroupSpecB",
+        "NotReducedError",
+        "SpecFormatError",
+        "diagonal_mu",
+        "maximal_mu",
+        "spec_from_doc",
+        "spec_to_doc",
+        "validate",
+    ),
+    "ledger": ("KnownCase", "is_small_product", "known_cases"),
+    "core": (
+        "STATUS_BOUNDS",
+        "STATUS_EXACT",
+        "EdResult",
+        "TraceEntry",
+        "compute_ed",
+        "greedy_min_basis",
+        "group_dim",
+    ),
+    "extraspecial": (
+        "Certificate",
+        "CertReport",
+        "CliffordTuple",
+        "CliffordUnit",
+        "NonAbelianQuotientError",
+        "builtin_certificate",
+        "centralizer_finite",
+        "certificate_from_doc",
+        "certificate_to_doc",
+        "closure",
+        "quotient_rank",
+        "verify_certificate",
+    ),
+}
 
-# names of the certificate layer, resolved on first access so that importing the
-# package, and the compute, table and batch commands, never load that module
-_CERTIFICATE_NAMES = (
-    "Certificate",
-    "CertReport",
-    "CliffordTuple",
-    "CliffordUnit",
-    "NonAbelianQuotientError",
-    "builtin_certificate",
-    "centralizer_finite",
-    "certificate_from_doc",
-    "certificate_to_doc",
-    "closure",
-    "quotient_rank",
-    "verify_certificate",
-)
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str) -> object:
-    if name not in _CERTIFICATE_NAMES:
+    module_name = _MODULE_OF.get(name)
+    if module_name is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import extraspecial
-
-    # bind every name at once: later lookups, and tools that patch the
-    # package namespace, then see plain module attributes
-    for lazy in _CERTIFICATE_NAMES:
-        globals()[lazy] = getattr(extraspecial, lazy)
+    module = _import_module(f".{module_name}", __name__)
+    # bind every name of the module at once: later lookups, and tools that
+    # patch the package namespace, then see plain module attributes
+    for lazy in _EXPORTS[module_name]:
+        globals()[lazy] = getattr(module, lazy)
     return globals()[name]
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_CERTIFICATE_NAMES))
+    return sorted(set(globals()) | set(__all__))

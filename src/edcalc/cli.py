@@ -1,30 +1,26 @@
-"""Command-line interface: compute, certify, table, batch."""
+"""Command-line interface: compute, certify, table, batch.
+
+Each handler imports the modules its command runs, so `table` loads only the
+ledger and `certify` never loads the essential-dimension search.  A plainly
+spelt command line is read by `read_argv`; anything else, help and every usage
+error included, goes to the argparse parser, which is imported only then.  Both
+read one declared table: COMMANDS, FORMATS and CAPS.
+"""
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
-from .core import (
-    BUILTIN_CERTIFICATE_ROWS,
-    DEFAULT_BASIS_CAP,
-    KNOWN_CASE_ROWS,
-    SMALL_PRODUCTS,
-    STATUS_EXACT,
-    EdResult,
-    EmptySpecError,
-    NotReducedError,
-    SpecFormatError,
-    compute_ed,
-    spec_from_doc,
-)
-from .gf2 import DEFAULT_DIM_CAP, EnumerationTooLargeError
+from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
 
 if TYPE_CHECKING:
+    import argparse
+    from pathlib import Path
+
+    from .core import EdResult
     from .extraspecial import CertReport
 
 EXIT_OK = 0
@@ -36,9 +32,100 @@ EXIT_PIPE = 141  # the shell's code for a process killed by SIGPIPE, 128 + 13
 
 DEFAULT_ENUM_CAP = 1 << DEFAULT_DIM_CAP
 
+DESCRIPTION = (
+    "Exact essential-dimension calculator for quotients of products"
+    " of odd spin groups, with certificate verification."
+)
+
+# output flags, mutually exclusive, that every command takes
+FORMATS = {"--json": "emit a JSON report", "--text": "emit a text report (default)"}
+
+# cap option: (default, help)
+CAPS = {
+    "--basis-cap": (
+        DEFAULT_BASIS_CAP,
+        "largest basis count searched exhaustively (default %(default)s)",
+    ),
+    "--enum-cap": (
+        DEFAULT_ENUM_CAP,
+        "largest element enumeration, for subspaces and closures (default 2^24)",
+    ),
+}
+
+# command: (help, the caps it takes, its positional argument and that argument's help)
+COMMANDS = {
+    "compute": (
+        "compute the essential dimension",
+        ("--basis-cap", "--enum-cap"),
+        ("spec", "path to a spec JSON document"),
+    ),
+    "certify": (
+        "verify a lower-bound certificate",
+        ("--enum-cap",),
+        (
+            "certificate",
+            "path to a certificate JSON document, or builtin:<key>"
+            " (for example builtin:diagonal:2:3, builtin:pair:1:5, builtin:small3:2,"
+            " builtin:small4)",
+        ),
+    ),
+    "table": ("print the built-in case tables", (), None),
+    "batch": (
+        "compute every spec in a directory",
+        ("--basis-cap", "--enum-cap"),
+        ("directory", "directory of spec JSON documents"),
+    ),
+}
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def read_argv(argv: Sequence[str]) -> dict | None:
+    """The arguments of a plainly spelt command line, as the argparse parser reads them.
+
+    Reads exact option names, `--cap N` or `--cap=N` with N at most 18 plain
+    ASCII digits and at least 1, and one positional argument that does not
+    start with '-'.  Returns None for anything else (help, abbreviations, '--',
+    other spellings of a number, every error): argparse handles those.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    command = argv[0]
+    _, caps, positional = COMMANDS[command]
+    args: dict = {"command": command}
+    args.update((_dest(flag), False) for flag in FORMATS)
+    args.update((_dest(cap), CAPS[cap][0]) for cap in caps)
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in FORMATS:
+            args[_dest(arg)] = True
+        elif not arg.startswith("-"):
+            if positional is None or positional[0] in args:
+                return None
+            args[positional[0]] = arg
+        else:
+            option, eq, value = arg.partition("=")
+            if option not in caps:
+                return None
+            if not eq:
+                value = next(rest, "")
+            # 18 digits stay below int()'s limit on the length of a decimal string
+            if not (value.isascii() and value.isdigit() and len(value) <= 18) or int(value) < 1:
+                return None
+            args[_dest(option)] = int(value)
+    if args["json"] and args["text"]:
+        return None
+    if positional is not None and positional[0] not in args:
+        return None
+    return args
+
 
 def cap_value(text: str) -> int:
     """argparse type of --basis-cap and --enum-cap: an integer >= 1."""
+    import argparse
+
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -46,57 +133,31 @@ def cap_value(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="edcalc",
-        description="Exact essential-dimension calculator for quotients of products"
-        " of odd spin groups, with certificate verification.",
-    )
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="edcalc", description=DESCRIPTION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    group = fmt.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="emit a JSON report")
-    group.add_argument("--text", action="store_true", help="emit a text report (default)")
-
-    basis_cap = argparse.ArgumentParser(add_help=False)
-    basis_cap.add_argument(
-        "--basis-cap",
-        type=cap_value,
-        default=DEFAULT_BASIS_CAP,
-        help="largest basis count searched exhaustively (default %(default)s)",
-    )
-    enum_cap = argparse.ArgumentParser(add_help=False)
-    enum_cap.add_argument(
-        "--enum-cap",
-        type=cap_value,
-        default=DEFAULT_ENUM_CAP,
-        help="largest element enumeration, for subspaces and closures (default 2^24)",
-    )
-
-    p = sub.add_parser(
-        "compute", parents=[fmt, basis_cap, enum_cap], help="compute the essential dimension"
-    )
-    p.add_argument("spec", help="path to a spec JSON document")
-
-    p = sub.add_parser("certify", parents=[fmt, enum_cap], help="verify a lower-bound certificate")
-    p.add_argument(
-        "certificate",
-        help="path to a certificate JSON document, or builtin:<key>"
-        " (for example builtin:diagonal:2:3, builtin:pair:1:5, builtin:small3:2,"
-        " builtin:small4)",
-    )
-
-    sub.add_parser("table", parents=[fmt], help="print the built-in case tables")
-
-    p = sub.add_parser(
-        "batch", parents=[fmt, basis_cap, enum_cap], help="compute every spec in a directory"
-    )
-    p.add_argument("directory", help="directory of spec JSON documents")
+    for command, (help_text, caps, positional) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        group = p.add_mutually_exclusive_group()
+        for flag, flag_help in FORMATS.items():
+            group.add_argument(flag, action="store_true", help=flag_help)
+        for cap in caps:
+            default, cap_help = CAPS[cap]
+            p.add_argument(cap, type=cap_value, default=default, help=cap_help)
+        if positional is not None:
+            name, name_help = positional
+            p.add_argument(name, help=name_help)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    parsed = read_argv(argv)
+    if parsed is None:
+        parsed = vars(build_parser().parse_args(argv))
+    args = SimpleNamespace(**parsed)
     handlers = {
         "compute": cmd_compute,
         "certify": cmd_certify,
@@ -112,7 +173,19 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PIPE
 
 
+def __getattr__(name: str) -> object:
+    # the ledger's tables, read here by older callers; importing cli loads no ledger
+    if name in ("SMALL_PRODUCTS", "KNOWN_CASE_ROWS", "BUILTIN_CERTIFICATE_ROWS"):
+        from . import ledger
+
+        return getattr(ledger, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _read_json(path: str | Path) -> object:
+    """The document in a JSON file; raises OSError, or ValueError when it is not UTF-8 JSON."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -121,9 +194,13 @@ def _dim_cap(enum_cap: int) -> int:
     return enum_cap.bit_length() - 1
 
 
-def _emit(args: argparse.Namespace, doc: dict, text: str) -> None:
+def _emit(args: SimpleNamespace, doc: dict, text: str) -> None:
+    if args.json:
+        import json
+
+        text = json.dumps(doc, indent=2)
     # flush here, so that a closed pipe shows up while main can still catch it
-    print(json.dumps(doc, indent=2) if args.json else text, flush=True)
+    print(text, flush=True)
 
 
 def result_to_doc(result: EdResult) -> dict:
@@ -141,6 +218,8 @@ def result_to_doc(result: EdResult) -> dict:
 
 
 def render_result_text(result: EdResult) -> str:
+    from .core import STATUS_EXACT
+
     if result.status == STATUS_EXACT:
         rule = next(
             t.rule
@@ -170,9 +249,12 @@ def render_result_text(result: EdResult) -> str:
 def _try_compute(
     path: str | Path, basis_cap: int, enum_cap: int
 ) -> tuple[int, EdResult | None, str | None]:
+    from .core import STATUS_EXACT, compute_ed
+    from .spec import EmptySpecError, NotReducedError, SpecFormatError, spec_from_doc
+
     try:
         doc = _read_json(path)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return EXIT_PARSE, None, f"cannot parse {path}: {exc}"
     try:
         spec = spec_from_doc(doc)
@@ -188,7 +270,7 @@ def _try_compute(
     return (EXIT_CAP if partial else EXIT_OK), result, None
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
+def cmd_compute(args: SimpleNamespace) -> int:
     code, result, error = _try_compute(args.spec, args.basis_cap, args.enum_cap)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
@@ -225,9 +307,10 @@ def render_cert_text(report: CertReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    # the certificate layer is imported here, so the other commands never load it
+def cmd_certify(args: SimpleNamespace) -> int:
     from .extraspecial import builtin_certificate, certificate_from_doc, verify_certificate
+    from .gf2 import EnumerationTooLargeError
+    from .spec import SpecFormatError
 
     target = args.certificate
     if target.startswith("builtin:"):
@@ -238,8 +321,13 @@ def cmd_certify(args: argparse.Namespace) -> int:
             return EXIT_PARSE
     else:
         try:
-            cert = certificate_from_doc(_read_json(target))
-        except (OSError, json.JSONDecodeError, SpecFormatError) as exc:
+            doc = _read_json(target)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot parse {target}: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        try:
+            cert = certificate_from_doc(doc)
+        except SpecFormatError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
         except ValueError as exc:
@@ -247,7 +335,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             return EXIT_VALIDATION
     try:
         report = verify_certificate(cert, closure_cap=args.enum_cap)
-    except (EmptySpecError, NotReducedError, ValueError) as exc:
+    except ValueError as exc:  # EmptySpecError and NotReducedError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except EnumerationTooLargeError as exc:
@@ -257,7 +345,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.lower_bound is not None else EXIT_CERT
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: SimpleNamespace) -> int:
+    from .ledger import BUILTIN_CERTIFICATE_ROWS, KNOWN_CASE_ROWS, SMALL_PRODUCTS
+
     products = sorted(SMALL_PRODUCTS, key=lambda t: (len(t), t))
     doc = {
         "small_products": [list(t) for t in products],
@@ -277,7 +367,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
+def cmd_batch(args: SimpleNamespace) -> int:
+    from pathlib import Path
+
     directory = Path(args.directory)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)

@@ -10,115 +10,38 @@ carries weight 2^(sum of n_i over the support of r), and the headline quantity i
 
 with dim G = sum of (2*n_i^2 + n_i).  The minimum is exact whenever no vector of
 a minimal basis has a small factor product; otherwise the calculator reports
-bounds, strengthened by a ledger of known small cases.
+bounds, strengthened by a ledger of known small cases.  Specs and their checks
+live in `spec`, the small-product list and the ledger in `ledger`.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from heapq import heapify, heappop, heappush, heapreplace
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+from ._record import _Record
+from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
 from .gf2 import (
-    DEFAULT_BASIS_CAP,
-    DEFAULT_DIM_CAP,
     BitVec,
     DimensionMismatchError,
     EnumerationTooLargeError,
-    SubspaceF2,
-    _Record,
     annihilator,
     count_bases,
     enumerate_bases,
-    rref,
     rref_bits,
 )
+from .ledger import is_small_product, known_cases, small_limits
+from .spec import validate
+
+if TYPE_CHECKING:
+    from .gf2 import SubspaceF2
+    from .spec import GroupSpecB
 
 STATUS_EXACT = "exact"
 STATUS_BOUNDS = "bounds-only"
 
 WARN_ELEMENT_CAP = "element-cap-exceeded"
 WARN_BASIS_CAP = "basis-cap-exceeded"
-
-
-class SpecFormatError(ValueError):
-    """A spec or certificate document is structurally malformed."""
-
-
-class EmptySpecError(ValueError):
-    """The spec has no factors at all."""
-
-
-class NotReducedError(ValueError):
-    """Some factor is split off by mu, so the group is not reduced."""
-
-    def __init__(self, factor: int):
-        self.factor = factor
-        super().__init__(
-            f"factor {factor} splits off as a direct factor"
-            " (its unit sign pattern lies in the span of the mu generators)"
-        )
-
-
-class GroupSpecB(_Record):
-    """Quotient of a product of odd spin groups Spin(2*n_i + 1) by a central 2-group."""
-
-    __slots__ = ("n", "mu_gens")
-    n: tuple[int, ...]
-    mu_gens: tuple[BitVec, ...]
-
-    def __init__(self, n: Sequence[int], mu_gens: Sequence[BitVec] = ()) -> None:
-        self._fill(tuple(n), tuple(mu_gens))
-        n = self.n
-        if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in n):
-            raise ValueError("factor ranks must be integers >= 1")
-        if len(n) > 64:
-            raise ValueError("at most 64 factors are supported")
-        if any(v.m != self.m for v in self.mu_gens):
-            raise DimensionMismatchError("mu generators must have one coordinate per factor")
-
-    @classmethod
-    def from_mu_rows(cls, n: Sequence[int], rows: Iterable[Sequence[int]]) -> GroupSpecB:
-        """Build from 0/1 coordinate rows generating mu."""
-        n = tuple(n)
-        return cls(n, tuple(BitVec.from_coords(pad_row(row, len(n))) for row in rows))
-
-    @classmethod
-    def from_dual_rows(cls, n: Sequence[int], rows: Iterable[Sequence[int]]) -> GroupSpecB:
-        """Build from 0/1 coordinate rows generating the dual subspace; mu is its annihilator."""
-        n = tuple(n)
-        dual = rref([BitVec.from_coords(pad_row(row, len(n))) for row in rows], len(n))
-        return cls(n, annihilator(dual).basis)
-
-    @property
-    def m(self) -> int:
-        return len(self.n)
-
-    def mu_subspace(self) -> SubspaceF2:
-        return rref(self.mu_gens, self.m)
-
-    def dual_subspace(self) -> SubspaceF2:
-        """Sign-character patterns orthogonal to mu under the mod-2 dot pairing."""
-        return annihilator(self.mu_subspace())
-
-
-def pad_row(row: Sequence[int], m: int) -> Sequence[int]:
-    if len(row) != m:
-        raise DimensionMismatchError(f"row of length {len(row)} for {m} factors")
-    return row
-
-
-def validate(spec: GroupSpecB) -> SubspaceF2:
-    """Reject empty specs and non-reduced groups; returns mu, spec.mu_subspace()."""
-    if spec.m == 0:
-        raise EmptySpecError("spec has no factors")
-    mu = spec.mu_subspace()
-    # a unit pattern lies in mu iff it is one of mu's reduced rows, and the rows
-    # come in pivot order, so the first unit row names the lowest such factor
-    for v in mu.basis:
-        if v.weight() == 1:
-            raise NotReducedError(v.bits.bit_length())
-    return mu
 
 
 def group_dim(n: Sequence[int]) -> int:
@@ -134,29 +57,6 @@ def weight_exponent(r: BitVec, n: Sequence[int]) -> int:
 def support_ranks(r: BitVec, n: Sequence[int]) -> tuple[int, ...]:
     """Sorted multiset of factor ranks over the support of r."""
     return tuple(sorted(n[i] for i in r.support()))
-
-
-SMALL_PRODUCTS = frozenset(
-    [(a,) for a in range(1, 7)]
-    + [(1, a) for a in range(1, 6)]
-    + [(2, 2), (2, 3)]
-    + [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 1, 1)]
-)
-
-
-def is_small_product(ranks: Sequence[int]) -> bool:
-    """Whether a product of Spin(2*a_i + 1) over the given ranks is on the small list.
-
-    For small products the single-vector weight bound is not known to be tight, so
-    exactness claims require every minimal-basis vector to avoid this list.
-    """
-    return tuple(sorted(ranks)) in SMALL_PRODUCTS
-
-
-@cache
-def _small_limits(products: frozenset[tuple[int, ...]]) -> tuple[int, int]:
-    """The largest rank and the most factors of any entry of a small-product list."""
-    return max(map(max, products)), max(map(len, products))
 
 
 def _positions(bits: int) -> Iterator[int]:
@@ -182,7 +82,7 @@ class PatternWeights(dict):
 
     def __init__(self, n: Sequence[int]) -> None:
         super().__init__()
-        max_rank, self.max_factors = _small_limits(SMALL_PRODUCTS)
+        max_rank, self.max_factors = small_limits()
         self.n = n
         heavy = 0
         for i, r in enumerate(n):
@@ -380,184 +280,6 @@ def theorem_hypothesis_holds(spec: GroupSpecB) -> tuple[bool, tuple[int, ...]]:
         i + 1 for i, r in enumerate(spec.n) if r < 7 and (r < 3 or not mu_support >> i & 1)
     )
     return (not bad, bad)
-
-
-def diagonal_mu(m: int) -> SubspaceF2:
-    """Central subgroup generated by the simultaneous sign flip of all factors."""
-    return rref([BitVec(m, (1 << m) - 1)])
-
-
-def maximal_mu(m: int) -> SubspaceF2:
-    """Kernel of the product-of-signs character: all even sign patterns."""
-    return annihilator(diagonal_mu(m))
-
-
-class KnownCase(_Record):
-    __slots__ = ("kind", "value", "tag", "description")
-    kind: str  # "exact" or "lower"
-    value: int
-    tag: str
-    description: str
-
-    def __init__(self, kind: str, value: int, tag: str, description: str) -> None:
-        self._fill(kind, value, tag, description)
-
-
-# pattern text and modulo phrase for each kind of mu a ledger family matches
-_MU_TEXT = {
-    "diagonal": ("diagonal mu", "the diagonal sign"),
-    "maximal": ("mu = all even sign patterns", "all even sign patterns"),
-}
-
-Ranks = tuple[int, ...]
-
-
-class LedgerFamily(NamedTuple):
-    """One family of the known-case ledger: a rank pattern under diagonal or maximal mu.
-
-    The value is a table keyed by sorted ranks, or a formula in the sorted ranks
-    that returns None off its pattern.  A lower family declares the built-in
-    certificate whose verified rank is its value.  Subjects may use {m} (number
-    of factors), {n} (smallest rank) and {ranks}; a certificate subject may use
-    {keys}, the table's rank tuples.
-    """
-
-    tag: str
-    kind: str  # "exact" or "lower"
-    mu: str  # "diagonal" or "maximal"
-    subject: str
-    values: dict[Ranks, int] | Callable[[Ranks], int | None]
-    shape: str = ""  # pattern text of a formula family
-    formula_text: str = ""
-    certificate: str = ""  # built-in certificate key pattern
-    certificate_subject: str = ""
-
-    @property
-    def table(self) -> dict[Ranks, int]:
-        """The value table; empty for a formula family."""
-        return {} if callable(self.values) else self.values
-
-    def value_for(self, ranks: Ranks) -> int | None:
-        return self.values(ranks) if callable(self.values) else self.values.get(ranks)
-
-    def describe(self, ranks: Ranks, value: int) -> str:
-        subject = self.subject.format(m=len(ranks), n=ranks[0], ranks=list(ranks))
-        claim = (
-            f"exactly {value}"
-            if self.kind == "exact"
-            else f"at least {value} (finite abelian subgroup of that rank)"
-        )
-        return f"{subject} modulo {_MU_TEXT[self.mu][1]}: {claim}"
-
-
-# fmt: off
-LEDGER = (
-    LedgerFamily(
-        "spin3-power-diagonal", "exact", "diagonal", "product of {m} copies of Spin(3)",
-        lambda r: len(r) + 1 if len(r) >= 2 and r[-1] == 1 else None,
-        "m >= 2 factors of rank 1", "m + 1",
-    ),
-    LedgerFamily("spin3-spin5-diagonal", "exact", "diagonal", "Spin(3) x Spin(5)", {(1, 2): 4}),
-    LedgerFamily("spin3-spin7-diagonal", "exact", "diagonal", "Spin(3) x Spin(7)", {(1, 3): 4}),
-    LedgerFamily(
-        "equal-rank-diagonal", "lower", "diagonal", "{m} equal factors of rank {n}",
-        lambda r: len(r) + 2 * r[0] - 1 if len(r) >= 2 and r[0] == r[-1] else None,
-        "m >= 2 factors of equal rank n", "m + 2n - 1",
-        "diagonal:<n>:<m>", "m >= 2 copies of Spin(2n+1)",
-    ),
-    LedgerFamily(
-        "small-pair-diagonal", "lower", "diagonal", "rank pair {ranks}",
-        {(1, 2): 4, (1, 3): 4, (1, 4): 5, (1, 5): 7, (2, 3): 5},
-        certificate="pair:<n1>:<n2>", certificate_subject="rank pairs {keys}",
-    ),
-    LedgerFamily(
-        "small-maximal-quotient", "lower", "maximal", "ranks {ranks}",
-        {(1, 1, 1): 3, (1, 1, 2): 4, (1, 1, 3): 5},
-        certificate="small3:<v>",
-        certificate_subject="Spin(3) x Spin(3) x Spin(2v+1) for v in 1..3",
-    ),
-    LedgerFamily(
-        "small-maximal-quotient", "lower", "maximal", "ranks {ranks}", {(1, 1, 1, 1): 5},
-        certificate="small4", certificate_subject="four Spin(3) factors",
-    ),
-)
-# fmt: on
-
-
-def ledger_family(certificate: str) -> LedgerFamily:
-    """The lower family that declares a built-in certificate key pattern."""
-    return next(f for f in LEDGER if f.certificate == certificate)
-
-
-def _tight(ranks: Ranks) -> str:
-    return ",".join(map(str, ranks))
-
-
-def _known_case_rows() -> tuple[dict, ...]:
-    """One row per tag; families that share a tag list their tables together."""
-    merged: dict[str, tuple[LedgerFamily, dict[Ranks, int]]] = {}
-    for fam in LEDGER:
-        _, table = merged.setdefault(fam.tag, (fam, {}))
-        table.update(fam.table)
-    rows = []
-    for tag, (fam, table) in merged.items():
-        shape, value = fam.shape, fam.formula_text
-        if table:
-            # a lone rank list prints as a list, several print tight
-            keys = [str(list(k)) if len(table) == 1 else f"[{_tight(k)}]" for k in table]
-            shape, value = "ranks " + " / ".join(keys), " / ".join(map(str, table.values()))
-        pattern = f"{shape}, {_MU_TEXT[fam.mu][0]}"
-        rows.append({"tag": tag, "kind": fam.kind, "pattern": pattern, "value": value})
-    return tuple(rows)
-
-
-def _builtin_certificate_rows() -> tuple[dict, ...]:
-    rows = []
-    for fam in (f for f in LEDGER if f.certificate):
-        keys = ", ".join(f"({_tight(k)})" for k in fam.table)
-        subject = fam.certificate_subject.format(keys=keys)
-        values = list(map(str, fam.table.values())) or [fam.formula_text]
-        proves = ("ranks " if len(values) > 1 else "rank ") + ", ".join(values)
-        description = f"{subject} modulo {_MU_TEXT[fam.mu][1]}; proves {proves}"
-        rows.append({"key": fam.certificate, "description": description})
-    return tuple(rows)
-
-
-KNOWN_CASE_ROWS = _known_case_rows()
-BUILTIN_CERTIFICATE_ROWS = _builtin_certificate_rows()
-
-
-def _mu_kinds(mu: SubspaceF2) -> tuple[str, ...]:
-    """Which of the diagonal and the maximal central subgroups mu equals."""
-    kinds = ()
-    if mu.dim == 1 and mu.basis[0].bits == (1 << mu.m) - 1:
-        kinds += ("diagonal",)
-    # an (m-1)-dimensional space of even patterns is all of them
-    if mu.dim == mu.m - 1 and all(v.weight() % 2 == 0 for v in mu.basis):
-        kinds += ("maximal",)
-    return kinds
-
-
-def known_cases(mu: SubspaceF2, n: Sequence[int]) -> KnownCase | None:
-    """Strongest entry of the built-in case ledger for ranks n modulo mu; exact entries win.
-
-    mu is the reduced subspace that `validate` returns.
-    """
-    ranks = tuple(sorted(n))
-    kinds: tuple[str, ...] | None = None
-    best: KnownCase | None = None
-    for fam in LEDGER:
-        value = fam.value_for(ranks)
-        if value is None:
-            continue
-        if kinds is None:
-            kinds = _mu_kinds(mu)
-        if fam.mu not in kinds:
-            continue
-        case = KnownCase(fam.kind, value, fam.tag, fam.describe(ranks, value))
-        if best is None or (case.kind == "exact", case.value) > (best.kind == "exact", best.value):
-            best = case
-    return best
 
 
 class TraceEntry(_Record):
@@ -769,49 +491,3 @@ def compute_ed(
     return EdResult(
         STATUS_BOUNDS, lower, upper, basis, total, dim_g, tuple(trace), tuple(warnings)
     )
-
-
-def spec_to_doc(spec: GroupSpecB) -> dict:
-    """JSON-ready document for a group spec."""
-    return {
-        "type": "B",
-        "n": list(spec.n),
-        "mu_generators": [list(v.coords()) for v in spec.mu_gens],
-    }
-
-
-def spec_from_doc(doc: object) -> GroupSpecB:
-    """Parse a spec document; raises SpecFormatError on malformed input.
-
-    Exactly one of 'mu_generators' and 'r_generators' may be present; the
-    latter gives generators of the dual subspace instead of mu.  With neither,
-    mu is trivial.
-    """
-    if not isinstance(doc, dict):
-        raise SpecFormatError("spec document must be an object")
-    if doc.get("type") != "B":
-        raise SpecFormatError("spec document must have type 'B'")
-    unknown = set(doc) - {"type", "n", "mu_generators", "r_generators"}
-    if unknown:
-        raise SpecFormatError(f"unknown spec fields: {sorted(unknown)}")
-    n = doc.get("n")
-    if not isinstance(n, list) or any(not isinstance(r, int) or isinstance(r, bool) for r in n):
-        raise SpecFormatError("'n' must be a list of integers")
-    if "mu_generators" in doc and "r_generators" in doc:
-        raise SpecFormatError("'mu_generators' and 'r_generators' are mutually exclusive")
-
-    def rows_of(key: str) -> list[list[int]]:
-        rows = doc.get(key, [])
-        if not isinstance(rows, list) or any(
-            not isinstance(row, list)
-            or len(row) != len(n)
-            # type(c) is int rejects bools and floats: 1.0 in (0, 1) holds
-            or any(type(c) is not int or c not in (0, 1) for c in row)
-            for row in rows
-        ):
-            raise SpecFormatError(f"'{key}' must be a list of 0/1 rows of length {len(n)}")
-        return rows
-
-    if "r_generators" in doc:
-        return GroupSpecB.from_dual_rows(n, rows_of("r_generators"))
-    return GroupSpecB.from_mu_rows(n, rows_of("mu_generators"))

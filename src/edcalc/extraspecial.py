@@ -14,25 +14,24 @@ from collections import deque
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import (
-    GroupSpecB,
-    SpecFormatError,
-    diagonal_mu,
-    ledger_family,
-    maximal_mu,
-    spec_from_doc,
-    spec_to_doc,
-    validate,
-)
+from ._record import _Record, _setattr
 from .gf2 import (
     BitVec,
     DimensionMismatchError,
     EnumerationTooLargeError,
     SubspaceF2,
-    _Record,
-    _setattr,
     reduce_bits,
     rref_bits,
+)
+from .ledger import ledger_family
+from .spec import (
+    GroupSpecB,
+    SpecFormatError,
+    diagonal_mu,
+    maximal_mu,
+    spec_from_doc,
+    spec_to_doc,
+    validate,
 )
 
 DEFAULT_CLOSURE_CAP = 1 << 20
@@ -60,13 +59,13 @@ class CliffordUnit(_Record):
         _setattr(self, "dim", dim)
         _setattr(self, "mask", mask)
         _setattr(self, "sign", sign)
-        if dim < 1:
-            raise ValueError("ambient dimension must be >= 1")
-        # type(sign) is int rejects bools and floats: True in (1, -1) holds
+        # type(x) is not int rejects bools and floats: True in (1, -1) holds
+        if type(dim) is not int or dim < 1:
+            raise ValueError("ambient dimension must be an integer >= 1")
         if type(sign) is not int or sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
-        if mask < 0 or mask >> dim:
-            raise ValueError("index outside the ambient dimension")
+        if type(mask) is not int or mask < 0 or mask >> dim:
+            raise ValueError("index mask must be an integer inside the ambient dimension")
         if mask.bit_count() % 2:
             raise ValueError("index set must have even cardinality")
 
@@ -562,16 +561,26 @@ def small_quadruple_certificate() -> Certificate:
     return Certificate(spec, tuple(CliffordTuple(r) for r in rows))
 
 
+def _key_number(text: str) -> int:
+    """A number of a built-in key in canonical decimal: ASCII digits, no leading zero.
+
+    int() would also read ' 1', '01', '1_0' and non-ASCII digits.
+    """
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
+        raise ValueError(f"{text!r} is not a number in canonical decimal")
+    return int(text)
+
+
 def builtin_certificate(key: str) -> Certificate:
     """Resolve a built-in certificate key such as 'diagonal:2:3' or 'small4'."""
     parts = key.split(":")
     try:
         if parts[0] == "diagonal" and len(parts) == 3:
-            return diagonal_certificate(int(parts[1]), int(parts[2]))
+            return diagonal_certificate(_key_number(parts[1]), _key_number(parts[2]))
         if parts[0] == "pair" and len(parts) == 3:
-            return pair_certificate(int(parts[1]), int(parts[2]))
+            return pair_certificate(_key_number(parts[1]), _key_number(parts[2]))
         if parts[0] == "small3" and len(parts) == 2:
-            return small_triple_certificate(int(parts[1]))
+            return small_triple_certificate(_key_number(parts[1]))
         if parts[0] == "small4" and len(parts) == 1:
             return small_quadruple_certificate()
     except ValueError as exc:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from ._record import _Record, _setattr
+from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
+
 MAX_DIM = 64
-DEFAULT_DIM_CAP = 24
-DEFAULT_BASIS_CAP = 100_000
 
 
 class DimensionMismatchError(ValueError):
@@ -40,50 +41,6 @@ def reduce_bits(row: int, basis: Iterable[int]) -> int:
     return row
 
 
-_setattr = object.__setattr__
-
-
-class _Record:
-    """Immutable record whose fields are the names in ``__slots__``, in order.
-
-    A record equals only a record of its own class with equal fields, and hashes
-    as the tuple of its fields.  Its repr is ``Name(field=value, ...)``; copy and
-    pickle rebuild it through the constructor, which takes the fields
-    positionally in slot order and checks them again.
-    """
-
-    __slots__ = ()
-
-    def _fill(self, *values: object) -> None:
-        """Set the fields in slot order; for constructors off the hot paths."""
-        for name, value in zip(self.__slots__, values):
-            _setattr(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({body})"
-
-    def __reduce__(self) -> tuple:
-        return self.__class__, self._fields()
-
-
 class BitVec(_Record):
     """Vector in GF(2)^m packed into a single int; coordinate i sits at bit i."""
 
@@ -95,10 +52,11 @@ class BitVec(_Record):
     def __init__(self, m: int, bits: int = 0) -> None:
         _setattr(self, "m", m)
         _setattr(self, "bits", bits)
-        if not 1 <= m <= MAX_DIM:
-            raise ValueError(f"ambient dimension must be in 1..{MAX_DIM}, got {m}")
-        if bits < 0 or bits >> m:
-            raise ValueError("coordinates outside the ambient dimension")
+        # type(x) is not int rejects bools, as the spec documents do: True <= 64 holds
+        if type(m) is not int or not 1 <= m <= MAX_DIM:
+            raise ValueError(f"ambient dimension must be an integer in 1..{MAX_DIM}, got {m!r}")
+        if type(bits) is not int or bits < 0 or bits >> m:
+            raise ValueError("coordinates must be an integer inside the ambient dimension")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -20,9 +20,10 @@ from edcalc import (
     greedy_min_basis,
     rref,
 )
-from edcalc.core import is_small_product, support_ranks, weight_exponent
+from edcalc.core import support_ranks, weight_exponent
 from edcalc.extraspecial import _Packing
 from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
+from edcalc.ledger import is_small_product
 
 
 def word_product(
@@ -190,8 +191,22 @@ def run_fresh(script: str, *argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def cli_modules(*argv: str) -> list[str]:
-    """sorted(sys.modules) after one CLI command ran in a fresh interpreter."""
-    proc = run_fresh("import sys\nfrom edcalc.cli import main\nmain(sys.argv[1:])", *argv)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+def cli_modules(*argv: str, code: int = 0) -> set[str]:
+    """The modules one `python -m edcalc.cli ARGV` imported, read off `-X importtime`.
+
+    Starts the command as users and the benchmark do; `code` is its expected exit code.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "edcalc.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    # each import prints "import time: <self us> | <cumulative us> | <indented name>"
+    return {
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from edcalc.core import GroupSpecB, KnownCase, diagonal_mu, maximal_mu
+from edcalc.ledger import KnownCase
+from edcalc.spec import GroupSpecB, diagonal_mu, maximal_mu
 
 def _rule_spin3_power_diagonal(spec: GroupSpecB) -> KnownCase | None:
     m = spec.m

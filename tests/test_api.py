@@ -36,8 +36,7 @@ def test_import_alone_leaves_the_certificate_layer_unloaded():
     proc = run_fresh("import edcalc")
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout.splitlines()[-1])
-    assert "edcalc.core" in modules
-    assert "edcalc.extraspecial" not in modules
+    assert [m for m in modules if m.startswith("edcalc.")] == []
     assert "dataclasses" not in modules
 
 
@@ -54,23 +53,45 @@ def test_lazy_names_resolve_in_a_fresh_interpreter():
     assert proc.returncode == 0, proc.stderr
 
 
+# the package's modules, each command's share of them, and the modules it must skip
+SPEC = {"edcalc._record", "edcalc.gf2", "edcalc.spec"}
+COMPUTE = SPEC | {"edcalc.ledger", "edcalc.core"}
+NOT_AT_START = {"argparse", "dataclasses"}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, code, loaded, absent",
     [
-        ["compute", str(DATA / "c1.json")],
-        ["table", "--json"],
-        ["batch", str(DATA)],
+        (["compute", str(DATA / "c1.json")], 0, COMPUTE, {"edcalc.extraspecial"}),
+        (
+            ["table", "--json"],
+            0,
+            {"edcalc._record", "edcalc.ledger"},
+            {"edcalc.gf2", "edcalc.spec", "edcalc.core", "edcalc.extraspecial"},
+        ),
+        # survey.json is no spec document, so the batch exits 2
+        (["batch", str(DATA)], 2, COMPUTE, {"edcalc.extraspecial"}),
     ],
     ids=["compute", "table", "batch"],
 )
-def test_compute_commands_load_no_certificate_layer(argv):
-    modules = cli_modules(*argv)
-    assert "edcalc.core" in modules
-    assert "edcalc.extraspecial" not in modules
-    assert "dataclasses" not in modules
+def test_compute_commands_load_no_certificate_layer(argv, code, loaded, absent):
+    modules = cli_modules(*argv, code=code)
+    assert loaded <= modules
+    assert not (absent | NOT_AT_START) & modules
 
 
 def test_certify_loads_the_certificate_layer_without_dataclasses():
     modules = cli_modules("certify", "builtin:small4")
-    assert "edcalc.extraspecial" in modules
-    assert "dataclasses" not in modules
+    assert SPEC | {"edcalc.ledger", "edcalc.extraspecial"} <= modules
+    assert not ({"edcalc.core"} | NOT_AT_START) & modules
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["certify", "--help"], 0), (["compute"], 2), (["table", "-x"], 2)],
+    ids=["help", "command-help", "missing-argument", "unknown-option"],
+)
+def test_help_and_usage_errors_load_argparse_and_no_algorithm(argv, code):
+    modules = cli_modules(*argv, code=code)
+    assert "argparse" in modules
+    assert not {"edcalc.gf2", "edcalc.ledger"} & modules

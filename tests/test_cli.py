@@ -10,8 +10,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edcalc.cli import EXIT_PIPE, main
+from edcalc.cli import CAPS, COMMANDS, EXIT_PIPE, build_parser, main, read_argv
 
 from helpers import child_env
 
@@ -97,6 +99,11 @@ def test_compute_parse_errors(tmp_path, capsys):
     path = write_doc(tmp_path, "badtype.json", {"type": "C", "n": [1]})
     code, _, err = run(capsys, "compute", path)
     assert code == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"type": "B", "n": [1], "note": "\xe9"}')
+    code, out, err = run(capsys, "compute", str(latin1))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot parse {latin1}: 'utf-8' codec can't decode")
 
 
 def test_compute_validation_errors(tmp_path, capsys):
@@ -155,6 +162,11 @@ def test_certify_builtin_pair23_note(capsys):
 def test_certify_unknown_builtin(capsys):
     code, _, err = run(capsys, "certify", "builtin:pair:9:9")
     assert code == 2 and "error" in err
+    start = time.monotonic()
+    code, out, err = run(capsys, "certify", "builtin:diagonal:1_0:2")
+    assert time.monotonic() - start < 10
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad built-in certificate key 'diagonal:1_0:2'")
 
 
 def test_certify_invalid_certificate(tmp_path, capsys):
@@ -175,6 +187,11 @@ def test_certify_malformed_certificate(tmp_path, capsys):
     path = write_doc(tmp_path, "cert.json", {"spec": {"type": "B", "n": [1]}})
     code, _, err = run(capsys, "certify", path)
     assert code == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"note": "\xe9"}')
+    code, out, err = run(capsys, "certify", str(latin1))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot parse {latin1}: 'utf-8' codec can't decode")
 
 
 def test_certify_rejects_unknown_certificate_fields(tmp_path, capsys):
@@ -283,6 +300,57 @@ def test_closed_stdout_pipe_exits_quietly(argv):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--json", "c1.json"],
+        ["compute", "c1.json", "--enum-cap=16", "--basis-cap", "007"],
+        ["table"],
+        ["table", "--json", "--json"],
+        ["batch", "--text", "specs"],
+        ["certify", "builtin:small4", "--enum-cap", "100", "--enum-cap", "5"],
+    ],
+)
+def test_plain_command_lines_are_read_without_argparse(argv):
+    assert read_argv(argv) == vars(build_parser().parse_args(argv))
+
+
+NUMBERS = st.one_of(
+    st.integers(1, 10**20).map(str),
+    st.sampled_from(["", "0", "00", "-3", "+5", " 5", "1_0", "\u0661", "\u00b2", "9" * 5000]),
+)
+ODD_WORDS = st.one_of(
+    st.sampled_from(["", "-", "-5", "-x", "a b", "c1.json", "--enum", "--enum=5", "-h", "--"]),
+    st.sampled_from([*CAPS, "--json", "--text"]).map("{}=".format),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def command_lines(draw):
+    """Well-formed command lines, and ones with an odd word, command or number."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    _, caps, positional = COMMANDS[command]
+    words = draw(st.lists(st.sampled_from(["--json", "--text"]), max_size=2))
+    # mostly what the command takes; sometimes a missing, extra or dashed argument
+    given = ["c1.json"] * 6 if positional is not None else [None] * 6
+    words.append(draw(st.sampled_from([*given, None, "c1.json", "-x", "-"])))
+    for option in draw(st.lists(st.sampled_from([*caps, *caps, *CAPS]), max_size=2)):
+        number = draw(NUMBERS)
+        words += [f"{option}={number}"] if draw(st.booleans()) else [option, number]
+    words += draw(st.lists(ODD_WORDS, max_size=1))
+    command = draw(st.sampled_from([command] * 9 + ["oracle"]))
+    return [command, *draw(st.permutations([w for w in words if w is not None]))]
+
+
+@settings(deadline=None, max_examples=1000)
+@given(command_lines())
+def test_the_reader_declines_or_agrees_with_argparse(argv):
+    read = read_argv(argv)
+    if read is not None:
+        assert read == vars(build_parser().parse_args(argv))
+
+
 def test_argparse_rejects_unknown(capsys):
     with pytest.raises(SystemExit) as err:
         main(["compute"])
@@ -349,9 +417,11 @@ def test_non_integer_numbers_are_parse_errors(command, doc, tmp_path, capsys):
 
 def test_batch_reports_the_other_files_past_a_non_integer_spec(tmp_path, capsys):
     write_doc(tmp_path, "a.json", {"type": "B", "n": [1, 2], "mu_generators": [[1.0, 1]]})
-    write_doc(tmp_path, "b.json", MIXED_DOC)
+    (tmp_path / "b.json").write_bytes(b"\xff\xfe{}")
+    write_doc(tmp_path, "c.json", MIXED_DOC)
     code, out, _ = run(capsys, "batch", str(tmp_path), "--json")
     assert code == 2
-    a, b = json.loads(out)["results"]
+    a, b, c = json.loads(out)["results"]
     assert a["exit_code"] == 2 and "must be a list of 0/1 rows" in a["error"]
-    assert b["report"]["value"] == 53
+    assert b["exit_code"] == 2 and b["error"].startswith(f"cannot parse {tmp_path / 'b.json'}")
+    assert c["report"]["value"] == 53

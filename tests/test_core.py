@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-import edcalc.core
+import edcalc.ledger
 from edcalc import (
     STATUS_BOUNDS,
     STATUS_EXACT,
@@ -206,7 +206,7 @@ def test_pattern_weights_at_the_rank_and_size_limits():
 def test_pattern_weights_follow_an_extended_list(monkeypatch, extra):
     # both rejects read their limits off SMALL_PRODUCTS: entries past today's
     # largest rank and longest entry must still be found
-    monkeypatch.setattr(edcalc.core, "SMALL_PRODUCTS", edcalc.core.SMALL_PRODUCTS | set(extra))
+    monkeypatch.setattr(edcalc.ledger, "SMALL_PRODUCTS", edcalc.ledger.SMALL_PRODUCTS | set(extra))
     rng = Random(7)
     for ranks in extra:
         n = ranks + tuple(rng.randint(1, 12) for _ in range(8))

@@ -533,6 +533,16 @@ def test_builtin_certificate_keys():
             builtin_certificate(bad)
 
 
+@pytest.mark.parametrize(
+    "key",
+    ["pair:01:2", "diagonal: 1:2", "diagonal:\u0661:2", "diagonal:1_0:2", "small3:+1", "pair:1:"],
+)
+def test_builtin_certificate_keys_take_only_canonical_numbers(key):
+    # int() reads each of these numbers, '1_0' as 10, whose certificate takes seconds
+    with pytest.raises(ValueError, match="^bad built-in certificate key"):
+        builtin_certificate(key)
+
+
 def test_verify_rejects_non_abelian_certificate():
     spec = GroupSpecB((1, 1), diagonal_mu(2).basis)
     gens = (

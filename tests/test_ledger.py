@@ -9,7 +9,8 @@ from random import Random
 import pytest
 
 from edcalc import BitVec, GroupSpecB, builtin_certificate, verify_certificate
-from edcalc.core import LEDGER, diagonal_mu, known_cases, maximal_mu
+from edcalc.ledger import LEDGER, known_cases
+from edcalc.spec import diagonal_mu, maximal_mu
 
 from ledger_reference import reference_known_cases
 

@@ -147,6 +147,12 @@ def test_fields_cannot_be_set_or_deleted(name):
         lambda: GroupSpecB((True, 2)),
         lambda: CliffordUnit(3, 3, True),
         lambda: CliffordUnit(3, 3, -1.0),
+        lambda: BitVec(True, True),
+        lambda: BitVec(2, True),
+        lambda: BitVec(True),
+        lambda: CliffordUnit(True, 0),
+        lambda: CliffordUnit(3, False),
+        lambda: BitVec(2.0, 1),
     ],
 )
 def test_constructor_checks_still_reject(build):
