@@ -5,6 +5,10 @@ ledger and `certify` never loads the essential-dimension search.  A plainly
 spelt command line is read by `read_argv`; anything else, help and every usage
 error included, goes to the argparse parser, which is imported only then.  Both
 read one declared table: COMMANDS, FORMATS and CAPS.
+
+`main` returns the exit code and is what library callers and tests call.  `run`
+is the process entry point: it ends the process with `os._exit` as soon as the
+report is flushed, so the interpreter frees none of its modules and objects.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
 
@@ -28,6 +32,7 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_CAP = 4
 EXIT_CERT = 5
+EXIT_IOERR = 74  # EX_IOERR of sysexits.h
 EXIT_PIPE = 141  # the shell's code for a process killed by SIGPIPE, 128 + 13
 
 DEFAULT_ENUM_CAP = 1 << DEFAULT_DIM_CAP
@@ -166,11 +171,40 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except BrokenPipeError:
-        # the reader of stdout left early; what is still buffered goes to
-        # devnull, so the flush at exit stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # BrokenPipeError among them
+        return _write_failed(exc)
+
+
+def run() -> NoReturn:
+    """The `edcalc` process: runs `main`, flushes the report and ends the process.
+
+    The process ends by `os._exit`, skipping interpreter teardown.  An exception
+    or `SystemExit` from `main` (help and usage errors) leaves the normal way.
+    Exact values are printed whatever their length: the limit on int-to-str
+    conversion is lifted for this process only.
+    """
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 and later
+        sys.set_int_max_str_digits(0)
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError as exc:
+        code = _write_failed(exc)
+    os._exit(code)
+
+
+def _write_failed(exc: OSError) -> int:
+    """The exit code for a report that stdout did not take.
+
+    What stdout still buffers goes to devnull, so a later flush stays quiet.  A
+    closed pipe is silent; any other failure gets one line on stderr.
+    """
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if isinstance(exc, BrokenPipeError):  # the reader left early, as under `| head -1`
         return EXIT_PIPE
+    print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_IOERR
 
 
 def __getattr__(name: str) -> object:
@@ -393,4 +427,4 @@ def cmd_batch(args: SimpleNamespace) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,13 +13,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edcalc.cli import CAPS, COMMANDS, EXIT_PIPE, build_parser, main, read_argv
+from edcalc.cli import CAPS, COMMANDS, EXIT_IOERR, EXIT_PIPE, build_parser, main, read_argv
 
 from helpers import child_env
 
 DATA = Path(__file__).parent / "data"
 
 MIXED_DOC = {"type": "B", "n": [1, 2, 3, 7], "mu_generators": [[1, 1, 0, 0], [1, 0, 1, 0]]}
+
+# fails verification: its generators do not commute modulo mu
+BAD_CERT = {
+    "spec": {"type": "B", "n": [1, 1], "mu_generators": [[1, 1]]},
+    "generators": [
+        [{"sign": 1, "indices": [1, 2]}, {"sign": 1, "indices": []}],
+        [{"sign": 1, "indices": [1, 3]}, {"sign": 1, "indices": []}],
+    ],
+}
 
 
 def write_doc(tmp_path, name, doc):
@@ -170,14 +179,7 @@ def test_certify_unknown_builtin(capsys):
 
 
 def test_certify_invalid_certificate(tmp_path, capsys):
-    doc = {
-        "spec": {"type": "B", "n": [1, 1], "mu_generators": [[1, 1]]},
-        "generators": [
-            [{"sign": 1, "indices": [1, 2]}, {"sign": 1, "indices": []}],
-            [{"sign": 1, "indices": [1, 3]}, {"sign": 1, "indices": []}],
-        ],
-    }
-    path = write_doc(tmp_path, "cert.json", doc)
+    path = write_doc(tmp_path, "cert.json", BAD_CERT)
     code, out, _ = run(capsys, "certify", path)
     assert code == 5
     assert "NonAbelianQuotient" in out
@@ -298,6 +300,101 @@ def test_closed_stdout_pipe_exits_quietly(argv):
         os.close(write_end)
     assert proc.returncode == EXIT_PIPE == 141
     assert proc.stderr == b""
+
+
+def edcalc_process(argv, **kwargs):
+    """Run `python -m edcalc.cli ARGV`, the process entry point `run`, to completion."""
+    # without PYTHONUNBUFFERED, stdout to a file or a pipe is block-buffered
+    env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "edcalc.cli", *argv], env=env, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("fmt", ["--text", "--json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", str(DATA / "c1.json")],
+        ["batch", str(DATA)],
+        ["table"],
+        ["certify", "builtin:pair:2:3"],
+    ],
+    ids=["compute", "batch", "table", "certify"],
+)
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+def test_the_process_prints_what_main_returns(argv, fmt, sink, tmp_path, capsys):
+    code = main([*argv, fmt])
+    captured = capsys.readouterr()
+    if sink == "file":
+        out_path = tmp_path / "out"
+        with open(out_path, "wb") as out:
+            proc = edcalc_process([*argv, fmt], stdout=out, stderr=subprocess.PIPE)
+        stdout = out_path.read_bytes()
+    else:
+        proc = edcalc_process([*argv, fmt], capture_output=True)
+        stdout = proc.stdout
+    assert proc.returncode == code
+    assert stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["compute", str(DATA / "c1.json")], 0),
+        (["compute", "missing.json"], 2),
+        (["compute", "split.json"], 3),
+        (["certify", "builtin:diagonal:3:4", "--enum-cap", "100"], 4),
+        (["certify", "bad_cert.json"], 5),
+    ],
+)
+def test_process_exit_codes(argv, code, tmp_path):
+    write_doc(tmp_path, "split.json", {"type": "B", "n": [1, 1], "mu_generators": [[1, 0]]})
+    write_doc(tmp_path, "bad_cert.json", BAD_CERT)
+    assert edcalc_process(argv, cwd=tmp_path, capture_output=True).returncode == code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv", [["compute", str(DATA / "c1.json")], ["table"]], ids=["compute", "table"]
+)
+def test_a_report_that_cannot_be_written_exits_74(argv):
+    with open("/dev/full", "wb") as full:
+        proc = edcalc_process(argv, stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == EXIT_IOERR == 74
+    assert proc.stderr == b"error: cannot write the report: No space left on device\n"
+
+
+def test_the_process_prints_exact_values_of_any_length(tmp_path):
+    # 2^40000 has 12042 decimal digits, over Python's default int-to-str limit of 4300
+    path = write_doc(
+        tmp_path, "wide.json", {"type": "B", "n": [20000, 20000], "mu_generators": [[1, 1]]}
+    )
+    proc = edcalc_process(["compute", "--json", path], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(proc.stdout)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert doc["status"] == "exact"
+    assert doc["lower"] == doc["upper"] == 2**40000 - doc["group_dim"]
+
+
+def test_the_installed_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"edcalc": "edcalc.cli:run"}
+
+
+def test_main_returns_the_exit_code(capsys):
+    code = main(["table", "--json"])
+    capsys.readouterr()
+    assert type(code) is int and code == 0
 
 
 @pytest.mark.parametrize(
