@@ -48,13 +48,10 @@ _EXPORTS = {
         "CertReport",
         "CliffordTuple",
         "CliffordUnit",
-        "NonAbelianQuotientError",
         "builtin_certificate",
         "centralizer_finite",
         "certificate_from_doc",
         "certificate_to_doc",
-        "closure",
-        "quotient_rank",
         "verify_certificate",
     ),
 }

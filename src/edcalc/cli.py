@@ -195,15 +195,18 @@ def run() -> NoReturn:
 
 
 def _write_failed(exc: OSError) -> int:
-    """The exit code for a report that stdout did not take.
+    """The exit code for a report or an error line that stdout or stderr did not take.
 
     What stdout still buffers goes to devnull, so a later flush stays quiet.  A
-    closed pipe is silent; any other failure gets one line on stderr.
+    closed pipe is silent; any other failure gets one line on stderr, if stderr takes it.
     """
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if isinstance(exc, BrokenPipeError):  # the reader left early, as under `| head -1`
         return EXIT_PIPE
-    print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+    try:
+        print(f"error: cannot write the report: {exc.strerror or exc}", file=sys.stderr)
+    except OSError:
+        pass
     return EXIT_IOERR
 
 

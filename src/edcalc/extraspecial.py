@@ -19,7 +19,6 @@ from .gf2 import (
     BitVec,
     DimensionMismatchError,
     EnumerationTooLargeError,
-    SubspaceF2,
     reduce_bits,
     rref_bits,
 )
@@ -37,10 +36,6 @@ from .spec import (
 DEFAULT_CLOSURE_CAP = 1 << 20
 
 
-class NonAbelianQuotientError(ValueError):
-    """The elements do not commute modulo the central subgroup mu."""
-
-
 class CliffordUnit(_Record):
     """Signed even product of Clifford generators: +/- c(I) inside Spin(dim).
 
@@ -54,7 +49,7 @@ class CliffordUnit(_Record):
     mask: int
     sign: int
 
-    # written out, not inherited: the public closure builds one per factor per element
+    # written out, not inherited: the tests' object oracles build one per factor per element
     def __init__(self, dim: int, mask: int, sign: int = 1) -> None:
         _setattr(self, "dim", dim)
         _setattr(self, "mask", mask)
@@ -107,15 +102,11 @@ class CliffordTuple(_Record):
     __slots__ = ("components",)
     components: tuple[CliffordUnit, ...]
 
-    # written out, not inherited: the public closure builds one per element
+    # written out, not inherited: the tests' object oracles build one per element
     def __init__(self, components: Sequence[CliffordUnit]) -> None:
         _setattr(self, "components", tuple(components))
         if not self.components:
             raise ValueError("a tuple needs at least one component")
-
-    @classmethod
-    def identity_like(cls, dims: Sequence[int]) -> CliffordTuple:
-        return cls(tuple(CliffordUnit.identity(d) for d in dims))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -192,13 +183,6 @@ class _Packing:
         negative = sum(1 << i for i, c in enumerate(t.components) if c.sign < 0)
         return masks << self.width | self.sign_code(negative)
 
-    def unpack(self, x: int) -> CliffordTuple:
-        masks, pattern = x >> self.width, self.sign_pattern(x & ((1 << self.width) - 1))
-        return CliffordTuple(tuple(
-            CliffordUnit(d, (masks >> o) & ((1 << d) - 1), -1 if pattern >> i & 1 else 1)
-            for i, (d, o) in enumerate(zip(self.dims, self.offsets))
-        ))
-
 
 def _order_bound_log2(gens: Sequence[int], packing: _Packing, commutators: Iterable[int]) -> int:
     """Exponent e with 2^e at most the order of the subgroup H the packed elements generate.
@@ -258,7 +242,7 @@ def _quotient_rank_packed(
     """Order and rank of the image of a packed finite subgroup in the quotient by mu.
 
     mu_rows is the RREF of mu's basis mapped into sign words.  The image must be
-    abelian; the callers check that on the generators or on a basis of the masks.
+    abelian; the one caller, verify_certificate, checks that on the generators.
     """
     # two elements of H with equal masks differ by a scalar in H, so the coset of
     # x modulo mu, met with H, is x times U, the scalars of H with signs in mu:
@@ -277,52 +261,6 @@ def _quotient_rank_packed(
     if rem or quotient & (quotient - 1):
         raise ValueError("image order divided by squares is not a power of two")
     return order_h, quotient.bit_length() - 1
-
-
-def closure(
-    generators: Iterable[CliffordTuple], cap: int = DEFAULT_CLOSURE_CAP
-) -> frozenset[CliffordTuple]:
-    """Subgroup generated by the tuples, by breadth-first multiplication."""
-    gens = list(generators)
-    if not gens:
-        raise ValueError("at least one generator is required")
-    dims = gens[0].dims
-    if any(g.dims != dims for g in gens):
-        raise DimensionMismatchError("generators from different products")
-    packing = _Packing(dims)
-    packed = [packing.pack(g) for g in gens]
-    width = packing.width
-    commutators = [packing.commutator(a >> width, b >> width) for a, b in combinations(packed, 2)]
-    return frozenset(map(packing.unpack, _closure_packed(packed, packing, cap, commutators)))
-
-
-def quotient_rank(elements: Iterable[CliffordTuple], mu: SubspaceF2) -> tuple[int, int]:
-    """Order and rank of the image of a finite subgroup in the quotient by mu.
-
-    The elements must form a subgroup of a product of the sign groups, and their
-    image must be abelian; mu is read as a subspace of central sign patterns.
-    """
-    elems = set(elements)
-    if not elems:
-        raise ValueError("at least one element is required")
-    dims = next(iter(elems)).dims
-    if mu.m != len(dims):
-        raise DimensionMismatchError("mu does not match the number of factors")
-    packing = _Packing(dims)
-    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
-    packed = {packing.pack(x) for x in elems}
-
-    # commutator signs are bilinear in the index masks, so checking a basis of
-    # the mask space covers every pair of elements
-    for u, v in combinations(rref_bits({x >> packing.width for x in packed}), 2):
-        commutator = packing.commutator(u, v)
-        if reduce_bits(commutator, mu_rows):
-            raise NonAbelianQuotientError(
-                f"elements {packing.unpack(u << packing.width)}"
-                f" and {packing.unpack(v << packing.width)}"
-                f" have commutator {packing.unpack(commutator)}, outside mu"
-            )
-    return _quotient_rank_packed(packed, packing, mu_rows)
 
 
 def centralizer_finite(tuples: Sequence[CliffordTuple], dims: Sequence[int]) -> bool:

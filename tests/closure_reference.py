@@ -1,7 +1,7 @@
 """Subgroup closure as computed before elements were packed into one int each.
 
-Kept as a test oracle: `closure` must return the same element set, and raise
-at the same cap, on every list of generators.  This breadth-first search
+Kept as a test oracle: `_closure_packed` must return the same element set,
+packed, and raise at the same cap, on every list of generators.  This breadth-first search
 multiplies `CliffordTuple` objects with the object oracle `tuple_product`.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from edcalc import CliffordTuple, DimensionMismatchError, EnumerationTooLargeError
+from edcalc import CliffordTuple, CliffordUnit, DimensionMismatchError, EnumerationTooLargeError
 
 from clifford_reference import tuple_product
 
@@ -23,7 +23,7 @@ def reference_closure(generators: Iterable[CliffordTuple], cap: int) -> frozense
     dims = gens[0].dims
     if any(g.dims != dims for g in gens):
         raise DimensionMismatchError("generators from different products")
-    identity = CliffordTuple.identity_like(dims)
+    identity = CliffordTuple(tuple(CliffordUnit.identity(d) for d in dims))
     seen = {identity}
     queue = deque([identity])
     while queue:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 from random import Random
 from typing import Sequence
@@ -21,7 +22,7 @@ from edcalc import (
     rref,
 )
 from edcalc.core import support_ranks, weight_exponent
-from edcalc.extraspecial import _Packing
+from edcalc.extraspecial import DEFAULT_CLOSURE_CAP, _closure_packed, _Packing
 from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
 from edcalc.ledger import is_small_product
 
@@ -93,13 +94,36 @@ def packed_product(packing: _Packing, x: int, y: int) -> int:
     return x ^ y ^ (parity((y >> width) & parity(x >> width)) & packing.off)
 
 
+def unpack(packing: _Packing, x: int) -> CliffordTuple:
+    """The tuple a packed element stands for: the inverse of `_Packing.pack`."""
+    masks, pattern = x >> packing.width, packing.sign_pattern(x & ((1 << packing.width) - 1))
+    return CliffordTuple(tuple(
+        CliffordUnit(d, (masks >> o) & ((1 << d) - 1), -1 if pattern >> i & 1 else 1)
+        for i, (d, o) in enumerate(zip(packing.dims, packing.offsets))
+    ))
+
+
 def packed_unit_product(a: CliffordUnit, b: CliffordUnit) -> CliffordUnit:
     """Product of two units by the packed product law, on a one-factor packing."""
     packing = _Packing((a.dim,))
     prod = packed_product(
         packing, packing.pack(CliffordTuple((a,))), packing.pack(CliffordTuple((b,)))
     )
-    return packing.unpack(prod).components[0]
+    return unpack(packing, prod).components[0]
+
+
+def packed_closure(
+    generators: Sequence[CliffordTuple], cap: int = DEFAULT_CLOSURE_CAP
+) -> tuple[_Packing, set[int]]:
+    """The packing of the generators' product and the subgroup `_closure_packed` finds.
+
+    Passes every pairwise commutator, the zero ones included, to the order bound.
+    """
+    packing = _Packing(generators[0].dims)
+    packed = [packing.pack(g) for g in generators]
+    width = packing.width
+    commutators = [packing.commutator(a >> width, b >> width) for a, b in combinations(packed, 2)]
+    return packing, _closure_packed(packed, packing, cap, commutators)
 
 
 def brute_min_basis(

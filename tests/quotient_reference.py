@@ -1,8 +1,8 @@
 """Order and rank of a quotient image as computed before cosets were named by
 reduced sign patterns.
 
-Kept as a test oracle: `quotient_rank` must return the same order and rank on
-every finite subgroup whose image modulo mu is abelian.  Each class modulo the
+Kept as a test oracle: `_quotient_rank_packed` must return the same order and
+rank on every finite subgroup whose image modulo mu is abelian.  Each class modulo the
 unit classes (the scalars of the subgroup with signs in mu) is named by the
 least encoding of its elements, found by multiplying out every unit class.
 """

@@ -20,7 +20,6 @@ from edcalc import (
     STATUS_EXACT,
     annihilator,
     builtin_certificate,
-    closure,
     compute_ed,
     known_cases,
     maximal_mu,
@@ -35,6 +34,7 @@ from helpers import (
     all_units,
     compare_greedy_brute,
     even_masks,
+    packed_closure,
     packed_product,
     packed_unit_product,
     random_group_spec,
@@ -172,7 +172,7 @@ def test_c7_clifford_relation_suite() -> None:
             assert len(units) == 2**dim
             gens = [CliffordUnit.scalar(dim, -1)]
             gens += [CliffordUnit.from_indices(dim, (i, i + 1)) for i in range(1, dim)]
-            grown = closure([CliffordTuple((g,)) for g in gens])
+            _, grown = packed_closure([CliffordTuple((g,)) for g in gens])
             assert len(grown) == 2**dim
 
         # generator relations, checked on the word oracle the products

@@ -1,5 +1,5 @@
 """The package's public surface: `__all__` lists exactly the names it exports,
-and each command loads only the modules it needs."""
+and each command loads only the modules it needs, within a budget of source lines."""
 
 from __future__ import annotations
 
@@ -95,3 +95,22 @@ def test_help_and_usage_errors_load_argparse_and_no_algorithm(argv, code):
     modules = cli_modules(*argv, code=code)
     assert "argparse" in modules
     assert not {"edcalc.gf2", "edcalc.ledger"} & modules
+
+
+# the most package source, in lines, that each command may load; `python -m
+# edcalc.cli` runs cli.py as __main__, so it counts besides the modules imported.
+# A change that makes a command load more raises its bound here.
+SOURCE_BUDGET = {
+    "compute": (["compute", str(DATA / "c1.json")], 1636),
+    "certify": (["certify", "builtin:small4"], 1727),
+    "table": (["table"], 772),
+}
+
+
+@pytest.mark.parametrize("command", list(SOURCE_BUDGET))
+def test_each_command_loads_no_more_source_than_its_budget(command):
+    argv, budget = SOURCE_BUDGET[command]
+    package = Path(edcalc.__file__).parent
+    modules = {m for m in cli_modules(*argv) if m.startswith("edcalc.")} | {"edcalc.cli"}
+    files = [package / "__init__.py"] + [package / f"{m[len('edcalc.'):]}.py" for m in modules]
+    assert sum(len(f.read_text().splitlines()) for f in files) <= budget

@@ -364,6 +364,21 @@ def test_a_report_that_cannot_be_written_exits_74(argv):
     assert proc.stderr == b"error: cannot write the report: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv, stdout_full",
+    [(["compute", "missing.json"], False), (["compute", str(DATA / "c1.json")], True)],
+    ids=["error-line", "report-and-error-line"],
+)
+def test_an_error_line_that_stderr_cannot_take_exits_74(argv, stdout_full, tmp_path):
+    # the error line raises inside main, and so does the line about the failure
+    with open("/dev/full", "wb") as full:
+        stdout = full if stdout_full else subprocess.PIPE
+        proc = edcalc_process(argv, cwd=tmp_path, stdout=stdout, stderr=full)
+    assert proc.returncode == EXIT_IOERR
+    assert not proc.stdout
+
+
 def test_the_process_prints_exact_values_of_any_length(tmp_path):
     # 2^40000 has 12042 decimal digits, over Python's default int-to-str limit of 4300
     path = write_doc(

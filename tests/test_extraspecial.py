@@ -1,10 +1,11 @@
-"""Sign-group arithmetic, closures, quotient ranks, and certificate verification."""
+"""Sign-group arithmetic, packed closures and quotient ranks, and certificate verification."""
 
 from __future__ import annotations
 
 import copy
 import importlib.util
 import json
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -19,24 +20,23 @@ from edcalc import (
     DimensionMismatchError,
     EnumerationTooLargeError,
     GroupSpecB,
-    NonAbelianQuotientError,
     NotReducedError,
     SpecFormatError,
     builtin_certificate,
     centralizer_finite,
     certificate_from_doc,
     certificate_to_doc,
-    closure,
     compute_ed,
     diagonal_mu,
-    quotient_rank,
     rref,
     verify_certificate,
 )
 from edcalc.extraspecial import (
     DEFAULT_CLOSURE_CAP,
+    _closure_packed,
     _order_bound_log2,
     _Packing,
+    _quotient_rank_packed,
     diagonal_certificate,
     pair_certificate,
     small_quadruple_certificate,
@@ -56,9 +56,11 @@ from closure_reference import reference_closure
 from helpers import (
     all_units,
     even_masks,
+    packed_closure,
     packed_product,
     packed_unit_product,
     random_tuple,
+    unpack,
     word_inverse,
     word_product,
 )
@@ -171,10 +173,11 @@ def test_tuple_arithmetic():
     s = tuple_product(t, t)
     assert s.is_scalar()
     assert sign_vector(s).coords() == (1, 1)
-    assert packing.unpack(packed_product(packing, pt, pt)) == s
-    assert packing.unpack(packing.square(pt >> packing.width)) == s
+    assert unpack(packing, packed_product(packing, pt, pt)) == s
+    assert unpack(packing, packing.square(pt >> packing.width)) == s
     t_inv = CliffordTuple(tuple(word_inverse(c) for c in t.components))
-    identity = CliffordTuple.identity_like((3, 5))
+    identity = CliffordTuple((CliffordUnit.identity(3), CliffordUnit.identity(5)))
+    assert packing.pack(identity) == 0
     assert tuple_product(t, t_inv) == tuple_product(t_inv, t) == identity
     pt_inv = packing.pack(t_inv)
     assert packed_product(packing, pt, pt_inv) == packed_product(packing, pt_inv, pt) == 0
@@ -184,36 +187,41 @@ def test_tuple_arithmetic():
         CliffordTuple(())
 
 
+def assert_closure_matches_reference(generators, cap=DEFAULT_CLOSURE_CAP):
+    """The packed closure against the object oracle's, packed; returns the oracle's."""
+    packing, group = packed_closure(generators, cap)
+    expected = reference_closure(generators, cap)
+    assert group == {packing.pack(x) for x in expected}
+    return expected
+
+
 def test_closure_small_examples():
     one = CliffordTuple((cu(3, 1, 2),))
-    group = closure([one])
-    assert len(group) == 4  # 1, c(1,2), -1, -c(1,2)
+    assert len(assert_closure_matches_reference([one])) == 4  # 1, c(1,2), -1, -c(1,2)
     neg = CliffordTuple((CliffordUnit.identity(3), CliffordUnit.scalar(3, -1)))
-    assert len(closure([neg])) == 2
+    assert len(assert_closure_matches_reference([neg])) == 2
     adjacent = [CliffordTuple((cu(3, 1, 2),)), CliffordTuple((cu(3, 2, 3),))]
-    assert len(closure(adjacent)) == 8
+    assert len(assert_closure_matches_reference(adjacent)) == 8
 
 
 def test_closure_of_all_units_is_whole_group():
     for dim in range(2, 7):
         gens = [CliffordTuple((u,)) for u in all_units(dim)]
-        assert len(closure(gens)) == 1 << dim
+        assert len(packed_closure(gens)[1]) == 1 << dim
 
 
 def test_closure_cap():
     adjacent = [CliffordTuple((cu(4, 1, 2),)), CliffordTuple((cu(4, 2, 3),)),
                 CliffordTuple((cu(4, 3, 4),))]
     with pytest.raises(EnumerationTooLargeError):
-        closure(adjacent, cap=7)
-    with pytest.raises(ValueError):
-        closure([])
+        packed_closure(adjacent, cap=7)
     # the cap counts elements, the identity included: |H| fits, |H| - 1 does not
-    order = len(reference_closure(adjacent, DEFAULT_CLOSURE_CAP))
+    order = len(assert_closure_matches_reference(adjacent))
     assert order == 16
-    assert closure(adjacent, cap=order) == reference_closure(adjacent, order)
+    assert_closure_matches_reference(adjacent, cap=order)
     message = f"closure exceeds the cap of {order - 1} elements"
     with pytest.raises(EnumerationTooLargeError, match=message):
-        closure(adjacent, cap=order - 1)
+        packed_closure(adjacent, cap=order - 1)
     with pytest.raises(EnumerationTooLargeError, match=message):
         reference_closure(adjacent, order - 1)
 
@@ -233,7 +241,7 @@ def test_packed_sign_laws_match_tuple_arithmetic(dims):
     for _ in range(200):
         a, b = random_tuple(rng, dims), random_tuple(rng, dims)
         pa, pb = packing.pack(a), packing.pack(b)
-        assert packing.unpack(pa) == a
+        assert unpack(packing, pa) == a
         ma, mb = pa >> width, pb >> width
         assert packing.pack(tuple_product(a, b)) == packed_product(packing, pa, pb)
         assert packing.pack(tuple_product(a, a)) == packing.square(ma)
@@ -243,37 +251,49 @@ def test_packed_sign_laws_match_tuple_arithmetic(dims):
         assert packing.sign_pattern(packing.commutator(ma, mb)) == commutator_sign_vector(a, b).bits
 
 
+def packed_quotient_rank(packing, elements, mu):
+    """`_quotient_rank_packed` on packed elements, with mu's rows as verify_certificate makes them."""
+    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
+    return _quotient_rank_packed(elements, packing, mu_rows)
+
+
 def test_quotient_rank_cyclic():
-    group = closure([CliffordTuple((cu(3, 1, 2),))])
-    order, rank = quotient_rank(group, rref([], m=1))
+    packing, group = packed_closure([CliffordTuple((cu(3, 1, 2),))])
+    order, rank = packed_quotient_rank(packing, group, rref([], m=1))
     assert (order, rank) == (4, 1)  # cyclic of order 4
     full_mu = rref([BitVec.from_coords([1])])
-    order, rank = quotient_rank(group, full_mu)
+    order, rank = packed_quotient_rank(packing, group, full_mu)
     assert (order, rank) == (2, 1)
 
 
 def test_quotient_rank_diagonal_example():
     cert = diagonal_certificate(1, 2)
-    group = closure(cert.generators)
+    packing, group = packed_closure(cert.generators)
     assert len(group) == 16
-    order, rank = quotient_rank(group, cert.spec.mu_subspace())
+    order, rank = packed_quotient_rank(packing, group, cert.spec.mu_subspace())
     assert (order, rank) == (8, 3)
 
 
 def test_quotient_rank_rejects_non_abelian():
-    group = closure([CliffordTuple((cu(3, 1, 2),)), CliffordTuple((cu(3, 1, 3),))])
-    assert len(group) == 8
-    with pytest.raises(NonAbelianQuotientError):
-        quotient_rank(group, rref([], m=1))
+    # the verifier refuses the pair before it computes a quotient rank
+    gens = (CliffordTuple((cu(3, 1, 2),)), CliffordTuple((cu(3, 1, 3),)))
+    assert len(packed_closure(gens)[1]) == 8
+    cert = Certificate(GroupSpecB((1,), ()), gens)
+    report = verify_certificate(cert)
+    assert not report.abelian_in_quotient
+    assert (report.subgroup_order, report.rank, report.lower_bound) == (0, 0, None)
+    assert report.failure_reason == reference_pair_failure(cert)
 
 
 def test_quotient_rank_rejects_a_set_that_is_not_a_subgroup():
-    cyclic = closure([CliffordTuple((cu(3, 1, 2),))])
+    packing, cyclic = packed_closure([CliffordTuple((cu(3, 1, 2),))])
     trivial = rref([], m=1)
+    c12 = packing.pack(CliffordTuple((cu(3, 1, 2),)))
     with pytest.raises(ValueError):
-        quotient_rank([CliffordTuple((cu(3, 1, 2),))], trivial)  # no identity
+        packed_quotient_rank(packing, {c12}, trivial)  # no identity
+    minus_c12 = packing.pack(CliffordTuple((cu(3, 1, 2, sign=-1),)))
     with pytest.raises(ValueError):
-        quotient_rank(cyclic - {CliffordTuple((cu(3, 1, 2, sign=-1),))}, trivial)
+        packed_quotient_rank(packing, cyclic - {minus_c12}, trivial)
 
 
 def bench_workloads():
@@ -285,9 +305,12 @@ def bench_workloads():
     return module
 
 
-def assert_quotient_rank_matches_reference(generators, mu):
-    group = closure(generators)
-    assert quotient_rank(group, mu) == reference_quotient_rank(group, mu)
+def assert_quotient_rank_matches_reference(group, mu):
+    """The packed quotient rank against the oracle's, on the oracle's closure; returns it."""
+    packing = _Packing(next(iter(group)).dims)
+    expected = reference_quotient_rank(group, mu)
+    assert packed_quotient_rank(packing, {packing.pack(x) for x in group}, mu) == expected
+    return expected
 
 
 def benchmark_certificates():
@@ -301,10 +324,32 @@ def benchmark_certificates():
     return certs + docs
 
 
+@cache
+def benchmark_oracle_closures():
+    """Each benchmark certificate with the oracle's closure of its generators,
+    computed once for the two benchmark comparisons below."""
+    return [(cert, reference_closure(cert.generators, DEFAULT_CLOSURE_CAP))
+            for cert in benchmark_certificates()]
+
+
 def test_closure_matches_reference_on_the_benchmark_certificates():
-    for cert in benchmark_certificates():
-        group = closure(cert.generators)
-        assert group == reference_closure(cert.generators, DEFAULT_CLOSURE_CAP)
+    for cert, expected in benchmark_oracle_closures():
+        packing, group = packed_closure(cert.generators)
+        assert group == {packing.pack(x) for x in expected}
+
+
+def test_quotient_rank_matches_reference_on_the_benchmark_certificates():
+    non_abelian = 0
+    for cert, group in benchmark_oracle_closures():
+        report = verify_certificate(cert)
+        failure = reference_pair_failure(cert)
+        if failure is not None:
+            non_abelian += 1
+            assert not report.abelian_in_quotient and report.failure_reason == failure
+        else:
+            expected = assert_quotient_rank_matches_reference(group, cert.spec.mu_subspace())
+            assert (report.subgroup_order, report.rank) == expected
+    assert non_abelian == 5
 
 
 def test_closure_matches_reference_on_random_certificates():
@@ -317,26 +362,11 @@ def test_closure_matches_reference_on_random_certificates():
         m = rng.randint(1, 4)
         dims = [2 * rng.randint(1, 24) + 1 for _ in range(m)]
         gens = [random_tuple(rng, dims) for _ in range(rng.randint(1, 5))]
-        group = closure(gens)
-        assert group == reference_closure(gens, DEFAULT_CLOSURE_CAP)
+        group = assert_closure_matches_reference(gens)
         sizes.add(len(group))
         widths.add(sum(dims))
         non_abelian += any(tuple_product(a, b) != tuple_product(b, a) for a in gens for b in gens)
     assert max(sizes) >= 256 and max(widths) > 128 and non_abelian >= 60
-
-
-def test_quotient_rank_matches_reference_on_the_benchmark_certificates():
-    non_abelian = 0
-    for cert in benchmark_certificates():
-        mu = cert.spec.mu_subspace()
-        gens = cert.generators
-        if any(commutator_sign_vector(a, b) not in mu for a in gens for b in gens):
-            non_abelian += 1
-            with pytest.raises(NonAbelianQuotientError):
-                quotient_rank(closure(cert.generators), mu)
-        else:
-            assert_quotient_rank_matches_reference(cert.generators, mu)
-    assert non_abelian == 5
 
 
 def test_quotient_rank_matches_reference_on_random_abelian_certificates():
@@ -352,7 +382,7 @@ def test_quotient_rank_matches_reference_on_random_abelian_certificates():
             g = random_tuple(rng, dims)
             if all(commutator_sign_vector(g, h) in mu for h in gens):
                 gens.append(g)
-        assert_quotient_rank_matches_reference(gens, mu)
+        assert_quotient_rank_matches_reference(reference_closure(gens, DEFAULT_CLOSURE_CAP), mu)
 
 
 def test_centralizer_finite():
@@ -401,7 +431,8 @@ def assert_packed_checks_match_oracles(cert):
     if failure is not None:
         assert report.failure_reason == failure
 
-    bound, order = 1 << _order_bound_log2(packed, packing, commutators), len(closure(gens))
+    bound = 1 << _order_bound_log2(packed, packing, commutators)
+    order = len(_closure_packed(packed, packing, DEFAULT_CLOSURE_CAP, commutators))
     assert bound <= order
     # with independent nonzero masks, every scalar of the subgroup is a product of
     # squares, commutators and generators with empty masks: the bound is exact
@@ -579,7 +610,7 @@ def test_verify_closure_cap():
     cert = diagonal_certificate(2, 3)
     with pytest.raises(EnumerationTooLargeError):
         verify_certificate(cert, closure_cap=16)
-    order = len(closure(cert.generators))
+    order = len(packed_closure(cert.generators)[1])
     assert verify_certificate(cert, closure_cap=order).lower_bound == 6
     with pytest.raises(EnumerationTooLargeError, match=f"the cap of {order - 1} elements"):
         verify_certificate(cert, closure_cap=order - 1)
