@@ -3,8 +3,8 @@
 Each handler imports the modules its command runs, so `table` loads only the
 ledger and `certify` never loads the essential-dimension search.  A plainly
 spelt command line is read by `read_argv`; anything else, help and every usage
-error included, goes to the argparse parser, which is imported only then.  Both
-read one declared table: COMMANDS, FORMATS and CAPS.
+error included, goes to the argparse parser of `usage`, which is imported only
+then.  Both read one declared table: COMMANDS, FORMATS and CAPS.
 
 `main` returns the exit code and is what library callers and tests call.  `run`
 is the process entry point: it ends the process with `os._exit` as soon as the
@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING, NoReturn, Sequence
 from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
 
 if TYPE_CHECKING:
-    import argparse
     from pathlib import Path
 
     from .core import EdResult
@@ -36,11 +35,6 @@ EXIT_IOERR = 74  # EX_IOERR of sysexits.h
 EXIT_PIPE = 141  # the shell's code for a process killed by SIGPIPE, 128 + 13
 
 DEFAULT_ENUM_CAP = 1 << DEFAULT_DIM_CAP
-
-DESCRIPTION = (
-    "Exact essential-dimension calculator for quotients of products"
-    " of odd spin groups, with certificate verification."
-)
 
 # output flags, mutually exclusive, that every command takes
 FORMATS = {"--json": "emit a JSON report", "--text": "emit a text report (default)"}
@@ -127,41 +121,14 @@ def read_argv(argv: Sequence[str]) -> dict | None:
     return args
 
 
-def cap_value(text: str) -> int:
-    """argparse type of --basis-cap and --enum-cap: an integer >= 1."""
-    import argparse
-
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="edcalc", description=DESCRIPTION)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, caps, positional) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        group = p.add_mutually_exclusive_group()
-        for flag, flag_help in FORMATS.items():
-            group.add_argument(flag, action="store_true", help=flag_help)
-        for cap in caps:
-            default, cap_help = CAPS[cap]
-            p.add_argument(cap, type=cap_value, default=default, help=cap_help)
-        if positional is not None:
-            name, name_help = positional
-            p.add_argument(name, help=name_help)
-    return parser
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parsed = read_argv(argv)
     if parsed is None:
-        parsed = vars(build_parser().parse_args(argv))
+        from .usage import build_parser
+
+        parsed = vars(build_parser(COMMANDS, FORMATS, CAPS).parse_args(argv))
     args = SimpleNamespace(**parsed)
     handlers = {
         "compute": cmd_compute,
@@ -211,7 +178,7 @@ def _write_failed(exc: OSError) -> int:
 
 
 def __getattr__(name: str) -> object:
-    # the ledger's tables, read here by older callers; importing cli loads no ledger
+    # the ledger's tables, read here by bench/make_refs.py; importing cli loads no ledger
     if name in ("SMALL_PRODUCTS", "KNOWN_CASE_ROWS", "BUILTIN_CERTIFICATE_ROWS"):
         from . import ledger
 
@@ -225,10 +192,6 @@ def _read_json(path: str | Path) -> object:
 
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _dim_cap(enum_cap: int) -> int:
-    return enum_cap.bit_length() - 1
 
 
 def _emit(args: SimpleNamespace, doc: dict, text: str) -> None:
@@ -300,7 +263,7 @@ def _try_compute(
     except ValueError as exc:
         return EXIT_VALIDATION, None, f"{path}: {exc}"
     try:
-        result = compute_ed(spec, basis_cap=basis_cap, dim_cap=_dim_cap(enum_cap))
+        result = compute_ed(spec, basis_cap=basis_cap, dim_cap=enum_cap.bit_length() - 1)
     except (EmptySpecError, NotReducedError) as exc:
         return EXIT_VALIDATION, None, f"{path}: {exc}"
     partial = result.warnings and result.status != STATUS_EXACT

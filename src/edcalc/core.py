@@ -16,7 +16,7 @@ live in `spec`, the small-product list and the ledger in `ledger`.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ._record import _Record
@@ -142,7 +142,13 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
     A second heap holds those patterns and gives out a key only while it is
     below the next heavy set's key, so the keys come in the order of a sort of
     the whole dual.  Heap entries are ints: key << (6+d) | p << d | syndrome
-    for heavy sets, key << (6+d) for patterns.  Ends after the last pattern.
+    for heavy sets, key << (6+d) for patterns.
+
+    When the heavy part is nonempty, the set-up already holds a basis of the
+    dual: each heavy position joined with its cheapest light set, and two of
+    the patterns of the light part.  Matroid greedy's k-th pick is never
+    heavier than the heaviest key of any basis, so neither heap takes an entry
+    above that bound, and the stream ends after the last key at or below it.
     The walk meets fewer than 2^(k - LIGHT_EXTRA) heavy sets, and the greedy
     takes at most 2^(k-1) patterns: the first k-1 it keeps span 2^(k-1) - 1.
     """
@@ -151,9 +157,23 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
     inc = [n[i] << m | 1 << (m - 1 - i) for i in order]
     # mu's rows over the sorted positions, reduced again: their pivots are the
     # lightest positions with independent columns, and pivot j's column is 1 << j
-    rows = rref_bits(sum((g >> i & 1) << p for p, i in enumerate(order)) for g in mu_rows)
+    bit = [0] * m
+    for p, i in enumerate(order):
+        bit[i] = 1 << p
+    permuted = []
+    for g in mu_rows:
+        row = 0
+        while g:
+            row |= bit[(g & -g).bit_length() - 1]
+            g &= g - 1
+        permuted.append(row)
+    rows = rref_bits(permuted)
     d = len(rows)
-    col = [sum((r >> p & 1) << j for j, r in enumerate(rows)) for p in range(m)]
+    col = [0] * m
+    for j, r in enumerate(rows):
+        while r:
+            col[(r & -r).bit_length() - 1] |= 1 << j
+            r &= r - 1
     pivots = [(r & -r).bit_length() - 1 for r in rows]
     rest = [p for p in range(m) if p not in pivots]
     extra, heavy = rest[:LIGHT_EXTRA], rest[LIGHT_EXTRA:]
@@ -184,10 +204,20 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
     syndrome_mask = (1 << d) - 1
     key_mask = -1 << shift
     end = (sum(n) + 1 << m) << shift  # above every entry of both heaps
-    walk = [a_inc[0] << shift | a_col[0], end] if heavy else [end]
     # the patterns of the empty set of heavy positions
-    patterns = [completion[s] + x for x, s in extras[1:]] + [end]
-    heapify(patterns)
+    light = sorted(completion[s] + x for x, s in extras[1:])
+    bound = end
+    if heavy:
+        # the heaviest key of the basis: each heavy position with its cheapest light
+        # set, and the two lightest patterns of the light part (with two extra
+        # positions, any two of its three patterns are independent)
+        bound = light[1]
+        for a, c in zip(a_inc, a_col):
+            bound = max(bound, (a << shift) + min(x + completion[c ^ s] for x, s in extras))
+        light = [entry for entry in light if entry <= bound]
+    walk_bound = bound | ~key_mask  # a walk entry holds p and its syndrome below the key
+    walk = [a_inc[0] << shift | a_col[0], end] if heavy else [end]
+    patterns = light + [end]  # sorted, so already a heap
     while True:
         entry = patterns[0]
         if entry < walk[0]:
@@ -201,23 +231,29 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
         p = entry >> d & 63
         base = entry & key_mask
         for x, s in extras:
-            heappush(patterns, base + x + completion[syndrome ^ s])
-        if p < last:
-            heapreplace(walk, base + add[p] | syndrome ^ add_col[p])
-            heappush(walk, base + replace[p] | syndrome ^ replace_col[p])
+            entry = base + x + completion[syndrome ^ s]
+            if entry <= bound:
+                heappush(patterns, entry)
+        # replacing p raises the key less than adding p+1 does
+        if p < last and (entry := base + replace[p] | syndrome ^ replace_col[p]) <= walk_bound:
+            heapreplace(walk, entry)
+            entry = base + add[p] | syndrome ^ add_col[p]
+            if entry <= walk_bound:
+                heappush(walk, entry)
         else:
             heappop(walk)
 
 
-# The light part of the split walk is the d pivots and this many more factors.
-# Measured with CPython 3.11 on a 2-vCPU VM, greedy time summed over the twenty
-# base specs of the benchmark's compute-large pool (ranks 7..12, k = 11..16, d =
-# 0..10): with 0 or 1 extra factors instead of 2 they took 13-17% and 2-5%
-# longer, with 3 from 6% less to 3% more.  Each extra factor doubles the
-# patterns pushed per heavy set, and 3 raised the peak allocation of ranks 7..12,
-# (m, d) = (40, 20) and (44, 22), from 6.8 and 13.4 MB to 9.0 and 18.1 MB.
-# Very uneven ranks, n = (1,) * 19 + (20,), make the greedy take 2^19 of the
-# 2^20 - 1 patterns; even then the walk took 1.6 s, so it needs no visit budget.
+# The light part of the split walk is the d pivots and this many more factors;
+# the walk's bound takes two of the light part's three patterns, so it needs 2.
+# Greedy time summed over the twenty base specs of the benchmark's compute-large
+# pool (ranks 7..12, k = 11..16, d = 0..10; CPython 3.11, 2-vCPU VM): before the
+# bound, 0 or 1 extra factors instead of 2 took 13-17% and 2-5% longer, and 3
+# from 6% less to 3% more; with it, 3 took about a third longer.  With the bound,
+# 3 lowered the peak allocation of ranks 7..12, (m, d) = (40, 20) and (44, 22),
+# from 0.90 and 1.71 MB to 0.69 and 1.29 MB.  Very uneven ranks, n = (1,) * 19 +
+# (20,), make the greedy take 2^19 of the 2^20 - 1 patterns and the bound
+# excludes none; the walk still took 1.6 s, so it needs no visit budget.
 LIGHT_EXTRA = 2
 
 # Pivots per completion table.  Up to this many pivots, which covers every

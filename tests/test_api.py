@@ -101,9 +101,9 @@ def test_help_and_usage_errors_load_argparse_and_no_algorithm(argv, code):
 # edcalc.cli` runs cli.py as __main__, so it counts besides the modules imported.
 # A change that makes a command load more raises its bound here.
 SOURCE_BUDGET = {
-    "compute": (["compute", str(DATA / "c1.json")], 1636),
-    "certify": (["certify", "builtin:small4"], 1727),
-    "table": (["table"], 772),
+    "compute": (["compute", str(DATA / "c1.json")], 1635),
+    "certify": (["certify", "builtin:small4"], 1690),
+    "table": (["table"], 735),
 }
 
 

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edcalc.cli import CAPS, COMMANDS, EXIT_IOERR, EXIT_PIPE, build_parser, main, read_argv
+from edcalc.cli import CAPS, COMMANDS, EXIT_IOERR, EXIT_PIPE, FORMATS, main, read_argv
+from edcalc.usage import build_parser
 
 from helpers import child_env
 
@@ -424,7 +425,7 @@ def test_main_returns_the_exit_code(capsys):
     ],
 )
 def test_plain_command_lines_are_read_without_argparse(argv):
-    assert read_argv(argv) == vars(build_parser().parse_args(argv))
+    assert read_argv(argv) == vars(build_parser(COMMANDS, FORMATS, CAPS).parse_args(argv))
 
 
 NUMBERS = st.one_of(
@@ -460,7 +461,7 @@ def command_lines(draw):
 def test_the_reader_declines_or_agrees_with_argparse(argv):
     read = read_argv(argv)
     if read is not None:
-        assert read == vars(build_parser().parse_args(argv))
+        assert read == vars(build_parser(COMMANDS, FORMATS, CAPS).parse_args(argv))
 
 
 def test_argparse_rejects_unknown(capsys):
