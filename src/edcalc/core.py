@@ -491,12 +491,10 @@ def compute_ed(
     if count_bases(k) <= basis_cap:
         best: int | None = None
         candidates = 0
-        for b in enumerate_bases(annihilator(mu), basis_cap):
-            ws = [weights[v.bits] for v in b]
-            if None in ws:
-                continue
+        # keep the patterns whose weight is not None: the bases without small factor products
+        for b in enumerate_bases(annihilator(mu), basis_cap, weights.__getitem__):
             candidates += 1
-            t = sum(ws)
+            t = sum(weights[v.bits] for v in b)
             if best is None or t < best:
                 best = t
         if best is not None:

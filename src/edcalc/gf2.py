@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from ._record import _Record, _setattr
 from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
@@ -185,20 +185,19 @@ def enumerate_elements(space: SubspaceF2, dim_cap: int = DEFAULT_DIM_CAP) -> lis
 
 def count_bases(k: int) -> int:
     """Number of unordered bases of a k-dimensional space over GF(2)."""
-    ordered = 1
+    ordered = orderings = 1
     for i in range(k):
         ordered *= (1 << k) - (1 << i)
-    orderings = 1
-    for i in range(1, k + 1):
-        orderings *= i
+        orderings *= i + 1
     assert ordered % orderings == 0
     return ordered // orderings
 
 
 def enumerate_bases(
-    space: SubspaceF2, cap: int = DEFAULT_BASIS_CAP
+    space: SubspaceF2, cap: int = DEFAULT_BASIS_CAP, keep: Callable[[int], object] | None = None
 ) -> Iterator[tuple[BitVec, ...]]:
-    """Yield every unordered basis of the subspace once; refuses when the count exceeds cap."""
+    """Yield once each unordered basis of the subspace on whose every element's bits keep is
+    true (with no keep, every basis); refuses when the count of all bases exceeds cap."""
     k = space.dim
     total = count_bases(k)
     if total > cap:
@@ -206,7 +205,7 @@ def enumerate_bases(
     if k == 0:
         yield ()
         return
-    elems = sorted(enumerate_elements(space, dim_cap=max(k, DEFAULT_DIM_CAP)))
+    elems = sorted(filter(keep, enumerate_elements(space, dim_cap=max(k, DEFAULT_DIM_CAP))))
 
     def rec(start: int, echelon: list[int], chosen: list[int]) -> Iterator[tuple[BitVec, ...]]:
         if len(chosen) == k:

@@ -9,7 +9,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import edcalc
 from edcalc import (
@@ -21,10 +21,12 @@ from edcalc import (
     greedy_min_basis,
     rref,
 )
-from edcalc.core import support_ranks, weight_exponent
+from edcalc.core import PatternWeights, _greedy, _split_walk_keys, support_ranks, weight_exponent
 from edcalc.extraspecial import DEFAULT_CLOSURE_CAP, _closure_packed, _Packing
 from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
 from edcalc.ledger import is_small_product
+
+from greedy_reference import reference_greedy_keys
 
 
 def word_product(
@@ -170,6 +172,43 @@ def brute_bounds(
                 best = total
     assert least is not None
     return least, best, candidates
+
+
+def restricted_greedy_total(spec: GroupSpecB, keys: Iterable[int]) -> int | None:
+    """Matroid greedy over the ascending greedy keys of the dual, without the keys of
+    small factor products: the least total weight of a basis with no small factor
+    product, or None when the keys kept span less than the dual.
+
+    The bases that avoid small products are the bases of the matroid restricted
+    to the other patterns, so over every key of the dual this is the minimum of
+    the upper-bound search.  A stream that ends early, as the split walk does
+    after its bound, may give None where that search finds a basis.
+    """
+    m, k = spec.m, spec.m - spec.mu_subspace().dim
+    weights, low = PatternWeights(spec.n), (1 << m) - 1
+    # a key holds its pattern bit-reversed; is_small reads coordinate i at bit i
+    kept = (key for key in keys if not weights.is_small(int(f"{key & low:0{m}b}"[::-1], 2)))
+    basis, total = _greedy(kept, m, k)
+    return total if len(basis) == k else None
+
+
+def check_restricted_greedy(spec: GroupSpecB, best: int | None) -> bool:
+    """Assert that the restricted greedy finds best, the upper-bound search's least total
+    (None when no basis avoids small products), and return whether the walk fell short.
+
+    Over every key of the dual, ascending, it must find best.  Over the split walk's
+    stream it must find best too, unless the walk ended before the greedy held a basis:
+    the walk stops after the heaviest key of a basis that may hold small patterns.
+    """
+    dual = spec.dual_subspace()
+    assert restricted_greedy_total(spec, reference_greedy_keys(dual, spec.n)) == best, spec
+    keys = list(_split_walk_keys(spec.n, [v.bits for v in spec.mu_subspace().basis]))
+    walked = restricted_greedy_total(spec, keys)
+    if walked is None and best is not None:
+        assert len(keys) < (1 << dual.dim) - 1, spec
+        return True
+    assert walked == best, spec
+    return False
 
 
 def random_group_spec(

@@ -17,6 +17,7 @@ from edcalc import (
     NotReducedError,
     SpecFormatError,
     compute_ed,
+    count_bases,
     diagonal_mu,
     greedy_min_basis,
     group_dim,
@@ -36,7 +37,15 @@ from edcalc.core import (
     weight_exponent,
 )
 
-from helpers import brute_min_basis, compare_greedy_brute, random_group_spec
+from edcalc.gf2 import enumerate_bases
+
+from helpers import (
+    brute_bounds,
+    brute_min_basis,
+    check_restricted_greedy,
+    compare_greedy_brute,
+    random_group_spec,
+)
 
 
 def mk(n, mu_rows=()):
@@ -356,6 +365,37 @@ def test_compute_ed_no_qualifying_basis():
     assert res.status == STATUS_BOUNDS
     assert res.upper is None
     assert res.lower == max(0, 2 + 64 - group_dim((1, 6)))
+
+
+def seeded_small_duals(seed: int, count: int) -> list[GroupSpecB]:
+    """Random specs of 1 to 6 factors of ranks 1..4 with duals of dimension at most 4."""
+    rng = Random(seed)
+    return [random_group_spec(rng, max_m=6, max_rank=4, max_dual_dim=4) for _ in range(count)]
+
+
+def test_restricted_enumeration_keeps_exactly_the_bases_without_small_products():
+    # the upper-bound search enumerates the bases of the non-small patterns only:
+    # the full enumeration's bases with no small pattern, in the same order
+    some, none = 0, 0
+    for spec in seeded_small_duals(1801, 200):
+        dual, weights = spec.dual_subspace(), PatternWeights(spec.n)
+        full = [
+            b for b in enumerate_bases(dual) if all(oracle_weight(v.bits, spec.n) for v in b)
+        ]
+        assert list(enumerate_bases(dual, keep=weights.__getitem__)) == full, spec
+        some += 0 < len(full) < count_bases(dual.dim)
+        none += not full
+    assert some > 30 and none > 30
+
+
+def test_restricted_greedy_matches_the_exhaustive_search_on_random_specs():
+    # 41 of these specs have small patterns and bases without them; on 30 the
+    # walk's bound ends its stream before the restricted greedy holds a basis
+    fell_short = 0
+    for spec in seeded_small_duals(1801, 200):
+        _, best, _ = brute_bounds(spec.dual_subspace(), spec.n)
+        fell_short += check_restricted_greedy(spec, best)
+    assert fell_short <= 30
 
 
 def test_compute_ed_permutation_equivariance():

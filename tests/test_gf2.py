@@ -145,6 +145,19 @@ def test_enumerate_bases_cap():
     space = rref([BitVec.unit(3, i) for i in range(3)])
     with pytest.raises(EnumerationTooLargeError):
         list(enumerate_bases(space, cap=27))
+    # the cap counts every basis, also those that keep rejects
+    with pytest.raises(EnumerationTooLargeError):
+        list(enumerate_bases(space, cap=27, keep=lambda bits: bits.bit_count() == 1))
+
+
+def test_enumerate_bases_keep():
+    space = rref([BitVec.unit(3, i) for i in range(3)])
+    bases = list(enumerate_bases(space))
+    for keep in (lambda bits: bits != 0b011, lambda bits: bits & 1, lambda bits: bits > 7):
+        kept = [b for b in bases if all(keep(v.bits) for v in b)]
+        assert list(enumerate_bases(space, keep=keep)) == kept
+    units = list(enumerate_bases(space, keep=lambda bits: bits.bit_count() == 1))
+    assert units == [tuple(BitVec.unit(3, i) for i in range(3))]
 
 
 coord_rows = st.integers(min_value=1, max_value=10).flatmap(

@@ -2,8 +2,10 @@
 
 The files were written by the calculator before the known-case ledger became
 one registry, the rank-7 report before the greedy sorted one int key per
-pattern, and the help texts before the certificate layer was imported only by
-certify; every report must stay exactly as it was.
+pattern, the help texts before the certificate layer was imported only by
+certify, and the dual-dimension-5 report before the upper-bound search
+enumerated only the bases without small factor products; every report must
+stay exactly as it was.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ CASES = [
         4,
         ["compute", "--json", "--enum-cap", "8", "rank2_five_diagonal.json"],
     ),
+    # dual dimension 5: the upper-bound search keeps 2352 of the 83328 bases
+    ("compute_dual5_small", 0, ["compute", "dual5_small_diagonal.json"]),
     ("certify_pair_2_3", 0, ["certify", "--json", "builtin:pair:2:3"]),
 ]
 
