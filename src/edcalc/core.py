@@ -26,7 +26,6 @@ from .gf2 import (
     DimensionMismatchError,
     EnumerationTooLargeError,
     annihilator,
-    count_bases,
     enumerate_bases,
     rref_bits,
 )
@@ -47,11 +46,6 @@ WARN_BASIS_CAP = "basis-cap-exceeded"
 def group_dim(n: Sequence[int]) -> int:
     """Dimension of the product of odd orthogonal Lie algebras: sum of 2*n_i^2 + n_i."""
     return sum(2 * r * r + r for r in n)
-
-
-def weight_exponent(r: BitVec, n: Sequence[int]) -> int:
-    """Sum of the factor ranks over the support of r; the weight of r is 2 to this."""
-    return sum(n[i] for i in r.support())
 
 
 def support_ranks(r: BitVec, n: Sequence[int]) -> tuple[int, ...]:
@@ -488,15 +482,19 @@ def compute_ed(
         )
 
     upper: int | None = None
-    if count_bases(k) <= basis_cap:
-        best: int | None = None
-        candidates = 0
+    best: int | None = None
+    candidates = 0
+    try:
         # keep the patterns whose weight is not None: the bases without small factor products
         for b in enumerate_bases(annihilator(mu), basis_cap, weights.__getitem__):
             candidates += 1
             t = sum(weights[v.bits] for v in b)
             if best is None or t < best:
                 best = t
+    except EnumerationTooLargeError as exc:
+        warnings.append(WARN_BASIS_CAP)
+        trace.append(TraceEntry("upper-bound-search", f"{exc}; search skipped"))
+    else:
         if best is not None:
             upper = best - dim_g
             trace.append(
@@ -512,14 +510,6 @@ def compute_ed(
                     "no basis avoids small factor products; no weight-formula upper bound",
                 )
             )
-    else:
-        warnings.append(WARN_BASIS_CAP)
-        trace.append(
-            TraceEntry(
-                "upper-bound-search",
-                f"{count_bases(k)} bases exceed the cap of {basis_cap}; search skipped",
-            )
-        )
     if upper is not None and upper < lower:
         raise RuntimeError("upper bound search contradicts the lower bound")
     return EdResult(

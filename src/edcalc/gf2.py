@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from ._record import _Record, _setattr
@@ -202,19 +203,8 @@ def enumerate_bases(
     total = count_bases(k)
     if total > cap:
         raise EnumerationTooLargeError(f"{total} bases exceed the cap of {cap}")
-    if k == 0:
-        yield ()
-        return
     elems = sorted(filter(keep, enumerate_elements(space, dim_cap=max(k, DEFAULT_DIM_CAP))))
-
-    def rec(start: int, echelon: list[int], chosen: list[int]) -> Iterator[tuple[BitVec, ...]]:
-        if len(chosen) == k:
+    # index tuples come in lexicographic order; the k-subsets of full rank are the bases
+    for chosen in combinations(elems, k):
+        if len(rref_bits(chosen)) == k:
             yield tuple(BitVec(space.m, b) for b in chosen)
-            return
-        for idx in range(start, len(elems)):
-            v = elems[idx]
-            if reduce_bits(v, echelon) == 0:
-                continue
-            yield from rec(idx + 1, rref_bits(echelon + [v]), chosen + [v])
-
-    yield from rec(0, [], [])

@@ -1,0 +1,50 @@
+"""The exhaustive basis search as it was before it became one loop over combinations.
+
+Kept as a test oracle: `enumerate_bases` must yield the same bases, in the same
+order, as `reference_enumerate_bases` on every subspace and filter.  This
+recursion extends an echelon form one element at a time and prunes each prefix
+that is already dependent.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterator
+
+from edcalc.gf2 import (
+    DEFAULT_BASIS_CAP,
+    DEFAULT_DIM_CAP,
+    BitVec,
+    EnumerationTooLargeError,
+    SubspaceF2,
+    count_bases,
+    enumerate_elements,
+    reduce_bits,
+    rref_bits,
+)
+
+
+def reference_enumerate_bases(
+    space: SubspaceF2, cap: int = DEFAULT_BASIS_CAP, keep: Callable[[int], object] | None = None
+) -> Iterator[tuple[BitVec, ...]]:
+    """Yield once each unordered basis of the subspace on whose every element's bits keep is
+    true (with no keep, every basis); refuses when the count of all bases exceeds cap."""
+    k = space.dim
+    total = count_bases(k)
+    if total > cap:
+        raise EnumerationTooLargeError(f"{total} bases exceed the cap of {cap}")
+    if k == 0:
+        yield ()
+        return
+    elems = sorted(filter(keep, enumerate_elements(space, dim_cap=max(k, DEFAULT_DIM_CAP))))
+
+    def rec(start: int, echelon: list[int], chosen: list[int]) -> Iterator[tuple[BitVec, ...]]:
+        if len(chosen) == k:
+            yield tuple(BitVec(space.m, b) for b in chosen)
+            return
+        for idx in range(start, len(elems)):
+            v = elems[idx]
+            if reduce_bits(v, echelon) == 0:
+                continue
+            yield from rec(idx + 1, rref_bits(echelon + [v]), chosen + [v])
+
+    yield from rec(0, [], [])

@@ -2,7 +2,8 @@
 
 Kept as a test oracle: `greedy_min_basis` must return the same basis, in the
 same order, and the same total as `reference_greedy_min_basis` on every dual
-subspace.  Elements are `BitVec`s sorted on (weight exponent, coordinate tuple).
+subspace.  Elements are `BitVec`s sorted on (weight exponent, coordinate tuple);
+`weight_exponent`, which the package no longer needs, lives here.
 `reference_greedy_keys` lists the int key of every pattern of the dual in
 sorted order: the key stream the greedy read before it walked sets of factors.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from edcalc.core import weight_exponent
 from edcalc.gf2 import (
     DEFAULT_DIM_CAP,
     BitVec,
@@ -21,6 +21,11 @@ from edcalc.gf2 import (
     reduce_bits,
     rref_bits,
 )
+
+
+def weight_exponent(r: BitVec, n: Sequence[int]) -> int:
+    """Sum of the factor ranks over the support of r; the weight of r is 2 to this."""
+    return sum(n[i] for i in r.support())
 
 
 def reference_enumerate_elements(

@@ -21,12 +21,12 @@ from edcalc import (
     greedy_min_basis,
     rref,
 )
-from edcalc.core import PatternWeights, _greedy, _split_walk_keys, support_ranks, weight_exponent
+from edcalc.core import PatternWeights, _greedy, _split_walk_keys, support_ranks
 from edcalc.extraspecial import DEFAULT_CLOSURE_CAP, _closure_packed, _Packing
 from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
 from edcalc.ledger import is_small_product
 
-from greedy_reference import reference_greedy_keys
+from greedy_reference import reference_greedy_keys, weight_exponent
 
 
 def word_product(

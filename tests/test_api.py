@@ -69,8 +69,8 @@ NOT_AT_START = {"argparse", "dataclasses"}
             {"edcalc._record", "edcalc.ledger"},
             {"edcalc.gf2", "edcalc.spec", "edcalc.core", "edcalc.extraspecial"},
         ),
-        # survey.json is no spec document, so the batch exits 2
-        (["batch", str(DATA)], 2, COMPUTE, {"edcalc.extraspecial"}),
+        # dual6_small_diagonal.json, before survey.json, hits the basis cap: the batch exits 4
+        (["batch", str(DATA)], 4, COMPUTE, {"edcalc.extraspecial"}),
     ],
     ids=["compute", "table", "batch"],
 )
@@ -101,8 +101,8 @@ def test_help_and_usage_errors_load_argparse_and_no_algorithm(argv, code):
 # edcalc.cli` runs cli.py as __main__, so it counts besides the modules imported.
 # A change that makes a command load more raises its bound here.
 SOURCE_BUDGET = {
-    "compute": (["compute", str(DATA / "c1.json")], 1632),
-    "certify": (["certify", "builtin:small4"], 1689),
+    "compute": (["compute", str(DATA / "c1.json")], 1612),
+    "certify": (["certify", "builtin:small4"], 1679),
     "table": (["table"], 735),
 }
 

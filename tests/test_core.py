@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -30,15 +32,16 @@ from edcalc import (
     validate,
 )
 from edcalc.core import (
+    WARN_BASIS_CAP,
     WARN_ELEMENT_CAP,
     PatternWeights,
     support_ranks,
     theorem_hypothesis_holds,
-    weight_exponent,
 )
 
 from edcalc.gf2 import enumerate_bases
 
+from greedy_reference import weight_exponent
 from helpers import (
     brute_bounds,
     brute_min_basis,
@@ -117,14 +120,6 @@ def test_group_dim():
     assert group_dim([3]) == 21
     assert group_dim([7]) == 105
     assert group_dim([1, 2, 3, 7]) == 139
-
-
-def test_weights():
-    n = (1, 2, 3, 7)
-    assert weight_exponent(BitVec.from_coords([1, 1, 0, 0]), n) == 3
-    assert weight_exponent(BitVec.from_coords([1, 1, 1, 0]), n) == 6
-    assert weight_exponent(BitVec.from_coords([0, 0, 0, 1]), n) == 7
-    assert weight_exponent(BitVec(4, 0), n) == 0
 
 
 def test_small_products():
@@ -365,6 +360,20 @@ def test_compute_ed_no_qualifying_basis():
     assert res.status == STATUS_BOUNDS
     assert res.upper is None
     assert res.lower == max(0, 2 + 64 - group_dim((1, 6)))
+
+
+def test_compute_ed_basis_cap_boundary():
+    # (1,1,2,3,1,2) under diagonal mu: the dual has dimension 5 and 83328 bases,
+    # 2352 of them without small factor products
+    doc = json.loads((Path(__file__).parent / "data" / "dual5_small_diagonal.json").read_text())
+    spec = spec_from_doc(doc)
+    capped = compute_ed(spec, basis_cap=83327)
+    assert capped.warnings == (WARN_BASIS_CAP,) and capped.upper is None
+    assert capped.trace[-1].rule == "upper-bound-search"
+    assert capped.trace[-1].citation == "83328 bases exceed the cap of 83327; search skipped"
+    searched = compute_ed(spec, basis_cap=83328)
+    assert searched.warnings == () and searched.upper == 206
+    assert searched.trace[-1].citation.startswith("best of 2352 bases ")
 
 
 def seeded_small_duals(seed: int, count: int) -> list[GroupSpecB]:

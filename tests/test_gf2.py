@@ -12,6 +12,7 @@ from edcalc import (
     BitVec,
     DimensionMismatchError,
     EnumerationTooLargeError,
+    GroupSpecB,
     SubspaceF2,
     annihilator,
     count_bases,
@@ -19,7 +20,10 @@ from edcalc import (
     enumerate_elements,
     rref,
 )
+from edcalc.core import PatternWeights
 from edcalc.gf2 import rref_bits
+
+from bases_reference import reference_enumerate_bases
 
 
 def vecs(m, rows):
@@ -158,6 +162,45 @@ def test_enumerate_bases_keep():
         assert list(enumerate_bases(space, keep=keep)) == kept
     units = list(enumerate_bases(space, keep=lambda bits: bits.bit_count() == 1))
     assert units == [tuple(BitVec.unit(3, i) for i in range(3))]
+
+
+def random_space(rng: Random, dim: int) -> SubspaceF2:
+    m = rng.randint(max(dim, 1), 8)
+    vectors: list[BitVec] = []
+    while rref(vectors, m=m).dim < dim:
+        vectors.append(BitVec(m, rng.getrandbits(m)))
+    return rref(vectors, m=m)
+
+
+def test_enumerate_bases_matches_the_recursion_oracle():
+    rng = Random(1901)
+    for dim in range(6):
+        for _ in range(25):
+            space = random_space(rng, dim)
+            elems = enumerate_elements(space)
+            kept = set(rng.sample(elems, rng.randint(0, min(len(elems), 20))))
+            # every basis of a dimension-5 space is left to the pool specs below
+            for keep in (kept.__contains__,) if dim == 5 else (None, kept.__contains__):
+                expected = list(reference_enumerate_bases(space, keep=keep))
+                assert list(enumerate_bases(space, keep=keep)) == expected, (space, keep)
+
+
+# the two specs of dual dimension 5 in the compute-small-bounds benchmark pool,
+# with the number of their bases that avoid small factor products
+DUAL5_POOL = [
+    (GroupSpecB((3, 3, 1, 2, 1, 3), (BitVec(6, 0b111111),)), 5868),
+    (GroupSpecB((2, 2, 1, 1, 1, 2), (BitVec(6, 0b011000),)), 2352),
+]
+
+
+@pytest.mark.parametrize("spec,searched", DUAL5_POOL, ids=["diagonal", "random"])
+def test_enumerate_bases_matches_the_recursion_oracle_on_the_dual5_pool_specs(spec, searched):
+    dual = spec.dual_subspace()
+    # the upper-bound search's filter, then every basis
+    for keep, count in ((PatternWeights(spec.n).__getitem__, searched), (None, 83328)):
+        expected = list(reference_enumerate_bases(dual, keep=keep))
+        assert len(expected) == count
+        assert list(enumerate_bases(dual, keep=keep)) == expected
 
 
 coord_rows = st.integers(min_value=1, max_value=10).flatmap(

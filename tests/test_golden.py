@@ -4,8 +4,9 @@ The files were written by the calculator before the known-case ledger became
 one registry, the rank-7 report before the greedy sorted one int key per
 pattern, the help texts before the certificate layer was imported only by
 certify, and the dual-dimension-5 report before the upper-bound search
-enumerated only the bases without small factor products; every report must
-stay exactly as it was.
+enumerated only the bases without small factor products, and the
+dual-dimension-6 report before the basis search became one loop over
+combinations; every report must stay exactly as it was.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ CASES = [
     ),
     # dual dimension 5: the upper-bound search keeps 2352 of the 83328 bases
     ("compute_dual5_small", 0, ["compute", "dual5_small_diagonal.json"]),
+    # dual dimension 6: 27998208 bases exceed the default basis cap, so the search is skipped
+    ("compute_dual6_small", 4, ["compute", "dual6_small_diagonal.json"]),
     ("certify_pair_2_3", 0, ["certify", "--json", "builtin:pair:2:3"]),
 ]
 
