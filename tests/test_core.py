@@ -8,6 +8,7 @@ from random import Random
 
 import pytest
 
+import edcalc.core
 import edcalc.ledger
 from edcalc import (
     STATUS_BOUNDS,
@@ -16,6 +17,7 @@ from edcalc import (
     DimensionMismatchError,
     EmptySpecError,
     GroupSpecB,
+    KnownCase,
     NotReducedError,
     SpecFormatError,
     compute_ed,
@@ -374,6 +376,29 @@ def test_compute_ed_basis_cap_boundary():
     searched = compute_ed(spec, basis_cap=83328)
     assert searched.warnings == () and searched.upper == 206
     assert searched.trace[-1].citation.startswith("best of 2352 bases ")
+
+
+def load_spec(name):
+    return spec_from_doc(json.loads((Path(__file__).parent / "data" / name).read_text()))
+
+
+def test_compute_ed_refuses_a_known_exact_value_below_the_weight_formula(monkeypatch):
+    # the weight-formula lower bound of this spec is 14
+    case = KnownCase("exact", 13, "planted", "an exact value below the formula")
+    monkeypatch.setattr(edcalc.core, "known_cases", lambda mu, n: case)
+    spec = load_spec("rank2_five_diagonal.json")
+    message = "^known exact value contradicts the weight-formula lower bound$"
+    with pytest.raises(RuntimeError, match=message):
+        compute_ed(spec)
+
+
+def test_compute_ed_refuses_a_search_upper_bound_below_a_known_lower_value(monkeypatch):
+    # the upper-bound search of this spec gives 206
+    case = KnownCase("lower", 10**6, "planted", "a lower value above the search")
+    monkeypatch.setattr(edcalc.core, "known_cases", lambda mu, n: case)
+    spec = load_spec("dual5_small_diagonal.json")
+    with pytest.raises(RuntimeError, match="^upper bound search contradicts the lower bound$"):
+        compute_ed(spec)
 
 
 def seeded_small_duals(seed: int, count: int) -> list[GroupSpecB]:

@@ -14,6 +14,7 @@ import pytest
 
 from edcalc import (
     BitVec,
+    CertReport,
     Certificate,
     CliffordTuple,
     CliffordUnit,
@@ -597,6 +598,58 @@ def test_verify_rejects_loose_centralizer():
     assert not report.centralizer_finite
     assert report.lower_bound is None
     assert "centralizer" in report.failure_reason
+
+
+NOT_SEPARATED = (
+    "centralizer not certified finite: some coordinates are not separated by the vector images"
+)
+
+
+def noted_non_abelian_certificate():
+    # generators 1 and 2 anticommute in the first factor only, and the images
+    # separate every coordinate of both factors
+    spec = GroupSpecB((1, 1), diagonal_mu(2).basis)
+    one = CliffordUnit.identity(3)
+    gens = (
+        CliffordTuple((cu(3, 1, 2), cu(3, 1, 2))),
+        CliffordTuple((cu(3, 1, 3), one)),
+        CliffordTuple((one, cu(3, 1, 3))),
+    )
+    return Certificate(spec, gens, "a note")
+
+
+def loose_certificate():
+    spec = GroupSpecB((2, 2), diagonal_mu(2).basis)
+    gens = (
+        CliffordTuple((cu(5, 1, 2), cu(5, 1, 2))),
+        CliffordTuple((CliffordUnit.scalar(5, -1), CliffordUnit.identity(5))),
+    )
+    return Certificate(spec, gens, "a loose note")
+
+
+@pytest.mark.parametrize(
+    "make,expected",
+    [
+        (
+            noted_non_abelian_certificate,
+            CertReport(
+                False,
+                0,
+                0,
+                True,
+                None,
+                "NonAbelianQuotient: generators 1 and 2 have commutator sign pattern (1,0),"
+                " outside mu",
+                ("a note",),
+            ),
+        ),
+        (lambda: diagonal_certificate(2, 3), CertReport(True, 64, 6, True, 6)),
+        (loose_certificate, CertReport(True, 4, 2, False, None, NOT_SEPARATED, ("a loose note",))),
+    ],
+    ids=["non-abelian", "valid", "loose-centralizer"],
+)
+def test_verify_reports_each_verdict_whole(make, expected):
+    assert verify_certificate(make()) == expected
 
 
 def test_verify_propagates_spec_validation():
