@@ -393,14 +393,14 @@ def compute_ed(
         )
     ]
     warnings: list[str] = []
+    status, lower = STATUS_BOUNDS, 0
+    upper: int | None = None
 
-    capped = False
     try:
         basis, total = greedy_min_basis(mu, spec.n, dim_cap)
     except EnumerationTooLargeError:
         # the dual is over the dim cap: the ledger alone decides
-        capped = True
-        basis, total, lower = (), 0, 0
+        basis, total = (), 0
         warnings.append(WARN_ELEMENT_CAP)
         trace.append(
             TraceEntry(
@@ -416,6 +416,8 @@ def compute_ed(
                 f" minimal total weight {total}",
             )
         )
+    # a reduced mu has a nonzero dual, so the basis is empty only when the greedy refused it
+    if basis:
         raw = total - dim_g
         lower = max(0, raw)
         clamp_note = "" if raw >= 0 else "; clamped to 0"
@@ -437,7 +439,16 @@ def compute_ed(
 
         weights = PatternWeights(spec.n)
         small = [v for v in basis if weights.is_small(v.bits)]
-        if not small:
+        if small:
+            trace.append(
+                TraceEntry(
+                    "small-product-list",
+                    "minimal-basis vectors with small factor products: "
+                    + ", ".join(f"{v} -> {list(support_ranks(v, spec.n))}" for v in small),
+                )
+            )
+        else:
+            status, upper = STATUS_EXACT, lower
             trace.append(
                 TraceEntry(
                     "minimal-basis-exact",
@@ -445,73 +456,47 @@ def compute_ed(
                     " so the weight formula is exact",
                 )
             )
-            return EdResult(
-                STATUS_EXACT, lower, lower, basis, total, dim_g, tuple(trace), tuple(warnings)
-            )
 
-        trace.append(
-            TraceEntry(
-                "small-product-list",
-                "minimal-basis vectors with small factor products: "
-                + ", ".join(f"{v} -> {list(support_ranks(v, spec.n))}" for v in small),
-            )
-        )
-
-    case = known_cases(mu, spec.n)
+    case = known_cases(mu, spec.n) if status != STATUS_EXACT else None
     if case is not None and case.kind == "exact":
         if case.value < lower:
             raise RuntimeError("known exact value contradicts the weight-formula lower bound")
+        status, lower, upper = STATUS_EXACT, case.value, case.value
         trace.append(TraceEntry(f"known-exact/{case.tag}", case.description))
-        return EdResult(
-            STATUS_EXACT,
-            case.value,
-            case.value,
-            basis,
-            total,
-            dim_g,
-            tuple(trace),
-            tuple(warnings),
-        )
-    if case is not None:
+    elif case is not None:
         if case.value > lower:
             lower = case.value
         trace.append(TraceEntry(f"known-lower/{case.tag}", case.description))
-    if capped:
-        return EdResult(
-            STATUS_BOUNDS, lower, None, basis, total, dim_g, tuple(trace), tuple(warnings)
-        )
 
-    upper: int | None = None
-    best: int | None = None
-    candidates = 0
-    try:
-        # keep the patterns whose weight is not None: the bases without small factor products
-        for b in enumerate_bases(annihilator(mu), basis_cap, weights.__getitem__):
-            candidates += 1
-            t = sum(weights[v.bits] for v in b)
-            if best is None or t < best:
-                best = t
-    except EnumerationTooLargeError as exc:
-        warnings.append(WARN_BASIS_CAP)
-        trace.append(TraceEntry("upper-bound-search", f"{exc}; search skipped"))
-    else:
-        if best is not None:
-            upper = best - dim_g
-            trace.append(
-                TraceEntry(
-                    "upper-bound-search",
-                    f"best of {candidates} bases with no small factor product has total weight {best}",
-                )
-            )
+    if status != STATUS_EXACT and basis:
+        best: int | None = None
+        candidates = 0
+        try:
+            # keep the patterns whose weight is not None: the bases without small factor products
+            for b in enumerate_bases(annihilator(mu), basis_cap, weights.__getitem__):
+                candidates += 1
+                t = sum(weights[v.bits] for v in b)
+                if best is None or t < best:
+                    best = t
+        except EnumerationTooLargeError as exc:
+            warnings.append(WARN_BASIS_CAP)
+            trace.append(TraceEntry("upper-bound-search", f"{exc}; search skipped"))
         else:
-            trace.append(
-                TraceEntry(
-                    "upper-bound-search",
-                    "no basis avoids small factor products; no weight-formula upper bound",
+            if best is not None:
+                upper = best - dim_g
+                trace.append(
+                    TraceEntry(
+                        "upper-bound-search",
+                        f"best of {candidates} bases with no small factor product has total weight {best}",
+                    )
                 )
-            )
-    if upper is not None and upper < lower:
-        raise RuntimeError("upper bound search contradicts the lower bound")
-    return EdResult(
-        STATUS_BOUNDS, lower, upper, basis, total, dim_g, tuple(trace), tuple(warnings)
-    )
+            else:
+                trace.append(
+                    TraceEntry(
+                        "upper-bound-search",
+                        "no basis avoids small factor products; no weight-formula upper bound",
+                    )
+                )
+        if upper is not None and upper < lower:
+            raise RuntimeError("upper bound search contradicts the lower bound")
+    return EdResult(status, lower, upper, basis, total, dim_g, trace, warnings)

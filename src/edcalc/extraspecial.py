@@ -346,47 +346,45 @@ class CertReport(_Record):
 def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_CLOSURE_CAP) -> CertReport:
     """Check a certificate from scratch and report the lower bound it proves."""
     mu = validate(cert.spec)
-    notes = (cert.note,) if cert.note else ()
     dims = tuple(2 * r + 1 for r in cert.spec.n)
     packing = _Packing(dims)
     gens = [packing.pack(g) for g in cert.generators]
     mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
     masks = [g >> packing.width for g in gens]
 
+    reason = None
     commutators = []
     for (i, a), (j, b) in combinations(enumerate(masks), 2):
         commutator = packing.commutator(a, b)
         if reduce_bits(commutator, mu_rows):
             pattern = BitVec(len(dims), packing.sign_pattern(commutator))
-            return CertReport(
-                abelian_in_quotient=False,
-                subgroup_order=0,
-                rank=0,
-                centralizer_finite=centralizer_finite(cert.generators, dims),
-                lower_bound=None,
-                failure_reason=(
-                    f"NonAbelianQuotient: generators {i + 1} and {j + 1} have commutator"
-                    f" sign pattern {pattern}, outside mu"
-                ),
-                notes=notes,
+            reason = (
+                f"NonAbelianQuotient: generators {i + 1} and {j + 1} have commutator"
+                f" sign pattern {pattern}, outside mu"
             )
+            break
         if commutator:
             commutators.append(commutator)
 
-    subgroup = _closure_packed(gens, packing, closure_cap, commutators)
-    order, rank = _quotient_rank_packed(subgroup, packing, mu_rows)
+    abelian = reason is None
+    order = rank = 0
+    if abelian:
+        subgroup = _closure_packed(gens, packing, closure_cap, commutators)
+        order, rank = _quotient_rank_packed(subgroup, packing, mu_rows)
     finite = centralizer_finite(cert.generators, dims)
+    if abelian and not finite:
+        reason = (
+            "centralizer not certified finite: some coordinates are not separated"
+            " by the vector images"
+        )
     return CertReport(
-        abelian_in_quotient=True,
+        abelian_in_quotient=abelian,
         subgroup_order=order,
         rank=rank,
         centralizer_finite=finite,
-        lower_bound=rank if finite else None,
-        failure_reason=None if finite else (
-            "centralizer not certified finite: some coordinates are not separated"
-            " by the vector images"
-        ),
-        notes=notes,
+        lower_bound=rank if reason is None else None,
+        failure_reason=reason,
+        notes=(cert.note,) if cert.note else (),
     )
 
 

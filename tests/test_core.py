@@ -364,11 +364,14 @@ def test_compute_ed_no_qualifying_basis():
     assert res.lower == max(0, 2 + 64 - group_dim((1, 6)))
 
 
+def load_spec(name):
+    return spec_from_doc(json.loads((Path(__file__).parent / "data" / name).read_text()))
+
+
 def test_compute_ed_basis_cap_boundary():
     # (1,1,2,3,1,2) under diagonal mu: the dual has dimension 5 and 83328 bases,
     # 2352 of them without small factor products
-    doc = json.loads((Path(__file__).parent / "data" / "dual5_small_diagonal.json").read_text())
-    spec = spec_from_doc(doc)
+    spec = load_spec("dual5_small_diagonal.json")
     capped = compute_ed(spec, basis_cap=83327)
     assert capped.warnings == (WARN_BASIS_CAP,) and capped.upper is None
     assert capped.trace[-1].rule == "upper-bound-search"
@@ -376,10 +379,6 @@ def test_compute_ed_basis_cap_boundary():
     searched = compute_ed(spec, basis_cap=83328)
     assert searched.warnings == () and searched.upper == 206
     assert searched.trace[-1].citation.startswith("best of 2352 bases ")
-
-
-def load_spec(name):
-    return spec_from_doc(json.loads((Path(__file__).parent / "data" / name).read_text()))
 
 
 def test_compute_ed_refuses_a_known_exact_value_below_the_weight_formula(monkeypatch):

@@ -587,13 +587,17 @@ def test_verify_rejects_non_abelian_certificate():
     assert "NonAbelianQuotient" in report.failure_reason
 
 
-def test_verify_rejects_loose_centralizer():
+def loose_certificate():
     spec = GroupSpecB((2, 2), diagonal_mu(2).basis)
     gens = (
         CliffordTuple((cu(5, 1, 2), cu(5, 1, 2))),
         CliffordTuple((CliffordUnit.scalar(5, -1), CliffordUnit.identity(5))),
     )
-    report = verify_certificate(Certificate(spec, gens))
+    return Certificate(spec, gens, "a loose note")
+
+
+def test_verify_rejects_loose_centralizer():
+    report = verify_certificate(loose_certificate())
     assert report.abelian_in_quotient
     assert not report.centralizer_finite
     assert report.lower_bound is None
@@ -616,15 +620,6 @@ def noted_non_abelian_certificate():
         CliffordTuple((one, cu(3, 1, 3))),
     )
     return Certificate(spec, gens, "a note")
-
-
-def loose_certificate():
-    spec = GroupSpecB((2, 2), diagonal_mu(2).basis)
-    gens = (
-        CliffordTuple((cu(5, 1, 2), cu(5, 1, 2))),
-        CliffordTuple((CliffordUnit.scalar(5, -1), CliffordUnit.identity(5))),
-    )
-    return Certificate(spec, gens, "a loose note")
 
 
 @pytest.mark.parametrize(
