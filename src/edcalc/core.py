@@ -109,8 +109,11 @@ class _ChunkSum:
         return sum(table[s >> c & mask] for c, table in self.tables)
 
 
-def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
+def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> Iterator[int]:
     """Greedy keys of the nonzero patterns orthogonal to mu_rows, ascending, found lazily.
+
+    Only the patterns over factors, a mask that holds the support of mu_rows,
+    are walked; their keys keep the layout over all of n.
 
     The key of a pattern is its weight exponent << m plus the pattern bit-reversed
     (coordinate i at bit m-1-i), so integer order is weight order, then coordinate
@@ -147,7 +150,7 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
     takes at most 2^(k-1) patterns: the first k-1 it keeps span 2^(k-1) - 1.
     """
     m = len(n)
-    order = sorted(range(m - 1, -1, -1), key=n.__getitem__)  # stable: ties by index descending
+    order = sorted([*_positions(factors)][::-1], key=n.__getitem__)  # stable: ties by index descending
     inc = [n[i] << m | 1 << (m - 1 - i) for i in order]
     # mu's rows over the sorted positions, reduced again: their pivots are the
     # lightest positions with independent columns, and pivot j's column is 1 << j
@@ -169,7 +172,7 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterator[int]:
             col[(r & -r).bit_length() - 1] |= 1 << j
             r &= r - 1
     pivots = [(r & -r).bit_length() - 1 for r in rows]
-    rest = [p for p in range(m) if p not in pivots]
+    rest = [p for p in range(len(order)) if p not in pivots]
     extra, heavy = rest[:LIGHT_EXTRA], rest[LIGHT_EXTRA:]
     shift = 6 + d
     # table c holds the keys, in entry units, of the sets of pivots c..c+PIVOT_CHUNK-1;
@@ -263,25 +266,58 @@ def greedy_min_basis(
 ) -> tuple[tuple[BitVec, ...], int]:
     """Minimal-total-weight basis of the dual of mu by matroid greedy.
 
-    Ties are broken by coordinate tuple.  Refuses a dual of dimension above dim_cap.
+    Ties are broken by coordinate tuple.  The factors split into blocks, the
+    connected components of the supports of mu's rows; a factor outside every
+    support is a block of its own, whose dual is its unit pattern.  The dual is
+    the direct sum of the blocks' duals, and a pattern over two blocks comes
+    after both of its parts in key order, so the greedy never takes it: its
+    picks are the blocks' picks merged by key.  Refuses a block whose dual has
+    dimension above dim_cap.
     """
-    m, k = mu.m, mu.m - mu.dim
+    m = mu.m
     if len(n) != m:
         raise DimensionMismatchError("rank list does not match the ambient dimension")
+    mu_rows = [v.bits for v in mu.basis]
+    # one sweep grows the first row's block; when it reaches every factor, the
+    # whole spec is one block, the usual case, and no rows need grouping
+    reach = mu_rows[0] if mu_rows else 0
+    for row in mu_rows:
+        if row & reach:
+            reach |= row
+    blocks: dict[int, list[int]] = {}  # support mask -> mu's rows over it
+    if reach == (1 << m) - 1:
+        blocks[reach] = mu_rows
+    else:
+        for row in mu_rows:
+            mask, rows = row, [row]
+            for joined in [b for b in blocks if b & row]:
+                mask |= joined
+                rows += blocks.pop(joined)
+            blocks[mask] = rows
+        # the masks are disjoint, so their sum is their union
+        for i in _positions((1 << m) - 1 & ~sum(blocks)):
+            blocks[1 << i] = []
+    dims = [mask.bit_count() - len(rows) for mask, rows in blocks.items()]
+    k = max(dims, default=0)
     if k > dim_cap:
         raise EnumerationTooLargeError(
             f"subspace of dimension {k} has {2 ** k - 1} nonzero elements, cap is 2^{dim_cap}"
         )
-    return _greedy(_split_walk_keys(n, [v.bits for v in mu.basis]), m, k)
+    picks: list[int] = []
+    for (mask, rows), dim in zip(blocks.items(), dims):
+        if rows:
+            picks += _picks(_split_walk_keys(n, rows, mask), m, dim)
+        else:
+            picks.append(n[i := mask.bit_length() - 1] << m | 1 << (m - 1 - i))
+    return _basis(sorted(picks), m)
 
 
-def _greedy(keys: Iterator[int], m: int, k: int) -> tuple[tuple[BitVec, ...], int]:
-    """The first k independent patterns of an ascending key stream, and their total weight."""
+def _picks(keys: Iterator[int], m: int, k: int) -> list[int]:
+    """The keys of the first k independent patterns of an ascending key stream."""
     low = (1 << m) - 1
     # independence is tested on the reversed patterns, by (pivot bit, row) pairs
     echelon: list[tuple[int, int]] = []
     chosen: list[int] = []
-    total = 0
     for key in keys:
         r = key & low
         for pivot, row in echelon:
@@ -289,11 +325,17 @@ def _greedy(keys: Iterator[int], m: int, k: int) -> tuple[tuple[BitVec, ...], in
                 r ^= row
         if r:
             echelon.append((r & -r, r))
-            chosen.append(key & low)
-            total += 1 << (key >> m)
+            chosen.append(key)
             if len(chosen) == k:
                 break
-    return tuple(BitVec(m, int(f"{r:0{m}b}"[::-1], 2)) for r in chosen), total
+    return chosen
+
+
+def _basis(keys: Sequence[int], m: int) -> tuple[tuple[BitVec, ...], int]:
+    """The patterns of greedy keys as vectors, in key order, and their total weight."""
+    low = (1 << m) - 1
+    basis = tuple(BitVec(m, int(f"{key & low:0{m}b}"[::-1], 2)) for key in keys)
+    return basis, sum(1 << (key >> m) for key in keys)
 
 
 def theorem_hypothesis_holds(spec: GroupSpecB) -> tuple[bool, tuple[int, ...]]:

@@ -21,7 +21,7 @@ from edcalc import (
     greedy_min_basis,
     rref,
 )
-from edcalc.core import PatternWeights, _greedy, _split_walk_keys, support_ranks
+from edcalc.core import PatternWeights, _basis, _picks, _split_walk_keys, support_ranks
 from edcalc.extraspecial import DEFAULT_CLOSURE_CAP, _closure_packed, _Packing
 from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
 from edcalc.ledger import is_small_product
@@ -174,6 +174,16 @@ def brute_bounds(
     return least, best, candidates
 
 
+def greedy_over(keys: Iterable[int], m: int, k: int) -> tuple[tuple[BitVec, ...], int]:
+    """The first k independent patterns of an ascending key stream, and their total weight."""
+    return _basis(_picks(keys, m, k), m)
+
+
+def whole_walk_keys(n: Sequence[int], mu_rows: Sequence[int]) -> Iterable[int]:
+    """The split walk's keys over every factor, whatever blocks mu_rows make."""
+    return _split_walk_keys(n, mu_rows, (1 << len(n)) - 1)
+
+
 def restricted_greedy_total(spec: GroupSpecB, keys: Iterable[int]) -> int | None:
     """Matroid greedy over the ascending greedy keys of the dual, without the keys of
     small factor products: the least total weight of a basis with no small factor
@@ -188,7 +198,7 @@ def restricted_greedy_total(spec: GroupSpecB, keys: Iterable[int]) -> int | None
     weights, low = PatternWeights(spec.n), (1 << m) - 1
     # a key holds its pattern bit-reversed; is_small reads coordinate i at bit i
     kept = (key for key in keys if not weights.is_small(int(f"{key & low:0{m}b}"[::-1], 2)))
-    basis, total = _greedy(kept, m, k)
+    basis, total = greedy_over(kept, m, k)
     return total if len(basis) == k else None
 
 
@@ -202,7 +212,7 @@ def check_restricted_greedy(spec: GroupSpecB, best: int | None) -> bool:
     """
     dual = spec.dual_subspace()
     assert restricted_greedy_total(spec, reference_greedy_keys(dual, spec.n)) == best, spec
-    keys = list(_split_walk_keys(spec.n, [v.bits for v in spec.mu_subspace().basis]))
+    keys = list(whole_walk_keys(spec.n, [v.bits for v in spec.mu_subspace().basis]))
     walked = restricted_greedy_total(spec, keys)
     if walked is None and best is not None:
         assert len(keys) < (1 << dual.dim) - 1, spec

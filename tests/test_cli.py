@@ -133,10 +133,10 @@ def test_more_than_64_factors_is_a_validation_error(tmp_path, capsys):
     code, out, err = run(capsys, "compute", path)
     assert code == 3 and out == ""
     assert err == f"error: {path}: at most 64 factors are supported\n"
-    # 64 factors pass validation; trivial mu leaves a dual over the element cap
+    # 64 factors pass validation; under trivial mu each factor is a block of its own
     path = write_doc(tmp_path, "widest.json", {"type": "B", "n": [7] * 64})
     code, out, _ = run(capsys, "compute", path)
-    assert code == 4 and "warning: element-cap-exceeded" in out
+    assert code == 0 and "status: exact, ed = 1472" in out
 
 
 def test_compute_capped_exact_and_partial(tmp_path, capsys):
@@ -148,7 +148,10 @@ def test_compute_capped_exact_and_partial(tmp_path, capsys):
     assert "status: exact, ed = 31" in out
     assert "warning: element-cap-exceeded" in out
 
-    path = write_doc(tmp_path, "huge.json", {"type": "B", "n": [9] * 26})
+    # one connected block with a dual of dimension 25, which no ledger family matches
+    path = write_doc(
+        tmp_path, "huge.json", {"type": "B", "n": [9] * 25 + [10], "mu_generators": [[1] * 26]}
+    )
     code, out, _ = run(capsys, "compute", path)
     assert code == 4
     assert "status: bounds-only, ed >= 0" in out

@@ -447,7 +447,8 @@ def test_compute_ed_capped_known_exact():
 
 
 def test_compute_ed_capped_no_rule():
-    spec = GroupSpecB((9,) * 26)
+    # one connected block with a dual of dimension 25, which no ledger family matches
+    spec = GroupSpecB((9,) * 25 + (10,), diagonal_mu(26).basis)
     res = compute_ed(spec)
     assert res.status == STATUS_BOUNDS
     assert res.lower == 0 and res.upper is None

@@ -5,7 +5,9 @@ total, ties included.  The greedy reads its keys from the split walk over sets
 of factors, which must give out the first keys of a sorted listing of the
 whole dual (`reference_greedy_keys`), in the same order, whatever the
 dimensions of mu and of its dual.  The walk stops after the last key at or
-below a bound that the greedy never passes, so it may give out fewer.
+below a bound that the greedy never passes, so it may give out fewer.  When
+mu splits the factors into blocks, the greedy walks each block on its own and
+merges the picks by key, which must give what the walk of the whole dual gives.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 import edcalc.core
 import edcalc.gf2
 from edcalc import BitVec, EnumerationTooLargeError, GroupSpecB, compute_ed, greedy_min_basis
-from edcalc.core import PIVOT_CHUNK, _greedy, _split_walk_keys
+from edcalc.core import PIVOT_CHUNK
 from edcalc.gf2 import enumerate_elements, rref
 
 from greedy_reference import (
@@ -30,7 +32,8 @@ from greedy_reference import (
     reference_greedy_min_basis,
     weight_exponent,
 )
-from helpers import random_group_spec
+from helpers import greedy_over, random_group_spec, whole_walk_keys
+from survey import CYCLE, blocks_mu
 
 
 def test_weights():
@@ -53,10 +56,10 @@ def assert_walk_matches_listing(spec: GroupSpecB) -> bool:
     """The walk gives out the first keys of the listing, in order, and the greedy over
     them agrees; returns whether the walk stopped before the end of the listing."""
     mu, dual = spec.mu_subspace(), spec.dual_subspace()
-    keys = list(_split_walk_keys(spec.n, [v.bits for v in mu.basis]))
+    keys = list(whole_walk_keys(spec.n, [v.bits for v in mu.basis]))
     listing = reference_greedy_keys(dual, spec.n)
     assert keys == listing[: len(keys)], spec
-    basis, total = _greedy(iter(keys), spec.m, dual.dim)
+    basis, total = greedy_over(iter(keys), spec.m, dual.dim)
     ref_basis, ref_total = reference_greedy_min_basis(dual, spec.n)
     assert ([v.bits for v in basis], total) == ([v.bits for v in ref_basis], ref_total), spec
     return len(keys) < len(listing)
@@ -247,7 +250,7 @@ def test_walk_reaches_position_63():
         (BitVec(64, 1 << i) for i in range(64)),
         key=lambda v: (weight_exponent(v, n), v.coords()),
     )
-    basis, _ = _greedy(_split_walk_keys(n, []), 64, 64)
+    basis, _ = greedy_over(whole_walk_keys(n, []), 64, 64)
     assert list(basis) == units
     for _ in range(3):
         n = tuple(rng.choice([7, 8, 12]) for _ in range(64))
@@ -261,7 +264,7 @@ def test_walk_reaches_position_63():
             key=lambda v: (weight_exponent(v, n), v.coords()),
         )
         mu_rows = [sum(1 << block[j] for j in v.support()) for v in sub.mu_subspace().basis]
-        basis, total = _greedy(_split_walk_keys(n, mu_rows), 64, 62)
+        basis, total = greedy_over(whole_walk_keys(n, mu_rows), 64, 62)
         assert list(basis) == expected
         assert total == sum(1 << weight_exponent(v, n) for v in expected)
 
@@ -275,8 +278,8 @@ def test_walk_on_uneven_ranks_needs_no_fallback():
     mu, dual = spec.mu_subspace(), spec.dual_subspace()
     assert dual.dim == 11
     taken: list[int] = []
-    walk = _split_walk_keys(spec.n, [v.bits for v in mu.basis])
-    _greedy((taken.append(key) or key for key in walk), spec.m, 11)
+    walk = whole_walk_keys(spec.n, [v.bits for v in mu.basis])
+    greedy_over((taken.append(key) or key for key in walk), spec.m, 11)
     assert 1 << 9 < len(taken) <= 1 << 10
     assert taken == reference_greedy_keys(dual, spec.n)[: len(taken)]
     assert_same_greedy(spec)
@@ -303,14 +306,87 @@ def test_compute_large_shapes_never_enumerate(monkeypatch, k, d):
 
 
 def test_refuses_a_dual_above_the_dim_cap():
-    # the cap is on the dimension of the dual, whatever the shape of mu
+    # the cap is on the dimension of each block's dual, whatever the shape of mu;
+    # the two random mu of dimension 10 and 14 are one block each
     rng = Random(17)
     for k, d in ((14, 10), (10, 14), (5, 0)):
         spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(k + d)), d)
         mu = spec.mu_subspace()
+        if d == 0:
+            # trivial mu makes five one-factor blocks, each with a dual of dimension 1
+            expected = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
+            assert greedy_min_basis(mu, spec.n, dim_cap=1) == expected
+            continue
         with pytest.raises(EnumerationTooLargeError, match=f"dimension {k} .* cap is 2\\^{k - 1}$"):
             greedy_min_basis(mu, spec.n, dim_cap=k - 1)
         assert greedy_min_basis(mu, spec.n, dim_cap=k) == greedy_min_basis(mu, spec.n)
+
+
+def test_the_cap_refuses_a_block_by_its_own_dual():
+    # mu's two rows join factors 0..11 into one block with a dual of dimension 10;
+    # the whole dual has dimension 14, but the cap reads the largest block's
+    rng = Random(21)
+    n = tuple(rng.randint(7, 12) for _ in range(16))
+    spec = GroupSpecB(n, [BitVec(16, 0x07F), BitVec(16, 0xFC0)])
+    mu = spec.mu_subspace()
+    assert spec.m - mu.dim == 14
+    with pytest.raises(EnumerationTooLargeError) as caught:
+        greedy_min_basis(mu, spec.n, dim_cap=9)
+    assert str(caught.value) == "subspace of dimension 10 has 1023 nonzero elements, cap is 2^9"
+    expected = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
+    assert greedy_min_basis(mu, spec.n, dim_cap=10) == expected
+
+
+def decomposable_spec(rng: Random, m: int) -> GroupSpecB:
+    """Ranks 7..12 over m factors; mu has rank 1 or 2 on each of a few disjoint
+    blocks of at most 13 factors and leaves the other factors alone, so each
+    block's dual has dimension at most 12."""
+    n = tuple(rng.randint(7, 12) for _ in range(m))
+    free = rng.sample(range(m), m)
+    gens: list[BitVec] = []
+    while len(free) > 2 and len(gens) < 11 and rng.random() < 0.85:
+        size = rng.randint(2, min(len(free), 13))
+        block, free = free[:size], free[size:]
+        sub = spec_with_dims(rng, tuple(n[i] for i in block), min(size - 1, rng.randint(1, 2)))
+        gens += [BitVec(m, sum(1 << block[j] for j in v.support())) for v in sub.mu_gens]
+    return GroupSpecB(n, gens)
+
+
+def test_block_greedy_matches_the_whole_walk_on_decomposable_specs():
+    # the blocks' greedies merged by key against the greedy over the walk of the
+    # whole dual, with no cap; mu may reduce to a finer split than it was built on.
+    # More rows per block make the whole walk, not the blocks, take seconds
+    rng = Random(1100)
+    for _ in range(80):
+        spec = decomposable_spec(rng, rng.randint(4, 64))
+        mu = spec.mu_subspace()
+        rows = [v.bits for v in mu.basis]
+        whole = greedy_over(whole_walk_keys(spec.n, rows), spec.m, spec.m - mu.dim)
+        assert greedy_min_basis(mu, spec.n) == whole, spec
+
+
+@pytest.mark.parametrize("size", [8, 4, 2])
+def test_m64_block_specs_are_exact_at_the_default_caps(size):
+    # the survey's m = 64 block specs: each row of mu is a block of `size` factors,
+    # so every block's dual has dimension size - 1 while the whole dual's is
+    # 64 - 64 / size
+    spec = GroupSpecB(CYCLE, blocks_mu(64, size))
+    mu = spec.mu_subspace()
+    result = compute_ed(spec)
+    assert result.status == "exact"
+    assert result == compute_ed(spec, dim_cap=64)
+    whole = greedy_over(whole_walk_keys(CYCLE, [v.bits for v in mu.basis]), 64, 64 - mu.dim)
+    assert (result.minimal_basis, result.basis_total_weight) == whole
+
+
+def test_plain_products_of_64_factors_are_exact_at_the_default_caps():
+    # trivial mu: 64 one-factor blocks, whose basis is the 64 unit patterns
+    spec = GroupSpecB(CYCLE)
+    result = compute_ed(spec)
+    assert result.status == "exact"
+    assert result == compute_ed(spec, dim_cap=64)
+    assert result.basis_total_weight == sum(1 << r for r in CYCLE)
+    assert result.minimal_basis == greedy_over(whole_walk_keys(CYCLE, []), 64, 64)[0]
 
 
 def test_compute_large_shape_reduces_mu_twice_and_builds_no_dual(monkeypatch):
