@@ -138,8 +138,8 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
 
     A second heap holds those patterns and gives out a key only while it is
     below the next heavy set's key, so the keys come in the order of a sort of
-    the whole dual.  Heap entries are ints: key << (6+d) | p << d | syndrome
-    for heavy sets, key << (6+d) for patterns.
+    the whole dual.  Heap entries are ints: key << (w+d) | p << d | syndrome
+    for heavy sets, key << (w+d) for patterns, where p takes w bits.
 
     When the heavy part is nonempty, the set-up already holds a basis of the
     dual: each heavy position joined with its cheapest light set, and two of
@@ -174,7 +174,8 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
     pivots = [(r & -r).bit_length() - 1 for r in rows]
     rest = [p for p in range(len(order)) if p not in pivots]
     extra, heavy = rest[:LIGHT_EXTRA], rest[LIGHT_EXTRA:]
-    shift = 6 + d
+    last = len(heavy) - 1
+    shift = last.bit_length() + d  # a walk entry holds its highest heavy position p <= last
     # table c holds the keys, in entry units, of the sets of pivots c..c+PIVOT_CHUNK-1;
     # trivial mu has one table, for the empty set
     tables = []
@@ -192,7 +193,6 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
 
     a_inc = [inc[p] for p in heavy]
     a_col = [col[p] for p in heavy]
-    last = len(heavy) - 1
     # moves from highest position p, in entry units: the key change plus the new p
     add = [a_inc[p + 1] << shift | (p + 1) << d for p in range(last)]
     replace = [(a_inc[p + 1] - a_inc[p]) << shift | (p + 1) << d for p in range(last)]
@@ -225,8 +225,8 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
         if entry == end:
             return
         syndrome = entry & syndrome_mask
-        p = entry >> d & 63
         base = entry & key_mask
+        p = (entry ^ base) >> d
         for x, s in extras:
             entry = base + x + completion[syndrome ^ s]
             if entry <= bound:
@@ -272,7 +272,7 @@ def greedy_min_basis(
     the direct sum of the blocks' duals, and a pattern over two blocks comes
     after both of its parts in key order, so the greedy never takes it: its
     picks are the blocks' picks merged by key.  Refuses a block whose dual has
-    dimension above dim_cap.
+    dimension above dim_cap; the refusal's `dim` is the largest such dimension.
     """
     m = mu.m
     if len(n) != m:
@@ -300,9 +300,11 @@ def greedy_min_basis(
     dims = [mask.bit_count() - len(rows) for mask, rows in blocks.items()]
     k = max(dims, default=0)
     if k > dim_cap:
-        raise EnumerationTooLargeError(
+        refusal = EnumerationTooLargeError(
             f"subspace of dimension {k} has {2 ** k - 1} nonzero elements, cap is 2^{dim_cap}"
         )
+        refusal.dim = k
+        raise refusal
     picks: list[int] = []
     for (mask, rows), dim in zip(blocks.items(), dims):
         if rows:
@@ -440,14 +442,14 @@ def compute_ed(
 
     try:
         basis, total = greedy_min_basis(mu, spec.n, dim_cap)
-    except EnumerationTooLargeError:
-        # the dual is over the dim cap: the ledger alone decides
+    except EnumerationTooLargeError as refusal:
+        # a block's dual is over the dim cap: the ledger alone decides
         basis, total = (), 0
         warnings.append(WARN_ELEMENT_CAP)
         trace.append(
             TraceEntry(
                 "greedy-minimal-basis",
-                f"2^{k} - 1 nonzero patterns exceed the enumeration cap; greedy skipped",
+                f"2^{refusal.dim} - 1 nonzero patterns exceed the enumeration cap; greedy skipped",
             )
         )
     else:

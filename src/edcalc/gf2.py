@@ -1,4 +1,4 @@
-"""Exact linear algebra over GF(2) on bit-packed vectors of length at most 64."""
+"""Exact linear algebra over GF(2) on vectors packed into Python ints, of any length."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ from typing import Callable, Iterable, Iterator
 
 from ._record import _Record, _setattr
 from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
-
-MAX_DIM = 64
 
 
 class DimensionMismatchError(ValueError):
@@ -53,9 +51,9 @@ class BitVec(_Record):
     def __init__(self, m: int, bits: int = 0) -> None:
         _setattr(self, "m", m)
         _setattr(self, "bits", bits)
-        # type(x) is not int rejects bools, as the spec documents do: True <= 64 holds
-        if type(m) is not int or not 1 <= m <= MAX_DIM:
-            raise ValueError(f"ambient dimension must be an integer in 1..{MAX_DIM}, got {m!r}")
+        # type(x) is not int rejects bools, as the spec documents do: True >= 1 holds
+        if type(m) is not int or m < 1:
+            raise ValueError(f"ambient dimension must be an integer >= 1, got {m!r}")
         if type(bits) is not int or bits < 0 or bits >> m:
             raise ValueError("coordinates must be an integer inside the ambient dimension")
 

@@ -45,8 +45,6 @@ class GroupSpecB(_Record):
         n = self.n
         if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in n):
             raise ValueError("factor ranks must be integers >= 1")
-        if len(n) > 64:
-            raise ValueError("at most 64 factors are supported")
         if any(v.m != self.m for v in self.mu_gens):
             raise DimensionMismatchError("mu generators must have one coordinate per factor")
 

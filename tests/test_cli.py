@@ -128,15 +128,14 @@ def test_compute_validation_errors(tmp_path, capsys):
     assert code == 3
 
 
-def test_more_than_64_factors_is_a_validation_error(tmp_path, capsys):
-    path = write_doc(tmp_path, "wide.json", {"type": "B", "n": [7] * 65})
-    code, out, err = run(capsys, "compute", path)
-    assert code == 3 and out == ""
-    assert err == f"error: {path}: at most 64 factors are supported\n"
-    # 64 factors pass validation; under trivial mu each factor is a block of its own
-    path = write_doc(tmp_path, "widest.json", {"type": "B", "n": [7] * 64})
-    code, out, _ = run(capsys, "compute", path)
-    assert code == 0 and "status: exact, ed = 1472" in out
+def test_more_than_64_factors_pass_validation(tmp_path, capsys):
+    # the number of factors has no limit; under trivial mu each factor is a block
+    # of its own, with the unit pattern of weight 2^7 and dimension 2*7^2 + 7 = 105
+    for m in (64, 65):
+        path = write_doc(tmp_path, f"plain{m}.json", {"type": "B", "n": [7] * m})
+        code, out, err = run(capsys, "compute", path)
+        assert code == 0 and err == ""
+        assert f"status: exact, ed = {23 * m}" in out
 
 
 def test_compute_capped_exact_and_partial(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from random import Random
 
@@ -453,6 +454,38 @@ def test_compute_ed_capped_no_rule():
     assert res.status == STATUS_BOUNDS
     assert res.lower == 0 and res.upper is None
     assert WARN_ELEMENT_CAP in res.warnings
+
+
+def test_compute_ed_capped_trace_counts_the_refused_block():
+    # 26 factors under their diagonal make one block with a dual of dimension 25;
+    # 4 factors mu leaves alone add 4 to the whole dual but nothing to that block
+    spec = GroupSpecB((9,) * 25 + (10,) * 5, [BitVec(30, (1 << 26) - 1)])
+    res = compute_ed(spec)
+    assert WARN_ELEMENT_CAP in res.warnings
+    citations = {t.rule: t.citation for t in res.trace}
+    assert citations["dual-subspace"].endswith("a subspace of dimension 29")
+    assert citations["greedy-minimal-basis"] == (
+        "2^25 - 1 nonzero patterns exceed the enumeration cap; greedy skipped"
+    )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before Python 3.10.7"
+)
+def test_compute_ed_writes_values_over_4300_digits_only_with_the_limit_lifted():
+    # the trace writes the basis weight, here 2^40000 with 12042 digits, in decimal
+    spec = GroupSpecB((20000, 20000), diagonal_mu(2).basis)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError, match="4300"):
+            compute_ed(spec)
+        sys.set_int_max_str_digits(0)
+        res = compute_ed(spec)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert res.status == STATUS_EXACT
+    assert res.value == 2**40000 - group_dim((20000, 20000))
 
 
 def test_compute_ed_bounds_are_ordered():

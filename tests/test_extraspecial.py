@@ -29,6 +29,7 @@ from edcalc import (
     certificate_to_doc,
     compute_ed,
     diagonal_mu,
+    maximal_mu,
     rref,
     verify_certificate,
 )
@@ -384,6 +385,43 @@ def test_quotient_rank_matches_reference_on_random_abelian_certificates():
             if all(commutator_sign_vector(g, h) in mu for h in gens):
                 gens.append(g)
         assert_quotient_rank_matches_reference(reference_closure(gens, DEFAULT_CLOSURE_CAP), mu)
+
+
+def test_certificates_over_more_than_64_factors_match_the_oracles():
+    # 70 factors of Spin(3), so mu's patterns are 70 bits wide.  Under the diagonal
+    # mu: c(1,2) and c(2,3) in every factor, which commute modulo the diagonal,
+    # with lone sign flips.  Under the maximal mu: up to three random generators,
+    # abelian modulo mu or not
+    rng = Random(70)
+    m, dims = 70, (3,) * 70
+    diagonal = GroupSpecB((1,) * m, diagonal_mu(m).basis)
+    certs = []
+    for flips in (0, 1, 3):
+        gens = [CliffordTuple((cu(3, 1, 2),) * m), CliffordTuple((cu(3, 2, 3),) * m)]
+        for f in rng.sample(range(m), flips):
+            signs = (CliffordUnit.scalar(3, -1 if i == f else 1) for i in range(m))
+            gens.append(CliffordTuple(tuple(signs)))
+        certs.append(Certificate(diagonal, gens))
+    maximal = GroupSpecB((1,) * m, maximal_mu(m).basis)
+    for _ in range(12):
+        gens = [random_tuple(rng, dims) for _ in range(rng.randint(1, 3))]
+        certs.append(Certificate(maximal, gens))
+    abelian = 0
+    for cert in certs:
+        report = verify_certificate(cert)
+        failure = reference_pair_failure(cert)
+        assert report.abelian_in_quotient == (failure is None)
+        assert report.centralizer_finite == reference_centralizer_finite(cert.generators, dims)
+        if failure is not None:
+            assert report.failure_reason == failure
+            continue
+        abelian += 1
+        group = reference_closure(cert.generators, DEFAULT_CLOSURE_CAP)
+        expected = reference_quotient_rank(group, cert.spec.mu_subspace())
+        assert (report.subgroup_order, report.rank) == expected
+        if cert.spec is diagonal:  # c(1,2) and c(2,3) separate the three coordinates
+            assert report.lower_bound == report.rank
+    assert abelian >= 6 and len(certs) - abelian >= 3
 
 
 def test_centralizer_finite():

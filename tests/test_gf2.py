@@ -44,8 +44,10 @@ def test_bitvec_construction():
 def test_bitvec_validation():
     with pytest.raises(ValueError):
         BitVec(0, 0)
+    # any ambient dimension is accepted, and the coordinates must lie inside it
+    assert BitVec(65, 1 << 64).support() == (64,)
     with pytest.raises(ValueError):
-        BitVec(65, 0)
+        BitVec(65, 1 << 65)
     with pytest.raises(ValueError):
         BitVec(2, 0b100)
     with pytest.raises(ValueError):

@@ -22,7 +22,15 @@ from hypothesis import strategies as st
 
 import edcalc.core
 import edcalc.gf2
-from edcalc import BitVec, EnumerationTooLargeError, GroupSpecB, compute_ed, greedy_min_basis
+from edcalc import (
+    BitVec,
+    EnumerationTooLargeError,
+    GroupSpecB,
+    compute_ed,
+    diagonal_mu,
+    greedy_min_basis,
+    group_dim,
+)
 from edcalc.core import PIVOT_CHUNK
 from edcalc.gf2 import enumerate_elements, rref
 
@@ -241,7 +249,7 @@ def test_walk_at_its_smallest_margin():
 def test_walk_reaches_position_63():
     # m = 64: the sorted positions run to 63, and the heaviest factor is the last
     # heavy position; the heavy part packs its index, 64 - d - 3, into the walk's
-    # 6-bit field.  Under trivial mu the basis is the 64 unit patterns.  Otherwise
+    # entries.  Under trivial mu the basis is the 64 unit patterns.  Otherwise
     # mu lives on six factors, so the dual splits into the other 58 unit patterns
     # plus a small dual on those six: the basis is both bases merged in key order.
     rng = Random(64)
@@ -387,6 +395,46 @@ def test_plain_products_of_64_factors_are_exact_at_the_default_caps():
     assert result == compute_ed(spec, dim_cap=64)
     assert result.basis_total_weight == sum(1 << r for r in CYCLE)
     assert result.minimal_basis == greedy_over(whole_walk_keys(CYCLE, []), 64, 64)[0]
+
+
+@pytest.mark.parametrize("m", [70, 100])
+def test_diagonal_mu_over_more_than_64_factors_gives_the_star_total(m):
+    # the dual of the diagonal is the even-weight code.  A pattern over 2s factors
+    # is a sum of s lighter pairs, so a minimal basis holds pairs only, the edges
+    # of a spanning tree, and pair {i, j} weighs 2^r_i * 2^r_j.  So the star at a
+    # lowest-rank factor i0 is minimal.  The walk has more than 63 heavy positions
+    n = tuple(7 + i % 6 for i in range(m))
+    spec = GroupSpecB(n, diagonal_mu(m).basis)
+    i0 = n.index(min(n))
+    star = sum(1 << (n[i0] + r) for j, r in enumerate(n) if j != i0)
+    basis, total = greedy_min_basis(spec.mu_subspace(), n, dim_cap=m)
+    assert total == star
+    assert len(basis) == m - 1 and {v.weight() for v in basis} == {2}
+    result = compute_ed(spec, dim_cap=m)
+    assert result.status == "exact" and result.value == star - group_dim(n)
+
+
+def test_a_128_factor_block_spec_adds_up_over_its_blocks():
+    # blocks of 2 to 12 factors under their own diagonal and 6 factors mu leaves
+    # alone, scattered over 128 positions: at the default caps the spec is exact,
+    # and its basis weight and dimension are the sums of its blocks' own answers
+    rng = Random(128)
+    n = tuple(rng.randint(7, 12) for _ in range(128))
+    sizes = [8] * 8 + [2, 3, 4, 5, 6, 7, 9, 10, 12] + [1] * 6
+    positions = rng.sample(range(128), 128)
+    blocks, gens = [], []
+    for size in sizes:
+        block, positions = positions[:size], positions[size:]
+        mu = diagonal_mu(size).basis if size > 1 else ()
+        blocks.append(GroupSpecB([n[i] for i in block], mu))
+        gens += [BitVec(128, sum(1 << block[j] for j in v.support())) for v in mu]
+    assert not positions
+    result = compute_ed(GroupSpecB(n, gens))
+    parts = [compute_ed(block) for block in blocks]
+    assert result.status == "exact" and {part.status for part in parts} == {"exact"}
+    assert result.basis_total_weight == sum(part.basis_total_weight for part in parts)
+    assert result.group_dim == sum(part.group_dim for part in parts)
+    assert result.value == sum(part.value for part in parts)
 
 
 def test_compute_large_shape_reduces_mu_twice_and_builds_no_dual(monkeypatch):

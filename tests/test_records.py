@@ -128,7 +128,7 @@ def test_fields_cannot_be_set_or_deleted(name):
         lambda: BitVec(2, 4),
         lambda: BitVec(2, -1),
         lambda: BitVec(0),
-        lambda: BitVec(65),
+        lambda: BitVec(65, 1 << 65),
         lambda: SubspaceF2(3, (BitVec(3, 3), BitVec(3, 1))),
         lambda: GroupSpecB((0,)),
         lambda: CliffordUnit(3, 1),
