@@ -172,7 +172,7 @@ def enumerate_elements(space: SubspaceF2, dim_cap: int = DEFAULT_DIM_CAP) -> lis
     k = space.dim
     if k > dim_cap:
         raise EnumerationTooLargeError(
-            f"subspace of dimension {k} has {2 ** k - 1} nonzero elements, cap is 2^{dim_cap}"
+            f"subspace of dimension {k} has 2^{k} - 1 nonzero elements, cap is 2^{dim_cap}"
         )
     out = [0]
     for row in [v.bits for v in space.basis]:
@@ -194,9 +194,9 @@ def count_bases(k: int) -> int:
 
 def enumerate_bases(
     space: SubspaceF2, cap: int = DEFAULT_BASIS_CAP, keep: Callable[[int], object] | None = None
-) -> Iterator[tuple[BitVec, ...]]:
-    """Yield once each unordered basis of the subspace on whose every element's bits keep is
-    true (with no keep, every basis); refuses when the count of all bases exceeds cap."""
+) -> Iterator[tuple[int, ...]]:
+    """Yield once, as ascending packed ints, each unordered basis of the subspace whose every
+    element keep accepts (with no keep, every basis); refuses a space of more than cap bases."""
     k = space.dim
     total = count_bases(k)
     if total > cap:
@@ -205,4 +205,4 @@ def enumerate_bases(
     # index tuples come in lexicographic order; the k-subsets of full rank are the bases
     for chosen in combinations(elems, k):
         if len(rref_bits(chosen)) == k:
-            yield tuple(BitVec(space.m, b) for b in chosen)
+            yield chosen

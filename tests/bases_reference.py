@@ -13,7 +13,6 @@ from typing import Callable, Iterator
 from edcalc.gf2 import (
     DEFAULT_BASIS_CAP,
     DEFAULT_DIM_CAP,
-    BitVec,
     EnumerationTooLargeError,
     SubspaceF2,
     count_bases,
@@ -25,9 +24,10 @@ from edcalc.gf2 import (
 
 def reference_enumerate_bases(
     space: SubspaceF2, cap: int = DEFAULT_BASIS_CAP, keep: Callable[[int], object] | None = None
-) -> Iterator[tuple[BitVec, ...]]:
-    """Yield once each unordered basis of the subspace on whose every element's bits keep is
-    true (with no keep, every basis); refuses when the count of all bases exceeds cap."""
+) -> Iterator[tuple[int, ...]]:
+    """Yield once each unordered basis of the subspace, as ascending packed ints, on whose
+    every element keep is true (with no keep, every basis); refuses when the count of all
+    bases exceeds cap."""
     k = space.dim
     total = count_bases(k)
     if total > cap:
@@ -37,9 +37,9 @@ def reference_enumerate_bases(
         return
     elems = sorted(filter(keep, enumerate_elements(space, dim_cap=max(k, DEFAULT_DIM_CAP))))
 
-    def rec(start: int, echelon: list[int], chosen: list[int]) -> Iterator[tuple[BitVec, ...]]:
+    def rec(start: int, echelon: list[int], chosen: list[int]) -> Iterator[tuple[int, ...]]:
         if len(chosen) == k:
-            yield tuple(BitVec(space.m, b) for b in chosen)
+            yield tuple(chosen)
             return
         for idx in range(start, len(elems)):
             v = elems[idx]

@@ -35,7 +35,7 @@ def reference_enumerate_elements(
     k = space.dim
     if k > dim_cap:
         raise EnumerationTooLargeError(
-            f"subspace of dimension {k} has {2 ** k - 1} nonzero elements, cap is 2^{dim_cap}"
+            f"subspace of dimension {k} has 2^{k} - 1 nonzero elements, cap is 2^{dim_cap}"
         )
     rows = [v.bits for v in space.basis]
     out: list[BitVec] = []

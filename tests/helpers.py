@@ -21,7 +21,7 @@ from edcalc import (
     greedy_min_basis,
     rref,
 )
-from edcalc.core import PatternWeights, _basis, _picks, _split_walk_keys, support_ranks
+from edcalc.core import PatternWeights, _basis, _picks, _split_walk_keys
 from edcalc.extraspecial import DEFAULT_CLOSURE_CAP, _closure_packed, _Packing
 from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
 from edcalc.ledger import is_small_product
@@ -128,13 +128,25 @@ def packed_closure(
     return packing, _closure_packed(packed, packing, cap, commutators)
 
 
+def support_ranks(r: BitVec, n: Sequence[int]) -> tuple[int, ...]:
+    """Sorted multiset of factor ranks over the support of r."""
+    return tuple(sorted(n[i] for i in r.support()))
+
+
+def reversed_pattern(key: int, m: int) -> int:
+    """The pattern a greedy key holds, decoded by string reversal: the key's low m bits
+    hold coordinate i at bit m-1-i, the pattern holds it at bit i."""
+    return int(f"{key & ((1 << m) - 1):0{m}b}"[::-1], 2)
+
+
 def brute_min_basis(
     dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_BASIS_CAP
 ) -> tuple[tuple[BitVec, ...], int]:
     """Exhaustive minimum over all bases; independent check of the greedy result."""
     best: tuple[BitVec, ...] | None = None
     best_key: tuple | None = None
-    for basis in enumerate_bases(dual, cap):
+    for bits in enumerate_bases(dual, cap):
+        basis = tuple(BitVec(dual.m, b) for b in bits)
         total = sum(1 << weight_exponent(v, n) for v in basis)
         key = (total, tuple(sorted(v.coords() for v in basis)))
         if best_key is None or key < best_key:
@@ -152,16 +164,17 @@ def brute_bounds(
     no small factor product (None when there is none), and how many such bases
     there are.  Each vector is classified through its BitVec support.
     """
-    classes: dict[BitVec, tuple[int, bool]] = {}
+    classes: dict[int, tuple[int, bool]] = {}
     least: int | None = None
     best: int | None = None
     candidates = 0
     for basis in enumerate_bases(dual, cap):
         total, small = 0, False
-        for v in basis:
-            if v not in classes:
-                classes[v] = (1 << weight_exponent(v, n), is_small_product(support_ranks(v, n)))
-            weight, is_small = classes[v]
+        for b in basis:
+            if b not in classes:
+                v = BitVec(dual.m, b)
+                classes[b] = (1 << weight_exponent(v, n), is_small_product(support_ranks(v, n)))
+            weight, is_small = classes[b]
             total += weight
             small = small or is_small
         if least is None or total < least:
@@ -195,9 +208,8 @@ def restricted_greedy_total(spec: GroupSpecB, keys: Iterable[int]) -> int | None
     after its bound, may give None where that search finds a basis.
     """
     m, k = spec.m, spec.m - spec.mu_subspace().dim
-    weights, low = PatternWeights(spec.n), (1 << m) - 1
-    # a key holds its pattern bit-reversed; is_small reads coordinate i at bit i
-    kept = (key for key in keys if not weights.is_small(int(f"{key & low:0{m}b}"[::-1], 2)))
+    weights = PatternWeights(spec.n)
+    kept = (key for key in keys if not weights.is_small(reversed_pattern(key, m)))
     basis, total = greedy_over(kept, m, k)
     return total if len(basis) == k else None
 

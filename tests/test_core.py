@@ -17,6 +17,7 @@ from edcalc import (
     BitVec,
     DimensionMismatchError,
     EmptySpecError,
+    EnumerationTooLargeError,
     GroupSpecB,
     KnownCase,
     NotReducedError,
@@ -38,12 +39,12 @@ from edcalc.core import (
     WARN_BASIS_CAP,
     WARN_ELEMENT_CAP,
     PatternWeights,
-    support_ranks,
     theorem_hypothesis_holds,
 )
 
 from edcalc.gf2 import enumerate_bases
 
+from bases_reference import reference_enumerate_bases
 from greedy_reference import weight_exponent
 from helpers import (
     brute_bounds,
@@ -51,6 +52,7 @@ from helpers import (
     check_restricted_greedy,
     compare_greedy_brute,
     random_group_spec,
+    support_ranks,
 )
 
 
@@ -413,9 +415,9 @@ def test_restricted_enumeration_keeps_exactly_the_bases_without_small_products()
     some, none = 0, 0
     for spec in seeded_small_duals(1801, 200):
         dual, weights = spec.dual_subspace(), PatternWeights(spec.n)
-        full = [
-            b for b in enumerate_bases(dual) if all(oracle_weight(v.bits, spec.n) for v in b)
-        ]
+        every = list(enumerate_bases(dual))
+        assert every == list(reference_enumerate_bases(dual)), spec
+        full = [b for b in every if all(oracle_weight(v, spec.n) for v in b)]
         assert list(enumerate_bases(dual, keep=weights.__getitem__)) == full, spec
         some += 0 < len(full) < count_bases(dual.dim)
         none += not full
@@ -486,6 +488,30 @@ def test_compute_ed_writes_values_over_4300_digits_only_with_the_limit_lifted():
         sys.set_int_max_str_digits(limit)
     assert res.status == STATUS_EXACT
     assert res.value == 2**40000 - group_dim((20000, 20000))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before Python 3.10.7"
+)
+def test_a_refused_block_over_4300_digits_is_capped_under_the_default_limit():
+    # a dual of dimension 14,399 has a count 2^k - 1 of 4335 digits; the refusal
+    # writes it as a power, so the default limit lets the capped path run
+    spec = GroupSpecB((7,) * 14_400, diagonal_mu(14_400).basis)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(EnumerationTooLargeError) as caught:
+            greedy_min_basis(spec.mu_subspace(), spec.n)
+        res = compute_ed(spec)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(caught.value) == (
+        "subspace of dimension 14399 has 2^14399 - 1 nonzero elements, cap is 2^24"
+    )
+    assert res.status == STATUS_BOUNDS and res.warnings == (WARN_ELEMENT_CAP,)
+    # the ledger alone decides, as for any refused block
+    case = known_cases(spec.mu_subspace(), spec.n)
+    assert (res.lower, res.upper, res.minimal_basis) == (case.value, None, ())
 
 
 def test_compute_ed_bounds_are_ordered():

@@ -31,7 +31,7 @@ from edcalc import (
     greedy_min_basis,
     group_dim,
 )
-from edcalc.core import PIVOT_CHUNK
+from edcalc.core import PIVOT_CHUNK, _basis
 from edcalc.gf2 import enumerate_elements, rref
 
 from greedy_reference import (
@@ -40,7 +40,7 @@ from greedy_reference import (
     reference_greedy_min_basis,
     weight_exponent,
 )
-from helpers import greedy_over, random_group_spec, whole_walk_keys
+from helpers import greedy_over, random_group_spec, reversed_pattern, whole_walk_keys
 from survey import CYCLE, blocks_mu
 
 
@@ -340,7 +340,7 @@ def test_the_cap_refuses_a_block_by_its_own_dual():
     assert spec.m - mu.dim == 14
     with pytest.raises(EnumerationTooLargeError) as caught:
         greedy_min_basis(mu, spec.n, dim_cap=9)
-    assert str(caught.value) == "subspace of dimension 10 has 1023 nonzero elements, cap is 2^9"
+    assert str(caught.value) == "subspace of dimension 10 has 2^10 - 1 nonzero elements, cap is 2^9"
     expected = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
     assert greedy_min_basis(mu, spec.n, dim_cap=10) == expected
 
@@ -512,6 +512,22 @@ def test_only_the_chosen_vectors_become_bitvecs(monkeypatch):
     assert len(built) == spec.m - mu.dim == 7
     # nor does it compute weights per element: the per-vector weight lives in the oracle only
     assert not hasattr(edcalc.core, "weight_exponent")
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 200, 8000])
+def test_basis_decodes_keys_as_the_string_reversal_does(m):
+    # random low bits, dense and sparse, the all-ones and single-bit patterns, and
+    # weight exponents above the pattern, which the decode must drop
+    rng = Random(m)
+    low = (1 << m) - 1
+    patterns = [rng.getrandbits(m) for _ in range(20)]
+    patterns += [rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m) for _ in range(10)]
+    patterns += [low, 1, 1 << (m - 1)]
+    keys = [rng.randint(0, 3 * m) << m | p for p in patterns]
+    basis, total = _basis(keys, m)
+    assert [v.bits for v in basis] == [reversed_pattern(key, m) for key in keys]
+    assert all(v.m == m for v in basis)
+    assert total == sum(1 << (key >> m) for key in keys)
 
 
 def test_elements_come_in_the_gray_walk_order():
