@@ -328,19 +328,10 @@ def _picks(keys: Iterator[int], m: int, k: int) -> list[int]:
     return chosen
 
 
-_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
-
-
 def _basis(keys: Sequence[int], m: int) -> tuple[tuple[BitVec, ...], int]:
-    """The patterns of greedy keys as vectors, in key order, and their total weight.
-
-    A key holds coordinate i at bit m-1-i; reversing the bytes of its low m bits, and the
-    bits within each byte, moves that to bit 8*size-1-(m-1-i), which is i + shift.
-    """
-    size = (m + 7) // 8
-    low, shift = (1 << m) - 1, 8 * size - m
-    rev = [(key & low).to_bytes(size, "little").translate(_REVERSED_BYTE) for key in keys]
-    basis = tuple(BitVec(m, int.from_bytes(r, "big") >> shift) for r in rev)
+    """The patterns of greedy keys as vectors, in key order, and their total weight."""
+    low = (1 << m) - 1
+    basis = tuple(BitVec(m, int(f"{key & low:0{m}b}"[::-1], 2)) for key in keys)
     return basis, sum(1 << (key >> m) for key in keys)
 
 
@@ -446,16 +437,24 @@ def compute_ed(
 
     try:
         basis, total = greedy_min_basis(mu, spec.n, dim_cap)
-        citation = (
-            f"matroid greedy over the {(1 << k) - 1} nonzero patterns in weight order;"
-            f" minimal total weight {total}"
-        )
     except EnumerationTooLargeError as refusal:
         # a block's dual is over the dim cap: the ledger alone decides
         basis, total = (), 0
         warnings.append(WARN_ELEMENT_CAP)
-        citation = f"2^{refusal.dim} - 1 nonzero patterns exceed the enumeration cap; greedy skipped"
-    trace.append(TraceEntry("greedy-minimal-basis", citation))
+        trace.append(
+            TraceEntry(
+                "greedy-minimal-basis",
+                f"2^{refusal.dim} - 1 nonzero patterns exceed the enumeration cap; greedy skipped",
+            )
+        )
+    else:
+        trace.append(
+            TraceEntry(
+                "greedy-minimal-basis",
+                f"matroid greedy over the {(1 << k) - 1} nonzero patterns in weight order;"
+                f" minimal total weight {total}",
+            )
+        )
     # a reduced mu has a nonzero dual, so the basis is empty only when the greedy refused it
     if basis:
         raw = total - dim_g
@@ -478,16 +477,13 @@ def compute_ed(
         )
 
         weights = PatternWeights(spec.n)
-        small = [v.bits for v in basis if weights.is_small(v.bits)]
+        small = [v for v in basis if weights.is_small(v.bits)]
         if small:
-            # each pattern's coordinate tuple, as a BitVec prints it, and its factors' ranks
-            coords = [",".join(f"{r:0{spec.m}b}"[::-1]) for r in small]
-            ranks = [sorted(spec.n[i] for i in _positions(r)) for r in small]
             trace.append(
                 TraceEntry(
                     "small-product-list",
                     "minimal-basis vectors with small factor products: "
-                    + ", ".join(f"({c}) -> {r}" for c, r in zip(coords, ranks)),
+                    + ", ".join(f"{v} -> {sorted(spec.n[i] for i in _positions(v.bits))}" for v in small),
                 )
             )
         else:
@@ -527,14 +523,19 @@ def compute_ed(
         else:
             if best is not None:
                 upper = best - dim_g
-            trace.append(
-                TraceEntry(
-                    "upper-bound-search",
-                    f"best of {candidates} bases with no small factor product has total weight {best}"
-                    if best is not None
-                    else "no basis avoids small factor products; no weight-formula upper bound",
+                trace.append(
+                    TraceEntry(
+                        "upper-bound-search",
+                        f"best of {candidates} bases with no small factor product has total weight {best}",
+                    )
                 )
-            )
+            else:
+                trace.append(
+                    TraceEntry(
+                        "upper-bound-search",
+                        "no basis avoids small factor products; no weight-formula upper bound",
+                    )
+                )
         if upper is not None and upper < lower:
             raise RuntimeError("upper bound search contradicts the lower bound")
     return EdResult(status, lower, upper, basis, total, dim_g, trace, warnings)

@@ -133,12 +133,6 @@ def support_ranks(r: BitVec, n: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(n[i] for i in r.support()))
 
 
-def reversed_pattern(key: int, m: int) -> int:
-    """The pattern a greedy key holds, decoded by string reversal: the key's low m bits
-    hold coordinate i at bit m-1-i, the pattern holds it at bit i."""
-    return int(f"{key & ((1 << m) - 1):0{m}b}"[::-1], 2)
-
-
 def brute_min_basis(
     dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_BASIS_CAP
 ) -> tuple[tuple[BitVec, ...], int]:
@@ -208,8 +202,9 @@ def restricted_greedy_total(spec: GroupSpecB, keys: Iterable[int]) -> int | None
     after its bound, may give None where that search finds a basis.
     """
     m, k = spec.m, spec.m - spec.mu_subspace().dim
-    weights = PatternWeights(spec.n)
-    kept = (key for key in keys if not weights.is_small(reversed_pattern(key, m)))
+    weights, low = PatternWeights(spec.n), (1 << m) - 1
+    # a key holds its pattern bit-reversed; is_small reads coordinate i at bit i
+    kept = (key for key in keys if not weights.is_small(int(f"{key & low:0{m}b}"[::-1], 2)))
     basis, total = greedy_over(kept, m, k)
     return total if len(basis) == k else None
 

@@ -40,7 +40,7 @@ from greedy_reference import (
     reference_greedy_min_basis,
     weight_exponent,
 )
-from helpers import greedy_over, random_group_spec, reversed_pattern, whole_walk_keys
+from helpers import greedy_over, random_group_spec, whole_walk_keys
 from survey import CYCLE, blocks_mu
 
 
@@ -515,9 +515,10 @@ def test_only_the_chosen_vectors_become_bitvecs(monkeypatch):
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 200, 8000])
-def test_basis_decodes_keys_as_the_string_reversal_does(m):
+def test_basis_decodes_each_key_coordinate_by_coordinate(m):
     # random low bits, dense and sparse, the all-ones and single-bit patterns, and
-    # weight exponents above the pattern, which the decode must drop
+    # weight exponents above the pattern, which the decode must drop; a key holds
+    # coordinate i at bit m-1-i, a BitVec at bit i
     rng = Random(m)
     low = (1 << m) - 1
     patterns = [rng.getrandbits(m) for _ in range(20)]
@@ -525,7 +526,9 @@ def test_basis_decodes_keys_as_the_string_reversal_does(m):
     patterns += [low, 1, 1 << (m - 1)]
     keys = [rng.randint(0, 3 * m) << m | p for p in patterns]
     basis, total = _basis(keys, m)
-    assert [v.bits for v in basis] == [reversed_pattern(key, m) for key in keys]
+    assert [v.coords() for v in basis] == [
+        tuple(key >> (m - 1 - i) & 1 for i in range(m)) for key in keys
+    ]
     assert all(v.m == m for v in basis)
     assert total == sum(1 << (key >> m) for key in keys)
 
