@@ -2,9 +2,9 @@
 
 Each handler imports the modules its command runs, so `table` loads only the
 ledger and `certify` never loads the essential-dimension search.  A plainly
-spelt command line is read by `read_argv`; anything else, help and every usage
-error included, goes to the argparse parser of `usage`, which is imported only
-then.  Both read one declared table: COMMANDS, FORMATS and CAPS.
+spelt command line is read by `read_argv`; anything else, cap options, help and
+every usage error included, goes to the argparse parser of `usage`, which is
+imported only then.  Both read one declared table: COMMANDS, FORMATS and CAPS.
 
 `main` returns the exit code and is what library callers and tests call.  `run`
 is the process entry point: it ends the process with `os._exit` as soon as the
@@ -84,10 +84,9 @@ def _dest(option: str) -> str:
 def read_argv(argv: Sequence[str]) -> dict | None:
     """The arguments of a plainly spelt command line, as the argparse parser reads them.
 
-    Reads exact option names, `--cap N` or `--cap=N` with N at most 18 plain
-    ASCII digits and at least 1, and one positional argument that does not
-    start with '-'.  Returns None for anything else (help, abbreviations, '--',
-    other spellings of a number, every error): argparse handles those.
+    Reads exact format flags and one positional argument that does not start
+    with '-'; the caps keep their defaults.  Returns None for anything else (a
+    cap option, help, abbreviations, '--', every error): argparse handles those.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -96,24 +95,13 @@ def read_argv(argv: Sequence[str]) -> dict | None:
     args: dict = {"command": command}
     args.update((_dest(flag), False) for flag in FORMATS)
     args.update((_dest(cap), CAPS[cap][0]) for cap in caps)
-    rest = iter(argv[1:])
-    for arg in rest:
+    for arg in argv[1:]:
         if arg in FORMATS:
             args[_dest(arg)] = True
-        elif not arg.startswith("-"):
-            if positional is None or positional[0] in args:
-                return None
-            args[positional[0]] = arg
+        elif arg.startswith("-") or positional is None or positional[0] in args:
+            return None
         else:
-            option, eq, value = arg.partition("=")
-            if option not in caps:
-                return None
-            if not eq:
-                value = next(rest, "")
-            # 18 digits stay below int()'s limit on the length of a decimal string
-            if not (value.isascii() and value.isdigit() and len(value) <= 18) or int(value) < 1:
-                return None
-            args[_dest(option)] = int(value)
+            args[positional[0]] = arg
     if args["json"] and args["text"]:
         return None
     if positional is not None and positional[0] not in args:

@@ -272,26 +272,16 @@ def greedy_min_basis(
     m = mu.m
     if len(n) != m:
         raise DimensionMismatchError("rank list does not match the ambient dimension")
-    mu_rows = [v.bits for v in mu.basis]
-    # one sweep grows the first row's block; when it reaches every factor, the
-    # whole spec is one block, the usual case, and no rows need grouping
-    reach = mu_rows[0] if mu_rows else 0
-    for row in mu_rows:
-        if row & reach:
-            reach |= row
     blocks: dict[int, list[int]] = {}  # support mask -> mu's rows over it
-    if reach == (1 << m) - 1:
-        blocks[reach] = mu_rows
-    else:
-        for row in mu_rows:
-            mask, rows = row, [row]
-            for joined in [b for b in blocks if b & row]:
-                mask |= joined
-                rows += blocks.pop(joined)
-            blocks[mask] = rows
-        # the masks are disjoint, so their sum is their union
-        for i in _positions((1 << m) - 1 & ~sum(blocks)):
-            blocks[1 << i] = []
+    for v in mu.basis:
+        mask, rows = v.bits, [v.bits]
+        for joined in [b for b in blocks if b & mask]:
+            mask |= joined
+            rows += blocks.pop(joined)
+        blocks[mask] = rows
+    # the masks are disjoint, so their sum is their union
+    for i in _positions((1 << m) - 1 & ~sum(blocks)):
+        blocks[1 << i] = []
     dims = [mask.bit_count() - len(rows) for mask, rows in blocks.items()]
     k = max(dims, default=0)
     if k > dim_cap:

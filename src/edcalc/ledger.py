@@ -196,15 +196,11 @@ def known_cases(mu: SubspaceF2, n: Sequence[int]) -> KnownCase | None:
     mu is the reduced subspace that `validate` returns.
     """
     ranks = tuple(sorted(n))
-    kinds: tuple[str, ...] | None = None
+    kinds = _mu_kinds(mu)
     best: KnownCase | None = None
     for fam in LEDGER:
         value = fam.value_for(ranks)
-        if value is None:
-            continue
-        if kinds is None:
-            kinds = _mu_kinds(mu)
-        if fam.mu not in kinds:
+        if value is None or fam.mu not in kinds:
             continue
         case = KnownCase(fam.kind, value, fam.tag, fam.describe(ranks, value))
         if best is None or (case.kind == "exact", case.value) > (best.kind == "exact", best.value):

@@ -1,4 +1,4 @@
-"""The argparse parser of the command line, for help and usage errors.
+"""The argparse parser of the command line, for cap options, help and usage errors.
 
 `cli` reads a plainly spelt command line itself and imports this module only
 for anything else.  It passes its declared tables in: under `python -m

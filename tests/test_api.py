@@ -101,9 +101,9 @@ def test_help_and_usage_errors_load_argparse_and_no_algorithm(argv, code):
 # edcalc.cli` runs cli.py as __main__, so it counts besides the modules imported.
 # A change that makes a command load more raises its bound here.
 SOURCE_BUDGET = {
-    "compute": (["compute", str(DATA / "c1.json")], 1632),
-    "certify": (["certify", "builtin:small4"], 1673),
-    "table": (["table"], 735),
+    "compute": (["compute", str(DATA / "c1.json")], 1598),
+    "certify": (["certify", "builtin:small4"], 1649),
+    "table": (["table"], 719),
 }
 
 
@@ -113,4 +113,5 @@ def test_each_command_loads_no_more_source_than_its_budget(command):
     package = Path(edcalc.__file__).parent
     modules = {m for m in cli_modules(*argv) if m.startswith("edcalc.")} | {"edcalc.cli"}
     files = [package / "__init__.py"] + [package / f"{m[len('edcalc.'):]}.py" for m in modules]
-    assert sum(len(f.read_text().splitlines()) for f in files) <= budget
+    lines = sum(len(f.read_text().splitlines()) for f in files)
+    assert lines <= budget, f"{command} loads {lines} lines of source, over its budget of {budget}"

@@ -419,15 +419,36 @@ def test_main_returns_the_exit_code(capsys):
     "argv",
     [
         ["compute", "--json", "c1.json"],
-        ["compute", "c1.json", "--enum-cap=16", "--basis-cap", "007"],
         ["table"],
         ["table", "--json", "--json"],
         ["batch", "--text", "specs"],
-        ["certify", "builtin:small4", "--enum-cap", "100", "--enum-cap", "5"],
     ],
 )
 def test_plain_command_lines_are_read_without_argparse(argv):
     assert read_argv(argv) == vars(build_parser(COMMANDS, FORMATS, CAPS).parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (
+            ["compute", "--json", str(DATA / "c1.json"), "--enum-cap=16", "--basis-cap", "007"],
+            0,
+            (DATA / "compute_c1.out").read_text(encoding="utf-8"),
+            "",
+        ),
+        (
+            ["certify", "builtin:small4", "--enum-cap", "100", "--enum-cap", "5"],
+            4,
+            "",
+            "error: closure exceeds the cap of 5 elements\n",
+        ),
+    ],
+    ids=["compute", "certify"],
+)
+def test_cap_options_are_read_by_argparse(argv, code, out, err, capsys):
+    assert read_argv(argv) is None
+    assert run(capsys, *argv) == (code, out, err)
 
 
 NUMBERS = st.one_of(
