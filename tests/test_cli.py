@@ -419,6 +419,7 @@ def test_main_returns_the_exit_code(capsys):
     "argv",
     [
         ["compute", "--json", "c1.json"],
+        ["compute", "c1.json"],
         ["table"],
         ["table", "--json", "--json"],
         ["batch", "--text", "specs"],
