@@ -19,7 +19,6 @@ _EXPORTS = {
         "annihilator",
         "count_bases",
         "enumerate_bases",
-        "enumerate_elements",
         "rref",
     ),
     "spec": (

@@ -269,15 +269,7 @@ def cmd_compute(args: SimpleNamespace) -> int:
 
 
 def report_to_doc(report: CertReport) -> dict:
-    return {
-        "abelian_in_quotient": report.abelian_in_quotient,
-        "subgroup_order": report.subgroup_order,
-        "rank": report.rank,
-        "centralizer_finite": report.centralizer_finite,
-        "lower_bound": report.lower_bound,
-        "failure_reason": report.failure_reason,
-        "notes": list(report.notes),
-    }
+    return {name: getattr(report, name) for name in report.__slots__}
 
 
 def render_cert_text(report: CertReport) -> str:

@@ -29,7 +29,7 @@ from .gf2 import (
     enumerate_bases,
     rref_bits,
 )
-from .ledger import is_small_product, known_cases, small_limits
+from .ledger import SMALL_MAX_FACTORS, SMALL_MAX_RANK, is_small_product, known_cases
 from .spec import validate
 
 if TYPE_CHECKING:
@@ -64,24 +64,23 @@ class PatternWeights(dict):
     over many bases of one dual pays once per pattern.  `is_small` rejects a
     pattern that touches a factor ranked above every entry of SMALL_PRODUCTS, or
     that has more factors than its longest entry, before it asks
-    `is_small_product`; both limits are read off the list.
+    `is_small_product`; ledger fixes both limits from the list at import.
     """
 
-    __slots__ = ("n", "heavy", "max_factors")
+    __slots__ = ("n", "heavy")
 
     def __init__(self, n: Sequence[int]) -> None:
         super().__init__()
-        max_rank, self.max_factors = small_limits()
         self.n = n
         heavy = 0
         for i, r in enumerate(n):
-            if r > max_rank:
+            if r > SMALL_MAX_RANK:
                 heavy |= 1 << i
         self.heavy = heavy
 
     def is_small(self, bits: int) -> bool:
         """Whether the rank multiset of the pattern's support is on SMALL_PRODUCTS."""
-        if bits & self.heavy or bits.bit_count() > self.max_factors:
+        if bits & self.heavy or bits.bit_count() > SMALL_MAX_FACTORS:
             return False
         return is_small_product([self.n[i] for i in _positions(bits)])
 

@@ -6,7 +6,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from ._record import _Record, _setattr
-from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
+from .caps import DEFAULT_BASIS_CAP
 
 
 class DimensionMismatchError(ValueError):
@@ -156,24 +156,6 @@ def annihilator(space: SubspaceF2) -> SubspaceF2:
     return SubspaceF2._from_rref(space.m, rref_bits(out))
 
 
-def enumerate_elements(space: SubspaceF2, dim_cap: int = DEFAULT_DIM_CAP) -> list[int]:
-    """All nonzero elements of the subspace as packed ints, coordinate i at bit i.
-
-    The order is a Gray-code walk over the basis.  Refuses when dim exceeds dim_cap.
-    """
-    k = space.dim
-    if k > dim_cap:
-        raise EnumerationTooLargeError(
-            f"subspace of dimension {k} has 2^{k} - 1 nonzero elements, cap is 2^{dim_cap}"
-        )
-    out = [0]
-    for row in [v.bits for v in space.basis]:
-        # reflected Gray code: the walk so far, then back again with row toggled
-        out += [x ^ row for x in reversed(out)]
-    del out[0]
-    return out
-
-
 def count_bases(k: int) -> int:
     """Number of unordered bases of a k-dimensional space over GF(2)."""
     ordered = orderings = 1
@@ -193,7 +175,11 @@ def enumerate_bases(
     total = count_bases(k)
     if total > cap:
         raise EnumerationTooLargeError(f"{total} bases exceed the cap of {cap}")
-    elems = sorted(filter(keep, enumerate_elements(space, dim_cap=max(k, DEFAULT_DIM_CAP))))
+    # the cap bounds k: any cap below 10^23 admits k <= 9, at most 511 elements
+    elems = [0]
+    for v in space.basis:
+        elems += [x ^ v.bits for x in elems]
+    elems = sorted(filter(keep, elems[1:]))
     # index tuples come in lexicographic order; the k-subsets of full rank are the bases
     for chosen in combinations(elems, k):
         if len(rref_bits(chosen)) == k:

@@ -9,7 +9,6 @@ code: a central subgroup is only inspected through its basis rows.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ._record import _Record
@@ -23,6 +22,9 @@ SMALL_PRODUCTS = frozenset(
     + [(2, 2), (2, 3)]
     + [(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 1, 1)]
 )
+# the largest rank and the most factors of any entry
+SMALL_MAX_RANK = max(map(max, SMALL_PRODUCTS))
+SMALL_MAX_FACTORS = max(map(len, SMALL_PRODUCTS))
 
 
 def is_small_product(ranks: Sequence[int]) -> bool:
@@ -32,16 +34,6 @@ def is_small_product(ranks: Sequence[int]) -> bool:
     exactness claims require every minimal-basis vector to avoid this list.
     """
     return tuple(sorted(ranks)) in SMALL_PRODUCTS
-
-
-def small_limits() -> tuple[int, int]:
-    """The largest rank and the most factors of any entry of SMALL_PRODUCTS."""
-    return _limits(SMALL_PRODUCTS)
-
-
-@cache
-def _limits(products: frozenset[tuple[int, ...]]) -> tuple[int, int]:
-    return max(map(max, products)), max(map(len, products))
 
 
 class KnownCase(_Record):

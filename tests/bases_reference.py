@@ -12,14 +12,14 @@ from typing import Callable, Iterator
 
 from edcalc.gf2 import (
     DEFAULT_BASIS_CAP,
-    DEFAULT_DIM_CAP,
     EnumerationTooLargeError,
     SubspaceF2,
     count_bases,
-    enumerate_elements,
     reduce_bits,
     rref_bits,
 )
+
+from greedy_reference import reference_enumerate_elements
 
 
 def reference_enumerate_bases(
@@ -35,7 +35,7 @@ def reference_enumerate_bases(
     if k == 0:
         yield ()
         return
-    elems = sorted(filter(keep, enumerate_elements(space, dim_cap=max(k, DEFAULT_DIM_CAP))))
+    elems = sorted(filter(keep, (v.bits for v in reference_enumerate_elements(space, dim_cap=k))))
 
     def rec(start: int, echelon: list[int], chosen: list[int]) -> Iterator[tuple[int, ...]]:
         if len(chosen) == k:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from edcalc.caps import DEFAULT_DIM_CAP
 from edcalc.gf2 import (
-    DEFAULT_DIM_CAP,
     BitVec,
     DimensionMismatchError,
     EnumerationTooLargeError,

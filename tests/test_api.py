@@ -101,9 +101,9 @@ def test_help_and_usage_errors_load_argparse_and_no_algorithm(argv, code):
 # edcalc.cli` runs cli.py as __main__, so it counts besides the modules imported.
 # A change that makes a command load more raises its bound here.
 SOURCE_BUDGET = {
-    "compute": (["compute", str(DATA / "c1.json")], 1598),
-    "certify": (["certify", "builtin:small4"], 1649),
-    "table": (["table"], 719),
+    "compute": (["compute", str(DATA / "c1.json")], 1566),
+    "certify": (["certify", "builtin:small4"], 1618),
+    "table": (["table"], 702),
 }
 
 

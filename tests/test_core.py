@@ -213,9 +213,16 @@ def test_pattern_weights_at_the_rank_and_size_limits():
     ids=["rank7", "pair-1-7", "five-ones", "six-twos", "wide"],
 )
 def test_pattern_weights_follow_an_extended_list(monkeypatch, extra):
-    # both rejects read their limits off SMALL_PRODUCTS: entries past today's
-    # largest rank and longest entry must still be found
-    monkeypatch.setattr(edcalc.ledger, "SMALL_PRODUCTS", edcalc.ledger.SMALL_PRODUCTS | set(extra))
+    # both rejects read limits fixed from SMALL_PRODUCTS at import: with the list
+    # and its limits extended past today's largest rank and longest entry, the
+    # new entries must still be found
+    products = edcalc.ledger.SMALL_PRODUCTS
+    assert edcalc.ledger.SMALL_MAX_RANK == max(map(max, products))
+    assert edcalc.ledger.SMALL_MAX_FACTORS == max(map(len, products))
+    products = products | set(extra)
+    monkeypatch.setattr(edcalc.ledger, "SMALL_PRODUCTS", products)
+    monkeypatch.setattr(edcalc.core, "SMALL_MAX_RANK", max(map(max, products)))
+    monkeypatch.setattr(edcalc.core, "SMALL_MAX_FACTORS", max(map(len, products)))
     rng = Random(7)
     for ranks in extra:
         n = ranks + tuple(rng.randint(1, 12) for _ in range(8))

@@ -17,13 +17,13 @@ from edcalc import (
     annihilator,
     count_bases,
     enumerate_bases,
-    enumerate_elements,
     rref,
 )
 from edcalc.core import PatternWeights
 from edcalc.gf2 import rref_bits
 
 from bases_reference import reference_enumerate_bases
+from greedy_reference import reference_enumerate_elements
 
 
 def vecs(m, rows):
@@ -96,27 +96,6 @@ def test_annihilator_of_trivial_and_full():
     assert annihilator(full).dim == 0
 
 
-def test_enumerate_elements():
-    space = rref(vecs(4, [[1, 1, 1, 0], [0, 0, 0, 1]]))
-    elems = enumerate_elements(space)
-    assert all(type(b) is int for b in elems)
-    assert len(elems) == 3
-    assert len(set(elems)) == 3
-    assert all(b != 0 and BitVec(4, b) in space for b in elems)
-    assert set(BitVec(4, b).coords() for b in elems) == {
-        (1, 1, 1, 0),
-        (0, 0, 0, 1),
-        (1, 1, 1, 1),
-    }
-
-
-def test_enumerate_elements_cap():
-    space = rref([BitVec.unit(10, i) for i in range(10)])
-    with pytest.raises(EnumerationTooLargeError):
-        enumerate_elements(space, dim_cap=9)
-    assert len(enumerate_elements(space, dim_cap=10)) == 1023
-
-
 def test_count_bases():
     assert count_bases(0) == 1
     assert count_bases(1) == 1
@@ -180,7 +159,7 @@ def test_enumerate_bases_matches_the_recursion_oracle():
     for dim in range(6):
         for _ in range(25):
             space = random_space(rng, dim)
-            elems = enumerate_elements(space)
+            elems = [v.bits for v in reference_enumerate_elements(space)]
             kept = set(rng.sample(elems, rng.randint(0, min(len(elems), 20))))
             # every basis of a dimension-5 space is left to the pool specs below
             for keep in (kept.__contains__,) if dim == 5 else (None, kept.__contains__):

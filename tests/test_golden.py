@@ -6,7 +6,8 @@ pattern, the help texts before the certificate layer was imported only by
 certify, and the dual-dimension-5 report before the upper-bound search
 enumerated only the bases without small factor products, and the
 dual-dimension-6 report before the basis search became one loop over
-combinations; every report must stay exactly as it was.
+combinations, and the failing certificate's report before it was built from
+the report record's fields; every report must stay exactly as it was.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from edcalc.cli import main
 
 DATA = Path(__file__).parent / "data"
 
-# (golden file, exit code, argv); spec arguments name files in DATA
+# (golden file, exit code, argv); spec and certificate arguments name files in DATA,
+# certificates in a subdirectory that batch over DATA does not read
 CASES = [
     ("table_text", 0, ["table"]),
     ("table_json", 0, ["table", "--json"]),
@@ -46,6 +48,12 @@ CASES = [
     # dual dimension 6: 27998208 bases exceed the default basis cap, so the search is skipped
     ("compute_dual6_small", 4, ["compute", "dual6_small_diagonal.json"]),
     ("certify_pair_2_3", 0, ["certify", "--json", "builtin:pair:2:3"]),
+    # a failing certificate: exit 5, failure_reason set, notes empty
+    (
+        "certify_nonabelian_quotient",
+        5,
+        ["certify", "--json", "certificates/nonabelian_quotient.json"],
+    ),
 ]
 
 
