@@ -1,4 +1,5 @@
-"""Default resource caps, shared by the algorithms and the command line."""
+"""The one resource cap, shared by the algorithms and the command line."""
 
-DEFAULT_DIM_CAP = 24  # largest dimension of a subspace whose elements are enumerated
-DEFAULT_BASIS_CAP = 100_000  # largest number of bases searched exhaustively
+# counted in objects: nonzero patterns of a block's dual for the greedy, bases for
+# the upper-bound search, elements of a closure for certificate verification
+DEFAULT_ENUM_CAP = 1 << 24

@@ -2,9 +2,9 @@
 
 Each handler imports the modules its command runs, so `table` loads only the
 ledger and `certify` never loads the essential-dimension search.  A plainly
-spelt command line is read by `read_argv`; anything else, cap options, help and
-every usage error included, goes to the argparse parser of `usage`, which is
-imported only then.  Both read one declared table: COMMANDS, FORMATS and CAPS.
+spelt command line is read by `read_argv`; anything else, the cap option, help
+and every usage error included, goes to the argparse parser of `usage`, which
+is imported only then.  Both read one declared table: COMMANDS, FORMATS and CAPS.
 
 `main` returns the exit code and is what library callers and tests call.  `run`
 is the process entry point: it ends the process with `os._exit` as soon as the
@@ -18,7 +18,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
-from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
+from .caps import DEFAULT_ENUM_CAP
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -34,20 +34,15 @@ EXIT_CERT = 5
 EXIT_IOERR = 74  # EX_IOERR of sysexits.h
 EXIT_PIPE = 141  # the shell's code for a process killed by SIGPIPE, 128 + 13
 
-DEFAULT_ENUM_CAP = 1 << DEFAULT_DIM_CAP
-
 # output flags, mutually exclusive, that every command takes
 FORMATS = {"--json": "emit a JSON report", "--text": "emit a text report (default)"}
 
 # cap option: (default, help)
 CAPS = {
-    "--basis-cap": (
-        DEFAULT_BASIS_CAP,
-        "largest basis count searched exhaustively (default %(default)s)",
-    ),
     "--enum-cap": (
         DEFAULT_ENUM_CAP,
-        "largest element enumeration, for subspaces and closures (default 2^24)",
+        "largest enumeration: nonzero patterns of a dual block, bases searched,"
+        " or closure elements (default 2^24)",
     ),
 }
 
@@ -55,7 +50,7 @@ CAPS = {
 COMMANDS = {
     "compute": (
         "compute the essential dimension",
-        ("--basis-cap", "--enum-cap"),
+        ("--enum-cap",),
         ("spec", "path to a spec JSON document"),
     ),
     "certify": (
@@ -71,7 +66,7 @@ COMMANDS = {
     "table": ("print the built-in case tables", (), None),
     "batch": (
         "compute every spec in a directory",
-        ("--basis-cap", "--enum-cap"),
+        ("--enum-cap",),
         ("directory", "directory of spec JSON documents"),
     ),
 }
@@ -85,7 +80,7 @@ def read_argv(argv: Sequence[str]) -> dict | None:
     """The arguments of a plainly spelt command line, as the argparse parser reads them.
 
     Reads exact format flags and one positional argument that does not start
-    with '-'; the caps keep their defaults.  Returns None for anything else (a
+    with '-'; the cap keeps its default.  Returns None for anything else (the
     cap option, help, abbreviations, '--', every error): argparse handles those.
     """
     if not argv or argv[0] not in COMMANDS:
@@ -234,9 +229,7 @@ def render_result_text(result: EdResult) -> str:
     return "\n".join(lines)
 
 
-def _try_compute(
-    path: str | Path, basis_cap: int, enum_cap: int
-) -> tuple[int, EdResult | None, str | None]:
+def _try_compute(path: str | Path, enum_cap: int) -> tuple[int, EdResult | None, str | None]:
     from .core import STATUS_EXACT, compute_ed
     from .spec import EmptySpecError, NotReducedError, SpecFormatError, spec_from_doc
 
@@ -251,7 +244,7 @@ def _try_compute(
     except ValueError as exc:
         return EXIT_VALIDATION, None, f"{path}: {exc}"
     try:
-        result = compute_ed(spec, basis_cap=basis_cap, dim_cap=enum_cap.bit_length() - 1)
+        result = compute_ed(spec, enum_cap=enum_cap)
     except (EmptySpecError, NotReducedError) as exc:
         return EXIT_VALIDATION, None, f"{path}: {exc}"
     partial = result.warnings and result.status != STATUS_EXACT
@@ -259,7 +252,7 @@ def _try_compute(
 
 
 def cmd_compute(args: SimpleNamespace) -> int:
-    code, result, error = _try_compute(args.spec, args.basis_cap, args.enum_cap)
+    code, result, error = _try_compute(args.spec, args.enum_cap)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return code
@@ -358,7 +351,7 @@ def cmd_batch(args: SimpleNamespace) -> int:
     entries = []
     blocks = []
     for path in sorted(directory.glob("*.json")):
-        code, result, error = _try_compute(path, args.basis_cap, args.enum_cap)
+        code, result, error = _try_compute(path, args.enum_cap)
         if overall == EXIT_OK and code != EXIT_OK:
             overall = code
         if error is not None:

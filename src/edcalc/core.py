@@ -20,7 +20,7 @@ from heapq import heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ._record import _Record
-from .caps import DEFAULT_BASIS_CAP, DEFAULT_DIM_CAP
+from .caps import DEFAULT_ENUM_CAP
 from .gf2 import (
     BitVec,
     DimensionMismatchError,
@@ -256,7 +256,7 @@ PIVOT_CHUNK = 12
 
 
 def greedy_min_basis(
-    mu: SubspaceF2, n: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
+    mu: SubspaceF2, n: Sequence[int], *, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[tuple[BitVec, ...], int]:
     """Minimal-total-weight basis of the dual of mu by matroid greedy.
 
@@ -266,7 +266,8 @@ def greedy_min_basis(
     the direct sum of the blocks' duals, and a pattern over two blocks comes
     after both of its parts in key order, so the greedy never takes it: its
     picks are the blocks' picks merged by key.  Refuses a block whose dual has
-    dimension above dim_cap; the refusal's `dim` is the largest such dimension.
+    more than enum_cap nonzero patterns; the refusal's `dim` is the largest
+    dimension of a block's dual.
     """
     m = mu.m
     if len(n) != m:
@@ -283,9 +284,9 @@ def greedy_min_basis(
         blocks[1 << i] = []
     dims = [mask.bit_count() - len(rows) for mask, rows in blocks.items()]
     k = max(dims, default=0)
-    if k > dim_cap:
+    if (1 << k) - 1 > enum_cap:
         refusal = EnumerationTooLargeError(
-            f"subspace of dimension {k} has 2^{k} - 1 nonzero elements, cap is 2^{dim_cap}"
+            f"subspace of dimension {k} has 2^{k} - 1 nonzero elements, cap is {enum_cap}"
         )
         refusal.dim = k
         raise refusal
@@ -405,12 +406,11 @@ class EdResult(_Record):
         return self.lower if self.status == STATUS_EXACT else None
 
 
-def compute_ed(
-    spec: GroupSpecB,
-    basis_cap: int = DEFAULT_BASIS_CAP,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> EdResult:
-    """Full decision procedure: greedy formula, exactness test, known cases, bound search."""
+def compute_ed(spec: GroupSpecB, *, enum_cap: int = DEFAULT_ENUM_CAP) -> EdResult:
+    """Full decision procedure: greedy formula, exactness test, known cases, bound search.
+
+    enum_cap bounds the greedy's nonzero patterns per block and the search's bases.
+    """
     mu = validate(spec)
     k = spec.m - mu.dim
     dim_g = group_dim(spec.n)
@@ -425,9 +425,9 @@ def compute_ed(
     upper: int | None = None
 
     try:
-        basis, total = greedy_min_basis(mu, spec.n, dim_cap)
+        basis, total = greedy_min_basis(mu, spec.n, enum_cap=enum_cap)
     except EnumerationTooLargeError as refusal:
-        # a block's dual is over the dim cap: the ledger alone decides
+        # a block's dual has more patterns than the cap: the ledger alone decides
         basis, total = (), 0
         warnings.append(WARN_ELEMENT_CAP)
         trace.append(
@@ -501,7 +501,7 @@ def compute_ed(
         candidates = 0
         try:
             # keep the patterns whose weight is not None: the bases without small factor products
-            for b in enumerate_bases(annihilator(mu), basis_cap, weights.__getitem__):
+            for b in enumerate_bases(annihilator(mu), enum_cap, weights.__getitem__):
                 candidates += 1
                 t = sum(map(weights.__getitem__, b))
                 if best is None or t < best:

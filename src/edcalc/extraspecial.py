@@ -15,6 +15,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from ._record import _Record, _setattr
+from .caps import DEFAULT_ENUM_CAP
 from .gf2 import (
     BitVec,
     DimensionMismatchError,
@@ -32,8 +33,6 @@ from .spec import (
     spec_to_doc,
     validate,
 )
-
-DEFAULT_CLOSURE_CAP = 1 << 20
 
 
 class CliffordUnit(_Record):
@@ -343,7 +342,7 @@ class CertReport(_Record):
         )
 
 
-def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_CLOSURE_CAP) -> CertReport:
+def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_ENUM_CAP) -> CertReport:
     """Check a certificate from scratch and report the lower bound it proves."""
     mu = validate(cert.spec)
     dims = tuple(2 * r + 1 for r in cert.spec.n)
@@ -395,8 +394,8 @@ def _unit(dim: int, *indices: int, sign: int = 1) -> CliffordUnit:
 def diagonal_certificate(rank: int, copies: int) -> Certificate:
     """Certificate for m equal factors modulo the diagonal sign: rank m + 2n - 1."""
     n, m = rank, copies
-    if n < 1 or m < 2:
-        raise ValueError("need rank >= 1 and at least two copies")
+    if ledger_family("diagonal:<n>:<m>").value_for((n,) * m) is None:
+        raise ValueError(f"no built-in diagonal certificate for {m} copies of rank {n}")
     spec = GroupSpecB((n,) * m, diagonal_mu(m).basis)
     dim = 2 * n + 1
     gens = [
@@ -432,7 +431,7 @@ def pair_certificate(n1: int, n2: int) -> Certificate:
     ]
     packing = _Packing((d1, d2))
     h1_sq = packing.sign_pattern(packing.square(packing.pack(gens[0]) >> packing.width))
-    if BitVec(2, h1_sq) in diagonal_mu(2):
+    if h1_sq in (0, 0b11):  # the elements of the diagonal mu
         # the square of the first generator is already trivial in the quotient,
         # so the lone sign flip adds an independent order-2 element
         gens.append(
@@ -453,8 +452,8 @@ def pair_certificate(n1: int, n2: int) -> Certificate:
 def small_triple_certificate(third_rank: int) -> Certificate:
     """Certificate for Spin(3) x Spin(3) x Spin(2*v+1) modulo all even sign patterns."""
     v = third_rank
-    if v not in (1, 2, 3):
-        raise ValueError("third factor rank must be 1, 2, or 3")
+    if (1, 1, v) not in ledger_family("small3:<v>").table:
+        raise ValueError(f"no built-in small3 certificate for third factor rank {v}")
     spec = GroupSpecB((1, 1, v), maximal_mu(3).basis)
     d = 2 * v + 1
     if v == 1:

@@ -6,7 +6,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 from ._record import _Record, _setattr
-from .caps import DEFAULT_BASIS_CAP
+from .caps import DEFAULT_ENUM_CAP
 
 
 class DimensionMismatchError(ValueError):
@@ -167,7 +167,7 @@ def count_bases(k: int) -> int:
 
 
 def enumerate_bases(
-    space: SubspaceF2, cap: int = DEFAULT_BASIS_CAP, keep: Callable[[int], object] | None = None
+    space: SubspaceF2, cap: int = DEFAULT_ENUM_CAP, keep: Callable[[int], object] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield once, as ascending packed ints, each unordered basis of the subspace whose every
     element keep accepts (with no keep, every basis); refuses a space of more than cap bases."""

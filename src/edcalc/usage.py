@@ -1,4 +1,4 @@
-"""The argparse parser of the command line, for cap options, help and usage errors.
+"""The argparse parser of the command line, for the cap option, help and usage errors.
 
 `cli` reads a plainly spelt command line itself and imports this module only
 for anything else.  It passes its declared tables in: under `python -m
@@ -17,7 +17,7 @@ DESCRIPTION = (
 
 
 def cap_value(text: str) -> int:
-    """argparse type of --basis-cap and --enum-cap: an integer >= 1."""
+    """argparse type of the cap option --enum-cap: an integer >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
+from edcalc.caps import DEFAULT_ENUM_CAP
 from edcalc.gf2 import (
-    DEFAULT_BASIS_CAP,
     EnumerationTooLargeError,
     SubspaceF2,
     count_bases,
@@ -23,7 +23,7 @@ from greedy_reference import reference_enumerate_elements
 
 
 def reference_enumerate_bases(
-    space: SubspaceF2, cap: int = DEFAULT_BASIS_CAP, keep: Callable[[int], object] | None = None
+    space: SubspaceF2, cap: int = DEFAULT_ENUM_CAP, keep: Callable[[int], object] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield once each unordered basis of the subspace, as ascending packed ints, on whose
     every element keep is true (with no keep, every basis); refuses when the count of all

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from edcalc.caps import DEFAULT_DIM_CAP
 from edcalc.gf2 import (
     BitVec,
     DimensionMismatchError,
@@ -22,6 +21,10 @@ from edcalc.gf2 import (
     rref_bits,
 )
 
+# largest dimension enumerated by default: the package's cap of 2^24 patterns,
+# written out here so that the oracle reads nothing of the code it checks
+DIM_CAP = 24
+
 
 def weight_exponent(r: BitVec, n: Sequence[int]) -> int:
     """Sum of the factor ranks over the support of r; the weight of r is 2 to this."""
@@ -29,7 +32,7 @@ def weight_exponent(r: BitVec, n: Sequence[int]) -> int:
 
 
 def reference_enumerate_elements(
-    space: SubspaceF2, dim_cap: int = DEFAULT_DIM_CAP
+    space: SubspaceF2, dim_cap: int = DIM_CAP
 ) -> list[BitVec]:
     """All nonzero elements of the subspace; refuses when dim exceeds dim_cap."""
     k = space.dim
@@ -48,7 +51,7 @@ def reference_enumerate_elements(
 
 
 def reference_greedy_min_basis(
-    dual: SubspaceF2, n: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
+    dual: SubspaceF2, n: Sequence[int], dim_cap: int = DIM_CAP
 ) -> tuple[tuple[BitVec, ...], int]:
     """Minimal-total-weight basis by matroid greedy; ties broken by coordinate tuple."""
     if len(n) != dual.m:
@@ -70,7 +73,7 @@ def reference_greedy_min_basis(
 
 
 def reference_greedy_keys(
-    dual: SubspaceF2, n: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
+    dual: SubspaceF2, n: Sequence[int], dim_cap: int = DIM_CAP
 ) -> list[int]:
     """Greedy keys of every nonzero pattern of the dual, ascending.
 

@@ -22,8 +22,9 @@ from edcalc import (
     rref,
 )
 from edcalc.core import PatternWeights, _basis, _picks, _split_walk_keys
-from edcalc.extraspecial import DEFAULT_CLOSURE_CAP, _closure_packed, _Packing
-from edcalc.gf2 import DEFAULT_BASIS_CAP, enumerate_bases
+from edcalc.caps import DEFAULT_ENUM_CAP
+from edcalc.extraspecial import _closure_packed, _Packing
+from edcalc.gf2 import enumerate_bases
 from edcalc.ledger import is_small_product
 
 from greedy_reference import reference_greedy_keys, weight_exponent
@@ -115,7 +116,7 @@ def packed_unit_product(a: CliffordUnit, b: CliffordUnit) -> CliffordUnit:
 
 
 def packed_closure(
-    generators: Sequence[CliffordTuple], cap: int = DEFAULT_CLOSURE_CAP
+    generators: Sequence[CliffordTuple], cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[_Packing, set[int]]:
     """The packing of the generators' product and the subgroup `_closure_packed` finds.
 
@@ -134,7 +135,7 @@ def support_ranks(r: BitVec, n: Sequence[int]) -> tuple[int, ...]:
 
 
 def brute_min_basis(
-    dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_BASIS_CAP
+    dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[tuple[BitVec, ...], int]:
     """Exhaustive minimum over all bases; independent check of the greedy result."""
     best: tuple[BitVec, ...] | None = None
@@ -150,7 +151,7 @@ def brute_min_basis(
 
 
 def brute_bounds(
-    dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_BASIS_CAP
+    dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, int | None, int]:
     """Exhaustive oracles of the greedy and of the upper-bound search, in one pass.
 
@@ -245,11 +246,11 @@ def random_group_spec(
 
 
 def compare_greedy_brute(
-    spec: GroupSpecB, basis_cap: int = DEFAULT_BASIS_CAP
+    spec: GroupSpecB, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, int]:
     """Greedy and exhaustive minimal totals for the same spec."""
     _, greedy_total = greedy_min_basis(spec.mu_subspace(), spec.n)
-    _, brute_total = brute_min_basis(spec.dual_subspace(), spec.n, basis_cap)
+    _, brute_total = brute_min_basis(spec.dual_subspace(), spec.n, enum_cap)
     return greedy_total, brute_total
 
 

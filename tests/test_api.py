@@ -3,6 +3,7 @@ and each command loads only the modules it needs, within a budget of source line
 
 from __future__ import annotations
 
+import inspect
 import json
 import types
 from pathlib import Path
@@ -10,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import edcalc
+from edcalc import caps, cli, compute_ed, greedy_min_basis, verify_certificate
+from edcalc.gf2 import enumerate_bases
 
 from helpers import cli_modules, run_fresh
 
@@ -30,6 +33,18 @@ def test_all_matches_public_attributes():
 
 def test_dir_lists_every_exported_name():
     assert set(edcalc.__all__) <= set(dir(edcalc))
+
+
+def test_every_cap_default_is_the_one_enum_cap():
+    defaults = [
+        inspect.signature(compute_ed).parameters["enum_cap"].default,
+        inspect.signature(greedy_min_basis).parameters["enum_cap"].default,
+        inspect.signature(enumerate_bases).parameters["cap"].default,
+        inspect.signature(verify_certificate).parameters["closure_cap"].default,
+        cli.CAPS["--enum-cap"][0],
+    ]
+    assert defaults == [caps.DEFAULT_ENUM_CAP] * 5
+    assert list(cli.CAPS) == ["--enum-cap"]
 
 
 def test_import_alone_leaves_the_certificate_layer_unloaded():
@@ -101,9 +116,9 @@ def test_help_and_usage_errors_load_argparse_and_no_algorithm(argv, code):
 # edcalc.cli` runs cli.py as __main__, so it counts besides the modules imported.
 # A change that makes a command load more raises its bound here.
 SOURCE_BUDGET = {
-    "compute": (["compute", str(DATA / "c1.json")], 1566),
-    "certify": (["certify", "builtin:small4"], 1618),
-    "table": (["table"], 702),
+    "compute": (["compute", str(DATA / "c1.json")], 1560),
+    "certify": (["certify", "builtin:small4"], 1611),
+    "table": (["table"], 696),
 }
 
 

@@ -433,7 +433,7 @@ def test_plain_command_lines_are_read_without_argparse(argv):
     "argv, code, out, err",
     [
         (
-            ["compute", "--json", str(DATA / "c1.json"), "--enum-cap=16", "--basis-cap", "007"],
+            ["compute", "--json", str(DATA / "c1.json"), "--enum-cap=16", "--enum-cap", "007"],
             0,
             (DATA / "compute_c1.out").read_text(encoding="utf-8"),
             "",
@@ -494,13 +494,41 @@ def test_argparse_rejects_unknown(capsys):
     assert err.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [["certify", "builtin:small4", "--basis-cap", "10"]])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "builtin:small4", "--basis-cap", "10"],
+        ["compute", str(DATA / "c1.json"), "--basis-cap", "5"],
+        ["batch", str(DATA), "--basis-cap", "5"],
+    ],
+)
 def test_unused_cap_options_are_rejected(argv, capsys):
-    # certify never searches bases
+    # --enum-cap is the one cap option: it also bounds the basis search
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cap, code, head, warnings",
+    [
+        ("14", 4, "ed >= 8", ["warning: element-cap-exceeded"]),
+        ("15", 4, "ed >= 14", ["warning: basis-cap-exceeded"]),
+        ("16", 4, "ed >= 14", ["warning: basis-cap-exceeded"]),
+        ("840", 0, "14 <= ed <= 974", []),
+    ],
+)
+def test_enum_cap_counts_greedy_patterns_and_search_bases(cap, code, head, warnings, capsys):
+    # five rank-2 factors under the diagonal: a dual of dimension 4, whose 2^4 - 1
+    # nonzero patterns the greedy walks and whose 840 bases the search counts
+    argv = ["compute", str(DATA / "rank2_five_diagonal.json"), "--enum-cap", cap]
+    exit_code, out, err = run(capsys, *argv)
+    lines = out.splitlines()
+    assert (exit_code, err, lines[0]) == (code, "", f"status: bounds-only, {head}")
+    assert [line for line in lines if line.startswith("warning: ")] == warnings
+    if warnings == ["warning: basis-cap-exceeded"]:
+        assert f"  upper-bound-search: 840 bases exceed the cap of {cap}; search skipped" in lines
 
 
 def test_oracle_command_is_gone(capsys):
@@ -515,8 +543,8 @@ def test_oracle_command_is_gone(capsys):
     "argv",
     [
         ["compute", str(DATA / "c1.json"), "--enum-cap", "0"],
-        ["compute", str(DATA / "rank2_five_diagonal.json"), "--basis-cap", "-1"],
-        ["batch", str(DATA), "--basis-cap", "0"],
+        ["compute", str(DATA / "rank2_five_diagonal.json"), "--enum-cap", "-1"],
+        ["batch", str(DATA), "--enum-cap", "0"],
         ["batch", str(DATA), "--enum-cap", "-5"],
         ["certify", "builtin:small4", "--enum-cap", "0"],
     ],

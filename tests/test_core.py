@@ -382,13 +382,35 @@ def test_compute_ed_basis_cap_boundary():
     # (1,1,2,3,1,2) under diagonal mu: the dual has dimension 5 and 83328 bases,
     # 2352 of them without small factor products
     spec = load_spec("dual5_small_diagonal.json")
-    capped = compute_ed(spec, basis_cap=83327)
+    capped = compute_ed(spec, enum_cap=83327)
     assert capped.warnings == (WARN_BASIS_CAP,) and capped.upper is None
     assert capped.trace[-1].rule == "upper-bound-search"
     assert capped.trace[-1].citation == "83328 bases exceed the cap of 83327; search skipped"
-    searched = compute_ed(spec, basis_cap=83328)
+    searched = compute_ed(spec, enum_cap=83328)
     assert searched.warnings == () and searched.upper == 206
     assert searched.trace[-1].citation.startswith("best of 2352 bases ")
+
+
+def test_one_enum_cap_bounds_the_greedy_and_the_search():
+    # five rank-2 factors under the diagonal: a dual of dimension 4, with 2^4 - 1
+    # nonzero patterns and 840 bases.  15 admits the greedy and refuses the search
+    spec = load_spec("rank2_five_diagonal.json")
+    mu = spec.mu_subspace()
+    with pytest.raises(EnumerationTooLargeError, match=" 2\\^4 - 1 nonzero elements, cap is 14$"):
+        greedy_min_basis(mu, spec.n, enum_cap=14)
+    assert compute_ed(spec, enum_cap=14).warnings == (WARN_ELEMENT_CAP,)
+    assert greedy_min_basis(mu, spec.n, enum_cap=15) == greedy_min_basis(mu, spec.n)
+    for cap in (15, 839):
+        capped = compute_ed(spec, enum_cap=cap)
+        assert capped.warnings == (WARN_BASIS_CAP,) and capped.minimal_basis
+        assert (capped.lower, capped.upper) == (14, None)
+    assert compute_ed(spec, enum_cap=840) == compute_ed(spec)
+    assert compute_ed(spec).upper == 974
+    # keyword-only: a bare number is not taken for a cap of another unit
+    with pytest.raises(TypeError):
+        compute_ed(spec, 840)
+    with pytest.raises(TypeError):
+        greedy_min_basis(mu, spec.n, 15)
 
 
 def test_compute_ed_refuses_a_known_exact_value_below_the_weight_formula(monkeypatch):
@@ -513,7 +535,7 @@ def test_a_refused_block_over_4300_digits_is_capped_under_the_default_limit():
     finally:
         sys.set_int_max_str_digits(limit)
     assert str(caught.value) == (
-        "subspace of dimension 14399 has 2^14399 - 1 nonzero elements, cap is 2^24"
+        "subspace of dimension 14399 has 2^14399 - 1 nonzero elements, cap is 16777216"
     )
     assert res.status == STATUS_BOUNDS and res.warnings == (WARN_ELEMENT_CAP,)
     # the ledger alone decides, as for any refused block

@@ -33,8 +33,8 @@ from edcalc import (
     rref,
     verify_certificate,
 )
+from edcalc.caps import DEFAULT_ENUM_CAP
 from edcalc.extraspecial import (
-    DEFAULT_CLOSURE_CAP,
     _closure_packed,
     _order_bound_log2,
     _Packing,
@@ -189,7 +189,7 @@ def test_tuple_arithmetic():
         CliffordTuple(())
 
 
-def assert_closure_matches_reference(generators, cap=DEFAULT_CLOSURE_CAP):
+def assert_closure_matches_reference(generators, cap=DEFAULT_ENUM_CAP):
     """The packed closure against the object oracle's, packed; returns the oracle's."""
     packing, group = packed_closure(generators, cap)
     expected = reference_closure(generators, cap)
@@ -330,7 +330,7 @@ def benchmark_certificates():
 def benchmark_oracle_closures():
     """Each benchmark certificate with the oracle's closure of its generators,
     computed once for the two benchmark comparisons below."""
-    return [(cert, reference_closure(cert.generators, DEFAULT_CLOSURE_CAP))
+    return [(cert, reference_closure(cert.generators, DEFAULT_ENUM_CAP))
             for cert in benchmark_certificates()]
 
 
@@ -384,7 +384,7 @@ def test_quotient_rank_matches_reference_on_random_abelian_certificates():
             g = random_tuple(rng, dims)
             if all(commutator_sign_vector(g, h) in mu for h in gens):
                 gens.append(g)
-        assert_quotient_rank_matches_reference(reference_closure(gens, DEFAULT_CLOSURE_CAP), mu)
+        assert_quotient_rank_matches_reference(reference_closure(gens, DEFAULT_ENUM_CAP), mu)
 
 
 def test_certificates_over_more_than_64_factors_match_the_oracles():
@@ -416,7 +416,7 @@ def test_certificates_over_more_than_64_factors_match_the_oracles():
             assert report.failure_reason == failure
             continue
         abelian += 1
-        group = reference_closure(cert.generators, DEFAULT_CLOSURE_CAP)
+        group = reference_closure(cert.generators, DEFAULT_ENUM_CAP)
         expected = reference_quotient_rank(group, cert.spec.mu_subspace())
         assert (report.subgroup_order, report.rank) == expected
         if cert.spec is diagonal:  # c(1,2) and c(2,3) separate the three coordinates
@@ -471,7 +471,7 @@ def assert_packed_checks_match_oracles(cert):
         assert report.failure_reason == failure
 
     bound = 1 << _order_bound_log2(packed, packing, commutators)
-    order = len(_closure_packed(packed, packing, DEFAULT_CLOSURE_CAP, commutators))
+    order = len(_closure_packed(packed, packing, DEFAULT_ENUM_CAP, commutators))
     assert bound <= order
     # with independent nonzero masks, every scalar of the subgroup is a product of
     # squares, commutators and generators with empty masks: the bound is exact
@@ -598,7 +598,11 @@ def test_diagonal_certificates_verify(n, m):
 
 def test_builtin_certificate_keys():
     assert builtin_certificate("small4").spec.n == (1, 1, 1, 1)
-    for bad in ["pair:1:6", "pair:2:2", "small3:4", "diagonal:1:1", "nope", "pair:1", "pair:a:b"]:
+    # each domain is its ledger family's (a table for pair and small3 keys, the
+    # formula's m >= 2 for diagonal keys); the spec adds rank >= 1
+    off_domain = ["pair:1:6", "pair:2:2", "pair:0:1", "small3:4", "small3:0"]
+    off_domain += ["diagonal:1:1", "diagonal:0:2"]
+    for bad in off_domain + ["nope", "pair:1", "pair:a:b"]:
         with pytest.raises(ValueError):
             builtin_certificate(bad)
 
@@ -706,7 +710,7 @@ def test_verify_refuses_a_provably_large_closure_before_the_search():
     # 401 generators on 802-bit words: the search would multiply up to the cap's
     # number of elements by every generator; the order bound is 2^402
     cert = diagonal_certificate(200, 2)
-    message = f"closure exceeds the cap of {DEFAULT_CLOSURE_CAP} elements"
+    message = f"closure exceeds the cap of {DEFAULT_ENUM_CAP} elements"
     with pytest.raises(EnumerationTooLargeError, match=message):
         verify_certificate(cert)
     # the pair check still runs first, so a non-abelian verdict is unchanged

@@ -7,7 +7,9 @@ certify, and the dual-dimension-5 report before the upper-bound search
 enumerated only the bases without small factor products, and the
 dual-dimension-6 report before the basis search became one loop over
 combinations, and the failing certificate's report before it was built from
-the report record's fields; every report must stay exactly as it was.
+the report record's fields; every report must stay exactly as it was.  The
+compute, certify and batch help texts and the dual-dimension-6 report's capped
+search line were rewritten when --enum-cap became the one cap option.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ CASES = [
     ),
     # dual dimension 5: the upper-bound search keeps 2352 of the 83328 bases
     ("compute_dual5_small", 0, ["compute", "dual5_small_diagonal.json"]),
-    # dual dimension 6: 27998208 bases exceed the default basis cap, so the search is skipped
+    # dual dimension 6: 27998208 bases exceed the default cap of 2^24, so the search is skipped
     ("compute_dual6_small", 4, ["compute", "dual6_small_diagonal.json"]),
     ("certify_pair_2_3", 0, ["certify", "--json", "builtin:pair:2:3"]),
     # a failing certificate: exit 5, failure_reason set, notes empty

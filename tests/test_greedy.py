@@ -314,7 +314,7 @@ def test_compute_large_shapes_never_enumerate(monkeypatch, k, d):
 
 
 def test_refuses_a_dual_above_the_dim_cap():
-    # the cap is on the dimension of each block's dual, whatever the shape of mu;
+    # the cap is on the nonzero patterns of each block's dual, whatever the shape of mu;
     # the two random mu of dimension 10 and 14 are one block each
     rng = Random(17)
     for k, d in ((14, 10), (10, 14), (5, 0)):
@@ -323,11 +323,12 @@ def test_refuses_a_dual_above_the_dim_cap():
         if d == 0:
             # trivial mu makes five one-factor blocks, each with a dual of dimension 1
             expected = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
-            assert greedy_min_basis(mu, spec.n, dim_cap=1) == expected
+            assert greedy_min_basis(mu, spec.n, enum_cap=1) == expected
             continue
-        with pytest.raises(EnumerationTooLargeError, match=f"dimension {k} .* cap is 2\\^{k - 1}$"):
-            greedy_min_basis(mu, spec.n, dim_cap=k - 1)
-        assert greedy_min_basis(mu, spec.n, dim_cap=k) == greedy_min_basis(mu, spec.n)
+        cap = (1 << k) - 1
+        with pytest.raises(EnumerationTooLargeError, match=f"dimension {k} .* cap is {cap - 1}$"):
+            greedy_min_basis(mu, spec.n, enum_cap=cap - 1)
+        assert greedy_min_basis(mu, spec.n, enum_cap=cap) == greedy_min_basis(mu, spec.n)
 
 
 def test_the_cap_refuses_a_block_by_its_own_dual():
@@ -339,10 +340,10 @@ def test_the_cap_refuses_a_block_by_its_own_dual():
     mu = spec.mu_subspace()
     assert spec.m - mu.dim == 14
     with pytest.raises(EnumerationTooLargeError) as caught:
-        greedy_min_basis(mu, spec.n, dim_cap=9)
-    assert str(caught.value) == "subspace of dimension 10 has 2^10 - 1 nonzero elements, cap is 2^9"
+        greedy_min_basis(mu, spec.n, enum_cap=(1 << 9) - 1)
+    assert str(caught.value) == "subspace of dimension 10 has 2^10 - 1 nonzero elements, cap is 511"
     expected = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
-    assert greedy_min_basis(mu, spec.n, dim_cap=10) == expected
+    assert greedy_min_basis(mu, spec.n, enum_cap=(1 << 10) - 1) == expected
 
 
 def decomposable_spec(rng: Random, m: int) -> GroupSpecB:
@@ -382,7 +383,7 @@ def test_m64_block_specs_are_exact_at_the_default_caps(size):
     mu = spec.mu_subspace()
     result = compute_ed(spec)
     assert result.status == "exact"
-    assert result == compute_ed(spec, dim_cap=64)
+    assert result == compute_ed(spec, enum_cap=(1 << 64) - 1)
     whole = greedy_over(whole_walk_keys(CYCLE, [v.bits for v in mu.basis]), 64, 64 - mu.dim)
     assert (result.minimal_basis, result.basis_total_weight) == whole
 
@@ -392,7 +393,7 @@ def test_plain_products_of_64_factors_are_exact_at_the_default_caps():
     spec = GroupSpecB(CYCLE)
     result = compute_ed(spec)
     assert result.status == "exact"
-    assert result == compute_ed(spec, dim_cap=64)
+    assert result == compute_ed(spec, enum_cap=(1 << 64) - 1)
     assert result.basis_total_weight == sum(1 << r for r in CYCLE)
     assert result.minimal_basis == greedy_over(whole_walk_keys(CYCLE, []), 64, 64)[0]
 
@@ -407,10 +408,10 @@ def test_diagonal_mu_over_more_than_64_factors_gives_the_star_total(m):
     spec = GroupSpecB(n, diagonal_mu(m).basis)
     i0 = n.index(min(n))
     star = sum(1 << (n[i0] + r) for j, r in enumerate(n) if j != i0)
-    basis, total = greedy_min_basis(spec.mu_subspace(), n, dim_cap=m)
+    basis, total = greedy_min_basis(spec.mu_subspace(), n, enum_cap=(1 << m) - 1)
     assert total == star
     assert len(basis) == m - 1 and {v.weight() for v in basis} == {2}
-    result = compute_ed(spec, dim_cap=m)
+    result = compute_ed(spec, enum_cap=(1 << m) - 1)
     assert result.status == "exact" and result.value == star - group_dim(n)
 
 
