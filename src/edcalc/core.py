@@ -17,15 +17,16 @@ live in `spec`, the small-product list and the ledger in `ledger`.
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from ._record import _Record
+from ._record import _Record, _setattr
 from .caps import DEFAULT_ENUM_CAP
 from .gf2 import (
     BitVec,
     DimensionMismatchError,
     EnumerationTooLargeError,
     annihilator,
+    check_basis_count,
     enumerate_bases,
     rref_bits,
 )
@@ -56,6 +57,18 @@ def _positions(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def _ranks(n: Sequence[int], bits: int) -> list[int]:
+    """The ranks of the factors in the support of an int pattern, by position."""
+    # one loop, not a list over _positions: on the few bits of a small pattern,
+    # resuming a generator per bit costs more than the loop itself
+    ranks = []
+    while bits:
+        low = bits & -bits
+        ranks.append(n[low.bit_length() - 1])
+        bits ^= low
+    return ranks
+
+
 class PatternWeights(dict):
     """Weight of each int pattern (coordinate i at bit i) over ranks n, or None when
     the pattern's rank multiset is a small factor product.
@@ -82,10 +95,10 @@ class PatternWeights(dict):
         """Whether the rank multiset of the pattern's support is on SMALL_PRODUCTS."""
         if bits & self.heavy or bits.bit_count() > SMALL_MAX_FACTORS:
             return False
-        return is_small_product([self.n[i] for i in _positions(bits)])
+        return is_small_product(_ranks(self.n, bits))
 
     def __missing__(self, bits: int) -> int | None:
-        weight = None if self.is_small(bits) else 1 << sum(self.n[i] for i in _positions(bits))
+        weight = None if self.is_small(bits) else 1 << sum(_ranks(self.n, bits))
         self[bits] = weight
         return weight
 
@@ -144,13 +157,13 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
     takes at most 2^(k-1) patterns: the first k-1 it keeps span 2^(k-1) - 1.
     """
     m = len(n)
-    order = sorted([*_positions(factors)][::-1], key=n.__getitem__)  # stable: ties by index descending
-    inc = [n[i] << m | 1 << (m - 1 - i) for i in order]
+    low = (1 << m) - 1
+    # the increments sort as the factors do: rank ascending, then index descending
+    inc = sorted([n[i] << m | 1 << (m - 1 - i) for i in _positions(factors)])
     # mu's rows over the sorted positions, reduced again: their pivots are the
-    # lightest positions with independent columns, and pivot j's column is 1 << j
-    bit = [0] * m
-    for p, i in enumerate(order):
-        bit[i] = 1 << p
+    # lightest positions with independent columns, and pivot j's column is 1 << j;
+    # factor i's increment holds 1 << (m - 1 - i) in its low m bits
+    bit = {m - (x & low).bit_length(): 1 << p for p, x in enumerate(inc)}
     permuted = []
     for g in mu_rows:
         row = 0
@@ -160,13 +173,14 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
         permuted.append(row)
     rows = rref_bits(permuted)
     d = len(rows)
-    col = [0] * m
+    col = [0] * len(inc)
+    pivots = []
     for j, r in enumerate(rows):
+        pivots.append((r & -r).bit_length() - 1)
         while r:
             col[(r & -r).bit_length() - 1] |= 1 << j
             r &= r - 1
-    pivots = [(r & -r).bit_length() - 1 for r in rows]
-    rest = [p for p in range(len(order)) if p not in pivots]
+    rest = [p for p in range(len(inc)) if p not in pivots]
     extra, heavy = rest[:LIGHT_EXTRA], rest[LIGHT_EXTRA:]
     last = len(heavy) - 1
     shift = last.bit_length() + d  # a walk entry holds its highest heavy position p <= last
@@ -176,27 +190,31 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
     for c in range(0, max(d, 1), PIVOT_CHUNK):
         table = [0]
         for p in pivots[c : c + PIVOT_CHUNK]:
-            table += [x + (inc[p] << shift) for x in table]
+            step = inc[p] << shift
+            table += [x + step for x in table]
         tables.append((c, table))
     # completion[s] is the key of the set of pivots with syndrome s
     completion = tables[0][1] if len(tables) == 1 else _ChunkSum(tables)
     # (key in entry units, syndrome) of each set of extra positions
     extras = [(0, 0)]
     for p in extra:
-        extras += [(x + (inc[p] << shift), s ^ col[p]) for x, s in extras]
+        step, c = inc[p] << shift, col[p]
+        extras += [(x + step, s ^ c) for x, s in extras]
 
     a_inc = [inc[p] for p in heavy]
     a_col = [col[p] for p in heavy]
     # moves from highest position p, in entry units: the key change plus the new p
-    add = [a_inc[p + 1] << shift | (p + 1) << d for p in range(last)]
-    replace = [(a_inc[p + 1] - a_inc[p]) << shift | (p + 1) << d for p in range(last)]
-    add_col = a_col[1:]
-    replace_col = [a ^ b for a, b in zip(a_col, a_col[1:])]
+    add, replace, add_col, replace_col = [], [], [], []
+    for p in range(last):
+        add.append(a_inc[p + 1] << shift | (p + 1) << d)
+        replace.append((a_inc[p + 1] - a_inc[p]) << shift | (p + 1) << d)
+        add_col.append(a_col[p + 1])
+        replace_col.append(a_col[p] ^ a_col[p + 1])
     syndrome_mask = (1 << d) - 1
     key_mask = -1 << shift
-    end = (sum(n) + 1 << m) << shift  # above every entry of both heaps
+    end = sum(inc) + 1 << shift  # above every entry of both heaps: no key exceeds sum(inc)
     # the patterns of the empty set of heavy positions
-    light = sorted(completion[s] + x for x, s in extras[1:])
+    light = sorted([completion[s] + x for x, s in extras[1:]])
     bound = end
     if heavy:
         # the heaviest key of the basis: each heavy position with its cheapest light
@@ -204,7 +222,7 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
         # positions, any two of its three patterns are independent)
         bound = light[1]
         for a, c in zip(a_inc, a_col):
-            bound = max(bound, (a << shift) + min(x + completion[c ^ s] for x, s in extras))
+            bound = max(bound, (a << shift) + min([x + completion[c ^ s] for x, s in extras]))
         light = [entry for entry in light if entry <= bound]
     walk_bound = bound | ~key_mask  # a walk entry holds p and its syndrome below the key
     walk = [a_inc[0] << shift | a_col[0], end] if heavy else [end]
@@ -272,17 +290,8 @@ def greedy_min_basis(
     m = mu.m
     if len(n) != m:
         raise DimensionMismatchError("rank list does not match the ambient dimension")
-    blocks: dict[int, list[int]] = {}  # support mask -> mu's rows over it
-    for v in mu.basis:
-        mask, rows = v.bits, [v.bits]
-        for joined in [b for b in blocks if b & mask]:
-            mask |= joined
-            rows += blocks.pop(joined)
-        blocks[mask] = rows
-    # the masks are disjoint, so their sum is their union
-    for i in _positions((1 << m) - 1 & ~sum(blocks)):
-        blocks[1 << i] = []
-    dims = [mask.bit_count() - len(rows) for mask, rows in blocks.items()]
+    blocks = _blocks([v.bits for v in mu.basis], m)
+    dims = [mask.bit_count() - len(rows) for mask, rows in blocks]
     k = max(dims, default=0)
     if (1 << k) - 1 > enum_cap:
         refusal = EnumerationTooLargeError(
@@ -291,12 +300,54 @@ def greedy_min_basis(
         refusal.dim = k
         raise refusal
     picks: list[int] = []
-    for (mask, rows), dim in zip(blocks.items(), dims):
+    for (mask, rows), dim in zip(blocks, dims):
         if rows:
             picks += _picks(_split_walk_keys(n, rows, mask), m, dim)
         else:
             picks.append(n[i := mask.bit_length() - 1] << m | 1 << (m - 1 - i))
     return _basis(sorted(picks), m)
+
+
+def _blocks(mu_rows: Iterable[int], m: int) -> list[list]:
+    """[support mask, rows] of each block of m factors: each connected component of
+    the rows' supports, then each factor outside every support alone, with no rows.
+
+    A row finds each block it meets from one shared position and skips the rest
+    of that block.  Of two blocks that join, the one with fewer positions moves,
+    so a position moves at most log2(m) times: the grouping is linear in the
+    rows' total support, however many blocks there are.
+    """
+    owner: list = [None] * m  # factor position -> its block
+    blocks = []
+    covered = 0
+    for bits in mu_rows:
+        hit = bits & covered
+        if hit:
+            block = owner[(hit & -hit).bit_length() - 1]
+            hit &= ~block[0]
+            while hit:
+                other = owner[(hit & -hit).bit_length() - 1]
+                hit &= ~other[0]
+                if other[0].bit_count() > block[0].bit_count():
+                    block, other = other, block
+                for i in _positions(other[0]):
+                    owner[i] = block
+                block[0] |= other[0]
+                block[1] += other[1]
+                other[1] = None  # joined to block
+            block[0] |= bits
+            block[1].append(bits)
+        else:
+            block = [bits, [bits]]
+            blocks.append(block)
+        fresh = bits & ~covered
+        covered |= bits
+        while fresh:
+            low = fresh & -fresh
+            owner[low.bit_length() - 1] = block
+            fresh ^= low
+    blocks = [block for block in blocks if block[1] is not None]
+    return blocks + [[1 << i, []] for i in _positions((1 << m) - 1 & ~covered)]
 
 
 def _picks(keys: Iterator[int], m: int, k: int) -> list[int]:
@@ -321,8 +372,11 @@ def _picks(keys: Iterator[int], m: int, k: int) -> list[int]:
 def _basis(keys: Sequence[int], m: int) -> tuple[tuple[BitVec, ...], int]:
     """The patterns of greedy keys as vectors, in key order, and their total weight."""
     low = (1 << m) - 1
-    basis = tuple(BitVec(m, int(f"{key & low:0{m}b}"[::-1], 2)) for key in keys)
-    return basis, sum(1 << (key >> m) for key in keys)
+    basis, total = [], 0
+    for key in keys:
+        basis.append(BitVec(m, int(f"{key & low:0{m}b}"[::-1], 2)))
+        total += 1 << (key >> m)
+    return tuple(basis), total
 
 
 def theorem_hypothesis_holds(spec: GroupSpecB) -> tuple[bool, tuple[int, ...]]:
@@ -346,8 +400,10 @@ class TraceEntry(_Record):
     rule: str
     citation: str
 
+    # written out, not _fill: compute_ed builds five to eight per call
     def __init__(self, rule: str, citation: str) -> None:
-        self._fill(rule, citation)
+        _setattr(self, "rule", rule)
+        _setattr(self, "citation", citation)
 
 
 class EdResult(_Record):
@@ -472,7 +528,7 @@ def compute_ed(spec: GroupSpecB, *, enum_cap: int = DEFAULT_ENUM_CAP) -> EdResul
                 TraceEntry(
                     "small-product-list",
                     "minimal-basis vectors with small factor products: "
-                    + ", ".join(f"{v} -> {sorted(spec.n[i] for i in _positions(v.bits))}" for v in small),
+                    + ", ".join(f"{v} -> {sorted(_ranks(spec.n, v.bits))}" for v in small),
                 )
             )
         else:
@@ -500,7 +556,9 @@ def compute_ed(spec: GroupSpecB, *, enum_cap: int = DEFAULT_ENUM_CAP) -> EdResul
         best: int | None = None
         candidates = 0
         try:
-            # keep the patterns whose weight is not None: the bases without small factor products
+            # refuse before building the dual; keep the patterns whose weight is not
+            # None: the bases without small factor products
+            check_basis_count(k, enum_cap)
             for b in enumerate_bases(annihilator(mu), enum_cap, weights.__getitem__):
                 candidates += 1
                 t = sum(map(weights.__getitem__, b))

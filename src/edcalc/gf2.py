@@ -86,7 +86,8 @@ class BitVec(_Record):
         return self.bits.bit_count()
 
     def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.coords()) + ")"
+        # the m-digit binary numeral lists coordinate m-1 first, so reverse it
+        return "(" + ",".join(f"{self.bits:0{self.m}b}"[::-1]) + ")"
 
 
 class SubspaceF2(_Record):
@@ -166,15 +167,20 @@ def count_bases(k: int) -> int:
     return ordered // orderings
 
 
+def check_basis_count(k: int, cap: int) -> None:
+    """Refuse a search over the bases of a k-dimensional space when they number more than cap."""
+    total = count_bases(k)
+    if total > cap:
+        raise EnumerationTooLargeError(f"{total} bases exceed the cap of {cap}")
+
+
 def enumerate_bases(
     space: SubspaceF2, cap: int = DEFAULT_ENUM_CAP, keep: Callable[[int], object] | None = None
 ) -> Iterator[tuple[int, ...]]:
     """Yield once, as ascending packed ints, each unordered basis of the subspace whose every
     element keep accepts (with no keep, every basis); refuses a space of more than cap bases."""
     k = space.dim
-    total = count_bases(k)
-    if total > cap:
-        raise EnumerationTooLargeError(f"{total} bases exceed the cap of {cap}")
+    check_basis_count(k, cap)
     # the cap bounds k: any cap below 10^23 admits k <= 9, at most 511 elements
     elems = [0]
     for v in space.basis:

@@ -187,12 +187,13 @@ def known_cases(mu: SubspaceF2, n: Sequence[int]) -> KnownCase | None:
 
     mu is the reduced subspace that `validate` returns.
     """
-    ranks = tuple(sorted(n))
     kinds = _mu_kinds(mu)
+    if not kinds:
+        return None
+    ranks = tuple(sorted(n))
     best: KnownCase | None = None
     for fam in LEDGER:
-        value = fam.value_for(ranks)
-        if value is None or fam.mu not in kinds:
+        if fam.mu not in kinds or (value := fam.value_for(ranks)) is None:
             continue
         case = KnownCase(fam.kind, value, fam.tag, fam.describe(ranks, value))
         if best is None or (case.kind == "exact", case.value) > (best.kind == "exact", best.value):

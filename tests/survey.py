@@ -3,8 +3,10 @@
 The set is the sorted rank tuples with m = 2..5 factors of ranks 1..4, under
 diagonal and under maximal mu; the single factors of ranks 1..13; and five
 structured specs with m = 64.  `tests/test_survey.py` recomputes every answer
-and compares it with `tests/data/survey.json`.  After a deliberate change to
-an answer, rewrite the file and review its diff:
+and compares it with `tests/data/survey.json`, and each full report, `--json`
+and text, with its digest in `tests/data/survey_reports.json`.  After a
+deliberate change to an answer or a report, rewrite both files and review
+their diffs:
 
     PYTHONPATH=src python tests/survey.py
 
@@ -13,6 +15,7 @@ This also prints the summary counts of the README's "Answer quality" section.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -20,8 +23,10 @@ from pathlib import Path
 from typing import Iterator
 
 from edcalc import STATUS_EXACT, BitVec, EdResult, GroupSpecB, compute_ed, diagonal_mu, maximal_mu
+from edcalc.cli import render_result_text, result_to_doc
 
 SURVEY_FILE = Path(__file__).resolve().parent / "data" / "survey.json"
+REPORTS_FILE = SURVEY_FILE.with_name("survey_reports.json")
 
 # ranks 7..12 repeated over 64 factors
 CYCLE = tuple(7 + i % 6 for i in range(64))
@@ -59,13 +64,15 @@ def answer(result: EdResult) -> dict:
     }
 
 
-def survey() -> dict[str, dict]:
-    """Label -> answer for every spec, computed by the current code."""
-    return {label: answer(compute_ed(spec)) for _, label, spec in survey_specs()}
+def report_digests(result: EdResult) -> list[str]:
+    """SHA-256 digests, 16 hex digits each, of the `--json` report as `edcalc compute`
+    prints it and of the text report: the whole report, trace and basis included."""
+    texts = (json.dumps(result_to_doc(result), indent=2), render_result_text(result))
+    return [hashlib.sha256(t.encode()).hexdigest()[:16] for t in texts]
 
 
-def load() -> dict[str, dict]:
-    return json.loads(SURVEY_FILE.read_text())
+def load(path: Path = SURVEY_FILE) -> dict:
+    return json.loads(path.read_text())
 
 
 def dumps(answers: dict[str, dict]) -> str:
@@ -88,9 +95,11 @@ def summary(answers: dict[str, dict]) -> dict[str, Counter]:
 
 
 def main() -> None:
-    answers = survey()
+    results = {label: compute_ed(spec) for _, label, spec in survey_specs()}
+    answers = {label: answer(result) for label, result in results.items()}
     SURVEY_FILE.write_text(dumps(answers))
-    print(f"wrote {len(answers)} answers to {SURVEY_FILE}")
+    REPORTS_FILE.write_text(dumps({label: report_digests(r) for label, r in results.items()}))
+    print(f"wrote {len(answers)} answers to {SURVEY_FILE} and their digests to {REPORTS_FILE}")
     for group, c in summary(answers).items():
         print(f"{group}: " + ", ".join(f"{c[key]} {key}" for key in
               ("exact", "bounds-only", "lower = 0", "no upper", "capped")))

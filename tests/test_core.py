@@ -45,6 +45,7 @@ from edcalc.core import (
 from edcalc.gf2 import enumerate_bases
 
 from bases_reference import reference_enumerate_bases
+from exactness_reference import ReferencePatternWeights, reference_small_product_text
 from greedy_reference import weight_exponent
 from helpers import (
     brute_bounds,
@@ -205,6 +206,19 @@ def test_pattern_weights_at_the_rank_and_size_limits():
     assert weights.is_small(0b0000111100) and not weights.is_small(0b0001111100)
     assert not weights.is_small(0b0110001100)  # (1, 1, 2, 3) passes the rejects, but is not listed
     assert weights[0b11] == 1 << 13 and weights[0b100] is None
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9, 64, 200])
+def test_pattern_weights_match_the_previous_classification(m):
+    # ranks weighted to the listed ones, so that many patterns pass both rejects
+    rng = Random(m)
+    for _ in range(20):
+        n = tuple(rng.choice((1, 1, 1, 2, 2, 3, 5, 6, 7, 12)) for _ in range(m))
+        patterns = list(sample_patterns(rng, n)) + [(1 << m) - 1]
+        weights, reference = PatternWeights(n), ReferencePatternWeights(n)
+        for bits in patterns:
+            assert weights.is_small(bits) == reference.is_small(bits), (n, bits)
+            assert weights[bits] == reference[bits], (n, bits)
 
 
 @pytest.mark.parametrize(
@@ -430,6 +444,59 @@ def test_compute_ed_refuses_a_search_upper_bound_below_a_known_lower_value(monke
     spec = load_spec("dual5_small_diagonal.json")
     with pytest.raises(RuntimeError, match="^upper bound search contradicts the lower bound$"):
         compute_ed(spec)
+
+
+def test_the_search_cap_refuses_before_building_the_dual(monkeypatch):
+    # the dual has dimension 6: count_bases(6) = 27998208 exceeds the default cap
+    spec = load_spec("dual6_small_diagonal.json")
+    expected = compute_ed(spec)
+    assert expected.trace[-1].citation == (
+        "27998208 bases exceed the cap of 16777216; search skipped"
+    )
+
+    def refuse(*args):
+        raise AssertionError("the dual was built for a refused search")
+
+    monkeypatch.setattr(edcalc.core, "annihilator", refuse)
+    monkeypatch.setattr(edcalc.core, "enumerate_bases", refuse)
+    assert compute_ed(spec) == expected
+    # one rule and one text decide, before the dual is built and inside the search
+    below = compute_ed(spec, enum_cap=count_bases(6) - 1)
+    assert below.trace[-1].citation == "27998208 bases exceed the cap of 27998207; search skipped"
+    with pytest.raises(EnumerationTooLargeError, match="^27998208 bases exceed the cap of 27998207$"):
+        next(enumerate_bases(spec.dual_subspace(), count_bases(6) - 1))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 7, 64, 200])
+def test_small_product_text_matches_the_previous_rendering(m):
+    # small ranks, so that most minimal bases hold small products, under random,
+    # trivial and pairwise-diagonal mu; the search is capped at 1, which leaves
+    # the exactness test as it is
+    rng = Random(m)
+    specs = []
+    for _ in range(15):
+        n = tuple(rng.choice((1, 1, 2, 3, 4, 5, 6, 7, 9)) for _ in range(m))
+        gens = [BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, min(m - 1, 4)))]
+        pairs = [BitVec(m, 0b11 << i) for i in range(0, m - 1, 2)]
+        specs += [GroupSpecB(n, gens), GroupSpecB(n, pairs)]
+    listed = 0
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(0)  # the refusal writes count_bases(200) in decimal
+        for spec in specs:
+            try:
+                result = compute_ed(spec, enum_cap=1)
+            except NotReducedError:
+                continue
+            text = [t.citation for t in result.trace if t.rule == "small-product-list"]
+            expected = reference_small_product_text(result.minimal_basis, spec.n)
+            assert text == ([] if expected is None else [expected]), spec
+            listed += bool(text)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert listed >= 4
 
 
 def seeded_small_duals(seed: int, count: int) -> list[GroupSpecB]:

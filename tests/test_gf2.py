@@ -23,6 +23,7 @@ from edcalc.core import PatternWeights
 from edcalc.gf2 import rref_bits
 
 from bases_reference import reference_enumerate_bases
+from exactness_reference import reference_str
 from greedy_reference import reference_enumerate_elements
 
 
@@ -39,6 +40,18 @@ def test_bitvec_construction():
     assert str(v) == "(1,0,1,0)"
     assert BitVec.unit(3, 1).coords() == (0, 1, 0)
     assert BitVec(3).coords() == (0, 0, 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 63, 64, 65, 200])
+def test_str_matches_the_coords_oracle(m):
+    # dense and sparse random patterns, and the zero, all-ones and end-bit patterns
+    rng = Random(m)
+    patterns = [rng.getrandbits(m) for _ in range(30)]
+    patterns += [rng.getrandbits(m) & rng.getrandbits(m) & rng.getrandbits(m) for _ in range(10)]
+    patterns += [0, (1 << m) - 1, 1, 1 << (m - 1)]
+    for bits in patterns:
+        v = BitVec(m, bits)
+        assert str(v) == reference_str(v), (m, bits)
 
 
 def test_bitvec_validation():

@@ -31,9 +31,10 @@ from edcalc import (
     greedy_min_basis,
     group_dim,
 )
-from edcalc.core import PIVOT_CHUNK, _basis
-from edcalc.gf2 import rref
+from edcalc.core import PIVOT_CHUNK, _basis, _blocks
+from edcalc.gf2 import rref, rref_bits
 
+from exactness_reference import reference_blocks
 from greedy_reference import (
     reference_greedy_keys,
     reference_greedy_min_basis,
@@ -513,6 +514,49 @@ def test_only_the_chosen_vectors_become_bitvecs(monkeypatch):
     assert len(built) == spec.m - mu.dim == 7
     # nor does it compute weights per element: the per-vector weight lives in the oracle only
     assert not hasattr(edcalc.core, "weight_exponent")
+
+
+def seeded_rows(rng: Random, shape: str, m: int) -> list[int]:
+    """mu rows over m factors: dense random rows (one block, mostly), sign flips of
+    disjoint random groups of factors, or a shuffled chain of factor pairs joined
+    in a random order, with a few random rows over chain pairs."""
+    positions = list(range(m))
+    rng.shuffle(positions)
+    if shape == "connected":
+        return [rng.getrandbits(m) or 1 for _ in range(rng.randint(1, m))]
+    if shape == "disjoint":
+        rows, i = [], 0
+        while i < m:
+            size = rng.randint(1, 4)
+            rows.append(sum(1 << p for p in positions[i : i + size]))
+            i += size
+        return [r for r in rows if rng.random() < 0.8]
+    rows = [1 << a | 1 << b for a, b in zip(positions, positions[1:])]
+    rows += [rng.choice(rows) ^ rng.choice(rows) for _ in range(m // 8)]
+    rng.shuffle(rows)
+    return [r for r in rows if r]
+
+
+@pytest.mark.parametrize("shape", ["connected", "disjoint", "chained"])
+def test_blocks_match_the_scan_oracle(shape):
+    rng = Random(shape)
+    for m in [1, 2, 3, 5, 8, 13, 30, 64, 65, 200] * 4:
+        rows = seeded_rows(rng, shape, m)
+        for given in (rows, rref_bits(rows)):  # the greedy passes mu's reduced rows
+            got = {mask: sorted(rows) for mask, rows in _blocks(given, m)}
+            expected = {mask: sorted(rows) for mask, rows in reference_blocks(given, m).items()}
+            assert got == expected, (shape, m, given)
+
+
+def test_blocks_of_4000_pairs_joined_into_one_chain():
+    # 4000 disjoint pairs, then the rows that chain them, from the far end: each
+    # joining row meets two blocks, where the scan oracle tests every block
+    m = 8000
+    pairs = [0b11 << i for i in range(0, m, 2)]
+    links = [0b110 << i for i in range(m - 4, -1, -2)]
+    assert sorted(_blocks(pairs, m)) == sorted([mask, [mask]] for mask in pairs)
+    [(mask, rows)] = _blocks(pairs + links, m)
+    assert mask == (1 << m) - 1 and sorted(rows) == sorted(pairs + links)
 
 
 @pytest.mark.parametrize("m", [1, 7, 8, 9, 63, 64, 65, 200, 8000])

@@ -12,7 +12,7 @@ from edcalc import builtin_certificate, compute_ed, spec_from_doc, verify_certif
 from edcalc.core import group_dim
 
 from helpers import brute_bounds, check_restricted_greedy
-from survey import answer, load, summary, survey_specs
+from survey import REPORTS_FILE, answer, load, report_digests, summary, survey_specs
 
 # the certify benchmark's built-in keys: every pair, small3 and small4 key, and
 # the diagonal keys up to image order 2^10
@@ -37,6 +37,15 @@ def test_answers_equal_the_pinned_file(reports):
     got = {label: answer(result) for label, (_, result) in reports.items()}
     assert list(got) == list(pinned)
     changed = {label: (pinned[label], a) for label, a in got.items() if a != pinned[label]}
+    assert not changed, "regenerate with tests/survey.py if intended: " + repr(changed)
+
+
+def test_full_reports_equal_the_pinned_digests(reports):
+    # the whole --json and text report of every spec, trace and basis included
+    pinned = load(REPORTS_FILE)
+    got = {label: report_digests(result) for label, (_, result) in reports.items()}
+    assert list(got) == list(pinned)
+    changed = [label for label, d in got.items() if d != pinned[label]]
     assert not changed, "regenerate with tests/survey.py if intended: " + repr(changed)
 
 
