@@ -28,7 +28,6 @@ from .gf2 import (
     annihilator,
     check_basis_count,
     enumerate_bases,
-    rref_bits,
 )
 from .ledger import SMALL_MAX_FACTORS, SMALL_MAX_RANK, is_small_product, known_cases
 from .spec import validate
@@ -160,49 +159,50 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
     low = (1 << m) - 1
     # the increments sort as the factors do: rank ascending, then index descending
     inc = sorted([n[i] << m | 1 << (m - 1 - i) for i in _positions(factors)])
-    # mu's rows over the sorted positions, reduced again: their pivots are the
-    # lightest positions with independent columns, and pivot j's column is 1 << j;
-    # factor i's increment holds 1 << (m - 1 - i) in its low m bits
-    bit = {m - (x & low).bit_length(): 1 << p for p, x in enumerate(inc)}
-    permuted = []
-    for g in mu_rows:
-        row = 0
-        while g:
-            row |= bit[(g & -g).bit_length() - 1]
-            g &= g - 1
-        permuted.append(row)
-    rows = rref_bits(permuted)
-    d = len(rows)
-    col = [0] * len(inc)
-    pivots = []
-    for j, r in enumerate(rows):
-        pivots.append((r & -r).bit_length() - 1)
-        while r:
-            col[(r & -r).bit_length() - 1] |= 1 << j
-            r &= r - 1
-    rest = [p for p in range(len(inc)) if p not in pivots]
-    extra, heavy = rest[:LIGHT_EXTRA], rest[LIGHT_EXTRA:]
-    last = len(heavy) - 1
+    # one pass in increment order over each factor's column of mu_rows, row j at
+    # bit j: a column outside the span of the pivots' columns makes the next pivot;
+    # any other column is the sum of a set of pivots' columns, and that set, pivot j
+    # at bit j, is its syndrome
+    rows = mu_rows[::-1]
+    echelon = []  # (lowest bit, reduced column, the set of pivots whose columns sum to it)
+    pivot_inc, rest_inc, rest_col = [], [], []
+    for x in inc:
+        i = m - (x & low).bit_length()  # factor i's increment holds 1 << (m - 1 - i)
+        c = 0
+        for g in rows:
+            c = c << 1 | g >> i & 1
+        s = 0
+        for b, r, t in echelon:
+            if c & b:
+                c ^= r
+                s ^= t
+        if c:
+            echelon.append((c & -c, c, s | 1 << len(pivot_inc)))
+            pivot_inc.append(x)
+        else:
+            rest_inc.append(x)
+            rest_col.append(s)
+    d = len(pivot_inc)
+    a_inc, a_col = rest_inc[LIGHT_EXTRA:], rest_col[LIGHT_EXTRA:]
+    last = len(a_inc) - 1
     shift = last.bit_length() + d  # a walk entry holds its highest heavy position p <= last
     # table c holds the keys, in entry units, of the sets of pivots c..c+PIVOT_CHUNK-1;
     # trivial mu has one table, for the empty set
     tables = []
     for c in range(0, max(d, 1), PIVOT_CHUNK):
         table = [0]
-        for p in pivots[c : c + PIVOT_CHUNK]:
-            step = inc[p] << shift
-            table += [x + step for x in table]
+        for x in pivot_inc[c : c + PIVOT_CHUNK]:
+            step = x << shift
+            table += [y + step for y in table]
         tables.append((c, table))
     # completion[s] is the key of the set of pivots with syndrome s
     completion = tables[0][1] if len(tables) == 1 else _ChunkSum(tables)
     # (key in entry units, syndrome) of each set of extra positions
     extras = [(0, 0)]
-    for p in extra:
-        step, c = inc[p] << shift, col[p]
-        extras += [(x + step, s ^ c) for x, s in extras]
+    for x, c in zip(rest_inc[:LIGHT_EXTRA], rest_col):
+        step = x << shift
+        extras += [(y + step, s ^ c) for y, s in extras]
 
-    a_inc = [inc[p] for p in heavy]
-    a_col = [col[p] for p in heavy]
     # moves from highest position p, in entry units: the key change plus the new p
     add, replace, add_col, replace_col = [], [], [], []
     for p in range(last):
@@ -216,16 +216,20 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
     # the patterns of the empty set of heavy positions
     light = sorted([completion[s] + x for x, s in extras[1:]])
     bound = end
-    if heavy:
+    if a_inc:
         # the heaviest key of the basis: each heavy position with its cheapest light
         # set, and the two lightest patterns of the light part (with two extra
-        # positions, any two of its three patterns are independent)
+        # positions, any two of its three patterns are independent).  Heaviest
+        # position first: one whose set of pivots alone keeps it at or below the
+        # bound so far cannot raise it, since its cheapest light set is no dearer
         bound = light[1]
-        for a, c in zip(a_inc, a_col):
-            bound = max(bound, (a << shift) + min([x + completion[c ^ s] for x, s in extras]))
+        for a, c in zip(reversed(a_inc), reversed(a_col)):
+            a <<= shift
+            if a + completion[c] > bound:
+                bound = max(bound, a + min([x + completion[c ^ s] for x, s in extras]))
         light = [entry for entry in light if entry <= bound]
     walk_bound = bound | ~key_mask  # a walk entry holds p and its syndrome below the key
-    walk = [a_inc[0] << shift | a_col[0], end] if heavy else [end]
+    walk = [a_inc[0] << shift | a_col[0], end] if a_inc else [end]
     patterns = light + [end]  # sorted, so already a heap
     while True:
         entry = patterns[0]
@@ -253,23 +257,28 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
             heappop(walk)
 
 
-# The light part of the split walk is the d pivots and this many more factors;
-# the walk's bound takes two of the light part's three patterns, so it needs 2.
-# Greedy time summed over the twenty base specs of the benchmark's compute-large
-# pool (ranks 7..12, k = 11..16, d = 0..10; CPython 3.11, 2-vCPU VM): before the
-# bound, 0 or 1 extra factors instead of 2 took 13-17% and 2-5% longer, and 3
-# from 6% less to 3% more; with it, 3 took about a third longer.  With the bound,
-# 3 lowered the peak allocation of ranks 7..12, (m, d) = (40, 20) and (44, 22),
-# from 0.90 and 1.71 MB to 0.69 and 1.29 MB.  Very uneven ranks, n = (1,) * 19 +
-# (20,), make the greedy take 2^19 of the 2^20 - 1 patterns and the bound
-# excludes none; the walk still took 1.6 s, so it needs no visit budget.
+# The light part of the split walk is the d pivots and this many more factors.
+# The walk's bound completes its basis with the two lightest patterns of the
+# light part, which holds only for 2: 0 or 1 give no second pattern, and 3 may
+# give three dependent ones; with 3 the greedy returned a wrong basis on 34 of
+# 320 seeded specs.  That short bound is why 3 timed faster over the twenty
+# base specs of the benchmark's compute-large pool (ranks 7..12, k = 11..16,
+# d = 0..10; CPython 3.11, 2-vCPU VM, 150 alternating passes: 4% less greedy
+# time) and cut the peak allocation of ranks 7..12, (m, d) = (40, 20) and
+# (44, 22), from 0.90 and 1.71 MB to 0.68 and 1.29 MB.  Very uneven ranks,
+# n = (1,) * 19 + (20,), make the greedy take 2^19 of the 2^20 - 1 patterns and
+# the bound excludes none; the walk over all 20 factors still took 1.8 s, so it
+# needs no visit budget.
 LIGHT_EXTRA = 2
 
 # Pivots per completion table.  Up to this many pivots, which covers every
 # compute-large spec, a syndrome's completion is one list lookup; past it each
-# pushed pattern sums one entry per table.  With 8, (k, d) = (14, 10) took 4.8
-# instead of 1.7 ms per greedy call; with 16, a table costs 2^16 entries of
-# set-up per call, and (12, 20) took 18 instead of 7 ms.
+# pushed pattern sums one entry per table.  Greedy time per call (same VM, min
+# of 40 interleaved rounds): with 8, (k, d) = (14, 10) took 3.7 instead of
+# 1.2 ms and the compute-large pool 529 us, where 10 to 16 build one table and
+# read 317 to 372 us; with 16, a table costs 2^16 entries of set-up per call,
+# and (12, 20) took 15.3 instead of 5.3 ms.  The peak allocation at
+# (m, d) = (40, 20) is 0.79, 0.90, 1.48 and 3.84 MB with 10, 12, 14 and 16.
 PIVOT_CHUNK = 12
 
 

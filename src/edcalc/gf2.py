@@ -171,7 +171,11 @@ def check_basis_count(k: int, cap: int) -> None:
     """Refuse a search over the bases of a k-dimensional space when they number more than cap."""
     total = count_bases(k)
     if total > cap:
-        raise EnumerationTooLargeError(f"{total} bases exceed the cap of {cap}")
+        # a count of more than 4096 bits (k >= 67) is named by the power of two at or
+        # below it: str() refuses its decimal from k = 123 on, past Python's default
+        # limit of 4300 digits, and over a thousand digits tell a reader no more
+        count = total if total.bit_length() <= 4096 else f"at least 2^{total.bit_length() - 1}"
+        raise EnumerationTooLargeError(f"{count} bases exceed the cap of {cap}")
 
 
 def enumerate_bases(

@@ -39,10 +39,11 @@ from edcalc.core import (
     WARN_BASIS_CAP,
     WARN_ELEMENT_CAP,
     PatternWeights,
+    TraceEntry,
     theorem_hypothesis_holds,
 )
 
-from edcalc.gf2 import enumerate_bases
+from edcalc.gf2 import check_basis_count, enumerate_bases
 
 from bases_reference import reference_enumerate_bases
 from exactness_reference import ReferencePatternWeights, reference_small_product_text
@@ -480,22 +481,15 @@ def test_small_product_text_matches_the_previous_rendering(m):
         pairs = [BitVec(m, 0b11 << i) for i in range(0, m - 1, 2)]
         specs += [GroupSpecB(n, gens), GroupSpecB(n, pairs)]
     listed = 0
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    try:
-        if limit is not None:
-            sys.set_int_max_str_digits(0)  # the refusal writes count_bases(200) in decimal
-        for spec in specs:
-            try:
-                result = compute_ed(spec, enum_cap=1)
-            except NotReducedError:
-                continue
-            text = [t.citation for t in result.trace if t.rule == "small-product-list"]
-            expected = reference_small_product_text(result.minimal_basis, spec.n)
-            assert text == ([] if expected is None else [expected]), spec
-            listed += bool(text)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    for spec in specs:
+        try:
+            result = compute_ed(spec, enum_cap=1)
+        except NotReducedError:
+            continue
+        text = [t.citation for t in result.trace if t.rule == "small-product-list"]
+        expected = reference_small_product_text(result.minimal_basis, spec.n)
+        assert text == ([] if expected is None else [expected]), spec
+        listed += bool(text)
     assert listed >= 4
 
 
@@ -608,6 +602,35 @@ def test_a_refused_block_over_4300_digits_is_capped_under_the_default_limit():
     # the ledger alone decides, as for any refused block
     case = known_cases(spec.mu_subspace(), spec.n)
     assert (res.lower, res.upper, res.minimal_basis) == (case.value, None, ())
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit before Python 3.10.7"
+)
+def test_a_refused_search_over_4300_digits_is_capped_under_the_default_limit():
+    # 200 rank-1 factors: the search would range over the bases of a dual of
+    # dimension 200, a count of 11,666 digits; the refusal writes a count over
+    # 2^4096 as a power of two, so the default limit lets the capped path run.
+    # Up to 4096 bits the count is written in decimal, as before
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        res = compute_ed(GroupSpecB((1,) * 200))
+        edge = compute_ed(GroupSpecB((1,) * 66))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert count_bases(200).bit_length() == 38753
+    assert res.status == STATUS_BOUNDS and res.warnings == (WARN_BASIS_CAP,)
+    assert res.trace[-1] == TraceEntry(
+        "upper-bound-search", "at least 2^38752 bases exceed the cap of 16777216; search skipped"
+    )
+    assert count_bases(66).bit_length() <= 4096 < count_bases(67).bit_length()
+    assert edge.trace[-1].citation == (
+        f"{count_bases(66)} bases exceed the cap of 16777216; search skipped"
+    )
+    with pytest.raises(EnumerationTooLargeError) as caught:
+        check_basis_count(67, 1)
+    assert str(caught.value) == "at least 2^4173 bases exceed the cap of 1"
 
 
 def test_compute_ed_bounds_are_ordered():

@@ -31,7 +31,7 @@ from edcalc import (
     greedy_min_basis,
     group_dim,
 )
-from edcalc.core import PIVOT_CHUNK, _basis, _blocks
+from edcalc.core import LIGHT_EXTRA, PIVOT_CHUNK, _basis, _blocks, _split_walk_keys
 from edcalc.gf2 import rref, rref_bits
 
 from exactness_reference import reference_blocks
@@ -42,6 +42,7 @@ from greedy_reference import (
 )
 from helpers import greedy_over, random_group_spec, whole_walk_keys
 from survey import CYCLE, blocks_mu
+from walk_reference import reference_split_walk_keys
 
 
 def test_weights():
@@ -60,11 +61,18 @@ def assert_same_greedy(spec: GroupSpecB) -> None:
     assert total == ref_total, spec
 
 
+def assert_walk_matches_oracle(n: tuple[int, ...], mu_rows: list[int], factors: int) -> list[int]:
+    """The walk's full key stream, which must be the stream of the walk's previous set-up."""
+    keys = list(_split_walk_keys(n, mu_rows, factors))
+    assert keys == list(reference_split_walk_keys(n, mu_rows, factors)), (n, mu_rows, factors)
+    return keys
+
+
 def assert_walk_matches_listing(spec: GroupSpecB) -> bool:
     """The walk gives out the first keys of the listing, in order, and the greedy over
     them agrees; returns whether the walk stopped before the end of the listing."""
     mu, dual = spec.mu_subspace(), spec.dual_subspace()
-    keys = list(whole_walk_keys(spec.n, [v.bits for v in mu.basis]))
+    keys = assert_walk_matches_oracle(spec.n, [v.bits for v in mu.basis], (1 << spec.m) - 1)
     listing = reference_greedy_keys(dual, spec.n)
     assert keys == listing[: len(keys)], spec
     basis, total = greedy_over(iter(keys), spec.m, dual.dim)
@@ -375,6 +383,31 @@ def test_block_greedy_matches_the_whole_walk_on_decomposable_specs():
         assert greedy_min_basis(mu, spec.n) == whole, spec
 
 
+def test_walk_matches_the_oracle_on_the_blocks_of_seeded_specs():
+    # each block `_blocks` makes, walked over its own factors as the greedy walks
+    # it: compute-large shapes and narrower duals, decomposable specs of up to 64
+    # factors, the survey's m = 64 block specs and diagonal mu over 100 factors
+    rng = Random(2828)
+    shapes = [(11, 0), (11, 5), (11, 10), (12, 2), (13, 4), (13, 7), (14, 10), (16, 4)]
+    shapes += [(3, 20), (2, 14), (1, 5), (2, 1)]
+    specs = [
+        spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(k + d)), d) for k, d in shapes
+    ]
+    specs += [decomposable_spec(rng, rng.randint(4, 64)) for _ in range(20)]
+    specs += [GroupSpecB(CYCLE, blocks_mu(64, size)) for size in (2, 4, 8)]
+    specs.append(GroupSpecB(tuple(7 + i % 6 for i in range(100)), diagonal_mu(100).basis))
+    seen = Counter()
+    for spec in specs:
+        for mask, rows in _blocks([v.bits for v in spec.mu_subspace().basis], spec.m):
+            if rows:
+                assert_walk_matches_oracle(spec.n, rows, mask)
+                seen["no heavy part"] += mask.bit_count() - len(rows) <= LIGHT_EXTRA
+                seen["more pivots than a table"] += len(rows) > PIVOT_CHUNK
+                seen["64 or more factors"] += mask.bit_count() >= 64
+                seen["blocks"] += 1
+    assert min(seen.values()) > 0 and seen["blocks"] > 100, seen
+
+
 @pytest.mark.parametrize("size", [8, 4, 2])
 def test_m64_block_specs_are_exact_at_the_default_caps(size):
     # the survey's m = 64 block specs: each row of mu is a block of `size` factors,
@@ -439,9 +472,10 @@ def test_a_128_factor_block_spec_adds_up_over_its_blocks():
     assert result.value == sum(part.value for part in parts)
 
 
-def test_compute_large_shape_reduces_mu_twice_and_builds_no_dual(monkeypatch):
-    # (k, d) = (14, 10), ranks 7..12: validate reduces mu and the walk re-reduces
-    # it over its own factor order; the result is exact, so no basis search runs
+def test_compute_large_shape_reduces_mu_once_and_builds_no_dual(monkeypatch):
+    # (k, d) = (14, 10), ranks 7..12: validate reduces mu, and the walk finds its
+    # pivots and syndromes in its pass over the factors without reducing mu again;
+    # the result is exact, so no basis search runs
     rng = Random(1410)
     spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(24)), 10)
     expected = compute_ed(spec)
@@ -457,12 +491,12 @@ def test_compute_large_shape_reduces_mu_twice_and_builds_no_dual(monkeypatch):
 
     rref_bits = counting("rref_bits", edcalc.gf2.rref_bits)
     annihilator = counting("annihilator", edcalc.gf2.annihilator)
+    monkeypatch.setattr(edcalc.gf2, "rref_bits", rref_bits)
     for module in (edcalc.gf2, edcalc.core):
-        monkeypatch.setattr(module, "rref_bits", rref_bits)
         monkeypatch.setattr(module, "annihilator", annihilator)
+    assert not hasattr(edcalc.core, "rref_bits")
     assert compute_ed(spec) == expected
-    assert calls["annihilator"] == 0
-    assert 1 <= calls["rref_bits"] <= 2
+    assert calls == {"rref_bits": 1}
 
 
 def test_walk_memory_on_a_wide_mu():
