@@ -130,14 +130,13 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
     two:
 
     - The light part holds the pivots, the first d = dim mu sorted positions
-      with independent columns, and the LIGHT_EXTRA lightest other positions.
+      with independent columns, and the two lightest other positions.
       Once mu is reduced on the pivots, pivot j's column is 1 << j, so the set
       of pivots with syndrome s is s itself.  Its key is the sum of one entry
       per PIVOT_CHUNK pivots, each table indexed by that chunk of s.  Each
-      syndrome is then reached by 2^LIGHT_EXTRA light sets, one per set of
-      extra positions.
-    - The heavy part, the other k - LIGHT_EXTRA positions, is walked in key
-      order.  Every nonempty set of heavy positions is reached once from {0}
+      syndrome is then reached by 4 light sets, one per set of extra positions.
+    - The heavy part, the other k - 2 positions, is walked in key order.
+      Every nonempty set of heavy positions is reached once from {0}
       by two moves on its highest position p, add p+1 or replace p by p+1, and
       both raise the key.  A heavy set with syndrome s joins each light set of
       syndrome s into a dual pattern.
@@ -152,8 +151,11 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
     the patterns of the light part.  Matroid greedy's k-th pick is never
     heavier than the heaviest key of any basis, so neither heap takes an entry
     above that bound, and the stream ends after the last key at or below it.
-    The walk meets fewer than 2^(k - LIGHT_EXTRA) heavy sets, and the greedy
-    takes at most 2^(k-1) patterns: the first k-1 it keeps span 2^(k-1) - 1.
+    The walk meets fewer than 2^(k - 2) heavy sets, and the greedy takes at
+    most 2^(k-1) patterns: the first k-1 it keeps span 2^(k-1) - 1.  Very
+    uneven ranks reach that: with n = (1,) * 19 + (20,) the greedy takes 2^19
+    patterns and the bound excludes none, and the walk over all 20 factors
+    still took 1.8 s, so it needs no visit budget.
     """
     m = len(n)
     low = (1 << m) - 1
@@ -183,7 +185,16 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
             rest_inc.append(x)
             rest_col.append(s)
     d = len(pivot_inc)
-    a_inc, a_col = rest_inc[LIGHT_EXTRA:], rest_col[LIGHT_EXTRA:]
+    # the light part takes two extra positions, no more and no fewer: the bound below
+    # completes its basis with the two lightest patterns of the light part, which holds
+    # only for two.  With none or one there is no second pattern; with three, three
+    # patterns may be dependent, and the greedy returned a wrong basis on 34 of 320
+    # seeded specs.  That short bound is why three timed faster over the twenty base
+    # specs of the benchmark's compute-large pool (ranks 7..12, k = 11..16, d = 0..10;
+    # CPython 3.11, 2-vCPU VM, 150 alternating passes: 4% less greedy time) and cut the
+    # peak allocation of ranks 7..12, (m, d) = (40, 20) and (44, 22), from 0.90 and
+    # 1.71 MB to 0.68 and 1.29 MB
+    a_inc, a_col = rest_inc[2:], rest_col[2:]
     last = len(a_inc) - 1
     shift = last.bit_length() + d  # a walk entry holds its highest heavy position p <= last
     # table c holds the keys, in entry units, of the sets of pivots c..c+PIVOT_CHUNK-1;
@@ -199,7 +210,7 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
     completion = tables[0][1] if len(tables) == 1 else _ChunkSum(tables)
     # (key in entry units, syndrome) of each set of extra positions
     extras = [(0, 0)]
-    for x, c in zip(rest_inc[:LIGHT_EXTRA], rest_col):
+    for x, c in zip(rest_inc[:2], rest_col):
         step = x << shift
         extras += [(y + step, s ^ c) for y, s in extras]
 
@@ -257,27 +268,13 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
             heappop(walk)
 
 
-# The light part of the split walk is the d pivots and this many more factors.
-# The walk's bound completes its basis with the two lightest patterns of the
-# light part, which holds only for 2: 0 or 1 give no second pattern, and 3 may
-# give three dependent ones; with 3 the greedy returned a wrong basis on 34 of
-# 320 seeded specs.  That short bound is why 3 timed faster over the twenty
-# base specs of the benchmark's compute-large pool (ranks 7..12, k = 11..16,
-# d = 0..10; CPython 3.11, 2-vCPU VM, 150 alternating passes: 4% less greedy
-# time) and cut the peak allocation of ranks 7..12, (m, d) = (40, 20) and
-# (44, 22), from 0.90 and 1.71 MB to 0.68 and 1.29 MB.  Very uneven ranks,
-# n = (1,) * 19 + (20,), make the greedy take 2^19 of the 2^20 - 1 patterns and
-# the bound excludes none; the walk over all 20 factors still took 1.8 s, so it
-# needs no visit budget.
-LIGHT_EXTRA = 2
-
 # Pivots per completion table.  Up to this many pivots, which covers every
 # compute-large spec, a syndrome's completion is one list lookup; past it each
-# pushed pattern sums one entry per table.  Greedy time per call (same VM, min
-# of 40 interleaved rounds): with 8, (k, d) = (14, 10) took 3.7 instead of
-# 1.2 ms and the compute-large pool 529 us, where 10 to 16 build one table and
-# read 317 to 372 us; with 16, a table costs 2^16 entries of set-up per call,
-# and (12, 20) took 15.3 instead of 5.3 ms.  The peak allocation at
+# pushed pattern sums one entry per table.  Greedy time per call (CPython 3.11,
+# 2-vCPU VM, min of 40 interleaved rounds): with 8, (k, d) = (14, 10) took 3.7
+# instead of 1.2 ms and the compute-large pool 529 us, where 10 to 16 build one
+# table and read 317 to 372 us; with 16, a table costs 2^16 entries of set-up
+# per call, and (12, 20) took 15.3 instead of 5.3 ms.  The peak allocation at
 # (m, d) = (40, 20) is 0.79, 0.90, 1.48 and 3.84 MB with 10, 12, 14 and 16.
 PIVOT_CHUNK = 12
 

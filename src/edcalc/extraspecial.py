@@ -11,10 +11,10 @@ quotient group described by the spec.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Sequence
 
-from ._record import _Record, _setattr
+from ._record import _Record
 from .caps import DEFAULT_ENUM_CAP
 from .gf2 import (
     BitVec,
@@ -24,15 +24,7 @@ from .gf2 import (
     rref_bits,
 )
 from .ledger import ledger_family
-from .spec import (
-    GroupSpecB,
-    SpecFormatError,
-    diagonal_mu,
-    maximal_mu,
-    spec_from_doc,
-    spec_to_doc,
-    validate,
-)
+from .spec import GroupSpecB, SpecFormatError, spec_from_doc, spec_to_doc, validate
 
 
 class CliffordUnit(_Record):
@@ -48,11 +40,8 @@ class CliffordUnit(_Record):
     mask: int
     sign: int
 
-    # written out, not _fill: 470 vs 730 ns (CPython 3.11), about 19 per certify op
     def __init__(self, dim: int, mask: int, sign: int = 1) -> None:
-        _setattr(self, "dim", dim)
-        _setattr(self, "mask", mask)
-        _setattr(self, "sign", sign)
+        self._fill(dim, mask, sign)
         # type(x) is not int rejects bools and floats: True in (1, -1) holds
         if type(dim) is not int or dim < 1:
             raise ValueError("ambient dimension must be an integer >= 1")
@@ -101,9 +90,8 @@ class CliffordTuple(_Record):
     __slots__ = ("components",)
     components: tuple[CliffordUnit, ...]
 
-    # written out, not _fill: 235 vs 485 ns (CPython 3.11), about 6 per certify op
     def __init__(self, components: Sequence[CliffordUnit]) -> None:
-        _setattr(self, "components", tuple(components))
+        self._fill(tuple(components))
         if not self.components:
             raise ValueError("a tuple needs at least one component")
 
@@ -116,6 +104,26 @@ class CliffordTuple(_Record):
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.components) + ")"
+
+
+# Records of fields known to be valid, set by slot setters without the constructors' checks:
+# a unit takes 0.37 us against 1.06 us checked (CPython 3.11), and a certify op builds 10-40
+_set_dim, _set_mask, _set_sign = (getattr(CliffordUnit, f).__set__ for f in CliffordUnit.__slots__)
+_set_components = CliffordTuple.components.__set__
+
+
+def _unit(dim: int, mask: int, sign: int) -> CliffordUnit:
+    unit = object.__new__(CliffordUnit)
+    _set_dim(unit, dim)
+    _set_mask(unit, mask)
+    _set_sign(unit, sign)
+    return unit
+
+
+def _tuple(units: tuple[CliffordUnit, ...]) -> CliffordTuple:
+    t = object.__new__(CliffordTuple)
+    _set_components(t, units)
+    return t
 
 
 class _Packing:
@@ -138,13 +146,15 @@ class _Packing:
     bits that higher factors contribute to S(A) cancel.
     """
 
-    __slots__ = ("dims", "offsets", "width", "off", "shifts")
+    __slots__ = ("dims", "offsets", "width", "off", "prefixes", "shifts")
 
     def __init__(self, dims: Sequence[int]) -> None:
         self.dims = tuple(dims)
-        self.offsets = tuple(sum(self.dims[:i]) for i in range(len(self.dims)))
+        self.offsets = tuple(accumulate(self.dims, initial=0))[:-1]
         self.width = sum(self.dims)
         self.off = sum(1 << o for o in self.offsets)
+        # the sign word of a lone sign flip of factor i: the bits at offsets o_0..o_i
+        self.prefixes = tuple(accumulate(1 << o for o in self.offsets))
         # x ^= x >> s for these s leaves at bit j the parity of the W bits from j up
         self.shifts = tuple(1 << i for i in range(max(self.width - 1, 0).bit_length()))
 
@@ -163,10 +173,10 @@ class _Packing:
 
     def sign_code(self, pattern: int) -> int:
         """Sign word of a sign pattern whose bit i is set when factor i is negative."""
-        code = parity = 0
-        for i in reversed(range(len(self.offsets))):
-            parity ^= pattern >> i & 1
-            code |= parity << self.offsets[i]
+        code = 0
+        for i, prefix in enumerate(self.prefixes):
+            if pattern >> i & 1:
+                code ^= prefix
         return code
 
     def sign_pattern(self, code: int) -> int:
@@ -178,9 +188,12 @@ class _Packing:
         return pattern
 
     def pack(self, t: CliffordTuple) -> int:
-        masks = sum(c.mask << o for c, o in zip(t.components, self.offsets))
-        negative = sum(1 << i for i, c in enumerate(t.components) if c.sign < 0)
-        return masks << self.width | self.sign_code(negative)
+        masks = code = 0
+        for c, o, prefix in zip(t.components, self.offsets, self.prefixes):
+            masks |= c.mask << o
+            if c.sign < 0:
+                code ^= prefix
+        return masks << self.width | code
 
 
 def _order_bound_log2(gens: Sequence[int], packing: _Packing, commutators: Iterable[int]) -> int:
@@ -236,30 +249,43 @@ def _closure_packed(
 
 
 def _quotient_rank_packed(
-    elements: set[int], packing: _Packing, mu_rows: Sequence[int]
+    elements: set[int], packing: _Packing, mu_rows: Sequence[int], masks: Iterable[int]
 ) -> tuple[int, int]:
     """Order and rank of the image of a packed finite subgroup in the quotient by mu.
 
-    mu_rows is the RREF of mu's basis mapped into sign words.  The image must be
-    abelian; the one caller, verify_certificate, checks that on the generators.
+    mu_rows is the RREF of mu's basis mapped into sign words, and masks are the
+    index masks of generators of the subgroup.  The image must be abelian; the
+    one caller, verify_certificate, checks that on the generators.
     """
-    # two elements of H with equal masks differ by a scalar in H, so the coset of
-    # x modulo mu, met with H, is x times U, the scalars of H with signs in mu:
-    # the packed element with its signs reduced by mu's rows names it
-    cosets = list(elements)
-    for row in mu_rows:  # row by row, in reduce_bits' order, to call nothing per element
-        pivot = row & -row
-        cosets = [x ^ row if x & pivot else x for x in cosets]
-    units = cosets.count(0)
-    order_h = len(set(cosets))
-    if not units or units * order_h != len(elements):
+    # the image's order is |H| over the units, the scalars of H with signs in mu;
+    # a scalar is an element with an empty mask, and the rows reduce signs only
+    scalar_end = 1 << packing.width
+    units = sum(1 for x in elements if x < scalar_end and not reduce_bits(x, mu_rows))
+    if not units or len(elements) % units:
         raise ValueError("elements do not form a subgroup compatible with mu")
-    masks = {x >> packing.width for x in elements}
-    squares = {reduce_bits(packing.square(a), mu_rows) for a in masks}
-    quotient, rem = divmod(order_h, len(squares))
+    order_h = len(elements) // units
+    # squaring is a homomorphism of the abelian image, so the image's squares are
+    # the span of the generators' squares, which are scalars, modulo mu
+    squares = rref_bits([*mu_rows, *(packing.square(a) for a in masks)])
+    quotient, rem = divmod(order_h, 1 << len(squares) - len(mu_rows))
     if rem or quotient & (quotient - 1):
         raise ValueError("image order divided by squares is not a power of two")
     return order_h, quotient.bit_length() - 1
+
+
+def _separated(masks: Iterable[int], blocks: list[int]) -> bool:
+    """Whether the masks split each block of coordinate bits into single bits."""
+    size = sum(b.bit_count() for b in blocks)
+    for a in masks:
+        split = []
+        for b in blocks:
+            inside = b & a
+            if inside and inside != b:
+                split.append(inside)
+                b ^= inside
+            split.append(b)
+        blocks = split
+    return len(blocks) == size
 
 
 def centralizer_finite(tuples: Sequence[CliffordTuple], dims: Sequence[int]) -> bool:
@@ -271,15 +297,9 @@ def centralizer_finite(tuples: Sequence[CliffordTuple], dims: Sequence[int]) -> 
     bit mask over the factor's coordinates and split by each index mask.
     """
     for f, d in enumerate(dims):
-        blocks = [(1 << d) - 1]
-        for t in tuples:
-            unit = t.components[f]
-            if unit.dim != d:
-                raise DimensionMismatchError("tuple does not match the ambient dimensions")
-            image = unit.mask
-            blocks = [part for b in blocks for part in (b & image, b & ~image) if part]
-        # the blocks partition d coordinates, so d of them are all singletons
-        if len(blocks) < d:
+        if any(t.components[f].dim != d for t in tuples):
+            raise DimensionMismatchError("tuple does not match the ambient dimensions")
+        if not _separated([t.components[f].mask for t in tuples], [(1 << d) - 1]):
             return False
     return True
 
@@ -345,18 +365,21 @@ class CertReport(_Record):
 def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_ENUM_CAP) -> CertReport:
     """Check a certificate from scratch and report the lower bound it proves."""
     mu = validate(cert.spec)
-    dims = tuple(2 * r + 1 for r in cert.spec.n)
-    packing = _Packing(dims)
+    packing = _Packing(2 * r + 1 for r in cert.spec.n)
     gens = [packing.pack(g) for g in cert.generators]
-    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
     masks = [g >> packing.width for g in gens]
+    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
 
     reason = None
     commutators = []
     for (i, a), (j, b) in combinations(enumerate(masks), 2):
-        commutator = packing.commutator(a, b)
+        # packing.commutator(a, b), written out: this runs once per pair of generators
+        commutator = a & b
+        for s in packing.shifts:
+            commutator ^= commutator >> s
+        commutator &= packing.off
         if reduce_bits(commutator, mu_rows):
-            pattern = BitVec(len(dims), packing.sign_pattern(commutator))
+            pattern = BitVec(len(packing.dims), packing.sign_pattern(commutator))
             reason = (
                 f"NonAbelianQuotient: generators {i + 1} and {j + 1} have commutator"
                 f" sign pattern {pattern}, outside mu"
@@ -369,26 +392,40 @@ def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_ENUM_CAP) -
     order = rank = 0
     if abelian:
         subgroup = _closure_packed(gens, packing, closure_cap, commutators)
-        order, rank = _quotient_rank_packed(subgroup, packing, mu_rows)
-    finite = centralizer_finite(cert.generators, dims)
+        order, rank = _quotient_rank_packed(subgroup, packing, mu_rows, masks)
+    # the generators match the spec's dims, so every factor's block is split at once
+    finite = _separated(masks, [(1 << d) - 1 << o for d, o in zip(packing.dims, packing.offsets)])
     if abelian and not finite:
         reason = (
             "centralizer not certified finite: some coordinates are not separated"
             " by the vector images"
         )
-    return CertReport(
-        abelian_in_quotient=abelian,
-        subgroup_order=order,
-        rank=rank,
-        centralizer_finite=finite,
-        lower_bound=rank if reason is None else None,
-        failure_reason=reason,
-        notes=(cert.note,) if cert.note else (),
+    notes = (cert.note,) if cert.note else ()
+    return CertReport(abelian, order, rank, finite, rank if reason is None else None, reason, notes)
+
+
+def _mask(*indices: int) -> int:
+    """Index mask of distinct indices in 1..dim: index i at bit i - 1."""
+    return sum(1 << i for i in indices) >> 1
+
+
+def _certificate(spec: GroupSpecB, gens: tuple[CliffordTuple, ...], note: str) -> Certificate:
+    cert = object.__new__(Certificate)
+    cert._fill(spec, gens, note)
+    return cert
+
+
+def _builtin(n: tuple[int, ...], mu_rows: Sequence[int], rows: list, note: str = "") -> Certificate:
+    """A built-in certificate from trusted tables: mu's RREF rows as ints, and per generator
+    one code per factor, the index mask of a positive unit or ~mask of a negative one.
+    """
+    spec = GroupSpecB(n, tuple(BitVec(len(n), r) for r in mu_rows))
+    dims = [2 * r + 1 for r in n]
+    gens = tuple(
+        _tuple(tuple([_unit(d, c, 1) if c >= 0 else _unit(d, ~c, -1) for d, c in zip(dims, row)]))
+        for row in rows
     )
-
-
-def _unit(dim: int, *indices: int, sign: int = 1) -> CliffordUnit:
-    return CliffordUnit.from_indices(dim, indices, sign)
+    return _certificate(spec, gens, note)
 
 
 def diagonal_certificate(rank: int, copies: int) -> Certificate:
@@ -396,57 +433,46 @@ def diagonal_certificate(rank: int, copies: int) -> Certificate:
     n, m = rank, copies
     if ledger_family("diagonal:<n>:<m>").value_for((n,) * m) is None:
         raise ValueError(f"no built-in diagonal certificate for {m} copies of rank {n}")
-    spec = GroupSpecB((n,) * m, diagonal_mu(m).basis)
-    dim = 2 * n + 1
-    gens = [
-        CliffordTuple(tuple(_unit(dim, i, i + 1) for _ in range(m))) for i in range(1, 2 * n + 1)
-    ]
-    for l in range(m - 1):
-        signs = tuple(
-            CliffordUnit.scalar(dim, -1 if k == l else 1) for k in range(m)
-        )
-        gens.append(CliffordTuple(signs))
-    return Certificate(spec, tuple(gens))
+    # c(i, i+1) in every factor for i = 1..2n, then a lone sign flip of each factor but the last
+    rows = [[3 << i] * m for i in range(2 * n)]
+    rows += [[-1 if k == l else 0 for k in range(m)] for l in range(m - 1)]
+    return _builtin((n,) * m, [(1 << m) - 1], rows)
 
 
 def pair_certificate(n1: int, n2: int) -> Certificate:
     """Certificate for Spin(2*n1+1) x Spin(2*n2+1) modulo the diagonal sign."""
     if (n1, n2) not in ledger_family("pair:<n1>:<n2>").table:
         raise ValueError(f"no built-in pair certificate for ranks ({n1}, {n2})")
-    spec = GroupSpecB((n1, n2), diagonal_mu(2).basis)
-    d1, d2 = 2 * n1 + 1, 2 * n2 + 1
-
-    def odd_run(n: int) -> tuple[int, ...]:
-        return tuple(range(1, 4 * ((n + 1) // 2), 2))
-
-    second = [odd_run(n2)] + [(2 * i - 3, 2 * i - 2) for i in range(2, n2 + 2)]
-    first = [odd_run(n1)]
-    for k in range(2, n2 - n1 + 2):
-        first.append((1, 2))
-    for i in range(n2 - n1 + 2, n2 + 2):
-        j = i + n1 - n2
-        first.append((2 * j - 3, 2 * j - 2))
-    gens = [
-        CliffordTuple((_unit(d1, *a), _unit(d2, *b))) for a, b in zip(first, second)
-    ]
-    packing = _Packing((d1, d2))
-    h1_sq = packing.sign_pattern(packing.square(packing.pack(gens[0]) >> packing.width))
-    if h1_sq in (0, 0b11):  # the elements of the diagonal mu
-        # the square of the first generator is already trivial in the quotient,
-        # so the lone sign flip adds an independent order-2 element
-        gens.append(
-            CliffordTuple((CliffordUnit.identity(d1), CliffordUnit.scalar(d2, -1)))
-        )
+    # in index masks, the odd run c(1, 3, ..., 4k - 1), k = ceil(n / 2), is 0b0101...01 and
+    # c(2i + 1, 2i + 2) is 3 << 2i; the first factor pads its list with n2 - n1 more c(1, 2)
+    run1, run2 = (((1 << 4 * ((n + 1) // 2)) - 1) // 3 for n in (n1, n2))
+    first = [run1] + [3] * (n2 - n1) + [3 << 2 * i for i in range(n1)]
+    rows = [[a, b] for a, b in zip(first, [run2] + [3 << 2 * i for i in range(n2)])]
+    # c(I)^2 = -1 exactly when |I| = 2 mod 4, and an odd run of rank n has 2 * ceil(n / 2)
+    # indices: when both or neither of the first generator's units square to -1, its
+    # square lies in the diagonal mu, so the lone sign flip adds an independent order-2 element
+    if (n1 + 1) // 2 % 2 == (n2 + 1) // 2 % 2:
+        rows.append([0, -1])
     note = ""
     if (n1, n2) == (2, 3):
         # the generic pattern gives rank 4 here; this sign-compatible element, the
         # first hit of a search by support size that the tests rerun, raises it to 5
-        gens.append(CliffordTuple((_unit(d1, 4, 5), _unit(d2, 5, 7))))
+        rows.append([_mask(4, 5), _mask(5, 7)])
         note = (
             "extra generator (c(4,5), c(5,7)) found by search over sign-compatible elements;"
             " it raises the rank to 5"
         )
-    return Certificate(spec, tuple(gens), note)
+    return _builtin((n1, n2), [0b11], rows, note)
+
+
+C12, C13 = _mask(1, 2), _mask(1, 3)
+# the rows of Spin(3) x Spin(3) x Spin(2v+1), by v, in the codes of _builtin
+SMALL3_ROWS = {
+    1: [[C13, C13, C13], [C12, C12, 0], [C12, 0, C12]],
+    2: [[C12, C12, _mask(2, 4)], [C13, 0, C12], [0, C13, _mask(3, 4)], [C13, C13, 0]],
+    3: [[C12, C13, C12], [C12, C12, _mask(1, 3, 5, 7)], [0, C13, _mask(3, 4)],
+        [C12, C13, _mask(5, 6)], [C13, 0, _mask(2, 5)]],
+}  # fmt: skip
 
 
 def small_triple_certificate(third_rank: int) -> Certificate:
@@ -454,46 +480,13 @@ def small_triple_certificate(third_rank: int) -> Certificate:
     v = third_rank
     if (1, 1, v) not in ledger_family("small3:<v>").table:
         raise ValueError(f"no built-in small3 certificate for third factor rank {v}")
-    spec = GroupSpecB((1, 1, v), maximal_mu(3).basis)
-    d = 2 * v + 1
-    if v == 1:
-        rows = [
-            (_unit(3, 1, 3), _unit(3, 1, 3), _unit(3, 1, 3)),
-            (_unit(3, 1, 2), _unit(3, 1, 2), CliffordUnit.identity(3)),
-            (_unit(3, 1, 2), CliffordUnit.identity(3), _unit(3, 1, 2)),
-        ]
-    elif v == 2:
-        rows = [
-            (_unit(3, 1, 2), _unit(3, 1, 2), _unit(d, 2, 4)),
-            (_unit(3, 1, 3), CliffordUnit.identity(3), _unit(d, 1, 2)),
-            (CliffordUnit.identity(3), _unit(3, 1, 3), _unit(d, 3, 4)),
-            (_unit(3, 1, 3), _unit(3, 1, 3), CliffordUnit.identity(d)),
-        ]
-    else:
-        rows = [
-            (_unit(3, 1, 2), _unit(3, 1, 3), _unit(d, 1, 2)),
-            (_unit(3, 1, 2), _unit(3, 1, 2), _unit(d, 1, 3, 5, 7)),
-            (CliffordUnit.identity(3), _unit(3, 1, 3), _unit(d, 3, 4)),
-            (_unit(3, 1, 2), _unit(3, 1, 3), _unit(d, 5, 6)),
-            (_unit(3, 1, 3), CliffordUnit.identity(3), _unit(d, 2, 5)),
-        ]
-    return Certificate(spec, tuple(CliffordTuple(r) for r in rows))
+    return _builtin((1, 1, v), [0b101, 0b110], SMALL3_ROWS[v])  # maximal_mu(3)'s rows
 
 
 def small_quadruple_certificate() -> Certificate:
     """Certificate for four Spin(3) factors modulo all even sign patterns."""
-    spec = GroupSpecB((1, 1, 1, 1), maximal_mu(4).basis)
-    one = CliffordUnit.identity(3)
-    c12 = _unit(3, 1, 2)
-    c13 = _unit(3, 1, 3)
-    rows = [
-        (c12, c12, one, one),
-        (c12, one, c12, one),
-        (c12, one, one, c12),
-        (CliffordUnit.scalar(3, -1), one, one, one),
-        (c13, c13, c13, c13),
-    ]
-    return Certificate(spec, tuple(CliffordTuple(r) for r in rows))
+    rows = [[C12, C12, 0, 0], [C12, 0, C12, 0], [C12, 0, 0, C12], [-1, 0, 0, 0], [C13] * 4]
+    return _builtin((1, 1, 1, 1), [0b1001, 0b1010, 0b1100], rows)  # maximal_mu(4)'s rows
 
 
 def _key_number(text: str) -> int:
@@ -537,6 +530,30 @@ def certificate_to_doc(cert: Certificate) -> dict:
     return doc
 
 
+def _doc_unit(entry: object, dim: int) -> CliffordUnit:
+    """The unit a generator entry names; raises SpecFormatError naming the first fault."""
+    if not isinstance(entry, dict) or not entry.keys() <= {"sign", "indices"}:
+        raise SpecFormatError("generator entries must be {sign, indices} objects")
+    sign = entry.get("sign", 1)
+    indices = entry.get("indices", [])
+    if type(sign) is int and sign in (1, -1) and isinstance(indices, list):
+        mask = 0
+        for i in indices:
+            if type(i) is not int or not 0 < i <= dim:
+                break
+            mask |= 1 << i
+        else:
+            if mask.bit_count() == len(indices) and not len(indices) & 1:
+                return _unit(dim, mask >> 1, sign)
+        # an index out of range or repeated, or an odd count: from_indices names the fault
+        if all(type(i) is int for i in indices):
+            try:
+                return CliffordUnit.from_indices(dim, indices, sign)
+            except ValueError as exc:
+                raise SpecFormatError(f"bad generator component: {exc}") from exc
+    raise SpecFormatError("generator entries must be {sign, indices} objects with integer values")
+
+
 def certificate_from_doc(doc: dict) -> Certificate:
     """Parse a certificate document; raises SpecFormatError on malformed input."""
     if not isinstance(doc, dict):
@@ -555,27 +572,10 @@ def certificate_from_doc(doc: dict) -> Certificate:
     for g in raw_gens:
         if not isinstance(g, list) or len(g) != len(dims):
             raise SpecFormatError("each generator needs one entry per factor")
-        comps = []
-        for entry, dim in zip(g, dims):
-            if not isinstance(entry, dict) or set(entry) - {"sign", "indices"}:
-                raise SpecFormatError("generator entries must be {sign, indices} objects")
-            sign = entry.get("sign", 1)
-            indices = entry.get("indices", [])
-            if (
-                type(sign) is not int
-                or sign not in (1, -1)
-                or not isinstance(indices, list)
-                or any(type(i) is not int for i in indices)
-            ):
-                raise SpecFormatError(
-                    "generator entries must be {sign, indices} objects with integer values"
-                )
-            try:
-                comps.append(CliffordUnit.from_indices(dim, indices, sign))
-            except ValueError as exc:
-                raise SpecFormatError(f"bad generator component: {exc}") from exc
-        gens.append(CliffordTuple(tuple(comps)))
+        units = tuple([_doc_unit(e, d) for e, d in zip(g, dims)])
+        # a spec with no factors has empty generators, which the checked constructor refuses
+        gens.append(_tuple(units) if units else CliffordTuple(units))
     note = doc.get("note", "")
     if not isinstance(note, str):
         raise SpecFormatError("'note' must be a string")
-    return Certificate(spec, tuple(gens), note)
+    return _certificate(spec, tuple(gens), note)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from typing import Iterable, Sequence
 import edcalc
 from edcalc import (
     BitVec,
+    Certificate,
     CliffordTuple,
     CliffordUnit,
     GroupSpecB,
@@ -27,6 +29,7 @@ from edcalc.extraspecial import _closure_packed, _Packing
 from edcalc.gf2 import enumerate_bases
 from edcalc.ledger import is_small_product
 
+from clifford_reference import commutator_sign_vector
 from greedy_reference import reference_greedy_keys, weight_exponent
 
 
@@ -291,3 +294,36 @@ def cli_modules(*argv: str, code: int = 0) -> set[str]:
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
+
+
+def bench_workloads():
+    """The benchmark's input module, loaded from its file; it needs only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def random_certificate(rng, filtered):
+    """Seeded random certificate with uneven ranks and a random reduced mu.
+
+    With filtered set, a generator is kept only while it commutes modulo mu
+    with those kept so far; otherwise most certificates are non-abelian.
+    """
+    m = rng.randint(1, 4)
+    # small ranks too, so that some centralizers are finite
+    n = tuple(rng.randint(1, rng.choice((2, 40))) for _ in range(m))
+    while True:
+        rows = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m - 1)))
+        spec = GroupSpecB(n, tuple(r for r in rows if r.bits))
+        mu = spec.mu_subspace()
+        if all(BitVec(m, 1 << i) not in mu for i in range(m)):
+            break
+    dims = tuple(2 * r + 1 for r in n)
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        g = random_tuple(rng, dims)
+        if not filtered or all(commutator_sign_vector(g, h) in mu for h in gens):
+            gens.append(g)
+    return Certificate(spec, tuple(gens))

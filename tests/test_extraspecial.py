@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import copy
-import importlib.util
 import json
 from functools import cache
 from itertools import combinations
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -57,10 +55,12 @@ from clifford_reference import (
 from closure_reference import reference_closure
 from helpers import (
     all_units,
+    bench_workloads,
     even_masks,
     packed_closure,
     packed_product,
     packed_unit_product,
+    random_certificate,
     random_tuple,
     unpack,
     word_inverse,
@@ -254,9 +254,10 @@ def test_packed_sign_laws_match_tuple_arithmetic(dims):
 
 
 def packed_quotient_rank(packing, elements, mu):
-    """`_quotient_rank_packed` on packed elements, with mu's rows as verify_certificate makes them."""
+    """`_quotient_rank_packed` on packed elements, with mu's rows as verify_certificate makes
+    them; the elements themselves are the generators whose masks it squares."""
     mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
-    return _quotient_rank_packed(elements, packing, mu_rows)
+    return _quotient_rank_packed(elements, packing, mu_rows, [x >> packing.width for x in elements])
 
 
 def test_quotient_rank_cyclic():
@@ -296,15 +297,6 @@ def test_quotient_rank_rejects_a_set_that_is_not_a_subgroup():
     minus_c12 = packing.pack(CliffordTuple((cu(3, 1, 2, sign=-1),)))
     with pytest.raises(ValueError):
         packed_quotient_rank(packing, cyclic - {minus_c12}, trivial)
-
-
-def bench_workloads():
-    """The benchmark's input module, loaded from its file; it needs only the standard library."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def assert_quotient_rank_matches_reference(group, mu):
@@ -479,30 +471,6 @@ def assert_packed_checks_match_oracles(cert):
     if len(rref_bits(nonzero)) == len(nonzero):
         assert bound == order
     return failure is not None
-
-
-def random_certificate(rng, filtered):
-    """Seeded random certificate with uneven ranks and a random reduced mu.
-
-    With filtered set, a generator is kept only while it commutes modulo mu
-    with those kept so far; otherwise most certificates are non-abelian.
-    """
-    m = rng.randint(1, 4)
-    # small ranks too, so that some centralizers are finite
-    n = tuple(rng.randint(1, rng.choice((2, 40))) for _ in range(m))
-    while True:
-        rows = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m - 1)))
-        spec = GroupSpecB(n, tuple(r for r in rows if r.bits))
-        mu = spec.mu_subspace()
-        if all(BitVec(m, 1 << i) not in mu for i in range(m)):
-            break
-    dims = tuple(2 * r + 1 for r in n)
-    gens = []
-    for _ in range(rng.randint(1, 6)):
-        g = random_tuple(rng, dims)
-        if not filtered or all(commutator_sign_vector(g, h) in mu for h in gens):
-            gens.append(g)
-    return Certificate(spec, tuple(gens))
 
 
 def test_packed_checks_match_object_oracles_on_the_benchmark_certificates():

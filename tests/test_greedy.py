@@ -31,7 +31,7 @@ from edcalc import (
     greedy_min_basis,
     group_dim,
 )
-from edcalc.core import LIGHT_EXTRA, PIVOT_CHUNK, _basis, _blocks, _split_walk_keys
+from edcalc.core import PIVOT_CHUNK, _basis, _blocks, _split_walk_keys
 from edcalc.gf2 import rref, rref_bits
 
 from exactness_reference import reference_blocks
@@ -401,7 +401,8 @@ def test_walk_matches_the_oracle_on_the_blocks_of_seeded_specs():
         for mask, rows in _blocks([v.bits for v in spec.mu_subspace().basis], spec.m):
             if rows:
                 assert_walk_matches_oracle(spec.n, rows, mask)
-                seen["no heavy part"] += mask.bit_count() - len(rows) <= LIGHT_EXTRA
+                # the light part holds the pivots and two more positions
+                seen["no heavy part"] += mask.bit_count() - len(rows) <= 2
                 seen["more pivots than a table"] += len(rows) > PIVOT_CHUNK
                 seen["64 or more factors"] += mask.bit_count() >= 64
                 seen["blocks"] += 1

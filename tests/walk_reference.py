@@ -3,8 +3,9 @@
 Kept as a test oracle: `core._split_walk_keys` must give out the same full
 stream of keys as `reference_split_walk_keys` on every block, not only the
 keys the greedy picks.  The main loop is the package's; the set-up before it
-is the previous one.  LIGHT_EXTRA and PIVOT_CHUNK are read from the package,
-since the stream's end depends on the first and its tables on the second.
+is the previous one.  The light part's two extra positions are written here,
+not read from the package, so that the oracle does not change with the code it
+checks; PIVOT_CHUNK is read from the package, since the tables depend on it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from heapq import heappop, heappush, heapreplace
 from typing import Iterator, Sequence
 
-from edcalc.core import LIGHT_EXTRA, PIVOT_CHUNK
+from edcalc.core import PIVOT_CHUNK
 from edcalc.gf2 import rref_bits
 
 
@@ -66,7 +67,7 @@ def reference_split_walk_keys(
             col[(r & -r).bit_length() - 1] |= 1 << j
             r &= r - 1
     rest = [p for p in range(len(inc)) if p not in pivots]
-    extra, heavy = rest[:LIGHT_EXTRA], rest[LIGHT_EXTRA:]
+    extra, heavy = rest[:2], rest[2:]
     last = len(heavy) - 1
     shift = last.bit_length() + d  # a walk entry holds its highest heavy position p <= last
     # table c holds the keys, in entry units, of the sets of pivots c..c+PIVOT_CHUNK-1;
