@@ -25,12 +25,12 @@ from .gf2 import (
     BitVec,
     DimensionMismatchError,
     EnumerationTooLargeError,
-    annihilator,
+    annihilator_bits,
+    bases_bits,
     check_basis_count,
-    enumerate_bases,
 )
-from .ledger import SMALL_MAX_FACTORS, SMALL_MAX_RANK, is_small_product, known_cases
-from .spec import validate
+from .ledger import SMALL_MAX_FACTORS, SMALL_MAX_RANK, is_small_product, known_case_of_rows
+from .spec import reduce_mu
 
 if TYPE_CHECKING:
     from .gf2 import SubspaceF2
@@ -72,18 +72,21 @@ class PatternWeights(dict):
     """Weight of each int pattern (coordinate i at bit i) over ranks n, or None when
     the pattern's rank multiset is a small factor product.
 
-    A pattern is classified and weighed on its first lookup and kept, so a search
-    over many bases of one dual pays once per pattern.  `is_small` rejects a
-    pattern that touches a factor ranked above every entry of SMALL_PRODUCTS, or
-    that has more factors than its longest entry, before it asks
-    `is_small_product`; ledger fixes both limits from the list at import.
+    A pattern is classified and weighed on its first lookup, from one reading of
+    its ranks, and kept, with the ranks of a small pattern in `small`: the
+    exactness test, its trace and a search over many bases of one dual read each
+    pattern's ranks once.  A pattern that touches a factor ranked above every
+    entry of SMALL_PRODUCTS, or that has more factors than its longest entry, is
+    not small; `is_small` answers those without a lookup.  ledger fixes both
+    limits from the list at import.
     """
 
-    __slots__ = ("n", "heavy")
+    __slots__ = ("n", "heavy", "small")
 
     def __init__(self, n: Sequence[int]) -> None:
         super().__init__()
         self.n = n
+        self.small: dict[int, list[int]] = {}
         heavy = 0
         for i, r in enumerate(n):
             if r > SMALL_MAX_RANK:
@@ -94,12 +97,16 @@ class PatternWeights(dict):
         """Whether the rank multiset of the pattern's support is on SMALL_PRODUCTS."""
         if bits & self.heavy or bits.bit_count() > SMALL_MAX_FACTORS:
             return False
-        return is_small_product(_ranks(self.n, bits))
+        return self[bits] is None
 
     def __missing__(self, bits: int) -> int | None:
-        weight = None if self.is_small(bits) else 1 << sum(_ranks(self.n, bits))
-        self[bits] = weight
-        return weight
+        ranks = _ranks(self.n, bits)
+        if bits & self.heavy or len(ranks) > SMALL_MAX_FACTORS or not is_small_product(ranks):
+            self[bits] = weight = 1 << sum(ranks)
+            return weight
+        self.small[bits] = ranks
+        self[bits] = None
+        return None
 
 
 class _ChunkSum:
@@ -293,10 +300,15 @@ def greedy_min_basis(
     more than enum_cap nonzero patterns; the refusal's `dim` is the largest
     dimension of a block's dual.
     """
-    m = mu.m
-    if len(n) != m:
+    if len(n) != mu.m:
         raise DimensionMismatchError("rank list does not match the ambient dimension")
-    blocks = _blocks([v.bits for v in mu.basis], m)
+    return _basis(_greedy_keys([v.bits for v in mu.basis], n, enum_cap), mu.m)
+
+
+def _greedy_keys(mu_rows: Sequence[int], n: Sequence[int], enum_cap: int) -> list[int]:
+    """greedy_min_basis on the int rows of mu's reduced basis: the basis's keys, ascending."""
+    m = len(n)
+    blocks = _blocks(mu_rows, m)
     dims = [mask.bit_count() - len(rows) for mask, rows in blocks]
     k = max(dims, default=0)
     if (1 << k) - 1 > enum_cap:
@@ -311,7 +323,7 @@ def greedy_min_basis(
             picks += _picks(_split_walk_keys(n, rows, mask), m, dim)
         else:
             picks.append(n[i := mask.bit_length() - 1] << m | 1 << (m - 1 - i))
-    return _basis(sorted(picks), m)
+    return sorted(picks)
 
 
 def _blocks(mu_rows: Iterable[int], m: int) -> list[list]:
@@ -385,20 +397,22 @@ def _basis(keys: Sequence[int], m: int) -> tuple[tuple[BitVec, ...], int]:
     return tuple(basis), total
 
 
-def theorem_hypothesis_holds(spec: GroupSpecB) -> tuple[bool, tuple[int, ...]]:
-    """Check that every factor has rank >= 7, or rank >= 3 and is not split off.
+def theorem_hypothesis_holds(
+    n: Sequence[int], mu_rows: Iterable[int]
+) -> tuple[bool, tuple[int, ...]]:
+    """Check that every factor has rank >= 7, or rank >= 3 and is not split off by
+    the mu that the int rows span, reduced or not.
 
     Returns (holds, offending 1-based factors).  Diagnostic only: the bounds the
     calculator emits are valid regardless, but exactness rests on this shape.
     """
-    # the unit pattern e_i is orthogonal to mu iff no generator of mu has coordinate i
-    mu_support = 0
-    for v in spec.mu_gens:
-        mu_support |= v.bits
-    bad = tuple(
-        i + 1 for i, r in enumerate(spec.n) if r < 7 and (r < 3 or not mu_support >> i & 1)
-    )
-    return (not bad, bad)
+    # the unit pattern e_i is orthogonal to mu iff no row has coordinate i: any
+    # spanning set has mu's support, the OR of its rows
+    support = 0
+    for r in mu_rows:
+        support |= r
+    bad = [i + 1 for i, r in enumerate(n) if r < 7 and (r < 3 or not support >> i & 1)]
+    return (not bad, tuple(bad))
 
 
 class TraceEntry(_Record):
@@ -472,82 +486,62 @@ def compute_ed(spec: GroupSpecB, *, enum_cap: int = DEFAULT_ENUM_CAP) -> EdResul
     """Full decision procedure: greedy formula, exactness test, known cases, bound search.
 
     enum_cap bounds the greedy's nonzero patterns per block and the search's bases.
+    Every stage reads mu's int rows; the minimal basis holds the only vectors built.
     """
-    mu = validate(spec)
-    k = spec.m - mu.dim
-    dim_g = group_dim(spec.n)
-    trace = [
-        TraceEntry(
-            "dual-subspace",
-            f"sign-character patterns orthogonal to mu form a subspace of dimension {k}",
-        )
-    ]
+    mu_rows = reduce_mu(spec)
+    n, m = spec.n, spec.m
+    k = m - len(mu_rows)
+    dim_g = group_dim(n)
+    text = f"sign-character patterns orthogonal to mu form a subspace of dimension {k}"
+    trace = [TraceEntry("dual-subspace", text)]
     warnings: list[str] = []
     status, lower = STATUS_BOUNDS, 0
     upper: int | None = None
 
     try:
-        basis, total = greedy_min_basis(mu, spec.n, enum_cap=enum_cap)
+        basis, total = _basis(_greedy_keys(mu_rows, n, enum_cap), m)
     except EnumerationTooLargeError as refusal:
         # a block's dual has more patterns than the cap: the ledger alone decides
         basis, total = (), 0
         warnings.append(WARN_ELEMENT_CAP)
-        trace.append(
-            TraceEntry(
-                "greedy-minimal-basis",
-                f"2^{refusal.dim} - 1 nonzero patterns exceed the enumeration cap; greedy skipped",
-            )
-        )
+        text = f"2^{refusal.dim} - 1 nonzero patterns exceed the enumeration cap; greedy skipped"
     else:
-        trace.append(
-            TraceEntry(
-                "greedy-minimal-basis",
-                f"matroid greedy over the {(1 << k) - 1} nonzero patterns in weight order;"
-                f" minimal total weight {total}",
-            )
+        text = (
+            f"matroid greedy over the {(1 << k) - 1} nonzero patterns in weight order;"
+            f" minimal total weight {total}"
         )
+    trace.append(TraceEntry("greedy-minimal-basis", text))
     # a reduced mu has a nonzero dual, so the basis is empty only when the greedy refused it
     if basis:
         raw = total - dim_g
         lower = max(0, raw)
         clamp_note = "" if raw >= 0 else "; clamped to 0"
-        trace.append(
-            TraceEntry(
-                "weight-formula-lower",
-                f"basis total weight {total} minus group dimension {dim_g} gives {raw}{clamp_note}",
-            )
+        text = f"basis total weight {total} minus group dimension {dim_g} gives {raw}{clamp_note}"
+        trace.append(TraceEntry("weight-formula-lower", text))
+        holds, offenders = theorem_hypothesis_holds(n, mu_rows)
+        text = (
+            "every factor has rank >= 7, or rank >= 3 and is not split off: holds"
+            if holds
+            else f"fails for factors {list(offenders)}; diagnostic only, bounds remain valid"
         )
-        holds, offenders = theorem_hypothesis_holds(spec)
-        trace.append(
-            TraceEntry(
-                "theorem-hypothesis",
-                "every factor has rank >= 7, or rank >= 3 and is not split off: holds"
-                if holds
-                else f"fails for factors {list(offenders)}; diagnostic only, bounds remain valid",
-            )
-        )
+        trace.append(TraceEntry("theorem-hypothesis", text))
 
-        weights = PatternWeights(spec.n)
+        # each basis pattern is classified once; the search reads the same verdicts
+        weights = PatternWeights(n)
         small = [v for v in basis if weights.is_small(v.bits)]
         if small:
-            trace.append(
-                TraceEntry(
-                    "small-product-list",
-                    "minimal-basis vectors with small factor products: "
-                    + ", ".join(f"{v} -> {sorted(_ranks(spec.n, v.bits))}" for v in small),
-                )
-            )
+            text = ", ".join([f"{v} -> {sorted(weights.small[v.bits])}" for v in small])
+            text = "minimal-basis vectors with small factor products: " + text
+            trace.append(TraceEntry("small-product-list", text))
         else:
             status, upper = STATUS_EXACT, lower
-            trace.append(
-                TraceEntry(
-                    "minimal-basis-exact",
-                    "no minimal-basis vector has a small factor product,"
-                    " so the weight formula is exact",
-                )
+            text = (
+                "no minimal-basis vector has a small factor product,"
+                " so the weight formula is exact"
             )
+            trace.append(TraceEntry("minimal-basis-exact", text))
 
-    case = known_cases(mu, spec.n) if status != STATUS_EXACT else None
+    case = known_case_of_rows(mu_rows, m, n) if status != STATUS_EXACT else None
     if case is not None and case.kind == "exact":
         if case.value < lower:
             raise RuntimeError("known exact value contradicts the weight-formula lower bound")
@@ -565,30 +559,22 @@ def compute_ed(spec: GroupSpecB, *, enum_cap: int = DEFAULT_ENUM_CAP) -> EdResul
             # refuse before building the dual; keep the patterns whose weight is not
             # None: the bases without small factor products
             check_basis_count(k, enum_cap)
-            for b in enumerate_bases(annihilator(mu), enum_cap, weights.__getitem__):
+            for b in bases_bits(annihilator_bits(mu_rows, m), enum_cap, weights.__getitem__):
                 candidates += 1
                 t = sum(map(weights.__getitem__, b))
                 if best is None or t < best:
                     best = t
         except EnumerationTooLargeError as exc:
             warnings.append(WARN_BASIS_CAP)
-            trace.append(TraceEntry("upper-bound-search", f"{exc}; search skipped"))
+            text = f"{exc}; search skipped"
         else:
             if best is not None:
                 upper = best - dim_g
-                trace.append(
-                    TraceEntry(
-                        "upper-bound-search",
-                        f"best of {candidates} bases with no small factor product has total weight {best}",
-                    )
-                )
+                text = f"best of {candidates} bases with no small factor product"
+                text += f" has total weight {best}"
             else:
-                trace.append(
-                    TraceEntry(
-                        "upper-bound-search",
-                        "no basis avoids small factor products; no weight-formula upper bound",
-                    )
-                )
+                text = "no basis avoids small factor products; no weight-formula upper bound"
+        trace.append(TraceEntry("upper-bound-search", text))
         if upper is not None and upper < lower:
             raise RuntimeError("upper bound search contradicts the lower bound")
     return EdResult(status, lower, upper, basis, total, dim_g, trace, warnings)

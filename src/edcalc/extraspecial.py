@@ -16,15 +16,9 @@ from typing import Iterable, Sequence
 
 from ._record import _Record
 from .caps import DEFAULT_ENUM_CAP
-from .gf2 import (
-    BitVec,
-    DimensionMismatchError,
-    EnumerationTooLargeError,
-    reduce_bits,
-    rref_bits,
-)
+from .gf2 import BitVec, DimensionMismatchError, EnumerationTooLargeError, reduce_bits, rref_bits
 from .ledger import ledger_family
-from .spec import GroupSpecB, SpecFormatError, spec_from_doc, spec_to_doc, validate
+from .spec import EmptySpecError, GroupSpecB, SpecFormatError, reduce_mu, spec_from_doc, spec_to_doc
 
 
 class CliffordUnit(_Record):
@@ -364,11 +358,11 @@ class CertReport(_Record):
 
 def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_ENUM_CAP) -> CertReport:
     """Check a certificate from scratch and report the lower bound it proves."""
-    mu = validate(cert.spec)
+    mu_patterns = reduce_mu(cert.spec)
     packing = _Packing(2 * r + 1 for r in cert.spec.n)
     gens = [packing.pack(g) for g in cert.generators]
     masks = [g >> packing.width for g in gens]
-    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
+    mu_rows = rref_bits([packing.sign_code(r) for r in mu_patterns])
 
     reason = None
     commutators = []
@@ -564,6 +558,8 @@ def certificate_from_doc(doc: dict) -> Certificate:
     if unknown:
         raise SpecFormatError(f"unknown certificate fields: {sorted(unknown)}")
     spec = spec_from_doc(doc["spec"])
+    if not spec.n:
+        raise EmptySpecError("spec has no factors")
     dims = tuple(2 * r + 1 for r in spec.n)
     raw_gens = doc["generators"]
     if not isinstance(raw_gens, list) or not raw_gens:
@@ -572,9 +568,7 @@ def certificate_from_doc(doc: dict) -> Certificate:
     for g in raw_gens:
         if not isinstance(g, list) or len(g) != len(dims):
             raise SpecFormatError("each generator needs one entry per factor")
-        units = tuple([_doc_unit(e, d) for e, d in zip(g, dims)])
-        # a spec with no factors has empty generators, which the checked constructor refuses
-        gens.append(_tuple(units) if units else CliffordTuple(units))
+        gens.append(_tuple(tuple([_doc_unit(e, d) for e, d in zip(g, dims)])))
     note = doc.get("note", "")
     if not isinstance(note, str):
         raise SpecFormatError("'note' must be a string")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import _Record, _setattr
 from .caps import DEFAULT_ENUM_CAP
@@ -63,10 +63,7 @@ class BitVec(_Record):
         coords = list(coords)
         if any(c not in (0, 1) for c in coords):
             raise ValueError("coordinates must be 0 or 1")
-        bits = 0
-        for i, c in enumerate(coords):
-            bits |= c << i
-        return cls(len(coords), bits)
+        return cls(len(coords), sum(c << i for i, c in enumerate(coords)))
 
     @classmethod
     def unit(cls, m: int, i: int) -> BitVec:
@@ -124,8 +121,7 @@ class SubspaceF2(_Record):
             raise DimensionMismatchError(f"vector of length {v.m} in space of dimension {self.m}")
         return reduce_bits(v.bits, (b.bits for b in self.basis)) == 0
 
-    def __contains__(self, v: BitVec) -> bool:
-        return self.contains(v)
+    __contains__ = contains
 
 
 def rref(vectors: Iterable[BitVec], m: int | None = None) -> SubspaceF2:
@@ -142,19 +138,25 @@ def rref(vectors: Iterable[BitVec], m: int | None = None) -> SubspaceF2:
 
 def annihilator(space: SubspaceF2) -> SubspaceF2:
     """Orthogonal complement under the mod-2 dot pairing."""
-    pivots = set(space.pivots())
-    rows = [v.bits for v in space.basis]
-    out: list[int] = []
-    for f in range(space.m):
-        if f in pivots:
-            continue
-        # free coordinate f: set it to 1 and solve the pivot coordinates
-        bits = 1 << f
-        for r in rows:
-            if (r >> f) & 1:
-                bits |= r & -r
+    rows = annihilator_bits([v.bits for v in space.basis], space.m)
+    return SubspaceF2._from_rref(space.m, rref_bits(rows))
+
+
+def annihilator_bits(rows: Sequence[int], m: int) -> list[int]:
+    """A basis of the orthogonal complement in GF(2)^m of the span of RREF rows, not
+    reduced: one vector per free coordinate f, with f set and the pivots solved for it."""
+    pivots = [(r & -r, r) for r in rows]
+    free = (1 << m) - 1 - sum([p for p, _ in pivots])
+    out = []
+    while free:
+        f = free & -free
+        free ^= f
+        bits = f
+        for p, r in pivots:
+            if r & f:
+                bits |= p
         out.append(bits)
-    return SubspaceF2._from_rref(space.m, rref_bits(out))
+    return out
 
 
 def count_bases(k: int) -> int:
@@ -183,12 +185,17 @@ def enumerate_bases(
 ) -> Iterator[tuple[int, ...]]:
     """Yield once, as ascending packed ints, each unordered basis of the subspace whose every
     element keep accepts (with no keep, every basis); refuses a space of more than cap bases."""
-    k = space.dim
+    return bases_bits([v.bits for v in space.basis], cap, keep)
+
+
+def bases_bits(rows: Sequence[int], cap: int, keep: Callable | None) -> Iterator[tuple]:
+    """enumerate_bases on the int rows of a basis of the subspace."""
+    k = len(rows)
     check_basis_count(k, cap)
     # the cap bounds k: any cap below 10^23 admits k <= 9, at most 511 elements
     elems = [0]
-    for v in space.basis:
-        elems += [x ^ v.bits for x in elems]
+    for r in rows:
+        elems += [x ^ r for x in elems]
     elems = sorted(filter(keep, elems[1:]))
     # index tuples come in lexicographic order; the k-subsets of full rank are the bases
     for chosen in combinations(elems, k):

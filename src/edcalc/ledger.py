@@ -171,23 +171,17 @@ KNOWN_CASE_ROWS = _known_case_rows()
 BUILTIN_CERTIFICATE_ROWS = _builtin_certificate_rows()
 
 
-def _mu_kinds(mu: SubspaceF2) -> tuple[str, ...]:
-    """Which of the diagonal and the maximal central subgroups mu equals."""
-    kinds = ()
-    if mu.dim == 1 and mu.basis[0].bits == (1 << mu.m) - 1:
-        kinds += ("diagonal",)
-    # an (m-1)-dimensional space of even patterns is all of them
-    if mu.dim == mu.m - 1 and all(v.weight() % 2 == 0 for v in mu.basis):
-        kinds += ("maximal",)
-    return kinds
-
-
 def known_cases(mu: SubspaceF2, n: Sequence[int]) -> KnownCase | None:
-    """Strongest entry of the built-in case ledger for ranks n modulo mu; exact entries win.
+    """Strongest ledger entry for ranks n modulo mu, as `validate` returns it; exact wins."""
+    return known_case_of_rows([v.bits for v in mu.basis], mu.m, n)
 
-    mu is the reduced subspace that `validate` returns.
-    """
-    kinds = _mu_kinds(mu)
+
+def known_case_of_rows(rows: Sequence[int], m: int, n: Sequence[int]) -> KnownCase | None:
+    """known_cases on the int rows of mu's reduced basis in GF(2)^m."""
+    kinds = ("diagonal",) if len(rows) == 1 and rows[0] == (1 << m) - 1 else ()
+    # an (m-1)-dimensional space of even patterns is all of them
+    if len(rows) == m - 1 and not any(r.bit_count() & 1 for r in rows):
+        kinds += ("maximal",)
     if not kinds:
         return None
     ranks = tuple(sorted(n))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ._record import _Record
-from .gf2 import BitVec, DimensionMismatchError, SubspaceF2, annihilator, rref
+from .gf2 import BitVec, DimensionMismatchError, SubspaceF2, annihilator, rref, rref_bits
 
 
 class SpecFormatError(ValueError):
@@ -42,8 +42,7 @@ class GroupSpecB(_Record):
 
     def __init__(self, n: Sequence[int], mu_gens: Sequence[BitVec] = ()) -> None:
         self._fill(tuple(n), tuple(mu_gens))
-        n = self.n
-        if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in n):
+        if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in self.n):
             raise ValueError("factor ranks must be integers >= 1")
         if any(v.m != self.m for v in self.mu_gens):
             raise DimensionMismatchError("mu generators must have one coordinate per factor")
@@ -79,17 +78,22 @@ def pad_row(row: Sequence[int], m: int) -> Sequence[int]:
     return row
 
 
-def validate(spec: GroupSpecB) -> SubspaceF2:
-    """Reject empty specs and non-reduced groups; returns mu, spec.mu_subspace()."""
+def reduce_mu(spec: GroupSpecB) -> list[int]:
+    """Reject empty specs and non-reduced groups; returns the int rows of spec.mu_subspace()."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
-    mu = spec.mu_subspace()
+    rows = rref_bits([v.bits for v in spec.mu_gens])
     # a unit pattern lies in mu iff it is one of mu's reduced rows, and the rows
     # come in pivot order, so the first unit row names the lowest such factor
-    for v in mu.basis:
-        if v.weight() == 1:
-            raise NotReducedError(v.bits.bit_length())
-    return mu
+    for r in rows:
+        if not r & r - 1:
+            raise NotReducedError(r.bit_length())
+    return rows
+
+
+def validate(spec: GroupSpecB) -> SubspaceF2:
+    """reduce_mu as a subspace: returns mu, spec.mu_subspace()."""
+    return SubspaceF2._from_rref(spec.m, reduce_mu(spec))
 
 
 def diagonal_mu(m: int) -> SubspaceF2:

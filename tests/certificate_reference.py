@@ -4,6 +4,8 @@ constructor.
 
 Kept as a test oracle: `builtin_certificate` and `certificate_from_doc` must give
 certificates equal to these, and the reader the same error for every document.
+The reader names a spec with no factors before any generator, as
+`certificate_from_doc` has done since that check moved in front.
 Every unit goes through `CliffordUnit.from_indices`, every tuple and certificate
 through its checked constructor, and the built-in specs through `diagonal_mu`
 and `maximal_mu`.  `reference_report` is the report `verify_certificate` must
@@ -17,6 +19,7 @@ from edcalc import (
     Certificate,
     CliffordTuple,
     CliffordUnit,
+    EmptySpecError,
     GroupSpecB,
     SpecFormatError,
     diagonal_mu,
@@ -156,6 +159,8 @@ def reference_certificate_from_doc(doc: dict) -> Certificate:
     if unknown:
         raise SpecFormatError(f"unknown certificate fields: {sorted(unknown)}")
     spec = spec_from_doc(doc["spec"])
+    if not spec.n:
+        raise EmptySpecError("spec has no factors")
     dims = tuple(2 * r + 1 for r in spec.n)
     raw_gens = doc["generators"]
     if not isinstance(raw_gens, list) or not raw_gens:

@@ -1,0 +1,42 @@
+"""The record paths that `compute_ed` and `verify_certificate` ran before they
+moved to int rows.
+
+Kept as test oracles: `reduce_mu` must give the rows, or raise the error, of
+`reference_validate`, which reads mu off the `SubspaceF2` and `BitVec` records;
+and the dual that `annihilator_bits` spans must reduce to the rows of
+`reference_annihilator`, which solves the free coordinates from the record's
+pivots.
+"""
+
+from __future__ import annotations
+
+from edcalc.gf2 import SubspaceF2, rref_bits
+from edcalc.spec import EmptySpecError, GroupSpecB, NotReducedError
+
+
+def reference_validate(spec: GroupSpecB) -> SubspaceF2:
+    """Reject empty specs and non-reduced groups; returns mu, spec.mu_subspace()."""
+    if spec.m == 0:
+        raise EmptySpecError("spec has no factors")
+    mu = spec.mu_subspace()
+    for v in mu.basis:
+        if v.weight() == 1:
+            raise NotReducedError(v.bits.bit_length())
+    return mu
+
+
+def reference_annihilator(space: SubspaceF2) -> SubspaceF2:
+    """Orthogonal complement under the mod-2 dot pairing."""
+    pivots = set(space.pivots())
+    rows = [v.bits for v in space.basis]
+    out: list[int] = []
+    for f in range(space.m):
+        if f in pivots:
+            continue
+        # free coordinate f: set it to 1 and solve the pivot coordinates
+        bits = 1 << f
+        for r in rows:
+            if (r >> f) & 1:
+                bits |= r & -r
+        out.append(bits)
+    return SubspaceF2._from_rref(space.m, rref_bits(out))

@@ -116,9 +116,9 @@ def test_help_and_usage_errors_load_argparse_and_no_algorithm(argv, code):
 # edcalc.cli` runs cli.py as __main__, so it counts besides the modules imported.
 # A change that makes a command load more raises its bound here.
 SOURCE_BUDGET = {
-    "compute": (["compute", str(DATA / "c1.json")], 1635),
-    "certify": (["certify", "builtin:small4"], 1622),
-    "table": (["table"], 697),
+    "compute": (["compute", str(DATA / "c1.json")], 1626),
+    "certify": (["certify", "builtin:small4"], 1621),
+    "table": (["table"], 691),
 }
 
 

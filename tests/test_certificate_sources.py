@@ -201,7 +201,7 @@ def read(reader, doc):
 
 SPEC = {"type": "B", "n": [1, 2], "mu_generators": [[1, 1]]}
 EDGE_DOCS = [
-    {"spec": {"type": "B", "n": []}, "generators": [[]]},  # no factors: ValueError
+    {"spec": {"type": "B", "n": []}, "generators": [[]]},  # no factors: EmptySpecError first
     {"spec": {"type": "B", "n": []}, "generators": [[], 3]},
     {"spec": {"type": "B", "n": []}, "generators": [3, []]},
     {"spec": SPEC, "generators": [[{}, {"sign": -1}]]},  # both fields may be left out

@@ -275,13 +275,16 @@ def test_brute_on_mixed_example():
 
 
 def test_theorem_hypothesis():
-    holds, bad = theorem_hypothesis_holds(MIXED)
+    def hypothesis(spec):
+        return theorem_hypothesis_holds(spec.n, [v.bits for v in spec.mu_gens])
+
+    holds, bad = hypothesis(MIXED)
     assert not holds and bad == (1, 2)
     big = mk([7, 9], [[1, 1]])
-    assert theorem_hypothesis_holds(big) == (True, ())
+    assert hypothesis(big) == (True, ())
     # rank 3 factor that splits off fails the hypothesis
     split = GroupSpecB((3, 3))
-    assert theorem_hypothesis_holds(split) == (False, (1, 2))
+    assert hypothesis(split) == (False, (1, 2))
 
 
 def test_theorem_hypothesis_matches_dual_subspace_definition():
@@ -303,7 +306,9 @@ def test_theorem_hypothesis_matches_dual_subspace_definition():
         gens = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, 3)))
         spec = GroupSpecB(n, gens)
         trivial += spec.mu_subspace().dim == 0
-        assert theorem_hypothesis_holds(spec) == by_dual(spec), spec
+        # the generators and mu's reduced rows span the same mu
+        for rows in (spec.mu_gens, spec.mu_subspace().basis):
+            assert theorem_hypothesis_holds(spec.n, [v.bits for v in rows]) == by_dual(spec), spec
     assert trivial > 100
 
 
@@ -431,7 +436,7 @@ def test_one_enum_cap_bounds_the_greedy_and_the_search():
 def test_compute_ed_refuses_a_known_exact_value_below_the_weight_formula(monkeypatch):
     # the weight-formula lower bound of this spec is 14
     case = KnownCase("exact", 13, "planted", "an exact value below the formula")
-    monkeypatch.setattr(edcalc.core, "known_cases", lambda mu, n: case)
+    monkeypatch.setattr(edcalc.core, "known_case_of_rows", lambda rows, m, n: case)
     spec = load_spec("rank2_five_diagonal.json")
     message = "^known exact value contradicts the weight-formula lower bound$"
     with pytest.raises(RuntimeError, match=message):
@@ -441,7 +446,7 @@ def test_compute_ed_refuses_a_known_exact_value_below_the_weight_formula(monkeyp
 def test_compute_ed_refuses_a_search_upper_bound_below_a_known_lower_value(monkeypatch):
     # the upper-bound search of this spec gives 206
     case = KnownCase("lower", 10**6, "planted", "a lower value above the search")
-    monkeypatch.setattr(edcalc.core, "known_cases", lambda mu, n: case)
+    monkeypatch.setattr(edcalc.core, "known_case_of_rows", lambda rows, m, n: case)
     spec = load_spec("dual5_small_diagonal.json")
     with pytest.raises(RuntimeError, match="^upper bound search contradicts the lower bound$"):
         compute_ed(spec)
@@ -458,8 +463,8 @@ def test_the_search_cap_refuses_before_building_the_dual(monkeypatch):
     def refuse(*args):
         raise AssertionError("the dual was built for a refused search")
 
-    monkeypatch.setattr(edcalc.core, "annihilator", refuse)
-    monkeypatch.setattr(edcalc.core, "enumerate_bases", refuse)
+    monkeypatch.setattr(edcalc.core, "annihilator_bits", refuse)
+    monkeypatch.setattr(edcalc.core, "bases_bits", refuse)
     assert compute_ed(spec) == expected
     # one rule and one text decide, before the dual is built and inside the search
     below = compute_ed(spec, enum_cap=count_bases(6) - 1)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import edcalc.core
 import edcalc.gf2
+import edcalc.spec
 from edcalc import (
     BitVec,
     EnumerationTooLargeError,
@@ -315,8 +316,8 @@ def test_compute_large_shapes_never_enumerate(monkeypatch, k, d):
         raise AssertionError("compute_ed enumerated the dual")
 
     # the basis search is the one route left that lists the dual's elements
-    monkeypatch.setattr(edcalc.core, "enumerate_bases", refuse)
-    monkeypatch.setattr(edcalc.core, "annihilator", refuse)
+    monkeypatch.setattr(edcalc.core, "bases_bits", refuse)
+    monkeypatch.setattr(edcalc.core, "annihilator_bits", refuse)
     result = compute_ed(spec)
     assert (result.minimal_basis, result.basis_total_weight) == expected
     assert result.status == "exact"
@@ -474,7 +475,7 @@ def test_a_128_factor_block_spec_adds_up_over_its_blocks():
 
 
 def test_compute_large_shape_reduces_mu_once_and_builds_no_dual(monkeypatch):
-    # (k, d) = (14, 10), ranks 7..12: validate reduces mu, and the walk finds its
+    # (k, d) = (14, 10), ranks 7..12: reduce_mu reduces mu, and the walk finds its
     # pivots and syndromes in its pass over the factors without reducing mu again;
     # the result is exact, so no basis search runs
     rng = Random(1410)
@@ -491,10 +492,11 @@ def test_compute_large_shape_reduces_mu_once_and_builds_no_dual(monkeypatch):
         return wrapper
 
     rref_bits = counting("rref_bits", edcalc.gf2.rref_bits)
-    annihilator = counting("annihilator", edcalc.gf2.annihilator)
-    monkeypatch.setattr(edcalc.gf2, "rref_bits", rref_bits)
+    annihilator = counting("annihilator", edcalc.gf2.annihilator_bits)
+    for module in (edcalc.gf2, edcalc.spec):
+        monkeypatch.setattr(module, "rref_bits", rref_bits)
     for module in (edcalc.gf2, edcalc.core):
-        monkeypatch.setattr(module, "annihilator", annihilator)
+        monkeypatch.setattr(module, "annihilator_bits", annihilator)
     assert not hasattr(edcalc.core, "rref_bits")
     assert compute_ed(spec) == expected
     assert calls == {"rref_bits": 1}

@@ -1,0 +1,181 @@
+"""`compute_ed` runs on mu's int rows: the int helpers against the records they
+replaced, and a count of the records a call still builds."""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from random import Random
+
+import pytest
+
+from edcalc import (
+    BitVec,
+    GroupSpecB,
+    SubspaceF2,
+    annihilator,
+    compute_ed,
+    enumerate_bases,
+    greedy_min_basis,
+    known_cases,
+    spec_from_doc,
+    validate,
+)
+from edcalc.core import PatternWeights
+from edcalc.gf2 import annihilator_bits, bases_bits, rref_bits
+from edcalc.ledger import known_case_of_rows
+from edcalc.spec import reduce_mu
+
+from helpers import bench_workloads
+from ledger_reference import reference_known_cases
+from records_reference import reference_annihilator, reference_validate
+from survey import survey_specs
+
+DATA = Path(__file__).parent / "data"
+
+
+def corpus() -> list[GroupSpecB]:
+    """The survey's specs, both benchmark compute pools at seeds 1 and 7, 400 seeded
+    specs with m <= 7 (reduced or not), and the empty spec."""
+    workloads = bench_workloads()
+    refs = workloads.load_refs()
+    specs = [spec for _, _, spec in survey_specs()]
+    for seed in (1, 7):
+        for name in ("compute-small-bounds", "compute-large"):
+            specs += [spec_from_doc(op["doc"]) for op in workloads.build_pool(name, seed, refs)]
+    rng = Random(3030)
+    for _ in range(400):
+        m = rng.randint(1, 7)
+        n = tuple(rng.randint(1, 9) for _ in range(m))
+        gens = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m)))
+        specs.append(GroupSpecB(n, gens))
+    return specs + [GroupSpecB(())]
+
+
+CORPUS = corpus()
+
+
+def outcome(fn, spec):
+    """What fn gives for the spec, or the type, text and named factor of its error."""
+    try:
+        return fn(spec)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "factor", None)
+
+
+def test_the_corpus_holds_reduced_and_rejected_specs():
+    rejected = [spec for spec in CORPUS if isinstance(outcome(reference_validate, spec), tuple)]
+    assert len(CORPUS) > 800
+    assert 50 < len(rejected) < 350
+    assert any(spec.m == 0 for spec in rejected)
+
+
+def test_reduced_rows_equal_the_mu_records():
+    for spec in CORPUS:
+        expected = outcome(reference_validate, spec)
+        if isinstance(expected, tuple):
+            assert outcome(reduce_mu, spec) == expected == outcome(validate, spec), spec
+            continue
+        assert reduce_mu(spec) == [v.bits for v in expected.basis], spec
+        assert expected == spec.mu_subspace() == validate(spec)
+
+
+def test_dual_rows_span_the_annihilator():
+    for spec in CORPUS:
+        mu = outcome(reference_validate, spec)
+        if isinstance(mu, tuple):
+            continue
+        rows = annihilator_bits(reduce_mu(spec), spec.m)
+        expected = reference_annihilator(mu)
+        assert len(rows) == expected.dim == spec.m - mu.dim
+        assert rref_bits(rows) == [v.bits for v in expected.basis], spec
+        assert annihilator(mu) == expected
+
+
+def test_known_cases_on_rows_equal_the_record_path():
+    found = 0
+    for spec in CORPUS:
+        mu = outcome(reference_validate, spec)
+        if isinstance(mu, tuple):
+            continue
+        expected = reference_known_cases(spec)
+        assert known_case_of_rows(reduce_mu(spec), spec.m, spec.n) == expected, spec
+        assert known_cases(mu, spec.n) == expected
+        found += expected is not None
+    assert found >= 40
+
+
+def test_the_search_enumerates_the_same_bases_from_unreduced_dual_rows():
+    searched = 0
+    for spec in CORPUS:
+        mu = outcome(reference_validate, spec)
+        if isinstance(mu, tuple) or spec.m - mu.dim > 4:
+            continue
+        dual = reference_annihilator(mu)
+        rows = annihilator_bits(reduce_mu(spec), spec.m)
+        for keep in (None, PatternWeights(spec.n).__getitem__):
+            got = list(bases_bits(rows, 1 << 24, keep))
+            assert got == list(enumerate_bases(dual, 1 << 24, keep)), spec
+        searched += 1
+    assert searched > 300
+
+
+@pytest.fixture
+def count_records(monkeypatch):
+    """Runs a call and returns its result with the BitVec and SubspaceF2 records it built."""
+    counts = {"BitVec": 0, "SubspaceF2": 0}
+    bitvec_init, space_init, from_rref = BitVec.__init__, SubspaceF2.__init__, SubspaceF2._from_rref
+
+    def count_bitvec(self, *args):
+        counts["BitVec"] += 1
+        bitvec_init(self, *args)
+
+    def count_space(self, *args):
+        counts["SubspaceF2"] += 1
+        space_init(self, *args)
+
+    def count_from_rref(cls, *args):
+        counts["SubspaceF2"] += 1
+        return from_rref.__func__(cls, *args)
+
+    monkeypatch.setattr(BitVec, "__init__", count_bitvec)
+    monkeypatch.setattr(SubspaceF2, "__init__", count_space)
+    monkeypatch.setattr(SubspaceF2, "_from_rref", classmethod(count_from_rref))
+
+    def run(fn, *args, **kwargs):
+        counts.update(BitVec=0, SubspaceF2=0)
+        return fn(*args, **kwargs), dict(counts)
+
+    return run
+
+
+def load_spec(name: str) -> GroupSpecB:
+    return spec_from_doc(json.loads((DATA / name).read_text()))
+
+
+@pytest.mark.parametrize(
+    "name, cap, warnings",
+    [
+        ("c1.json", 1 << 24, ()),  # exact: no ledger lookup, no search
+        ("rank2_five_diagonal.json", 1 << 24, ()),  # bounds-only: 840 bases searched
+        ("rank2_five_diagonal.json", 15, ("basis-cap-exceeded",)),
+        ("rank2_five_diagonal.json", 14, ("element-cap-exceeded",)),  # no basis at all
+        ("dual6_small_diagonal.json", 1 << 24, ("basis-cap-exceeded",)),
+    ],
+    ids=["c1", "bounds-only", "search-capped", "greedy-capped", "dual6-capped"],
+)
+def test_compute_ed_builds_only_the_minimal_basis_records(count_records, name, cap, warnings):
+    spec = load_spec(name)
+    result, built = count_records(compute_ed, spec, enum_cap=cap)
+    assert result.warnings == warnings
+    assert built == {"BitVec": len(result.minimal_basis), "SubspaceF2": 0}
+    if name == "c1.json":
+        assert len(result.minimal_basis) == spec.m - validate(spec).dim == 2
+
+
+def test_the_count_sees_the_records_of_the_public_wrappers(count_records):
+    spec = load_spec("c1.json")
+    mu, built = count_records(validate, spec)
+    assert built == {"BitVec": mu.dim, "SubspaceF2": 1} and mu.dim == 2
+    assert count_records(annihilator, mu)[1] == {"BitVec": 2, "SubspaceF2": 1}
+    assert count_records(greedy_min_basis, mu, spec.n)[1] == {"BitVec": 2, "SubspaceF2": 0}
