@@ -18,7 +18,6 @@ _EXPORTS = {
         "SubspaceF2",
         "annihilator",
         "count_bases",
-        "enumerate_bases",
         "rref",
     ),
     "spec": (
@@ -32,14 +31,13 @@ _EXPORTS = {
         "spec_to_doc",
         "validate",
     ),
-    "ledger": ("KnownCase", "is_small_product", "known_cases"),
+    "ledger": ("KnownCase", "is_small_product"),
     "core": (
         "STATUS_BOUNDS",
         "STATUS_EXACT",
         "EdResult",
         "TraceEntry",
         "compute_ed",
-        "greedy_min_basis",
         "group_dim",
     ),
     "extraspecial": (
@@ -48,7 +46,6 @@ _EXPORTS = {
         "CliffordTuple",
         "CliffordUnit",
         "builtin_certificate",
-        "centralizer_finite",
         "certificate_from_doc",
         "certificate_to_doc",
         "verify_certificate",

@@ -150,7 +150,8 @@ def _write_failed(exc: OSError) -> int:
     What stdout still buffers goes to devnull, so a later flush stays quiet.  A
     closed pipe is silent; any other failure gets one line on stderr, if stderr takes it.
     """
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    os.close(devnull)
     if isinstance(exc, BrokenPipeError):  # the reader left early, as under `| head -1`
         return EXIT_PIPE
     try:

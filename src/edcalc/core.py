@@ -17,24 +17,13 @@ live in `spec`, the small-product list and the ledger in `ledger`.
 from __future__ import annotations
 
 from heapq import heappop, heappush, heapreplace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._record import _Record, _setattr
 from .caps import DEFAULT_ENUM_CAP
-from .gf2 import (
-    BitVec,
-    DimensionMismatchError,
-    EnumerationTooLargeError,
-    annihilator_bits,
-    bases_bits,
-    check_basis_count,
-)
+from .gf2 import BitVec, EnumerationTooLargeError, annihilator_bits, bases_bits, check_basis_count
 from .ledger import SMALL_MAX_FACTORS, SMALL_MAX_RANK, is_small_product, known_case_of_rows
-from .spec import reduce_mu
-
-if TYPE_CHECKING:
-    from .gf2 import SubspaceF2
-    from .spec import GroupSpecB
+from .spec import GroupSpecB, validate
 
 STATUS_EXACT = "exact"
 STATUS_BOUNDS = "bounds-only"
@@ -286,10 +275,9 @@ def _split_walk_keys(n: Sequence[int], mu_rows: Sequence[int], factors: int) -> 
 PIVOT_CHUNK = 12
 
 
-def greedy_min_basis(
-    mu: SubspaceF2, n: Sequence[int], *, enum_cap: int = DEFAULT_ENUM_CAP
-) -> tuple[tuple[BitVec, ...], int]:
-    """Minimal-total-weight basis of the dual of mu by matroid greedy.
+def _greedy_keys(mu_rows: Sequence[int], n: Sequence[int], enum_cap: int) -> list[int]:
+    """The keys, ascending, of the minimal-total-weight basis of the dual of the mu whose
+    reduced int rows are given, by matroid greedy.
 
     Ties are broken by coordinate tuple.  The factors split into blocks, the
     connected components of the supports of mu's rows; a factor outside every
@@ -300,13 +288,6 @@ def greedy_min_basis(
     more than enum_cap nonzero patterns; the refusal's `dim` is the largest
     dimension of a block's dual.
     """
-    if len(n) != mu.m:
-        raise DimensionMismatchError("rank list does not match the ambient dimension")
-    return _basis(_greedy_keys([v.bits for v in mu.basis], n, enum_cap), mu.m)
-
-
-def _greedy_keys(mu_rows: Sequence[int], n: Sequence[int], enum_cap: int) -> list[int]:
-    """greedy_min_basis on the int rows of mu's reduced basis: the basis's keys, ascending."""
     m = len(n)
     blocks = _blocks(mu_rows, m)
     dims = [mask.bit_count() - len(rows) for mask, rows in blocks]
@@ -488,7 +469,7 @@ def compute_ed(spec: GroupSpecB, *, enum_cap: int = DEFAULT_ENUM_CAP) -> EdResul
     enum_cap bounds the greedy's nonzero patterns per block and the search's bases.
     Every stage reads mu's int rows; the minimal basis holds the only vectors built.
     """
-    mu_rows = reduce_mu(spec)
+    mu_rows = validate(spec)
     n, m = spec.n, spec.m
     k = m - len(mu_rows)
     dim_g = group_dim(n)

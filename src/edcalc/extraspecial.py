@@ -18,7 +18,7 @@ from ._record import _Record
 from .caps import DEFAULT_ENUM_CAP
 from .gf2 import BitVec, DimensionMismatchError, EnumerationTooLargeError, reduce_bits, rref_bits
 from .ledger import ledger_family
-from .spec import EmptySpecError, GroupSpecB, SpecFormatError, reduce_mu, spec_from_doc, spec_to_doc
+from .spec import EmptySpecError, GroupSpecB, SpecFormatError, spec_from_doc, spec_to_doc, validate
 
 
 class CliffordUnit(_Record):
@@ -268,7 +268,10 @@ def _quotient_rank_packed(
 
 
 def _separated(masks: Iterable[int], blocks: list[int]) -> bool:
-    """Whether the masks split each block of coordinate bits into single bits."""
+    """Whether the masks split each block of coordinate bits into single bits: with one block
+    per factor and the generators' index masks, whether the common centralizer of the vector
+    images is finite, since it is a product of orthogonal groups, one per block that the
+    index sets cut out of the coordinates."""
     size = sum(b.bit_count() for b in blocks)
     for a in masks:
         split = []
@@ -280,22 +283,6 @@ def _separated(masks: Iterable[int], blocks: list[int]) -> bool:
             split.append(b)
         blocks = split
     return len(blocks) == size
-
-
-def centralizer_finite(tuples: Sequence[CliffordTuple], dims: Sequence[int]) -> bool:
-    """Whether the vector images pin down every coordinate axis in every factor.
-
-    The common centralizer of the images is a product of orthogonal groups, one
-    per block of the partition that the index sets cut out of the coordinates;
-    it is finite exactly when all blocks are singletons.  A block is held as a
-    bit mask over the factor's coordinates and split by each index mask.
-    """
-    for f, d in enumerate(dims):
-        if any(t.components[f].dim != d for t in tuples):
-            raise DimensionMismatchError("tuple does not match the ambient dimensions")
-        if not _separated([t.components[f].mask for t in tuples], [(1 << d) - 1]):
-            return False
-    return True
 
 
 class Certificate(_Record):
@@ -358,7 +345,7 @@ class CertReport(_Record):
 
 def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_ENUM_CAP) -> CertReport:
     """Check a certificate from scratch and report the lower bound it proves."""
-    mu_patterns = reduce_mu(cert.spec)
+    mu_patterns = validate(cert.spec)
     packing = _Packing(2 * r + 1 for r in cert.spec.n)
     gens = [packing.pack(g) for g in cert.generators]
     masks = [g >> packing.width for g in gens]

@@ -6,7 +6,6 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import _Record, _setattr
-from .caps import DEFAULT_ENUM_CAP
 
 
 class DimensionMismatchError(ValueError):
@@ -65,22 +64,8 @@ class BitVec(_Record):
             raise ValueError("coordinates must be 0 or 1")
         return cls(len(coords), sum(c << i for i, c in enumerate(coords)))
 
-    @classmethod
-    def unit(cls, m: int, i: int) -> BitVec:
-        """Standard basis vector with a 1 in coordinate i (0-based)."""
-        if not 0 <= i < m:
-            raise ValueError(f"coordinate {i} outside 0..{m - 1}")
-        return cls(m, 1 << i)
-
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.m))
-
-    def support(self) -> tuple[int, ...]:
-        """0-based positions of the nonzero coordinates, ascending."""
-        return tuple(i for i in range(self.m) if (self.bits >> i) & 1)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
 
     def __str__(self) -> str:
         # the m-digit binary numeral lists coordinate m-1 first, so reverse it
@@ -112,16 +97,6 @@ class SubspaceF2(_Record):
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def pivots(self) -> tuple[int, ...]:
-        return tuple((v.bits & -v.bits).bit_length() - 1 for v in self.basis)
-
-    def contains(self, v: BitVec) -> bool:
-        if v.m != self.m:
-            raise DimensionMismatchError(f"vector of length {v.m} in space of dimension {self.m}")
-        return reduce_bits(v.bits, (b.bits for b in self.basis)) == 0
-
-    __contains__ = contains
 
 
 def rref(vectors: Iterable[BitVec], m: int | None = None) -> SubspaceF2:
@@ -171,25 +146,23 @@ def count_bases(k: int) -> int:
 
 def check_basis_count(k: int, cap: int) -> None:
     """Refuse a search over the bases of a k-dimensional space when they number more than cap."""
+    # the count is 2^(k(k-1)/2) times the product of (2^j - 1)/j over j = 1..k, so at least
+    # that power, which refuses a cap below it without the product: seconds once k is in the
+    # thousands.  From k = 67 on the count has over 4096 bits and is named by a power of two
+    # at or below it: str() refuses its decimal from k = 123 on, past Python's default
+    # limit of 4300 digits, and over a thousand digits tell a reader no more
+    power = k * (k - 1) // 2
+    if k > 66 and cap.bit_length() <= power:
+        raise EnumerationTooLargeError(f"at least 2^{power} bases exceed the cap of {cap}")
     total = count_bases(k)
     if total > cap:
-        # a count of more than 4096 bits (k >= 67) is named by the power of two at or
-        # below it: str() refuses its decimal from k = 123 on, past Python's default
-        # limit of 4300 digits, and over a thousand digits tell a reader no more
-        count = total if total.bit_length() <= 4096 else f"at least 2^{total.bit_length() - 1}"
+        count = total if k <= 66 else f"at least 2^{total.bit_length() - 1}"
         raise EnumerationTooLargeError(f"{count} bases exceed the cap of {cap}")
 
 
-def enumerate_bases(
-    space: SubspaceF2, cap: int = DEFAULT_ENUM_CAP, keep: Callable[[int], object] | None = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield once, as ascending packed ints, each unordered basis of the subspace whose every
-    element keep accepts (with no keep, every basis); refuses a space of more than cap bases."""
-    return bases_bits([v.bits for v in space.basis], cap, keep)
-
-
 def bases_bits(rows: Sequence[int], cap: int, keep: Callable | None) -> Iterator[tuple]:
-    """enumerate_bases on the int rows of a basis of the subspace."""
+    """Yield once, as ascending packed ints, each unordered basis of the span of independent
+    rows whose every element keep accepts (with no keep, every basis); refuses over cap bases."""
     k = len(rows)
     check_basis_count(k, cap)
     # the cap bounds k: any cap below 10^23 admits k <= 9, at most 511 elements

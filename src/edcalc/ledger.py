@@ -2,19 +2,16 @@
 
 One registry, LEDGER, holds every family of known essential dimensions: a rank
 pattern under the diagonal or the maximal mu, with a value table or formula.
-The lookup `known_cases`, the `table` command's rows and the built-in
+The lookup `known_case_of_rows`, the `table` command's rows and the built-in
 certificates' declared ranks are all read off it.  Loading it needs no GF(2)
 code: a central subgroup is only inspected through its basis rows.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._record import _Record
-
-if TYPE_CHECKING:
-    from .gf2 import SubspaceF2
 
 SMALL_PRODUCTS = frozenset(
     [(a,) for a in range(1, 7)]
@@ -171,13 +168,9 @@ KNOWN_CASE_ROWS = _known_case_rows()
 BUILTIN_CERTIFICATE_ROWS = _builtin_certificate_rows()
 
 
-def known_cases(mu: SubspaceF2, n: Sequence[int]) -> KnownCase | None:
-    """Strongest ledger entry for ranks n modulo mu, as `validate` returns it; exact wins."""
-    return known_case_of_rows([v.bits for v in mu.basis], mu.m, n)
-
-
 def known_case_of_rows(rows: Sequence[int], m: int, n: Sequence[int]) -> KnownCase | None:
-    """known_cases on the int rows of mu's reduced basis in GF(2)^m."""
+    """Strongest ledger entry for ranks n modulo the mu in GF(2)^m whose reduced int rows
+    `validate` returns, or None; exact wins."""
     kinds = ("diagonal",) if len(rows) == 1 and rows[0] == (1 << m) - 1 else ()
     # an (m-1)-dimensional space of even patterns is all of them
     if len(rows) == m - 1 and not any(r.bit_count() & 1 for r in rows):

@@ -78,7 +78,7 @@ def pad_row(row: Sequence[int], m: int) -> Sequence[int]:
     return row
 
 
-def reduce_mu(spec: GroupSpecB) -> list[int]:
+def validate(spec: GroupSpecB) -> list[int]:
     """Reject empty specs and non-reduced groups; returns the int rows of spec.mu_subspace()."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
@@ -89,11 +89,6 @@ def reduce_mu(spec: GroupSpecB) -> list[int]:
         if not r & r - 1:
             raise NotReducedError(r.bit_length())
     return rows
-
-
-def validate(spec: GroupSpecB) -> SubspaceF2:
-    """reduce_mu as a subspace: returns mu, spec.mu_subspace()."""
-    return SubspaceF2._from_rref(spec.m, reduce_mu(spec))
 
 
 def diagonal_mu(m: int) -> SubspaceF2:

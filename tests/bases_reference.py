@@ -1,6 +1,6 @@
 """The exhaustive basis search as it was before it became one loop over combinations.
 
-Kept as a test oracle: `enumerate_bases` must yield the same bases, in the same
+Kept as a test oracle: `gf2.bases_bits` must yield the same bases, in the same
 order, as `reference_enumerate_bases` on every subspace and filter.  This
 recursion extends an echelon form one element at a time and prunes each prefix
 that is already dependent.

@@ -2,7 +2,7 @@
 checks moved onto packed ints.
 
 Kept as a test oracle: the packed product, square and commutator laws, the
-pair check of `verify_certificate`, its failure text and `centralizer_finite`
+pair check of `verify_certificate`, its failure text and its centralizer test
 must agree with these functions, which work one `CliffordUnit` at a time.
 `sign_vector` reads a tuple's signs as a `BitVec`, which only the oracles need.
 """
@@ -13,6 +13,8 @@ from itertools import combinations
 from typing import Sequence
 
 from edcalc import BitVec, Certificate, CliffordTuple, CliffordUnit, DimensionMismatchError
+
+from records_reference import in_span
 
 
 def _inversions(a_mask: int, b_mask: int) -> int:
@@ -73,7 +75,7 @@ def reference_pair_failure(cert: Certificate) -> str | None:
     mu = cert.spec.mu_subspace()
     for (i, a), (j, b) in combinations(enumerate(cert.generators), 2):
         sv = commutator_sign_vector(a, b)
-        if sv not in mu:
+        if not in_span(sv, mu):
             return (
                 f"NonAbelianQuotient: generators {i + 1} and {j + 1} have commutator"
                 f" sign pattern {sv}, outside mu"

@@ -1,8 +1,8 @@
 """The greedy minimal basis as it was before it sorted one int key per pattern.
 
-Kept as a test oracle: `greedy_min_basis` must return the same basis, in the
-same order, and the same total as `reference_greedy_min_basis` on every dual
-subspace.  Elements are `BitVec`s sorted on (weight exponent, coordinate tuple);
+Kept as a test oracle: the greedy's keys, `core._greedy_keys`, must give the same
+basis, in the same order, and the same total as `reference_greedy_min_basis` on
+every dual subspace.  Elements are `BitVec`s sorted on (weight exponent, coordinate tuple);
 `weight_exponent`, which the package no longer needs, lives here.
 `reference_greedy_keys` lists the int key of every pattern of the dual in
 sorted order: the key stream the greedy read before it walked sets of factors.
@@ -21,6 +21,8 @@ from edcalc.gf2 import (
     rref_bits,
 )
 
+from records_reference import support
+
 # largest dimension enumerated by default: the package's cap of 2^24 patterns,
 # written out here so that the oracle reads nothing of the code it checks
 DIM_CAP = 24
@@ -28,7 +30,7 @@ DIM_CAP = 24
 
 def weight_exponent(r: BitVec, n: Sequence[int]) -> int:
     """Sum of the factor ranks over the support of r; the weight of r is 2 to this."""
-    return sum(n[i] for i in r.support())
+    return sum(n[i] for i in support(r))
 
 
 def reference_enumerate_elements(
@@ -82,6 +84,6 @@ def reference_greedy_keys(
     """
     m = dual.m
     return sorted(
-        weight_exponent(v, n) << m | sum(1 << (m - 1 - i) for i in v.support())
+        weight_exponent(v, n) << m | sum(1 << (m - 1 - i) for i in support(v))
         for v in reference_enumerate_elements(dual, dim_cap)
     )

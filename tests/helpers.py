@@ -1,4 +1,4 @@
-"""Shared test oracles, independent of the package implementation under test."""
+"""Shared test helpers: oracles independent of the package, and thin drivers of its int cores."""
 
 from __future__ import annotations
 
@@ -20,17 +20,17 @@ from edcalc import (
     CliffordUnit,
     GroupSpecB,
     SubspaceF2,
-    greedy_min_basis,
     rref,
 )
-from edcalc.core import PatternWeights, _basis, _picks, _split_walk_keys
+from edcalc.core import PatternWeights, _basis, _greedy_keys, _picks, _split_walk_keys
 from edcalc.caps import DEFAULT_ENUM_CAP
 from edcalc.extraspecial import _closure_packed, _Packing
-from edcalc.gf2 import enumerate_bases
+from edcalc.gf2 import bases_bits
 from edcalc.ledger import is_small_product
 
 from clifford_reference import commutator_sign_vector
 from greedy_reference import reference_greedy_keys, weight_exponent
+from records_reference import in_span, support
 
 
 def word_product(
@@ -132,9 +132,21 @@ def packed_closure(
     return packing, _closure_packed(packed, packing, cap, commutators)
 
 
+def greedy_basis(
+    mu: SubspaceF2, n: Sequence[int], enum_cap: int = DEFAULT_ENUM_CAP
+) -> tuple[tuple[BitVec, ...], int]:
+    """The greedy's minimal basis of the dual of mu, as vectors, and its total weight."""
+    return _basis(_greedy_keys([v.bits for v in mu.basis], n, enum_cap), mu.m)
+
+
+def bases_of(space: SubspaceF2, cap: int = DEFAULT_ENUM_CAP, keep=None) -> Iterable[tuple]:
+    """The upper-bound search's bases of a subspace, read from its basis rows."""
+    return bases_bits([v.bits for v in space.basis], cap, keep)
+
+
 def support_ranks(r: BitVec, n: Sequence[int]) -> tuple[int, ...]:
     """Sorted multiset of factor ranks over the support of r."""
-    return tuple(sorted(n[i] for i in r.support()))
+    return tuple(sorted(n[i] for i in support(r)))
 
 
 def brute_min_basis(
@@ -143,7 +155,7 @@ def brute_min_basis(
     """Exhaustive minimum over all bases; independent check of the greedy result."""
     best: tuple[BitVec, ...] | None = None
     best_key: tuple | None = None
-    for bits in enumerate_bases(dual, cap):
+    for bits in bases_of(dual, cap):
         basis = tuple(BitVec(dual.m, b) for b in bits)
         total = sum(1 << weight_exponent(v, n) for v in basis)
         key = (total, tuple(sorted(v.coords() for v in basis)))
@@ -166,7 +178,7 @@ def brute_bounds(
     least: int | None = None
     best: int | None = None
     candidates = 0
-    for basis in enumerate_bases(dual, cap):
+    for basis in bases_of(dual, cap):
         total, small = 0, False
         for b in basis:
             if b not in classes:
@@ -252,7 +264,7 @@ def compare_greedy_brute(
     spec: GroupSpecB, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, int]:
     """Greedy and exhaustive minimal totals for the same spec."""
-    _, greedy_total = greedy_min_basis(spec.mu_subspace(), spec.n)
+    _, greedy_total = greedy_basis(spec.mu_subspace(), spec.n)
     _, brute_total = brute_min_basis(spec.dual_subspace(), spec.n, enum_cap)
     return greedy_total, brute_total
 
@@ -318,12 +330,12 @@ def random_certificate(rng, filtered):
         rows = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m - 1)))
         spec = GroupSpecB(n, tuple(r for r in rows if r.bits))
         mu = spec.mu_subspace()
-        if all(BitVec(m, 1 << i) not in mu for i in range(m)):
+        if not any(in_span(BitVec(m, 1 << i), mu) for i in range(m)):
             break
     dims = tuple(2 * r + 1 for r in n)
     gens = []
     for _ in range(rng.randint(1, 6)):
         g = random_tuple(rng, dims)
-        if not filtered or all(commutator_sign_vector(g, h) in mu for h in gens):
+        if not filtered or all(in_span(commutator_sign_vector(g, h), mu) for h in gens):
             gens.append(g)
     return Certificate(spec, tuple(gens))

@@ -1,6 +1,6 @@
 """The known-case ledger as hand-written rules, before it became one registry.
 
-Kept as a test oracle: `known_cases` must return the same entry as
+Kept as a test oracle: `known_case_of_rows` must return the same entry as
 `reference_known_cases` on every spec.
 """
 

@@ -14,6 +14,7 @@ from typing import Iterable
 from edcalc import CliffordTuple, SubspaceF2
 
 from clifford_reference import sign_vector, tuple_product
+from records_reference import in_span
 
 
 def _encode(x: CliffordTuple) -> tuple:
@@ -28,7 +29,7 @@ def reference_quotient_rank(
     The image must be abelian; this oracle does not check it.
     """
     elems = list(set(elements))
-    unit_classes = [t for t in elems if t.is_scalar() and sign_vector(t) in mu]
+    unit_classes = [t for t in elems if t.is_scalar() and in_span(sign_vector(t), mu)]
     order_h, rem = divmod(len(elems), len(unit_classes))
     if rem:
         raise ValueError("elements do not form a subgroup compatible with mu")

@@ -1,17 +1,28 @@
 """The record paths that `compute_ed` and `verify_certificate` ran before they
 moved to int rows.
 
-Kept as test oracles: `reduce_mu` must give the rows, or raise the error, of
+Kept as test oracles: `validate` must give the rows, or raise the error, of
 `reference_validate`, which reads mu off the `SubspaceF2` and `BitVec` records;
 and the dual that `annihilator_bits` spans must reduce to the rows of
 `reference_annihilator`, which solves the free coordinates from the record's
-pivots.
+pivots.  `support` and `in_span` read a vector's coordinates and a subspace's
+members, which the records no longer do.
 """
 
 from __future__ import annotations
 
-from edcalc.gf2 import SubspaceF2, rref_bits
+from edcalc.gf2 import BitVec, SubspaceF2, rref, rref_bits
 from edcalc.spec import EmptySpecError, GroupSpecB, NotReducedError
+
+
+def support(v: BitVec) -> tuple[int, ...]:
+    """0-based positions of the nonzero coordinates of v, ascending."""
+    return tuple(i for i in range(v.m) if v.bits >> i & 1)
+
+
+def in_span(v: BitVec, space: SubspaceF2) -> bool:
+    """Whether v lies in the subspace: adding it to the basis leaves the dimension."""
+    return rref([*space.basis, v], space.m).dim == space.dim
 
 
 def reference_validate(spec: GroupSpecB) -> SubspaceF2:
@@ -20,14 +31,14 @@ def reference_validate(spec: GroupSpecB) -> SubspaceF2:
         raise EmptySpecError("spec has no factors")
     mu = spec.mu_subspace()
     for v in mu.basis:
-        if v.weight() == 1:
+        if v.bits.bit_count() == 1:
             raise NotReducedError(v.bits.bit_length())
     return mu
 
 
 def reference_annihilator(space: SubspaceF2) -> SubspaceF2:
     """Orthogonal complement under the mod-2 dot pairing."""
-    pivots = set(space.pivots())
+    pivots = {(v.bits & -v.bits).bit_length() - 1 for v in space.basis}
     rows = [v.bits for v in space.basis]
     out: list[int] = []
     for f in range(space.m):

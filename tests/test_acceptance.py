@@ -21,13 +21,13 @@ from edcalc import (
     annihilator,
     builtin_certificate,
     compute_ed,
-    known_cases,
     maximal_mu,
     rref,
     validate,
     verify_certificate,
 )
 from edcalc.extraspecial import _Packing
+from edcalc.ledger import known_case_of_rows
 
 from clifford_reference import unit_product
 from helpers import (
@@ -117,7 +117,7 @@ def test_c4_builtin_certificate_table() -> None:
         report_23 = verify_certificate(builtin_certificate("pair:2:3"))
         assert any("search" in note for note in report_23.notes)
         spec = GroupSpecB.from_mu_rows((2, 3), [[1, 1]])
-        case = known_cases(validate(spec), spec.n)
+        case = known_case_of_rows(validate(spec), spec.m, spec.n)
         assert case is not None and case.kind == "lower" and case.value == 5
 
     _report("C4 (builtin certificates prove 4,4,5,7,5 and 3,4,5,5)", body)

@@ -314,6 +314,40 @@ def test_closed_stdout_pipe_exits_quietly(argv):
     assert proc.stderr == b""
 
 
+def test_main_on_a_closed_pipe_leaves_no_descriptor_open():
+    # main sends stdout to devnull after a failed write; five closed pipes in one
+    # process must leave as many descriptors open as before
+    script = """
+import os
+from edcalc.cli import main
+
+def open_descriptors():
+    count = 0
+    for fd in range(256):
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        count += 1
+    return count
+
+before = open_descriptors()
+for _ in range(5):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    os.dup2(write_end, 1)
+    os.close(write_end)
+    assert main(["table"]) == 141
+os.write(2, f"{before} {open_descriptors()}".encode())
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stderr.split()
+    assert after == before
+
+
 def edcalc_process(argv, **kwargs):
     """Run `python -m edcalc.cli ARGV`, the process entry point `run`, to completion."""
     # without PYTHONUNBUFFERED, stdout to a file or a pipe is block-buffered

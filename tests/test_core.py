@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 import edcalc.core
+import edcalc.gf2
 import edcalc.ledger
 from edcalc import (
     STATUS_BOUNDS,
@@ -25,10 +26,8 @@ from edcalc import (
     compute_ed,
     count_bases,
     diagonal_mu,
-    greedy_min_basis,
     group_dim,
     is_small_product,
-    known_cases,
     maximal_mu,
     rref,
     spec_from_doc,
@@ -43,19 +42,24 @@ from edcalc.core import (
     theorem_hypothesis_holds,
 )
 
-from edcalc.gf2 import check_basis_count, enumerate_bases
+from edcalc.caps import DEFAULT_ENUM_CAP
+from edcalc.gf2 import check_basis_count
+from edcalc.ledger import known_case_of_rows
 
 from bases_reference import reference_enumerate_bases
 from exactness_reference import ReferencePatternWeights, reference_small_product_text
 from greedy_reference import weight_exponent
 from helpers import (
+    bases_of,
     brute_bounds,
     brute_min_basis,
     check_restricted_greedy,
     compare_greedy_brute,
+    greedy_basis,
     random_group_spec,
     support_ranks,
 )
+from records_reference import in_span
 
 
 def mk(n, mu_rows=()):
@@ -93,7 +97,7 @@ def per_factor_validate(spec):
         raise EmptySpecError("spec has no factors")
     mu = spec.mu_subspace()
     for i in range(spec.m):
-        if BitVec.unit(spec.m, i) in mu:
+        if in_span(BitVec(spec.m, 1 << i), mu):
             raise NotReducedError(i + 1)
 
 
@@ -117,7 +121,7 @@ def test_validate_matches_the_per_factor_check():
             assert str(err.value) == str(expected)
         else:
             outcomes["reduced"] += 1
-            assert validate(spec) == spec.mu_subspace()
+            assert validate(spec) == [v.bits for v in spec.mu_subspace().basis]
     assert min(outcomes.values()) > 150, outcomes
 
 
@@ -250,13 +254,13 @@ def test_pattern_weights_follow_an_extended_list(monkeypatch, extra):
 def test_greedy_on_full_space_picks_units():
     n = (2, 1, 3)
     # trivial mu: the dual is the whole space
-    basis, total = greedy_min_basis(rref([], m=3), n)
+    basis, total = greedy_basis(rref([], m=3), n)
     assert set(v.coords() for v in basis) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert total == sum(1 << r for r in n)
 
 
 def test_greedy_example_mixed():
-    basis, total = greedy_min_basis(MIXED.mu_subspace(), MIXED.n)
+    basis, total = greedy_basis(MIXED.mu_subspace(), MIXED.n)
     assert [v.coords() for v in basis] == [(1, 1, 1, 0), (0, 0, 0, 1)]
     assert total == 192
 
@@ -294,7 +298,7 @@ def test_theorem_hypothesis_matches_dual_subspace_definition():
         bad = tuple(
             i + 1
             for i, r in enumerate(spec.n)
-            if r < 7 and (r < 3 or BitVec.unit(spec.m, i) in dual)
+            if r < 7 and (r < 3 or in_span(BitVec(spec.m, 1 << i), dual))
         )
         return (not bad, bad)
 
@@ -315,7 +319,7 @@ def test_theorem_hypothesis_matches_dual_subspace_definition():
 def test_known_cases_matching():
     def ledger(n, mu_rows=()):
         spec = mk(n, mu_rows)
-        return known_cases(validate(spec), spec.n)
+        return known_case_of_rows(validate(spec), spec.m, spec.n)
 
     assert ledger([1, 1, 1], [[1, 1, 1]]).value == 4
     assert ledger([1, 1, 1], [[1, 1, 1]]).kind == "exact"
@@ -417,9 +421,9 @@ def test_one_enum_cap_bounds_the_greedy_and_the_search():
     spec = load_spec("rank2_five_diagonal.json")
     mu = spec.mu_subspace()
     with pytest.raises(EnumerationTooLargeError, match=" 2\\^4 - 1 nonzero elements, cap is 14$"):
-        greedy_min_basis(mu, spec.n, enum_cap=14)
+        greedy_basis(mu, spec.n, enum_cap=14)
     assert compute_ed(spec, enum_cap=14).warnings == (WARN_ELEMENT_CAP,)
-    assert greedy_min_basis(mu, spec.n, enum_cap=15) == greedy_min_basis(mu, spec.n)
+    assert greedy_basis(mu, spec.n, enum_cap=15) == greedy_basis(mu, spec.n)
     for cap in (15, 839):
         capped = compute_ed(spec, enum_cap=cap)
         assert capped.warnings == (WARN_BASIS_CAP,) and capped.minimal_basis
@@ -429,8 +433,6 @@ def test_one_enum_cap_bounds_the_greedy_and_the_search():
     # keyword-only: a bare number is not taken for a cap of another unit
     with pytest.raises(TypeError):
         compute_ed(spec, 840)
-    with pytest.raises(TypeError):
-        greedy_min_basis(mu, spec.n, 15)
 
 
 def test_compute_ed_refuses_a_known_exact_value_below_the_weight_formula(monkeypatch):
@@ -470,7 +472,7 @@ def test_the_search_cap_refuses_before_building_the_dual(monkeypatch):
     below = compute_ed(spec, enum_cap=count_bases(6) - 1)
     assert below.trace[-1].citation == "27998208 bases exceed the cap of 27998207; search skipped"
     with pytest.raises(EnumerationTooLargeError, match="^27998208 bases exceed the cap of 27998207$"):
-        next(enumerate_bases(spec.dual_subspace(), count_bases(6) - 1))
+        next(bases_of(spec.dual_subspace(), count_bases(6) - 1))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 7, 64, 200])
@@ -510,10 +512,10 @@ def test_restricted_enumeration_keeps_exactly_the_bases_without_small_products()
     some, none = 0, 0
     for spec in seeded_small_duals(1801, 200):
         dual, weights = spec.dual_subspace(), PatternWeights(spec.n)
-        every = list(enumerate_bases(dual))
+        every = list(bases_of(dual))
         assert every == list(reference_enumerate_bases(dual)), spec
         full = [b for b in every if all(oracle_weight(v, spec.n) for v in b)]
-        assert list(enumerate_bases(dual, keep=weights.__getitem__)) == full, spec
+        assert list(bases_of(dual, keep=weights.__getitem__)) == full, spec
         some += 0 < len(full) < count_bases(dual.dim)
         none += not full
     assert some > 30 and none > 30
@@ -596,7 +598,7 @@ def test_a_refused_block_over_4300_digits_is_capped_under_the_default_limit():
     try:
         sys.set_int_max_str_digits(4300)
         with pytest.raises(EnumerationTooLargeError) as caught:
-            greedy_min_basis(spec.mu_subspace(), spec.n)
+            greedy_basis(spec.mu_subspace(), spec.n)
         res = compute_ed(spec)
     finally:
         sys.set_int_max_str_digits(limit)
@@ -605,7 +607,7 @@ def test_a_refused_block_over_4300_digits_is_capped_under_the_default_limit():
     )
     assert res.status == STATUS_BOUNDS and res.warnings == (WARN_ELEMENT_CAP,)
     # the ledger alone decides, as for any refused block
-    case = known_cases(spec.mu_subspace(), spec.n)
+    case = known_case_of_rows(validate(spec), spec.m, spec.n)
     assert (res.lower, res.upper, res.minimal_basis) == (case.value, None, ())
 
 
@@ -615,8 +617,8 @@ def test_a_refused_block_over_4300_digits_is_capped_under_the_default_limit():
 def test_a_refused_search_over_4300_digits_is_capped_under_the_default_limit():
     # 200 rank-1 factors: the search would range over the bases of a dual of
     # dimension 200, a count of 11,666 digits; the refusal writes a count over
-    # 2^4096 as a power of two, so the default limit lets the capped path run.
-    # Up to 4096 bits the count is written in decimal, as before
+    # 2^4096 as a power of two at or below it, so the default limit lets the
+    # capped path run.  Up to 4096 bits the count is written in decimal, as before
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
@@ -627,7 +629,7 @@ def test_a_refused_search_over_4300_digits_is_capped_under_the_default_limit():
     assert count_bases(200).bit_length() == 38753
     assert res.status == STATUS_BOUNDS and res.warnings == (WARN_BASIS_CAP,)
     assert res.trace[-1] == TraceEntry(
-        "upper-bound-search", "at least 2^38752 bases exceed the cap of 16777216; search skipped"
+        "upper-bound-search", "at least 2^19900 bases exceed the cap of 16777216; search skipped"
     )
     assert count_bases(66).bit_length() <= 4096 < count_bases(67).bit_length()
     assert edge.trace[-1].citation == (
@@ -635,7 +637,30 @@ def test_a_refused_search_over_4300_digits_is_capped_under_the_default_limit():
     )
     with pytest.raises(EnumerationTooLargeError) as caught:
         check_basis_count(67, 1)
-    assert str(caught.value) == "at least 2^4173 bases exceed the cap of 1"
+    assert str(caught.value) == "at least 2^2211 bases exceed the cap of 1"
+
+
+def test_a_search_over_67_or_more_dimensions_is_refused_by_a_power_below_its_count(monkeypatch):
+    # the count of bases is at least 2^(k(k-1)/2); a cap below that power is refused
+    # without the count, which took seconds for thousands of factors
+    assert all(count_bases(k) >> k * (k - 1) // 2 for k in range(1, 140))
+    # a cap just below 2^2211 is refused by that power, one at 2^2211 by the count
+    for cap, power in (((1 << 2211) - 1, 2211), (1 << 2211, 4173)):
+        with pytest.raises(EnumerationTooLargeError) as caught:
+            check_basis_count(67, cap)
+        assert str(caught.value) == f"at least 2^{power} bases exceed the cap of {cap}"
+    assert check_basis_count(67, count_bases(67)) is None
+
+    def count(k):
+        raise AssertionError("the count was computed for a cap below its lower bound")
+
+    monkeypatch.setattr(edcalc.gf2, "count_bases", count)
+    with pytest.raises(EnumerationTooLargeError, match="^at least 2\\^7998000 bases exceed"):
+        check_basis_count(4000, DEFAULT_ENUM_CAP)
+    res = compute_ed(GroupSpecB((1,) * 2000))
+    assert res.trace[-1].citation == (
+        "at least 2^1999000 bases exceed the cap of 16777216; search skipped"
+    )
 
 
 def test_compute_ed_bounds_are_ordered():
@@ -704,5 +729,5 @@ def test_spec_from_doc_rejects_malformed():
 def test_diagonal_and_maximal_mu():
     assert [v.coords() for v in diagonal_mu(3).basis] == [(1, 1, 1)]
     assert maximal_mu(3).dim == 2
-    assert BitVec.from_coords([1, 1, 0]) in maximal_mu(3)
-    assert BitVec.from_coords([1, 0, 0]) not in maximal_mu(3)
+    assert in_span(BitVec.from_coords([1, 1, 0]), maximal_mu(3))
+    assert not in_span(BitVec.from_coords([1, 0, 0]), maximal_mu(3))

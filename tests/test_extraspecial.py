@@ -22,7 +22,6 @@ from edcalc import (
     NotReducedError,
     SpecFormatError,
     builtin_certificate,
-    centralizer_finite,
     certificate_from_doc,
     certificate_to_doc,
     compute_ed,
@@ -37,6 +36,7 @@ from edcalc.extraspecial import (
     _order_bound_log2,
     _Packing,
     _quotient_rank_packed,
+    _separated,
     diagonal_certificate,
     pair_certificate,
     small_quadruple_certificate,
@@ -67,6 +67,7 @@ from helpers import (
     word_product,
 )
 from quotient_reference import reference_quotient_rank
+from records_reference import in_span
 
 
 def cu(dim, *indices, sign=1):
@@ -374,7 +375,7 @@ def test_quotient_rank_matches_reference_on_random_abelian_certificates():
         gens: list[CliffordTuple] = []
         for _ in range(rng.randint(1, 6)):
             g = random_tuple(rng, dims)
-            if all(commutator_sign_vector(g, h) in mu for h in gens):
+            if all(in_span(commutator_sign_vector(g, h), mu) for h in gens):
                 gens.append(g)
         assert_quotient_rank_matches_reference(reference_closure(gens, DEFAULT_ENUM_CAP), mu)
 
@@ -416,6 +417,14 @@ def test_certificates_over_more_than_64_factors_match_the_oracles():
     assert abelian >= 6 and len(certs) - abelian >= 3
 
 
+def mask_centralizer_finite(tuples, dims):
+    """The centralizer test of verify_certificate: `_separated` on the packed index masks,
+    one block of coordinate bits per factor."""
+    packing = _Packing(dims)
+    masks = [packing.pack(t) >> packing.width for t in tuples]
+    return _separated(masks, [(1 << d) - 1 << o for d, o in zip(packing.dims, packing.offsets)])
+
+
 def test_centralizer_finite():
     t12 = CliffordTuple((cu(3, 1, 2),))
     t13 = CliffordTuple((cu(3, 1, 3),))
@@ -430,10 +439,8 @@ def test_centralizer_finite():
         ([pair], (3, 5), False),
     ]
     for tuples, dims, finite in cases:
-        assert centralizer_finite(tuples, dims) == finite
+        assert mask_centralizer_finite(tuples, dims) == finite
         assert reference_centralizer_finite(tuples, dims) == finite
-    with pytest.raises(DimensionMismatchError):
-        centralizer_finite([t12], (5,))
 
 
 def assert_packed_checks_match_oracles(cert):
@@ -455,7 +462,7 @@ def assert_packed_checks_match_oracles(cert):
 
     failure = reference_pair_failure(cert)
     finite = reference_centralizer_finite(gens, dims)
-    assert centralizer_finite(gens, dims) == finite
+    assert mask_centralizer_finite(gens, dims) == finite
     report = verify_certificate(cert)
     assert report.abelian_in_quotient == (failure is None)
     assert report.centralizer_finite == finite
@@ -532,7 +539,7 @@ def search_pair_23_extra(spec, base):
     )
     for mask in masks:
         candidate = CliffordTuple((CliffordUnit(5, mask), y))
-        if any(commutator_sign_vector(candidate, g) not in spec.mu_subspace() for g in base):
+        if not all(in_span(commutator_sign_vector(candidate, g), spec.mu_subspace()) for g in base):
             continue
         if verify_certificate(Certificate(spec, base + (candidate,))).lower_bound == 5:
             return candidate

@@ -29,7 +29,6 @@ from edcalc import (
     GroupSpecB,
     compute_ed,
     diagonal_mu,
-    greedy_min_basis,
     group_dim,
 )
 from edcalc.core import PIVOT_CHUNK, _basis, _blocks, _split_walk_keys
@@ -41,7 +40,8 @@ from greedy_reference import (
     reference_greedy_min_basis,
     weight_exponent,
 )
-from helpers import greedy_over, random_group_spec, whole_walk_keys
+from helpers import greedy_basis, greedy_over, random_group_spec, whole_walk_keys
+from records_reference import support
 from survey import CYCLE, blocks_mu
 from walk_reference import reference_split_walk_keys
 
@@ -55,7 +55,7 @@ def test_weights():
 
 
 def assert_same_greedy(spec: GroupSpecB) -> None:
-    basis, total = greedy_min_basis(spec.mu_subspace(), spec.n)
+    basis, total = greedy_basis(spec.mu_subspace(), spec.n)
     ref_basis, ref_total = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
     assert [v.bits for v in basis] == [v.bits for v in ref_basis], spec
     assert all(v.m == spec.m for v in basis)
@@ -128,7 +128,7 @@ def test_rank7_twelve_diagonal_ties():
     # k = 11 with 66 tied weight-2 patterns; the tie-break decides the basis
     spec = GroupSpecB((7,) * 12, (BitVec(12, (1 << 12) - 1),))
     assert_same_greedy(spec)
-    basis, _ = greedy_min_basis(spec.mu_subspace(), spec.n)
+    basis, _ = greedy_basis(spec.mu_subspace(), spec.n)
     assert basis[0].coords() == (0,) * 10 + (1, 1)
 
 
@@ -274,13 +274,13 @@ def test_walk_reaches_position_63():
         block = sorted(rng.sample(range(64), 6))
         sub = spec_with_dims(rng, tuple(n[i] for i in block), 2)
         sub_basis, _ = reference_greedy_min_basis(sub.dual_subspace(), sub.n)
-        spread = [sum(1 << block[j] for j in v.support()) for v in sub_basis]
+        spread = [sum(1 << block[j] for j in support(v)) for v in sub_basis]
         units = [1 << i for i in range(64) if i not in block]
         expected = sorted(
             (BitVec(64, b) for b in spread + units),
             key=lambda v: (weight_exponent(v, n), v.coords()),
         )
-        mu_rows = [sum(1 << block[j] for j in v.support()) for v in sub.mu_subspace().basis]
+        mu_rows = [sum(1 << block[j] for j in support(v)) for v in sub.mu_subspace().basis]
         basis, total = greedy_over(whole_walk_keys(n, mu_rows), 64, 62)
         assert list(basis) == expected
         assert total == sum(1 << weight_exponent(v, n) for v in expected)
@@ -333,12 +333,12 @@ def test_refuses_a_dual_above_the_dim_cap():
         if d == 0:
             # trivial mu makes five one-factor blocks, each with a dual of dimension 1
             expected = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
-            assert greedy_min_basis(mu, spec.n, enum_cap=1) == expected
+            assert greedy_basis(mu, spec.n, enum_cap=1) == expected
             continue
         cap = (1 << k) - 1
         with pytest.raises(EnumerationTooLargeError, match=f"dimension {k} .* cap is {cap - 1}$"):
-            greedy_min_basis(mu, spec.n, enum_cap=cap - 1)
-        assert greedy_min_basis(mu, spec.n, enum_cap=cap) == greedy_min_basis(mu, spec.n)
+            greedy_basis(mu, spec.n, enum_cap=cap - 1)
+        assert greedy_basis(mu, spec.n, enum_cap=cap) == greedy_basis(mu, spec.n)
 
 
 def test_the_cap_refuses_a_block_by_its_own_dual():
@@ -350,10 +350,10 @@ def test_the_cap_refuses_a_block_by_its_own_dual():
     mu = spec.mu_subspace()
     assert spec.m - mu.dim == 14
     with pytest.raises(EnumerationTooLargeError) as caught:
-        greedy_min_basis(mu, spec.n, enum_cap=(1 << 9) - 1)
+        greedy_basis(mu, spec.n, enum_cap=(1 << 9) - 1)
     assert str(caught.value) == "subspace of dimension 10 has 2^10 - 1 nonzero elements, cap is 511"
     expected = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
-    assert greedy_min_basis(mu, spec.n, enum_cap=(1 << 10) - 1) == expected
+    assert greedy_basis(mu, spec.n, enum_cap=(1 << 10) - 1) == expected
 
 
 def decomposable_spec(rng: Random, m: int) -> GroupSpecB:
@@ -367,7 +367,7 @@ def decomposable_spec(rng: Random, m: int) -> GroupSpecB:
         size = rng.randint(2, min(len(free), 13))
         block, free = free[:size], free[size:]
         sub = spec_with_dims(rng, tuple(n[i] for i in block), min(size - 1, rng.randint(1, 2)))
-        gens += [BitVec(m, sum(1 << block[j] for j in v.support())) for v in sub.mu_gens]
+        gens += [BitVec(m, sum(1 << block[j] for j in support(v))) for v in sub.mu_gens]
     return GroupSpecB(n, gens)
 
 
@@ -381,7 +381,7 @@ def test_block_greedy_matches_the_whole_walk_on_decomposable_specs():
         mu = spec.mu_subspace()
         rows = [v.bits for v in mu.basis]
         whole = greedy_over(whole_walk_keys(spec.n, rows), spec.m, spec.m - mu.dim)
-        assert greedy_min_basis(mu, spec.n) == whole, spec
+        assert greedy_basis(mu, spec.n) == whole, spec
 
 
 def test_walk_matches_the_oracle_on_the_blocks_of_seeded_specs():
@@ -444,9 +444,9 @@ def test_diagonal_mu_over_more_than_64_factors_gives_the_star_total(m):
     spec = GroupSpecB(n, diagonal_mu(m).basis)
     i0 = n.index(min(n))
     star = sum(1 << (n[i0] + r) for j, r in enumerate(n) if j != i0)
-    basis, total = greedy_min_basis(spec.mu_subspace(), n, enum_cap=(1 << m) - 1)
+    basis, total = greedy_basis(spec.mu_subspace(), n, enum_cap=(1 << m) - 1)
     assert total == star
-    assert len(basis) == m - 1 and {v.weight() for v in basis} == {2}
+    assert len(basis) == m - 1 and {v.bits.bit_count() for v in basis} == {2}
     result = compute_ed(spec, enum_cap=(1 << m) - 1)
     assert result.status == "exact" and result.value == star - group_dim(n)
 
@@ -464,7 +464,7 @@ def test_a_128_factor_block_spec_adds_up_over_its_blocks():
         block, positions = positions[:size], positions[size:]
         mu = diagonal_mu(size).basis if size > 1 else ()
         blocks.append(GroupSpecB([n[i] for i in block], mu))
-        gens += [BitVec(128, sum(1 << block[j] for j in v.support())) for v in mu]
+        gens += [BitVec(128, sum(1 << block[j] for j in support(v))) for v in mu]
     assert not positions
     result = compute_ed(GroupSpecB(n, gens))
     parts = [compute_ed(block) for block in blocks]
@@ -475,7 +475,7 @@ def test_a_128_factor_block_spec_adds_up_over_its_blocks():
 
 
 def test_compute_large_shape_reduces_mu_once_and_builds_no_dual(monkeypatch):
-    # (k, d) = (14, 10), ranks 7..12: reduce_mu reduces mu, and the walk finds its
+    # (k, d) = (14, 10), ranks 7..12: validate reduces mu, and the walk finds its
     # pivots and syndromes in its pass over the factors without reducing mu again;
     # the result is exact, so no basis search runs
     rng = Random(1410)
@@ -511,7 +511,7 @@ def test_walk_memory_on_a_wide_mu():
     assert spec.m - mu.dim == 14
     tracemalloc.start()
     try:
-        greedy_min_basis(mu, spec.n)
+        greedy_basis(mu, spec.n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -528,7 +528,7 @@ def test_walk_memory_on_a_dual_as_large_as_mu():
     assert mu.dim == 20
     tracemalloc.start()
     try:
-        _, total = greedy_min_basis(mu, spec.n)
+        _, total = greedy_basis(mu, spec.n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -545,9 +545,9 @@ def test_only_the_chosen_vectors_become_bitvecs(monkeypatch):
 
     spec = GroupSpecB((7, 8, 9, 10, 11, 12, 7, 8), (BitVec(8, 0b11),))
     mu = spec.mu_subspace()
-    expected = greedy_min_basis(mu, spec.n)
+    expected = greedy_basis(mu, spec.n)
     monkeypatch.setattr(edcalc.core, "BitVec", counting_bitvec)
-    assert greedy_min_basis(mu, spec.n) == expected
+    assert greedy_basis(mu, spec.n) == expected
     assert len(built) == spec.m - mu.dim == 7
     # nor does it compute weights per element: the per-vector weight lives in the oracle only
     assert not hasattr(edcalc.core, "weight_exponent")

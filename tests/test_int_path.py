@@ -15,16 +15,12 @@ from edcalc import (
     SubspaceF2,
     annihilator,
     compute_ed,
-    enumerate_bases,
-    greedy_min_basis,
-    known_cases,
     spec_from_doc,
     validate,
 )
 from edcalc.core import PatternWeights
 from edcalc.gf2 import annihilator_bits, bases_bits, rref_bits
 from edcalc.ledger import known_case_of_rows
-from edcalc.spec import reduce_mu
 
 from helpers import bench_workloads
 from ledger_reference import reference_known_cases
@@ -74,10 +70,10 @@ def test_reduced_rows_equal_the_mu_records():
     for spec in CORPUS:
         expected = outcome(reference_validate, spec)
         if isinstance(expected, tuple):
-            assert outcome(reduce_mu, spec) == expected == outcome(validate, spec), spec
+            assert outcome(validate, spec) == expected, spec
             continue
-        assert reduce_mu(spec) == [v.bits for v in expected.basis], spec
-        assert expected == spec.mu_subspace() == validate(spec)
+        assert validate(spec) == [v.bits for v in expected.basis], spec
+        assert expected == spec.mu_subspace()
 
 
 def test_dual_rows_span_the_annihilator():
@@ -85,7 +81,7 @@ def test_dual_rows_span_the_annihilator():
         mu = outcome(reference_validate, spec)
         if isinstance(mu, tuple):
             continue
-        rows = annihilator_bits(reduce_mu(spec), spec.m)
+        rows = annihilator_bits(validate(spec), spec.m)
         expected = reference_annihilator(mu)
         assert len(rows) == expected.dim == spec.m - mu.dim
         assert rref_bits(rows) == [v.bits for v in expected.basis], spec
@@ -99,8 +95,7 @@ def test_known_cases_on_rows_equal_the_record_path():
         if isinstance(mu, tuple):
             continue
         expected = reference_known_cases(spec)
-        assert known_case_of_rows(reduce_mu(spec), spec.m, spec.n) == expected, spec
-        assert known_cases(mu, spec.n) == expected
+        assert known_case_of_rows(validate(spec), spec.m, spec.n) == expected, spec
         found += expected is not None
     assert found >= 40
 
@@ -111,11 +106,11 @@ def test_the_search_enumerates_the_same_bases_from_unreduced_dual_rows():
         mu = outcome(reference_validate, spec)
         if isinstance(mu, tuple) or spec.m - mu.dim > 4:
             continue
-        dual = reference_annihilator(mu)
-        rows = annihilator_bits(reduce_mu(spec), spec.m)
+        reduced = [v.bits for v in reference_annihilator(mu).basis]
+        rows = annihilator_bits(validate(spec), spec.m)
         for keep in (None, PatternWeights(spec.n).__getitem__):
             got = list(bases_bits(rows, 1 << 24, keep))
-            assert got == list(enumerate_bases(dual, 1 << 24, keep)), spec
+            assert got == list(bases_bits(reduced, 1 << 24, keep)), spec
         searched += 1
     assert searched > 300
 
@@ -170,12 +165,13 @@ def test_compute_ed_builds_only_the_minimal_basis_records(count_records, name, c
     assert result.warnings == warnings
     assert built == {"BitVec": len(result.minimal_basis), "SubspaceF2": 0}
     if name == "c1.json":
-        assert len(result.minimal_basis) == spec.m - validate(spec).dim == 2
+        assert len(result.minimal_basis) == spec.m - len(validate(spec)) == 2
 
 
 def test_the_count_sees_the_records_of_the_public_wrappers(count_records):
+    # validate hands out mu's rows and builds no record; annihilator builds its subspace
     spec = load_spec("c1.json")
-    mu, built = count_records(validate, spec)
-    assert built == {"BitVec": mu.dim, "SubspaceF2": 1} and mu.dim == 2
+    rows, built = count_records(validate, spec)
+    assert built == {"BitVec": 0, "SubspaceF2": 0} and len(rows) == 2
+    mu = spec.mu_subspace()
     assert count_records(annihilator, mu)[1] == {"BitVec": 2, "SubspaceF2": 1}
-    assert count_records(greedy_min_basis, mu, spec.n)[1] == {"BitVec": 2, "SubspaceF2": 0}
