@@ -9,50 +9,41 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# the public names, by the module that defines them
-_EXPORTS = {
-    "gf2": (
-        "BitVec",
-        "DimensionMismatchError",
-        "EnumerationTooLargeError",
-        "SubspaceF2",
-        "annihilator",
-        "count_bases",
-        "rref",
-    ),
-    "spec": (
-        "EmptySpecError",
-        "GroupSpecB",
-        "NotReducedError",
-        "SpecFormatError",
-        "diagonal_mu",
-        "maximal_mu",
-        "spec_from_doc",
-        "spec_to_doc",
-        "validate",
-    ),
-    "ledger": ("KnownCase", "is_small_product"),
-    "core": (
-        "STATUS_BOUNDS",
-        "STATUS_EXACT",
-        "EdResult",
-        "TraceEntry",
-        "compute_ed",
-        "group_dim",
-    ),
-    "extraspecial": (
-        "Certificate",
-        "CertReport",
-        "CliffordTuple",
-        "CliffordUnit",
-        "builtin_certificate",
-        "certificate_from_doc",
-        "certificate_to_doc",
-        "verify_certificate",
-    ),
+# each public name, in the order of __all__, and the module that defines it
+_MODULE_OF = {
+    "BitVec": "gf2",
+    "DimensionMismatchError": "gf2",
+    "EnumerationTooLargeError": "gf2",
+    "SubspaceF2": "subspace",
+    "annihilator": "subspace",
+    "count_bases": "gf2",
+    "rref": "subspace",
+    "EmptySpecError": "spec",
+    "GroupSpecB": "spec",
+    "NotReducedError": "spec",
+    "SpecFormatError": "spec",
+    "diagonal_mu": "subspace",
+    "maximal_mu": "subspace",
+    "spec_from_doc": "spec",
+    "spec_to_doc": "documents",
+    "validate": "spec",
+    "KnownCase": "ledger",
+    "is_small_product": "ledger",
+    "STATUS_BOUNDS": "core",
+    "STATUS_EXACT": "core",
+    "EdResult": "core",
+    "TraceEntry": "core",
+    "compute_ed": "core",
+    "group_dim": "core",
+    "Certificate": "extraspecial",
+    "CertReport": "extraspecial",
+    "CliffordTuple": "extraspecial",
+    "CliffordUnit": "extraspecial",
+    "builtin_certificate": "extraspecial",
+    "certificate_from_doc": "extraspecial",
+    "certificate_to_doc": "documents",
+    "verify_certificate": "extraspecial",
 }
-
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_MODULE_OF)
 
@@ -64,8 +55,9 @@ def __getattr__(name: str) -> object:
     module = _import_module(f".{module_name}", __name__)
     # bind every name of the module at once: later lookups, and tools that
     # patch the package namespace, then see plain module attributes
-    for lazy in _EXPORTS[module_name]:
-        globals()[lazy] = getattr(module, lazy)
+    for lazy, defined_in in _MODULE_OF.items():
+        if defined_in == module_name:
+            globals()[lazy] = getattr(module, lazy)
     return globals()[name]
 
 

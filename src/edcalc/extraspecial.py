@@ -18,7 +18,7 @@ from ._record import _Record
 from .caps import DEFAULT_ENUM_CAP
 from .gf2 import BitVec, DimensionMismatchError, EnumerationTooLargeError, reduce_bits, rref_bits
 from .ledger import ledger_family
-from .spec import EmptySpecError, GroupSpecB, SpecFormatError, spec_from_doc, spec_to_doc, validate
+from .spec import EmptySpecError, GroupSpecB, SpecFormatError, spec_from_doc, validate
 
 
 class CliffordUnit(_Record):
@@ -58,25 +58,6 @@ class CliffordUnit(_Record):
             mask |= 1 << (i - 1)
         return cls(dim, mask, sign)
 
-    @classmethod
-    def identity(cls, dim: int) -> CliffordUnit:
-        return cls(dim, 0, 1)
-
-    @classmethod
-    def scalar(cls, dim: int, sign: int) -> CliffordUnit:
-        return cls(dim, 0, sign)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.dim) if (self.mask >> i) & 1)
-
-    def is_scalar(self) -> bool:
-        return self.mask == 0
-
-    def __str__(self) -> str:
-        body = "1" if self.is_scalar() else "c(" + ",".join(map(str, self.indices)) + ")"
-        return ("-" if self.sign < 0 else "") + body
-
 
 class CliffordTuple(_Record):
     """Element of a product of the sign groups, one unit per spin factor."""
@@ -92,12 +73,6 @@ class CliffordTuple(_Record):
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.components)
-
-    def is_scalar(self) -> bool:
-        return all(c.is_scalar() for c in self.components)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
 
 
 # Records of fields known to be valid, set by slot setters without the constructors' checks:
@@ -495,20 +470,6 @@ def builtin_certificate(key: str) -> Certificate:
     except ValueError as exc:
         raise ValueError(f"bad built-in certificate key {key!r}: {exc}") from exc
     raise ValueError(f"unknown built-in certificate key {key!r}")
-
-
-def certificate_to_doc(cert: Certificate) -> dict:
-    """JSON-ready document for a certificate."""
-    doc = {
-        "spec": spec_to_doc(cert.spec),
-        "generators": [
-            [{"sign": c.sign, "indices": list(c.indices)} for c in g.components]
-            for g in cert.generators
-        ],
-    }
-    if cert.note:
-        doc["note"] = cert.note
-    return doc
 
 
 def _doc_unit(entry: object, dim: int) -> CliffordUnit:

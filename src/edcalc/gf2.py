@@ -72,51 +72,6 @@ class BitVec(_Record):
         return "(" + ",".join(f"{self.bits:0{self.m}b}"[::-1]) + ")"
 
 
-class SubspaceF2(_Record):
-    """Subspace of GF(2)^m held as a canonical RREF basis with ascending pivots."""
-
-    __slots__ = ("m", "basis")
-    m: int
-    basis: tuple[BitVec, ...]
-
-    def __init__(self, m: int, basis: Iterable[BitVec]) -> None:
-        self._fill(m, tuple(basis))
-        rows = [v.bits for v in self.basis]
-        if any(v.m != m for v in self.basis):
-            raise DimensionMismatchError("basis vectors outside the ambient space")
-        if rows != rref_bits(rows):
-            raise ValueError("basis is not in reduced row echelon form")
-
-    @classmethod
-    def _from_rref(cls, m: int, rows: Iterable[int]) -> SubspaceF2:
-        """Build from rows already in reduced row echelon form, without checking them."""
-        space = object.__new__(cls)
-        space._fill(m, tuple(BitVec(m, r) for r in rows))
-        return space
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def rref(vectors: Iterable[BitVec], m: int | None = None) -> SubspaceF2:
-    """Canonical subspace spanned by the given vectors; m is required when they are empty."""
-    vectors = list(vectors)
-    if m is None:
-        if not vectors:
-            raise ValueError("ambient dimension required for an empty spanning set")
-        m = vectors[0].m
-    if any(v.m != m for v in vectors):
-        raise DimensionMismatchError("spanning vectors of mixed lengths")
-    return SubspaceF2._from_rref(m, rref_bits(v.bits for v in vectors))
-
-
-def annihilator(space: SubspaceF2) -> SubspaceF2:
-    """Orthogonal complement under the mod-2 dot pairing."""
-    rows = annihilator_bits([v.bits for v in space.basis], space.m)
-    return SubspaceF2._from_rref(space.m, rref_bits(rows))
-
-
 def annihilator_bits(rows: Sequence[int], m: int) -> list[int]:
     """A basis of the orthogonal complement in GF(2)^m of the span of RREF rows, not
     reduced: one vector per free coordinate f, with f set and the pivots solved for it."""

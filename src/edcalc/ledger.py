@@ -2,9 +2,10 @@
 
 One registry, LEDGER, holds every family of known essential dimensions: a rank
 pattern under the diagonal or the maximal mu, with a value table or formula.
-The lookup `known_case_of_rows`, the `table` command's rows and the built-in
-certificates' declared ranks are all read off it.  Loading it needs no GF(2)
-code: a central subgroup is only inspected through its basis rows.
+The lookup `known_case_of_rows`, the `table` command's rows (built by
+`cli_table`) and the built-in certificates' declared ranks are all read off
+it.  Loading it needs no GF(2) code: a central subgroup is only inspected
+through its basis rows.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class KnownCase(_Record):
 
 
 # pattern text and modulo phrase for each kind of mu a ledger family matches
-_MU_TEXT = {
+MU_TEXT = {
     "diagonal": ("diagonal mu", "the diagonal sign"),
     "maximal": ("mu = all even sign patterns", "all even sign patterns"),
 }
@@ -88,7 +89,7 @@ class LedgerFamily(NamedTuple):
             if self.kind == "exact"
             else f"at least {value} (finite abelian subgroup of that rank)"
         )
-        return f"{subject} modulo {_MU_TEXT[self.mu][1]}: {claim}"
+        return f"{subject} modulo {MU_TEXT[self.mu][1]}: {claim}"
 
 
 # fmt: off
@@ -128,44 +129,6 @@ LEDGER = (
 def ledger_family(certificate: str) -> LedgerFamily:
     """The lower family that declares a built-in certificate key pattern."""
     return next(f for f in LEDGER if f.certificate == certificate)
-
-
-def _tight(ranks: Ranks) -> str:
-    return ",".join(map(str, ranks))
-
-
-def _known_case_rows() -> tuple[dict, ...]:
-    """One row per tag; families that share a tag list their tables together."""
-    merged: dict[str, tuple[LedgerFamily, dict[Ranks, int]]] = {}
-    for fam in LEDGER:
-        _, table = merged.setdefault(fam.tag, (fam, {}))
-        table.update(fam.table)
-    rows = []
-    for tag, (fam, table) in merged.items():
-        shape, value = fam.shape, fam.formula_text
-        if table:
-            # a lone rank list prints as a list, several print tight
-            keys = [str(list(k)) if len(table) == 1 else f"[{_tight(k)}]" for k in table]
-            shape, value = "ranks " + " / ".join(keys), " / ".join(map(str, table.values()))
-        pattern = f"{shape}, {_MU_TEXT[fam.mu][0]}"
-        rows.append({"tag": tag, "kind": fam.kind, "pattern": pattern, "value": value})
-    return tuple(rows)
-
-
-def _builtin_certificate_rows() -> tuple[dict, ...]:
-    rows = []
-    for fam in (f for f in LEDGER if f.certificate):
-        keys = ", ".join(f"({_tight(k)})" for k in fam.table)
-        subject = fam.certificate_subject.format(keys=keys)
-        values = list(map(str, fam.table.values())) or [fam.formula_text]
-        proves = ("ranks " if len(values) > 1 else "rank ") + ", ".join(values)
-        description = f"{subject} modulo {_MU_TEXT[fam.mu][1]}; proves {proves}"
-        rows.append({"key": fam.certificate, "description": description})
-    return tuple(rows)
-
-
-KNOWN_CASE_ROWS = _known_case_rows()
-BUILTIN_CERTIFICATE_ROWS = _builtin_certificate_rows()
 
 
 def known_case_of_rows(rows: Sequence[int], m: int, n: Sequence[int]) -> KnownCase | None:

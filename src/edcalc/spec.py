@@ -2,8 +2,8 @@
 
 A spec names factor ranks n = (n_1, ..., n_m), one per Spin(2*n_i + 1) factor,
 and generators of a central subgroup mu of the product of the factor centers,
-as sign patterns in GF(2)^m.  This module holds the spec record, its checks,
-its JSON document form, and the diagonal and maximal choices of mu.
+as sign patterns in GF(2)^m.  This module holds the spec record, its checks
+and its reader from a JSON document.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ._record import _Record
-from .gf2 import BitVec, DimensionMismatchError, SubspaceF2, annihilator, rref, rref_bits
+from .gf2 import BitVec, DimensionMismatchError, annihilator_bits, rref_bits
 
 
 class SpecFormatError(ValueError):
@@ -57,19 +57,13 @@ class GroupSpecB(_Record):
     def from_dual_rows(cls, n: Sequence[int], rows: Iterable[Sequence[int]]) -> GroupSpecB:
         """Build from 0/1 coordinate rows generating the dual subspace; mu is its annihilator."""
         n = tuple(n)
-        dual = rref([BitVec.from_coords(pad_row(row, len(n))) for row in rows], len(n))
-        return cls(n, annihilator(dual).basis)
+        m = len(n)
+        dual = rref_bits([BitVec.from_coords(pad_row(row, m)).bits for row in rows])
+        return cls(n, tuple(BitVec(m, r) for r in rref_bits(annihilator_bits(dual, m))))
 
     @property
     def m(self) -> int:
         return len(self.n)
-
-    def mu_subspace(self) -> SubspaceF2:
-        return rref(self.mu_gens, self.m)
-
-    def dual_subspace(self) -> SubspaceF2:
-        """Sign-character patterns orthogonal to mu under the mod-2 dot pairing."""
-        return annihilator(self.mu_subspace())
 
 
 def pad_row(row: Sequence[int], m: int) -> Sequence[int]:
@@ -79,7 +73,7 @@ def pad_row(row: Sequence[int], m: int) -> Sequence[int]:
 
 
 def validate(spec: GroupSpecB) -> list[int]:
-    """Reject empty specs and non-reduced groups; returns the int rows of spec.mu_subspace()."""
+    """Reject empty specs and non-reduced groups; returns mu's reduced int rows."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
     rows = rref_bits([v.bits for v in spec.mu_gens])
@@ -89,25 +83,6 @@ def validate(spec: GroupSpecB) -> list[int]:
         if not r & r - 1:
             raise NotReducedError(r.bit_length())
     return rows
-
-
-def diagonal_mu(m: int) -> SubspaceF2:
-    """Central subgroup generated by the simultaneous sign flip of all factors."""
-    return rref([BitVec(m, (1 << m) - 1)])
-
-
-def maximal_mu(m: int) -> SubspaceF2:
-    """Kernel of the product-of-signs character: all even sign patterns."""
-    return annihilator(diagonal_mu(m))
-
-
-def spec_to_doc(spec: GroupSpecB) -> dict:
-    """JSON-ready document for a group spec."""
-    return {
-        "type": "B",
-        "n": list(spec.n),
-        "mu_generators": [list(v.coords()) for v in spec.mu_gens],
-    }
 
 
 def spec_from_doc(doc: object) -> GroupSpecB:

@@ -13,11 +13,11 @@ from typing import Callable, Iterator
 from edcalc.caps import DEFAULT_ENUM_CAP
 from edcalc.gf2 import (
     EnumerationTooLargeError,
-    SubspaceF2,
     count_bases,
     reduce_bits,
     rref_bits,
 )
+from edcalc.subspace import SubspaceF2
 
 from greedy_reference import reference_enumerate_elements
 

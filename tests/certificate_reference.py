@@ -28,6 +28,7 @@ from edcalc import (
 )
 from edcalc.caps import DEFAULT_ENUM_CAP
 from edcalc.ledger import ledger_family
+from edcalc.subspace import mu_subspace
 
 from clifford_reference import (
     reference_centralizer_finite,
@@ -57,7 +58,7 @@ def reference_diagonal_certificate(rank: int, copies: int) -> Certificate:
         CliffordTuple(tuple(_unit(dim, i, i + 1) for _ in range(m))) for i in range(1, 2 * n + 1)
     ]
     for l in range(m - 1):
-        signs = tuple(CliffordUnit.scalar(dim, -1 if k == l else 1) for k in range(m))
+        signs = tuple(CliffordUnit(dim, 0, -1 if k == l else 1) for k in range(m))
         gens.append(CliffordTuple(signs))
     return Certificate(spec, tuple(gens))
 
@@ -81,7 +82,7 @@ def reference_pair_certificate(n1: int, n2: int) -> Certificate:
     gens = [CliffordTuple((_unit(d1, *a), _unit(d2, *b))) for a, b in zip(first, second)]
     # the square of the first generator, by the object product
     if sign_vector(tuple_product(gens[0], gens[0])).bits in (0, 0b11):
-        gens.append(CliffordTuple((CliffordUnit.identity(d1), CliffordUnit.scalar(d2, -1))))
+        gens.append(CliffordTuple((CliffordUnit(d1, 0), CliffordUnit(d2, 0, -1))))
     note = ""
     if (n1, n2) == (2, 3):
         gens.append(CliffordTuple((_unit(d1, 4, 5), _unit(d2, 5, 7))))
@@ -101,37 +102,37 @@ def reference_small_triple_certificate(third_rank: int) -> Certificate:
     if v == 1:
         rows = [
             (_unit(3, 1, 3), _unit(3, 1, 3), _unit(3, 1, 3)),
-            (_unit(3, 1, 2), _unit(3, 1, 2), CliffordUnit.identity(3)),
-            (_unit(3, 1, 2), CliffordUnit.identity(3), _unit(3, 1, 2)),
+            (_unit(3, 1, 2), _unit(3, 1, 2), CliffordUnit(3, 0)),
+            (_unit(3, 1, 2), CliffordUnit(3, 0), _unit(3, 1, 2)),
         ]
     elif v == 2:
         rows = [
             (_unit(3, 1, 2), _unit(3, 1, 2), _unit(d, 2, 4)),
-            (_unit(3, 1, 3), CliffordUnit.identity(3), _unit(d, 1, 2)),
-            (CliffordUnit.identity(3), _unit(3, 1, 3), _unit(d, 3, 4)),
-            (_unit(3, 1, 3), _unit(3, 1, 3), CliffordUnit.identity(d)),
+            (_unit(3, 1, 3), CliffordUnit(3, 0), _unit(d, 1, 2)),
+            (CliffordUnit(3, 0), _unit(3, 1, 3), _unit(d, 3, 4)),
+            (_unit(3, 1, 3), _unit(3, 1, 3), CliffordUnit(d, 0)),
         ]
     else:
         rows = [
             (_unit(3, 1, 2), _unit(3, 1, 3), _unit(d, 1, 2)),
             (_unit(3, 1, 2), _unit(3, 1, 2), _unit(d, 1, 3, 5, 7)),
-            (CliffordUnit.identity(3), _unit(3, 1, 3), _unit(d, 3, 4)),
+            (CliffordUnit(3, 0), _unit(3, 1, 3), _unit(d, 3, 4)),
             (_unit(3, 1, 2), _unit(3, 1, 3), _unit(d, 5, 6)),
-            (_unit(3, 1, 3), CliffordUnit.identity(3), _unit(d, 2, 5)),
+            (_unit(3, 1, 3), CliffordUnit(3, 0), _unit(d, 2, 5)),
         ]
     return Certificate(spec, tuple(CliffordTuple(r) for r in rows))
 
 
 def reference_small_quadruple_certificate() -> Certificate:
     spec = GroupSpecB((1, 1, 1, 1), maximal_mu(4).basis)
-    one = CliffordUnit.identity(3)
+    one = CliffordUnit(3, 0)
     c12 = _unit(3, 1, 2)
     c13 = _unit(3, 1, 3)
     rows = [
         (c12, c12, one, one),
         (c12, one, c12, one),
         (c12, one, one, c12),
-        (CliffordUnit.scalar(3, -1), one, one, one),
+        (CliffordUnit(3, 0, -1), one, one, one),
         (c13, c13, c13, c13),
     ]
     return Certificate(spec, tuple(CliffordTuple(r) for r in rows))
@@ -202,7 +203,7 @@ def reference_report(cert: Certificate) -> CertReport:
     order = rank = 0
     if abelian:
         group = reference_closure(cert.generators, DEFAULT_ENUM_CAP)
-        order, rank = reference_quotient_rank(group, cert.spec.mu_subspace())
+        order, rank = reference_quotient_rank(group, mu_subspace(cert.spec))
     finite = reference_centralizer_finite(cert.generators, cert.generators[0].dims)
     if abelian and not finite:
         reason = NOT_SEPARATED

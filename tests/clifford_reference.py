@@ -4,7 +4,8 @@ checks moved onto packed ints.
 Kept as a test oracle: the packed product, square and commutator laws, the
 pair check of `verify_certificate`, its failure text and its centralizer test
 must agree with these functions, which work one `CliffordUnit` at a time.
-`sign_vector` reads a tuple's signs as a `BitVec`, which only the oracles need.
+`sign_vector` reads a tuple's signs as a `BitVec`, and `indices` and
+`unit_text` read a unit's index set and its notation, which only the oracles need.
 """
 
 from __future__ import annotations
@@ -13,8 +14,20 @@ from itertools import combinations
 from typing import Sequence
 
 from edcalc import BitVec, Certificate, CliffordTuple, CliffordUnit, DimensionMismatchError
+from edcalc.subspace import mu_subspace
 
 from records_reference import in_span
+
+
+def indices(u: CliffordUnit) -> tuple[int, ...]:
+    """The 1-based indices of a unit's index set, ascending."""
+    return tuple(i + 1 for i in range(u.dim) if (u.mask >> i) & 1)
+
+
+def unit_text(u: CliffordUnit) -> str:
+    """A unit in the notation of the certificate notes: -c(1,3), or 1 and -1 for scalars."""
+    body = "c(" + ",".join(map(str, indices(u))) + ")" if u.mask else "1"
+    return ("-" if u.sign < 0 else "") + body
 
 
 def _inversions(a_mask: int, b_mask: int) -> int:
@@ -67,12 +80,12 @@ def commutator_sign_vector(a: CliffordTuple, b: CliffordTuple) -> BitVec:
 
 def vector_image(u: CliffordUnit) -> frozenset[int]:
     """Index set of the image in the orthogonal group; the sign is forgotten."""
-    return frozenset(u.indices)
+    return frozenset(indices(u))
 
 
 def reference_pair_failure(cert: Certificate) -> str | None:
     """The failure reason of the first generator pair whose commutator leaves mu, or None."""
-    mu = cert.spec.mu_subspace()
+    mu = mu_subspace(cert.spec)
     for (i, a), (j, b) in combinations(enumerate(cert.generators), 2):
         sv = commutator_sign_vector(a, b)
         if not in_span(sv, mu):

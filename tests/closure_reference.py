@@ -23,7 +23,7 @@ def reference_closure(generators: Iterable[CliffordTuple], cap: int) -> frozense
     dims = gens[0].dims
     if any(g.dims != dims for g in gens):
         raise DimensionMismatchError("generators from different products")
-    identity = CliffordTuple(tuple(CliffordUnit.identity(d) for d in dims))
+    identity = CliffordTuple(tuple(CliffordUnit(d, 0) for d in dims))
     seen = {identity}
     queue = deque([identity])
     while queue:

@@ -16,10 +16,10 @@ from edcalc.gf2 import (
     BitVec,
     DimensionMismatchError,
     EnumerationTooLargeError,
-    SubspaceF2,
     reduce_bits,
     rref_bits,
 )
+from edcalc.subspace import SubspaceF2
 
 from records_reference import support
 

@@ -27,8 +27,9 @@ from edcalc.caps import DEFAULT_ENUM_CAP
 from edcalc.extraspecial import _closure_packed, _Packing
 from edcalc.gf2 import bases_bits
 from edcalc.ledger import is_small_product
+from edcalc.subspace import dual_subspace, mu_subspace
 
-from clifford_reference import commutator_sign_vector
+from clifford_reference import commutator_sign_vector, indices
 from greedy_reference import reference_greedy_keys, weight_exponent
 from records_reference import in_span, support
 
@@ -64,7 +65,7 @@ def word_inverse(u: CliffordUnit) -> CliffordUnit:
     c(i)^-1 = -c(i), so a word inverts letter by letter in reverse order, with
     one sign flip per letter.
     """
-    reverse = tuple(reversed(u.indices))
+    reverse = tuple(reversed(indices(u)))
     sign, word = word_product(reverse, u.sign * (-1) ** len(reverse), (), 1)
     return CliffordUnit.from_indices(u.dim, word, sign)
 
@@ -217,7 +218,7 @@ def restricted_greedy_total(spec: GroupSpecB, keys: Iterable[int]) -> int | None
     the upper-bound search.  A stream that ends early, as the split walk does
     after its bound, may give None where that search finds a basis.
     """
-    m, k = spec.m, spec.m - spec.mu_subspace().dim
+    m, k = spec.m, spec.m - mu_subspace(spec).dim
     weights, low = PatternWeights(spec.n), (1 << m) - 1
     # a key holds its pattern bit-reversed; is_small reads coordinate i at bit i
     kept = (key for key in keys if not weights.is_small(int(f"{key & low:0{m}b}"[::-1], 2)))
@@ -233,9 +234,9 @@ def check_restricted_greedy(spec: GroupSpecB, best: int | None) -> bool:
     stream it must find best too, unless the walk ended before the greedy held a basis:
     the walk stops after the heaviest key of a basis that may hold small patterns.
     """
-    dual = spec.dual_subspace()
+    dual = dual_subspace(spec)
     assert restricted_greedy_total(spec, reference_greedy_keys(dual, spec.n)) == best, spec
-    keys = list(whole_walk_keys(spec.n, [v.bits for v in spec.mu_subspace().basis]))
+    keys = list(whole_walk_keys(spec.n, [v.bits for v in mu_subspace(spec).basis]))
     walked = restricted_greedy_total(spec, keys)
     if walked is None and best is not None:
         assert len(keys) < (1 << dual.dim) - 1, spec
@@ -264,8 +265,8 @@ def compare_greedy_brute(
     spec: GroupSpecB, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, int]:
     """Greedy and exhaustive minimal totals for the same spec."""
-    _, greedy_total = greedy_basis(spec.mu_subspace(), spec.n)
-    _, brute_total = brute_min_basis(spec.dual_subspace(), spec.n, enum_cap)
+    _, greedy_total = greedy_basis(mu_subspace(spec), spec.n)
+    _, brute_total = brute_min_basis(dual_subspace(spec), spec.n, enum_cap)
     return greedy_total, brute_total
 
 
@@ -329,7 +330,7 @@ def random_certificate(rng, filtered):
     while True:
         rows = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m - 1)))
         spec = GroupSpecB(n, tuple(r for r in rows if r.bits))
-        mu = spec.mu_subspace()
+        mu = mu_subspace(spec)
         if not any(in_span(BitVec(m, 1 << i), mu) for i in range(m)):
             break
     dims = tuple(2 * r + 1 for r in n)

@@ -9,11 +9,12 @@ from __future__ import annotations
 from typing import Callable
 
 from edcalc.ledger import KnownCase
-from edcalc.spec import GroupSpecB, diagonal_mu, maximal_mu
+from edcalc.spec import GroupSpecB
+from edcalc.subspace import diagonal_mu, maximal_mu, mu_subspace
 
 def _rule_spin3_power_diagonal(spec: GroupSpecB) -> KnownCase | None:
     m = spec.m
-    if m >= 2 and all(r == 1 for r in spec.n) and spec.mu_subspace() == diagonal_mu(m):
+    if m >= 2 and all(r == 1 for r in spec.n) and mu_subspace(spec) == diagonal_mu(m):
         return KnownCase(
             "exact",
             m + 1,
@@ -24,7 +25,7 @@ def _rule_spin3_power_diagonal(spec: GroupSpecB) -> KnownCase | None:
 
 
 def _rule_small_pair_exact(spec: GroupSpecB) -> KnownCase | None:
-    if spec.m != 2 or spec.mu_subspace() != diagonal_mu(2):
+    if spec.m != 2 or mu_subspace(spec) != diagonal_mu(2):
         return None
     pair = tuple(sorted(spec.n))
     if pair == (1, 2):
@@ -40,7 +41,7 @@ def _rule_small_pair_exact(spec: GroupSpecB) -> KnownCase | None:
 
 def _rule_equal_rank_diagonal(spec: GroupSpecB) -> KnownCase | None:
     m = spec.m
-    if m >= 2 and len(set(spec.n)) == 1 and spec.mu_subspace() == diagonal_mu(m):
+    if m >= 2 and len(set(spec.n)) == 1 and mu_subspace(spec) == diagonal_mu(m):
         r = spec.n[0]
         return KnownCase(
             "lower",
@@ -56,7 +57,7 @@ _PAIR_TABLE = {(1, 2): 4, (1, 3): 4, (1, 4): 5, (1, 5): 7, (2, 3): 5}
 
 
 def _rule_small_pair_diagonal(spec: GroupSpecB) -> KnownCase | None:
-    if spec.m != 2 or spec.mu_subspace() != diagonal_mu(2):
+    if spec.m != 2 or mu_subspace(spec) != diagonal_mu(2):
         return None
     pair = tuple(sorted(spec.n))
     value = _PAIR_TABLE.get(pair)
@@ -77,7 +78,7 @@ _MAXIMAL_TABLE = {(1, 1, 1): 3, (1, 1, 2): 4, (1, 1, 3): 5, (1, 1, 1, 1): 5}
 def _rule_small_maximal(spec: GroupSpecB) -> KnownCase | None:
     ranks = tuple(sorted(spec.n))
     value = _MAXIMAL_TABLE.get(ranks)
-    if value is not None and spec.mu_subspace() == maximal_mu(spec.m):
+    if value is not None and mu_subspace(spec) == maximal_mu(spec.m):
         return KnownCase(
             "lower",
             value,

@@ -29,7 +29,8 @@ def reference_quotient_rank(
     The image must be abelian; this oracle does not check it.
     """
     elems = list(set(elements))
-    unit_classes = [t for t in elems if t.is_scalar() and in_span(sign_vector(t), mu)]
+    scalars = [t for t in elems if not any(c.mask for c in t.components)]
+    unit_classes = [t for t in scalars if in_span(sign_vector(t), mu)]
     order_h, rem = divmod(len(elems), len(unit_classes))
     if rem:
         raise ValueError("elements do not form a subgroup compatible with mu")

@@ -11,8 +11,9 @@ members, which the records no longer do.
 
 from __future__ import annotations
 
-from edcalc.gf2 import BitVec, SubspaceF2, rref, rref_bits
+from edcalc.gf2 import BitVec, rref_bits
 from edcalc.spec import EmptySpecError, GroupSpecB, NotReducedError
+from edcalc.subspace import SubspaceF2, mu_subspace, rref
 
 
 def support(v: BitVec) -> tuple[int, ...]:
@@ -26,10 +27,10 @@ def in_span(v: BitVec, space: SubspaceF2) -> bool:
 
 
 def reference_validate(spec: GroupSpecB) -> SubspaceF2:
-    """Reject empty specs and non-reduced groups; returns mu, spec.mu_subspace()."""
+    """Reject empty specs and non-reduced groups; returns mu, mu_subspace(spec)."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
-    mu = spec.mu_subspace()
+    mu = mu_subspace(spec)
     for v in mu.basis:
         if v.bits.bit_count() == 1:
             raise NotReducedError(v.bits.bit_length())

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterator
 
 from edcalc import STATUS_EXACT, BitVec, EdResult, GroupSpecB, compute_ed, diagonal_mu, maximal_mu
-from edcalc.cli import render_result_text, result_to_doc
+from edcalc.cli_compute import render_result_text, result_to_doc
 
 SURVEY_FILE = Path(__file__).resolve().parent / "data" / "survey.json"
 REPORTS_FILE = SURVEY_FILE.with_name("survey_reports.json")

@@ -29,7 +29,7 @@ from edcalc import (
 from edcalc.extraspecial import _Packing
 from edcalc.ledger import known_case_of_rows
 
-from clifford_reference import unit_product
+from clifford_reference import indices, unit_product
 from helpers import (
     all_units,
     compare_greedy_brute,
@@ -170,7 +170,7 @@ def test_c7_clifford_relation_suite() -> None:
         for dim in range(1, 6):
             units = all_units(dim)
             assert len(units) == 2**dim
-            gens = [CliffordUnit.scalar(dim, -1)]
+            gens = [CliffordUnit(dim, 0, -1)]
             gens += [CliffordUnit.from_indices(dim, (i, i + 1)) for i in range(1, dim)]
             _, grown = packed_closure([CliffordTuple((g,)) for g in gens])
             assert len(grown) == 2**dim
@@ -197,13 +197,13 @@ def test_c7_clifford_relation_suite() -> None:
             # every product matches the oracle
             for a in units:
                 for b in units:
-                    sign, word = word_product(a.indices, a.sign, b.indices, b.sign)
+                    sign, word = word_product(indices(a), a.sign, indices(b), b.sign)
                     for prod in (unit_product(a, b), packed_unit_product(a, b)):
-                        assert prod.sign == sign and prod.indices == word
+                        assert prod.sign == sign and indices(prod) == word
             # index-pair elements square to -1
             for i, j in combinations(range(1, dim + 1), 2):
                 pair = CliffordUnit.from_indices(dim, (i, j))
-                assert unit_product(pair, pair) == CliffordUnit.scalar(dim, -1)
+                assert unit_product(pair, pair) == CliffordUnit(dim, 0, -1)
                 assert packing.sign_pattern(packing.square(pair.mask)) == 1
             # two elements commute up to the parity of their overlap
             for a in units:
@@ -239,11 +239,11 @@ def test_c7_clifford_relation_suite() -> None:
 
             for _ in range(300):
                 a, b = pick(), pick()
-                sign, word = word_product(a.indices, a.sign, b.indices, b.sign)
+                sign, word = word_product(indices(a), a.sign, indices(b), b.sign)
                 for prod in (unit_product(a, b), packed_unit_product(a, b)):
-                    assert prod.sign == sign and prod.indices == word
+                    assert prod.sign == sign and indices(prod) == word
                 a_inv, b_inv = word_inverse(a), word_inverse(b)
-                assert unit_product(a, a_inv) == CliffordUnit.identity(dim)
+                assert unit_product(a, a_inv) == CliffordUnit(dim, 0)
                 assert packed_product(packing, pack(a), pack(a_inv)) == 0
                 overlap = (a.mask & b.mask).bit_count() % 2
                 commutator = unit_product(unit_product(unit_product(a, b), a_inv), b_inv)

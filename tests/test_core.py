@@ -45,6 +45,7 @@ from edcalc.core import (
 from edcalc.caps import DEFAULT_ENUM_CAP
 from edcalc.gf2 import check_basis_count
 from edcalc.ledger import known_case_of_rows
+from edcalc.subspace import dual_subspace, mu_subspace
 
 from bases_reference import reference_enumerate_bases
 from exactness_reference import ReferencePatternWeights, reference_small_product_text
@@ -95,7 +96,7 @@ def per_factor_validate(spec):
     """The check validate made before it read mu's reduced rows: one unit pattern per factor."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
-    mu = spec.mu_subspace()
+    mu = mu_subspace(spec)
     for i in range(spec.m):
         if in_span(BitVec(spec.m, 1 << i), mu):
             raise NotReducedError(i + 1)
@@ -121,7 +122,7 @@ def test_validate_matches_the_per_factor_check():
             assert str(err.value) == str(expected)
         else:
             outcomes["reduced"] += 1
-            assert validate(spec) == [v.bits for v in spec.mu_subspace().basis]
+            assert validate(spec) == [v.bits for v in mu_subspace(spec).basis]
     assert min(outcomes.values()) > 150, outcomes
 
 
@@ -260,7 +261,7 @@ def test_greedy_on_full_space_picks_units():
 
 
 def test_greedy_example_mixed():
-    basis, total = greedy_basis(MIXED.mu_subspace(), MIXED.n)
+    basis, total = greedy_basis(mu_subspace(MIXED), MIXED.n)
     assert [v.coords() for v in basis] == [(1, 1, 1, 0), (0, 0, 0, 1)]
     assert total == 192
 
@@ -273,9 +274,9 @@ def test_greedy_matches_brute_small_cases():
 
 
 def test_brute_on_mixed_example():
-    basis, total = brute_min_basis(MIXED.dual_subspace(), MIXED.n)
+    basis, total = brute_min_basis(dual_subspace(MIXED), MIXED.n)
     assert total == 192
-    assert rref(list(basis), 4) == MIXED.dual_subspace()
+    assert rref(list(basis), 4) == dual_subspace(MIXED)
 
 
 def test_theorem_hypothesis():
@@ -294,7 +295,7 @@ def test_theorem_hypothesis():
 def test_theorem_hypothesis_matches_dual_subspace_definition():
     # the hypothesis read off the dual subspace, as it was first written
     def by_dual(spec):
-        dual = spec.dual_subspace()
+        dual = dual_subspace(spec)
         bad = tuple(
             i + 1
             for i, r in enumerate(spec.n)
@@ -309,9 +310,9 @@ def test_theorem_hypothesis_matches_dual_subspace_definition():
         n = tuple(rng.randint(1, 9) for _ in range(m))
         gens = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, 3)))
         spec = GroupSpecB(n, gens)
-        trivial += spec.mu_subspace().dim == 0
+        trivial += mu_subspace(spec).dim == 0
         # the generators and mu's reduced rows span the same mu
-        for rows in (spec.mu_gens, spec.mu_subspace().basis):
+        for rows in (spec.mu_gens, mu_subspace(spec).basis):
             assert theorem_hypothesis_holds(spec.n, [v.bits for v in rows]) == by_dual(spec), spec
     assert trivial > 100
 
@@ -419,7 +420,7 @@ def test_one_enum_cap_bounds_the_greedy_and_the_search():
     # five rank-2 factors under the diagonal: a dual of dimension 4, with 2^4 - 1
     # nonzero patterns and 840 bases.  15 admits the greedy and refuses the search
     spec = load_spec("rank2_five_diagonal.json")
-    mu = spec.mu_subspace()
+    mu = mu_subspace(spec)
     with pytest.raises(EnumerationTooLargeError, match=" 2\\^4 - 1 nonzero elements, cap is 14$"):
         greedy_basis(mu, spec.n, enum_cap=14)
     assert compute_ed(spec, enum_cap=14).warnings == (WARN_ELEMENT_CAP,)
@@ -472,7 +473,7 @@ def test_the_search_cap_refuses_before_building_the_dual(monkeypatch):
     below = compute_ed(spec, enum_cap=count_bases(6) - 1)
     assert below.trace[-1].citation == "27998208 bases exceed the cap of 27998207; search skipped"
     with pytest.raises(EnumerationTooLargeError, match="^27998208 bases exceed the cap of 27998207$"):
-        next(bases_of(spec.dual_subspace(), count_bases(6) - 1))
+        next(bases_of(dual_subspace(spec), count_bases(6) - 1))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 7, 64, 200])
@@ -511,7 +512,7 @@ def test_restricted_enumeration_keeps_exactly_the_bases_without_small_products()
     # the full enumeration's bases with no small pattern, in the same order
     some, none = 0, 0
     for spec in seeded_small_duals(1801, 200):
-        dual, weights = spec.dual_subspace(), PatternWeights(spec.n)
+        dual, weights = dual_subspace(spec), PatternWeights(spec.n)
         every = list(bases_of(dual))
         assert every == list(reference_enumerate_bases(dual)), spec
         full = [b for b in every if all(oracle_weight(v, spec.n) for v in b)]
@@ -526,7 +527,7 @@ def test_restricted_greedy_matches_the_exhaustive_search_on_random_specs():
     # walk's bound ends its stream before the restricted greedy holds a basis
     fell_short = 0
     for spec in seeded_small_duals(1801, 200):
-        _, best, _ = brute_bounds(spec.dual_subspace(), spec.n)
+        _, best, _ = brute_bounds(dual_subspace(spec), spec.n)
         fell_short += check_restricted_greedy(spec, best)
     assert fell_short <= 30
 
@@ -598,7 +599,7 @@ def test_a_refused_block_over_4300_digits_is_capped_under_the_default_limit():
     try:
         sys.set_int_max_str_digits(4300)
         with pytest.raises(EnumerationTooLargeError) as caught:
-            greedy_basis(spec.mu_subspace(), spec.n)
+            greedy_basis(mu_subspace(spec), spec.n)
         res = compute_ed(spec)
     finally:
         sys.set_int_max_str_digits(limit)
@@ -686,7 +687,7 @@ def test_random_group_spec_determinism_and_ranges():
         spec = random_group_spec(rng)
         assert 1 <= spec.m <= 8
         assert all(1 <= r <= 9 for r in spec.n)
-        assert spec.dual_subspace().dim <= 4
+        assert dual_subspace(spec).dim <= 4
 
 
 def test_spec_documents_round_trip():
@@ -694,16 +695,16 @@ def test_spec_documents_round_trip():
     assert doc["type"] == "B" and doc["n"] == [1, 2, 3, 7]
     again = spec_from_doc(doc)
     assert again.n == MIXED.n
-    assert again.mu_subspace() == MIXED.mu_subspace()
+    assert mu_subspace(again) == mu_subspace(MIXED)
 
 
 def test_spec_from_doc_dual_rows():
     doc = {"type": "B", "n": [1, 2, 3, 7], "r_generators": [[1, 1, 1, 0], [0, 0, 0, 1]]}
     spec = spec_from_doc(doc)
-    assert spec.dual_subspace() == rref(
+    assert dual_subspace(spec) == rref(
         [BitVec.from_coords([1, 1, 1, 0]), BitVec.from_coords([0, 0, 0, 1])]
     )
-    assert spec.mu_subspace() == MIXED.mu_subspace()
+    assert mu_subspace(spec) == mu_subspace(MIXED)
 
 
 def test_spec_from_doc_rejects_malformed():

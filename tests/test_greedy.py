@@ -32,7 +32,8 @@ from edcalc import (
     group_dim,
 )
 from edcalc.core import PIVOT_CHUNK, _basis, _blocks, _split_walk_keys
-from edcalc.gf2 import rref, rref_bits
+from edcalc.gf2 import rref_bits
+from edcalc.subspace import dual_subspace, mu_subspace, rref
 
 from exactness_reference import reference_blocks
 from greedy_reference import (
@@ -55,8 +56,8 @@ def test_weights():
 
 
 def assert_same_greedy(spec: GroupSpecB) -> None:
-    basis, total = greedy_basis(spec.mu_subspace(), spec.n)
-    ref_basis, ref_total = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
+    basis, total = greedy_basis(mu_subspace(spec), spec.n)
+    ref_basis, ref_total = reference_greedy_min_basis(dual_subspace(spec), spec.n)
     assert [v.bits for v in basis] == [v.bits for v in ref_basis], spec
     assert all(v.m == spec.m for v in basis)
     assert total == ref_total, spec
@@ -72,7 +73,7 @@ def assert_walk_matches_oracle(n: tuple[int, ...], mu_rows: list[int], factors: 
 def assert_walk_matches_listing(spec: GroupSpecB) -> bool:
     """The walk gives out the first keys of the listing, in order, and the greedy over
     them agrees; returns whether the walk stopped before the end of the listing."""
-    mu, dual = spec.mu_subspace(), spec.dual_subspace()
+    mu, dual = mu_subspace(spec), dual_subspace(spec)
     keys = assert_walk_matches_oracle(spec.n, [v.bits for v in mu.basis], (1 << spec.m) - 1)
     listing = reference_greedy_keys(dual, spec.n)
     assert keys == listing[: len(keys)], spec
@@ -108,7 +109,7 @@ def test_matches_reference_on_compute_large_shaped_specs():
         d = rng.randint(0, 10)
         n = tuple(rng.randint(7, 12) for _ in range(k + d))
         spec = spec_with_dims(rng, n, d)
-        assert spec.dual_subspace().dim == k
+        assert dual_subspace(spec).dim == k
         assert_same_greedy(spec)
         stopped += assert_walk_matches_listing(spec)
     assert stopped > 0
@@ -128,7 +129,7 @@ def test_rank7_twelve_diagonal_ties():
     # k = 11 with 66 tied weight-2 patterns; the tie-break decides the basis
     spec = GroupSpecB((7,) * 12, (BitVec(12, (1 << 12) - 1),))
     assert_same_greedy(spec)
-    basis, _ = greedy_basis(spec.mu_subspace(), spec.n)
+    basis, _ = greedy_basis(mu_subspace(spec), spec.n)
     assert basis[0].coords() == (0,) * 10 + (1, 1)
 
 
@@ -159,7 +160,7 @@ def test_walk_matches_listing_across_margins():
             ranks = rng.choice([range(1, 4), range(7, 13), range(1, 13), [5]])
             n = tuple(rng.choice(ranks) for _ in range(k + d))
             spec = spec_with_dims(rng, n, d)
-            assert spec.dual_subspace().dim == k
+            assert dual_subspace(spec).dim == k
             assert_walk_matches_listing(spec)
 
 
@@ -171,7 +172,7 @@ def test_walk_with_several_chunk_tables():
         for k in (1, 2, 5, 9):
             ranks = rng.choice([range(1, 4), range(7, 13), range(1, 13)])
             spec = spec_with_dims(rng, tuple(rng.choice(ranks) for _ in range(k + d)), d)
-            assert spec.mu_subspace().dim == d > PIVOT_CHUNK
+            assert mu_subspace(spec).dim == d > PIVOT_CHUNK
             assert_walk_matches_listing(spec)
 
 
@@ -182,7 +183,7 @@ def test_walk_on_64_factors_with_a_wide_mu():
     for d in (52, 55, 58, 61, 62, 63):
         n = tuple(rng.choice([1, 2, 7, 8, 12]) for _ in range(64))
         spec = spec_with_dims(rng, n, d)
-        assert spec.dual_subspace().dim == 64 - d
+        assert dual_subspace(spec).dim == 64 - d
         assert_walk_matches_listing(spec)
 
 
@@ -214,7 +215,7 @@ def test_walk_matches_listing_on_tie_heavy_specs(spec):
 
 def columns(spec: GroupSpecB) -> list[int]:
     """Each factor's column of mu's reduced rows: its syndrome."""
-    rows = [v.bits for v in spec.mu_subspace().basis]
+    rows = [v.bits for v in mu_subspace(spec).basis]
     return [sum((r >> i & 1) << j for j, r in enumerate(rows)) for i in range(spec.m)]
 
 
@@ -251,7 +252,7 @@ def test_walk_at_its_smallest_margin():
     for d in (0, 1, 5, 12, 13, 20):
         for k in (1, 2, 3):
             spec = spec_with_dims(rng, tuple(rng.randint(1, 12) for _ in range(k + d)), d)
-            assert spec.dual_subspace().dim == k
+            assert dual_subspace(spec).dim == k
             assert_walk_matches_listing(spec)
 
 
@@ -273,14 +274,14 @@ def test_walk_reaches_position_63():
         n = tuple(rng.choice([7, 8, 12]) for _ in range(64))
         block = sorted(rng.sample(range(64), 6))
         sub = spec_with_dims(rng, tuple(n[i] for i in block), 2)
-        sub_basis, _ = reference_greedy_min_basis(sub.dual_subspace(), sub.n)
+        sub_basis, _ = reference_greedy_min_basis(dual_subspace(sub), sub.n)
         spread = [sum(1 << block[j] for j in support(v)) for v in sub_basis]
         units = [1 << i for i in range(64) if i not in block]
         expected = sorted(
             (BitVec(64, b) for b in spread + units),
             key=lambda v: (weight_exponent(v, n), v.coords()),
         )
-        mu_rows = [sum(1 << block[j] for j in support(v)) for v in sub.mu_subspace().basis]
+        mu_rows = [sum(1 << block[j] for j in support(v)) for v in mu_subspace(sub).basis]
         basis, total = greedy_over(whole_walk_keys(n, mu_rows), 64, 62)
         assert list(basis) == expected
         assert total == sum(1 << weight_exponent(v, n) for v in expected)
@@ -292,7 +293,7 @@ def test_walk_on_uneven_ranks_needs_no_fallback():
     # never takes more than 2^(k-1), since the first k-1 it keeps span 2^(k-1) - 1
     rng = Random(13)
     spec = spec_with_dims(rng, (1,) * 12 + (13,), 2)
-    mu, dual = spec.mu_subspace(), spec.dual_subspace()
+    mu, dual = mu_subspace(spec), dual_subspace(spec)
     assert dual.dim == 11
     taken: list[int] = []
     walk = whole_walk_keys(spec.n, [v.bits for v in mu.basis])
@@ -308,7 +309,7 @@ def test_compute_large_shapes_never_enumerate(monkeypatch, k, d):
     # walks, and an exact answer needs no basis search either
     rng = Random(100 * k + d)
     spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(k + d)), d)
-    dual = spec.dual_subspace()
+    dual = dual_subspace(spec)
     assert dual.dim == k
     expected = reference_greedy_min_basis(dual, spec.n)
 
@@ -329,10 +330,10 @@ def test_refuses_a_dual_above_the_dim_cap():
     rng = Random(17)
     for k, d in ((14, 10), (10, 14), (5, 0)):
         spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(k + d)), d)
-        mu = spec.mu_subspace()
+        mu = mu_subspace(spec)
         if d == 0:
             # trivial mu makes five one-factor blocks, each with a dual of dimension 1
-            expected = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
+            expected = reference_greedy_min_basis(dual_subspace(spec), spec.n)
             assert greedy_basis(mu, spec.n, enum_cap=1) == expected
             continue
         cap = (1 << k) - 1
@@ -347,12 +348,12 @@ def test_the_cap_refuses_a_block_by_its_own_dual():
     rng = Random(21)
     n = tuple(rng.randint(7, 12) for _ in range(16))
     spec = GroupSpecB(n, [BitVec(16, 0x07F), BitVec(16, 0xFC0)])
-    mu = spec.mu_subspace()
+    mu = mu_subspace(spec)
     assert spec.m - mu.dim == 14
     with pytest.raises(EnumerationTooLargeError) as caught:
         greedy_basis(mu, spec.n, enum_cap=(1 << 9) - 1)
     assert str(caught.value) == "subspace of dimension 10 has 2^10 - 1 nonzero elements, cap is 511"
-    expected = reference_greedy_min_basis(spec.dual_subspace(), spec.n)
+    expected = reference_greedy_min_basis(dual_subspace(spec), spec.n)
     assert greedy_basis(mu, spec.n, enum_cap=(1 << 10) - 1) == expected
 
 
@@ -378,7 +379,7 @@ def test_block_greedy_matches_the_whole_walk_on_decomposable_specs():
     rng = Random(1100)
     for _ in range(80):
         spec = decomposable_spec(rng, rng.randint(4, 64))
-        mu = spec.mu_subspace()
+        mu = mu_subspace(spec)
         rows = [v.bits for v in mu.basis]
         whole = greedy_over(whole_walk_keys(spec.n, rows), spec.m, spec.m - mu.dim)
         assert greedy_basis(mu, spec.n) == whole, spec
@@ -399,7 +400,7 @@ def test_walk_matches_the_oracle_on_the_blocks_of_seeded_specs():
     specs.append(GroupSpecB(tuple(7 + i % 6 for i in range(100)), diagonal_mu(100).basis))
     seen = Counter()
     for spec in specs:
-        for mask, rows in _blocks([v.bits for v in spec.mu_subspace().basis], spec.m):
+        for mask, rows in _blocks([v.bits for v in mu_subspace(spec).basis], spec.m):
             if rows:
                 assert_walk_matches_oracle(spec.n, rows, mask)
                 # the light part holds the pivots and two more positions
@@ -416,7 +417,7 @@ def test_m64_block_specs_are_exact_at_the_default_caps(size):
     # so every block's dual has dimension size - 1 while the whole dual's is
     # 64 - 64 / size
     spec = GroupSpecB(CYCLE, blocks_mu(64, size))
-    mu = spec.mu_subspace()
+    mu = mu_subspace(spec)
     result = compute_ed(spec)
     assert result.status == "exact"
     assert result == compute_ed(spec, enum_cap=(1 << 64) - 1)
@@ -444,7 +445,7 @@ def test_diagonal_mu_over_more_than_64_factors_gives_the_star_total(m):
     spec = GroupSpecB(n, diagonal_mu(m).basis)
     i0 = n.index(min(n))
     star = sum(1 << (n[i0] + r) for j, r in enumerate(n) if j != i0)
-    basis, total = greedy_basis(spec.mu_subspace(), n, enum_cap=(1 << m) - 1)
+    basis, total = greedy_basis(mu_subspace(spec), n, enum_cap=(1 << m) - 1)
     assert total == star
     assert len(basis) == m - 1 and {v.bits.bit_count() for v in basis} == {2}
     result = compute_ed(spec, enum_cap=(1 << m) - 1)
@@ -507,7 +508,7 @@ def test_walk_memory_on_a_wide_mu():
     # walk without its bound at 0.20 MB; with it, 0.08 MB
     rng = Random(1410)
     spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(24)), 10)
-    mu = spec.mu_subspace()
+    mu = mu_subspace(spec)
     assert spec.m - mu.dim == 14
     tracemalloc.start()
     try:
@@ -524,7 +525,7 @@ def test_walk_memory_on_a_dual_as_large_as_mu():
     # with it, the walk peaks near 0.9 MB
     rng = Random(4020)
     spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(40)), 20)
-    mu = spec.mu_subspace()
+    mu = mu_subspace(spec)
     assert mu.dim == 20
     tracemalloc.start()
     try:
@@ -544,7 +545,7 @@ def test_only_the_chosen_vectors_become_bitvecs(monkeypatch):
         return BitVec(*args)
 
     spec = GroupSpecB((7, 8, 9, 10, 11, 12, 7, 8), (BitVec(8, 0b11),))
-    mu = spec.mu_subspace()
+    mu = mu_subspace(spec)
     expected = greedy_basis(mu, spec.n)
     monkeypatch.setattr(edcalc.core, "BitVec", counting_bitvec)
     assert greedy_basis(mu, spec.n) == expected

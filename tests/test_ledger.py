@@ -10,14 +10,14 @@ import pytest
 
 from edcalc import BitVec, GroupSpecB, builtin_certificate, verify_certificate
 from edcalc.ledger import LEDGER, known_case_of_rows
-from edcalc.spec import diagonal_mu, maximal_mu
+from edcalc.subspace import diagonal_mu, maximal_mu, mu_subspace
 
 from ledger_reference import reference_known_cases
 
 
 def known_case(spec):
     """The ledger's entry for a spec, read off the reduced rows of its mu, split or not."""
-    return known_case_of_rows([v.bits for v in spec.mu_subspace().basis], spec.m, spec.n)
+    return known_case_of_rows([v.bits for v in mu_subspace(spec).basis], spec.m, spec.n)
 
 
 def grid_specs():
