@@ -17,7 +17,7 @@ class EnumerationTooLargeError(RuntimeError):
 
 
 def rref_bits(rows: Iterable[int]) -> list[int]:
-    """Reduced row echelon form of int bitsets; the pivot of a row is its lowest set bit."""
+    """Reduced row echelon form of int bitsets, pivot = lowest set bit; one final sort by pivot."""
     basis: list[int] = []
     for row in rows:
         for b in basis:
@@ -27,7 +27,7 @@ def rref_bits(rows: Iterable[int]) -> list[int]:
             pivot = row & -row
             basis = [b ^ row if b & pivot else b for b in basis]
             basis.append(row)
-            basis.sort(key=lambda b: b & -b)
+    basis.sort(key=lambda b: b & -b)  # the reduction above reads the pivots in any order
     return basis
 
 

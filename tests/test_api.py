@@ -1,6 +1,7 @@
 """The package's public surface: `__all__` lists exactly the names it exports,
-each command loads only the modules it needs, within a budget of source lines,
-and every source file parses under the oldest Python that pyproject.toml admits."""
+each command loads only the modules it needs, within a budget of source lines, the
+numbers README states are the code's, and every source file parses under the oldest
+Python that pyproject.toml admits."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import pytest
 
 import edcalc
 from edcalc import caps, cli, compute_ed, verify_certificate
+from edcalc.ledger import SMALL_MAX_FACTORS, SMALL_MAX_RANK
 
 from helpers import cli_modules, run_fresh
 
@@ -163,8 +165,12 @@ def test_each_command_loads_no_more_source_than_its_budget(command):
     assert lines <= budget, f"{command} loads {lines} lines of source, over its budget of {budget}"
 
 
+def readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
 def test_readme_states_the_source_budgets():
-    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    readme = " ".join(readme_text().split())
     stated = re.search(
         r"`cli\.py` included: (\d+) for `compute`, (\d+) for `certify` and (\d+) for `table`",
         readme,
@@ -172,6 +178,20 @@ def test_readme_states_the_source_budgets():
     assert stated, "README no longer states the source budgets in the expected words"
     budgets = {command: budget for command, (_, budget) in SOURCE_BUDGET.items()}
     assert dict(zip(("compute", "certify", "table"), map(int, stated.groups()))) == budgets
+
+
+def test_readme_states_the_exit_codes_and_the_small_product_limits():
+    text = readme_text()
+    table = [int(code) for code in re.findall(r"^\| (\d+) \|", text, re.MULTILINE)]
+    codes = [value for name, value in vars(caps).items() if name.startswith("EXIT_")]
+    assert table == sorted(table) and sorted(table) == sorted(codes)
+    stated = re.search(
+        r"every rank on the list \((\d+) today\), or it has more factors than"
+        r" the longest entry \((\d+) today\)",
+        " ".join(text.split()),
+    )
+    assert stated, "README no longer states the small-product limits in the expected words"
+    assert tuple(map(int, stated.groups())) == (SMALL_MAX_RANK, SMALL_MAX_FACTORS)
 
 
 def test_every_source_file_parses_under_the_oldest_supported_python():

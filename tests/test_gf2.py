@@ -18,7 +18,7 @@ from edcalc import (
     rref,
 )
 from edcalc.core import PatternWeights
-from edcalc.gf2 import rref_bits
+from edcalc.gf2 import reduce_bits, rref_bits
 from edcalc.subspace import dual_subspace
 
 from bases_reference import reference_enumerate_bases
@@ -215,14 +215,31 @@ def test_double_annihilator(case):
 
 def test_rref_and_annihilator_rows_are_reduced():
     # both build their subspace without the constructor's check, so check here
-    # that the rows they return are exactly rref_bits of themselves
+    # that the rows they return are exactly rref_bits of themselves.  rref_bits puts
+    # its rows in pivot order by one sort at the end, so the inputs also hold rows up
+    # to 300 bits wide with zero and repeated rows, and rows fed highest pivot first
     rng = Random(71)
+    cases = []
     for _ in range(300):
         m = rng.randint(1, 64)
-        vectors = [BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, 8))]
-        space = rref(vectors, m=m)
+        cases.append((m, [rng.getrandbits(m) for _ in range(rng.randint(0, 8))]))
+    for _ in range(60):
+        m = rng.randint(65, 300)
+        bits = [rng.getrandbits(m) for _ in range(rng.randint(1, 12))]
+        bits += [0] * rng.randint(1, 2) + rng.choices(bits, k=rng.randint(1, 3))
+        rng.shuffle(bits)
+        cases.append((m, bits))
+        # each row's pivot lies below every pivot found before it
+        pivots = sorted(rng.sample(range(m), rng.randint(2, 12)), reverse=True)
+        cases.append((m, [rng.getrandbits(m - p) << p | 1 << p for p in pivots]))
+    for m, bits in cases:
+        space = rref([BitVec(m, b) for b in bits], m=m)
         rows = [v.bits for v in space.basis]
-        assert rows == rref_bits(rows) == rref_bits(v.bits for v in vectors)
+        shuffled = rng.sample(bits, len(bits))
+        assert rows == rref_bits(rows) == rref_bits(iter(bits)) == rref_bits(shuffled)
+        pivots = [r & -r for r in rows]
+        assert all(p < q for p, q in zip(pivots, pivots[1:]))
+        assert not any(reduce_bits(b, rows) for b in bits)
         dual = annihilator(space)
         dual_rows = [v.bits for v in dual.basis]
         assert dual_rows == rref_bits(dual_rows)
