@@ -14,16 +14,11 @@ _MODULE_OF = {
     "BitVec": "gf2",
     "DimensionMismatchError": "gf2",
     "EnumerationTooLargeError": "gf2",
-    "SubspaceF2": "subspace",
-    "annihilator": "subspace",
     "count_bases": "gf2",
-    "rref": "subspace",
     "EmptySpecError": "spec",
     "GroupSpecB": "spec",
     "NotReducedError": "spec",
     "SpecFormatError": "spec",
-    "diagonal_mu": "subspace",
-    "maximal_mu": "subspace",
     "spec_from_doc": "spec",
     "spec_to_doc": "documents",
     "validate": "spec",

@@ -436,13 +436,13 @@ def small_triple_certificate(third_rank: int) -> Certificate:
     v = third_rank
     if (1, 1, v) not in ledger_family("small3:<v>").table:
         raise ValueError(f"no built-in small3 certificate for third factor rank {v}")
-    return _builtin((1, 1, v), [0b101, 0b110], SMALL3_ROWS[v])  # maximal_mu(3)'s rows
+    return _builtin((1, 1, v), [0b101, 0b110], SMALL3_ROWS[v])  # all even patterns, reduced
 
 
 def small_quadruple_certificate() -> Certificate:
     """Certificate for four Spin(3) factors modulo all even sign patterns."""
     rows = [[C12, C12, 0, 0], [C12, 0, C12, 0], [C12, 0, 0, C12], [-1, 0, 0, 0], [C13] * 4]
-    return _builtin((1, 1, 1, 1), [0b1001, 0b1010, 0b1100], rows)  # maximal_mu(4)'s rows
+    return _builtin((1, 1, 1, 1), [0b1001, 0b1010, 0b1100], rows)  # all even patterns, reduced
 
 
 def _key_number(text: str) -> int:

@@ -49,16 +49,16 @@ class GroupSpecB(_Record):
 
     @classmethod
     def from_mu_rows(cls, n: Sequence[int], rows: Iterable[Sequence[int]]) -> GroupSpecB:
-        """Build from 0/1 coordinate rows generating mu."""
+        """Build from 0/1 coordinate rows generating mu; with no factors no row is read."""
         n = tuple(n)
-        return cls(n, tuple(BitVec.from_coords(pad_row(row, len(n))) for row in rows))
+        return cls(n, tuple(BitVec.from_coords(pad_row(row, len(n))) for row in rows if n))
 
     @classmethod
     def from_dual_rows(cls, n: Sequence[int], rows: Iterable[Sequence[int]]) -> GroupSpecB:
         """Build from 0/1 coordinate rows generating the dual subspace; mu is its annihilator."""
         n = tuple(n)
         m = len(n)
-        dual = rref_bits([BitVec.from_coords(pad_row(row, m)).bits for row in rows])
+        dual = rref_bits(v.bits for v in cls.from_mu_rows(n, rows).mu_gens)
         return cls(n, tuple(BitVec(m, r) for r in rref_bits(annihilator_bits(dual, m))))
 
     @property

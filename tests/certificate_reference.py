@@ -7,8 +7,8 @@ certificates equal to these, and the reader the same error for every document.
 The reader names a spec with no factors before any generator, as
 `certificate_from_doc` has done since that check moved in front.
 Every unit goes through `CliffordUnit.from_indices`, every tuple and certificate
-through its checked constructor, and the built-in specs through `diagonal_mu`
-and `maximal_mu`.  `reference_report` is the report `verify_certificate` must
+through its checked constructor, and the built-in specs from the all-ones row,
+as mu or as its dual.  `reference_report` is the report `verify_certificate` must
 give, computed from the object oracles alone.
 """
 
@@ -22,13 +22,11 @@ from edcalc import (
     EmptySpecError,
     GroupSpecB,
     SpecFormatError,
-    diagonal_mu,
-    maximal_mu,
     spec_from_doc,
 )
 from edcalc.caps import DEFAULT_ENUM_CAP
+from edcalc.gf2 import rref_bits
 from edcalc.ledger import ledger_family
-from edcalc.subspace import mu_subspace
 
 from clifford_reference import (
     reference_centralizer_finite,
@@ -52,7 +50,7 @@ def reference_diagonal_certificate(rank: int, copies: int) -> Certificate:
     n, m = rank, copies
     if ledger_family("diagonal:<n>:<m>").value_for((n,) * m) is None:
         raise ValueError(f"no built-in diagonal certificate for {m} copies of rank {n}")
-    spec = GroupSpecB((n,) * m, diagonal_mu(m).basis)
+    spec = GroupSpecB.from_mu_rows((n,) * m, [[1] * m])
     dim = 2 * n + 1
     gens = [
         CliffordTuple(tuple(_unit(dim, i, i + 1) for _ in range(m))) for i in range(1, 2 * n + 1)
@@ -66,7 +64,7 @@ def reference_diagonal_certificate(rank: int, copies: int) -> Certificate:
 def reference_pair_certificate(n1: int, n2: int) -> Certificate:
     if (n1, n2) not in ledger_family("pair:<n1>:<n2>").table:
         raise ValueError(f"no built-in pair certificate for ranks ({n1}, {n2})")
-    spec = GroupSpecB((n1, n2), diagonal_mu(2).basis)
+    spec = GroupSpecB.from_mu_rows((n1, n2), [[1, 1]])
     d1, d2 = 2 * n1 + 1, 2 * n2 + 1
 
     def odd_run(n: int) -> tuple[int, ...]:
@@ -97,7 +95,7 @@ def reference_small_triple_certificate(third_rank: int) -> Certificate:
     v = third_rank
     if (1, 1, v) not in ledger_family("small3:<v>").table:
         raise ValueError(f"no built-in small3 certificate for third factor rank {v}")
-    spec = GroupSpecB((1, 1, v), maximal_mu(3).basis)
+    spec = GroupSpecB.from_dual_rows((1, 1, v), [[1, 1, 1]])
     d = 2 * v + 1
     if v == 1:
         rows = [
@@ -124,7 +122,7 @@ def reference_small_triple_certificate(third_rank: int) -> Certificate:
 
 
 def reference_small_quadruple_certificate() -> Certificate:
-    spec = GroupSpecB((1, 1, 1, 1), maximal_mu(4).basis)
+    spec = GroupSpecB.from_dual_rows((1, 1, 1, 1), [[1, 1, 1, 1]])
     one = CliffordUnit(3, 0)
     c12 = _unit(3, 1, 2)
     c13 = _unit(3, 1, 3)
@@ -203,7 +201,8 @@ def reference_report(cert: Certificate) -> CertReport:
     order = rank = 0
     if abelian:
         group = reference_closure(cert.generators, DEFAULT_ENUM_CAP)
-        order, rank = reference_quotient_rank(group, mu_subspace(cert.spec))
+        mu = rref_bits(v.bits for v in cert.spec.mu_gens)
+        order, rank = reference_quotient_rank(group, mu)
     finite = reference_centralizer_finite(cert.generators, cert.generators[0].dims)
     if abelian and not finite:
         reason = NOT_SEPARATED

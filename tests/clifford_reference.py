@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Sequence
 
 from edcalc import BitVec, Certificate, CliffordTuple, CliffordUnit, DimensionMismatchError
-from edcalc.subspace import mu_subspace
+from edcalc.gf2 import rref_bits
 
 from records_reference import in_span
 
@@ -85,7 +85,7 @@ def vector_image(u: CliffordUnit) -> frozenset[int]:
 
 def reference_pair_failure(cert: Certificate) -> str | None:
     """The failure reason of the first generator pair whose commutator leaves mu, or None."""
-    mu = mu_subspace(cert.spec)
+    mu = rref_bits([v.bits for v in cert.spec.mu_gens])
     for (i, a), (j, b) in combinations(enumerate(cert.generators), 2):
         sv = commutator_sign_vector(a, b)
         if not in_span(sv, mu):

@@ -19,15 +19,12 @@ from edcalc import (
     CliffordTuple,
     CliffordUnit,
     GroupSpecB,
-    SubspaceF2,
-    rref,
 )
 from edcalc.core import PatternWeights, _basis, _greedy_keys, _picks, _split_walk_keys
 from edcalc.caps import DEFAULT_ENUM_CAP
 from edcalc.extraspecial import _closure_packed, _Packing
-from edcalc.gf2 import bases_bits
+from edcalc.gf2 import annihilator_bits, bases_bits, rref_bits
 from edcalc.ledger import is_small_product
-from edcalc.subspace import dual_subspace, mu_subspace
 
 from clifford_reference import commutator_sign_vector, indices
 from greedy_reference import reference_greedy_keys, weight_exponent
@@ -133,16 +130,27 @@ def packed_closure(
     return packing, _closure_packed(packed, packing, cap, commutators)
 
 
+def mu_rows(spec: GroupSpecB) -> list[int]:
+    """The reduced rows of a spec's mu, also of a spec that `validate` rejects."""
+    return rref_bits([v.bits for v in spec.mu_gens])
+
+
+def dual_rows(spec: GroupSpecB) -> list[int]:
+    """The reduced rows of the dual of a spec's mu."""
+    return rref_bits(annihilator_bits(mu_rows(spec), spec.m))
+
+
 def greedy_basis(
-    mu: SubspaceF2, n: Sequence[int], enum_cap: int = DEFAULT_ENUM_CAP
+    mu: list[int], n: Sequence[int], enum_cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[tuple[BitVec, ...], int]:
-    """The greedy's minimal basis of the dual of mu, as vectors, and its total weight."""
-    return _basis(_greedy_keys([v.bits for v in mu.basis], n, enum_cap), mu.m)
+    """The greedy's minimal basis of the dual of mu's reduced rows, as vectors, and its
+    total weight."""
+    return _basis(_greedy_keys(mu, n, enum_cap), len(n))
 
 
-def bases_of(space: SubspaceF2, cap: int = DEFAULT_ENUM_CAP, keep=None) -> Iterable[tuple]:
-    """The upper-bound search's bases of a subspace, read from its basis rows."""
-    return bases_bits([v.bits for v in space.basis], cap, keep)
+def bases_of(rows: list[int], cap: int = DEFAULT_ENUM_CAP, keep=None) -> Iterable[tuple]:
+    """The upper-bound search's bases of the span of independent rows, at the default cap."""
+    return bases_bits(rows, cap, keep)
 
 
 def support_ranks(r: BitVec, n: Sequence[int]) -> tuple[int, ...]:
@@ -151,13 +159,14 @@ def support_ranks(r: BitVec, n: Sequence[int]) -> tuple[int, ...]:
 
 
 def brute_min_basis(
-    dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_ENUM_CAP
+    dual: list[int], n: Sequence[int], cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[tuple[BitVec, ...], int]:
-    """Exhaustive minimum over all bases; independent check of the greedy result."""
+    """Exhaustive minimum over all bases of the dual's reduced rows; independent check of
+    the greedy result."""
     best: tuple[BitVec, ...] | None = None
     best_key: tuple | None = None
     for bits in bases_of(dual, cap):
-        basis = tuple(BitVec(dual.m, b) for b in bits)
+        basis = tuple(BitVec(len(n), b) for b in bits)
         total = sum(1 << weight_exponent(v, n) for v in basis)
         key = (total, tuple(sorted(v.coords() for v in basis)))
         if best_key is None or key < best_key:
@@ -167,9 +176,10 @@ def brute_min_basis(
 
 
 def brute_bounds(
-    dual: SubspaceF2, n: Sequence[int], cap: int = DEFAULT_ENUM_CAP
+    dual: list[int], n: Sequence[int], cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, int | None, int]:
-    """Exhaustive oracles of the greedy and of the upper-bound search, in one pass.
+    """Exhaustive oracles of the greedy and of the upper-bound search, in one pass over
+    the bases of the dual's reduced rows.
 
     Returns the least total weight over all bases, the least over the bases with
     no small factor product (None when there is none), and how many such bases
@@ -183,7 +193,7 @@ def brute_bounds(
         total, small = 0, False
         for b in basis:
             if b not in classes:
-                v = BitVec(dual.m, b)
+                v = BitVec(len(n), b)
                 classes[b] = (1 << weight_exponent(v, n), is_small_product(support_ranks(v, n)))
             weight, is_small = classes[b]
             total += weight
@@ -218,7 +228,7 @@ def restricted_greedy_total(spec: GroupSpecB, keys: Iterable[int]) -> int | None
     the upper-bound search.  A stream that ends early, as the split walk does
     after its bound, may give None where that search finds a basis.
     """
-    m, k = spec.m, spec.m - mu_subspace(spec).dim
+    m, k = spec.m, spec.m - len(mu_rows(spec))
     weights, low = PatternWeights(spec.n), (1 << m) - 1
     # a key holds its pattern bit-reversed; is_small reads coordinate i at bit i
     kept = (key for key in keys if not weights.is_small(int(f"{key & low:0{m}b}"[::-1], 2)))
@@ -234,12 +244,12 @@ def check_restricted_greedy(spec: GroupSpecB, best: int | None) -> bool:
     stream it must find best too, unless the walk ended before the greedy held a basis:
     the walk stops after the heaviest key of a basis that may hold small patterns.
     """
-    dual = dual_subspace(spec)
-    assert restricted_greedy_total(spec, reference_greedy_keys(dual, spec.n)) == best, spec
-    keys = list(whole_walk_keys(spec.n, [v.bits for v in mu_subspace(spec).basis]))
+    dual = dual_rows(spec)
+    assert restricted_greedy_total(spec, reference_greedy_keys(dual, spec.m, spec.n)) == best, spec
+    keys = list(whole_walk_keys(spec.n, mu_rows(spec)))
     walked = restricted_greedy_total(spec, keys)
     if walked is None and best is not None:
-        assert len(keys) < (1 << dual.dim) - 1, spec
+        assert len(keys) < (1 << len(dual)) - 1, spec
         return True
     assert walked == best, spec
     return False
@@ -254,7 +264,7 @@ def random_group_spec(
     dual_dim = rng.randint(0, min(max_dual_dim, m))
     target = m - dual_dim
     gens: list[BitVec] = []
-    while rref(gens, m).dim < target:
+    while len(rref_bits(v.bits for v in gens)) < target:
         bits = rng.getrandbits(m)
         if bits:
             gens.append(BitVec(m, bits))
@@ -265,8 +275,8 @@ def compare_greedy_brute(
     spec: GroupSpecB, enum_cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[int, int]:
     """Greedy and exhaustive minimal totals for the same spec."""
-    _, greedy_total = greedy_basis(mu_subspace(spec), spec.n)
-    _, brute_total = brute_min_basis(dual_subspace(spec), spec.n, enum_cap)
+    _, greedy_total = greedy_basis(mu_rows(spec), spec.n)
+    _, brute_total = brute_min_basis(dual_rows(spec), spec.n, enum_cap)
     return greedy_total, brute_total
 
 
@@ -330,7 +340,7 @@ def random_certificate(rng, filtered):
     while True:
         rows = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m - 1)))
         spec = GroupSpecB(n, tuple(r for r in rows if r.bits))
-        mu = mu_subspace(spec)
+        mu = mu_rows(spec)
         if not any(in_span(BitVec(m, 1 << i), mu) for i in range(m)):
             break
     dims = tuple(2 * r + 1 for r in n)

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 from typing import Callable
 
+from edcalc.gf2 import annihilator_bits, rref_bits
 from edcalc.ledger import KnownCase
 from edcalc.spec import GroupSpecB
-from edcalc.subspace import diagonal_mu, maximal_mu, mu_subspace
 
 def _rule_spin3_power_diagonal(spec: GroupSpecB) -> KnownCase | None:
     m = spec.m
-    if m >= 2 and all(r == 1 for r in spec.n) and mu_subspace(spec) == diagonal_mu(m):
+    diagonal = rref_bits(v.bits for v in spec.mu_gens) == [(1 << m) - 1]
+    if m >= 2 and all(r == 1 for r in spec.n) and diagonal:
         return KnownCase(
             "exact",
             m + 1,
@@ -25,7 +26,7 @@ def _rule_spin3_power_diagonal(spec: GroupSpecB) -> KnownCase | None:
 
 
 def _rule_small_pair_exact(spec: GroupSpecB) -> KnownCase | None:
-    if spec.m != 2 or mu_subspace(spec) != diagonal_mu(2):
+    if spec.m != 2 or rref_bits(v.bits for v in spec.mu_gens) != [0b11]:
         return None
     pair = tuple(sorted(spec.n))
     if pair == (1, 2):
@@ -41,7 +42,8 @@ def _rule_small_pair_exact(spec: GroupSpecB) -> KnownCase | None:
 
 def _rule_equal_rank_diagonal(spec: GroupSpecB) -> KnownCase | None:
     m = spec.m
-    if m >= 2 and len(set(spec.n)) == 1 and mu_subspace(spec) == diagonal_mu(m):
+    diagonal = rref_bits(v.bits for v in spec.mu_gens) == [(1 << m) - 1]
+    if m >= 2 and len(set(spec.n)) == 1 and diagonal:
         r = spec.n[0]
         return KnownCase(
             "lower",
@@ -57,7 +59,7 @@ _PAIR_TABLE = {(1, 2): 4, (1, 3): 4, (1, 4): 5, (1, 5): 7, (2, 3): 5}
 
 
 def _rule_small_pair_diagonal(spec: GroupSpecB) -> KnownCase | None:
-    if spec.m != 2 or mu_subspace(spec) != diagonal_mu(2):
+    if spec.m != 2 or rref_bits(v.bits for v in spec.mu_gens) != [0b11]:
         return None
     pair = tuple(sorted(spec.n))
     value = _PAIR_TABLE.get(pair)
@@ -78,7 +80,8 @@ _MAXIMAL_TABLE = {(1, 1, 1): 3, (1, 1, 2): 4, (1, 1, 3): 5, (1, 1, 1, 1): 5}
 def _rule_small_maximal(spec: GroupSpecB) -> KnownCase | None:
     ranks = tuple(sorted(spec.n))
     value = _MAXIMAL_TABLE.get(ranks)
-    if value is not None and mu_subspace(spec) == maximal_mu(spec.m):
+    maximal = rref_bits(annihilator_bits([(1 << spec.m) - 1], spec.m))
+    if value is not None and rref_bits(v.bits for v in spec.mu_gens) == maximal:
         return KnownCase(
             "lower",
             value,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from edcalc import CliffordTuple, SubspaceF2
+from edcalc import CliffordTuple
 
 from clifford_reference import sign_vector, tuple_product
 from records_reference import in_span
@@ -22,9 +22,10 @@ def _encode(x: CliffordTuple) -> tuple:
 
 
 def reference_quotient_rank(
-    elements: Iterable[CliffordTuple], mu: SubspaceF2
+    elements: Iterable[CliffordTuple], mu: list[int]
 ) -> tuple[int, int]:
-    """Order and rank of the image of a finite subgroup in the quotient by mu.
+    """Order and rank of the image of a finite subgroup in the quotient by mu, given by
+    its reduced rows.
 
     The image must be abelian; this oracle does not check it.
     """

@@ -2,18 +2,17 @@
 moved to int rows.
 
 Kept as test oracles: `validate` must give the rows, or raise the error, of
-`reference_validate`, which reads mu off the `SubspaceF2` and `BitVec` records;
-and the dual that `annihilator_bits` spans must reduce to the rows of
-`reference_annihilator`, which solves the free coordinates from the record's
-pivots.  `support` and `in_span` read a vector's coordinates and a subspace's
-members, which the records no longer do.
+`reference_validate`, which tests mu's reduced rows one at a time; and the dual
+that `annihilator_bits` spans must reduce to the rows of `reference_annihilator`,
+which solves the free coordinates one coordinate at a time.  `support` and
+`in_span` read a vector's coordinates and whether it lies in the span of reduced
+rows, which the records no longer do.
 """
 
 from __future__ import annotations
 
 from edcalc.gf2 import BitVec, rref_bits
 from edcalc.spec import EmptySpecError, GroupSpecB, NotReducedError
-from edcalc.subspace import SubspaceF2, mu_subspace, rref
 
 
 def support(v: BitVec) -> tuple[int, ...]:
@@ -21,28 +20,27 @@ def support(v: BitVec) -> tuple[int, ...]:
     return tuple(i for i in range(v.m) if v.bits >> i & 1)
 
 
-def in_span(v: BitVec, space: SubspaceF2) -> bool:
-    """Whether v lies in the subspace: adding it to the basis leaves the dimension."""
-    return rref([*space.basis, v], space.m).dim == space.dim
+def in_span(v: BitVec, rows: list[int]) -> bool:
+    """Whether v lies in the span of reduced rows: adding it leaves their number."""
+    return len(rref_bits([*rows, v.bits])) == len(rows)
 
 
-def reference_validate(spec: GroupSpecB) -> SubspaceF2:
-    """Reject empty specs and non-reduced groups; returns mu, mu_subspace(spec)."""
+def reference_validate(spec: GroupSpecB) -> list[int]:
+    """Reject empty specs and non-reduced groups; returns mu's reduced rows."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
-    mu = mu_subspace(spec)
-    for v in mu.basis:
-        if v.bits.bit_count() == 1:
-            raise NotReducedError(v.bits.bit_length())
+    mu = rref_bits([v.bits for v in spec.mu_gens])
+    for r in mu:
+        if r.bit_count() == 1:
+            raise NotReducedError(r.bit_length())
     return mu
 
 
-def reference_annihilator(space: SubspaceF2) -> SubspaceF2:
-    """Orthogonal complement under the mod-2 dot pairing."""
-    pivots = {(v.bits & -v.bits).bit_length() - 1 for v in space.basis}
-    rows = [v.bits for v in space.basis]
+def reference_annihilator(rows: list[int], m: int) -> list[int]:
+    """Reduced rows of the orthogonal complement of the span of reduced rows in GF(2)^m."""
+    pivots = {(r & -r).bit_length() - 1 for r in rows}
     out: list[int] = []
-    for f in range(space.m):
+    for f in range(m):
         if f in pivots:
             continue
         # free coordinate f: set it to 1 and solve the pivot coordinates
@@ -51,4 +49,4 @@ def reference_annihilator(space: SubspaceF2) -> SubspaceF2:
             if (r >> f) & 1:
                 bits |= r & -r
         out.append(bits)
-    return SubspaceF2._from_rref(space.m, rref_bits(out))
+    return rref_bits(out)

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Iterator
 
-from edcalc import STATUS_EXACT, BitVec, EdResult, GroupSpecB, compute_ed, diagonal_mu, maximal_mu
+from edcalc import STATUS_EXACT, BitVec, EdResult, GroupSpecB, compute_ed
 from edcalc.cli_compute import render_result_text, result_to_doc
 
 SURVEY_FILE = Path(__file__).resolve().parent / "data" / "survey.json"
@@ -40,18 +40,20 @@ def blocks_mu(m: int, size: int) -> tuple[BitVec, ...]:
 
 def survey_specs() -> Iterator[tuple[str, str, GroupSpecB]]:
     """(group, label, spec) for every spec of the survey, in a fixed order."""
-    for kind, mu_of in (("diagonal", diagonal_mu), ("maximal", maximal_mu)):
+    # the all-ones row generates the diagonal mu, and as the dual row the maximal mu
+    builders = (("diagonal", GroupSpecB.from_mu_rows), ("maximal", GroupSpecB.from_dual_rows))
+    for kind, build in builders:
         for m in range(2, 6):
             for n in combinations_with_replacement(range(1, 5), m):
                 label = f"{kind} {','.join(map(str, n))}"
-                yield kind, label, GroupSpecB(n, mu_of(m).basis)
+                yield kind, label, build(n, [[1] * m])
     for r in range(1, 14):
         yield "single", f"single {r}", GroupSpecB((r,))
-    yield "m64", "m64 diagonal cycle7-12", GroupSpecB(CYCLE, diagonal_mu(64).basis)
+    yield "m64", "m64 diagonal cycle7-12", GroupSpecB.from_mu_rows(CYCLE, [[1] * 64])
     for size in (8, 4, 2):
         label = f"m64 blocks-{64 // size}x{size} cycle7-12"
         yield "m64", label, GroupSpecB(CYCLE, blocks_mu(64, size))
-    yield "m64", "m64 diagonal 7x64", GroupSpecB((7,) * 64, diagonal_mu(64).basis)
+    yield "m64", "m64 diagonal 7x64", GroupSpecB.from_mu_rows((7,) * 64, [[1] * 64])
 
 
 def answer(result: EdResult) -> dict:

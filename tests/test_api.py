@@ -19,6 +19,7 @@ from edcalc import caps, cli, compute_ed, verify_certificate
 from edcalc.ledger import SMALL_MAX_FACTORS, SMALL_MAX_RANK
 
 from helpers import cli_modules, run_fresh
+from survey import load, summary
 
 DATA = Path(__file__).parent / "data"
 
@@ -73,8 +74,8 @@ def test_lazy_names_resolve_in_a_fresh_interpreter():
 # the package's modules, each command's share of them, and the modules it must skip
 SPEC = {"edcalc._record", "edcalc.gf2", "edcalc.spec"}
 COMPUTE = SPEC | {"edcalc.ledger", "edcalc.core", "edcalc.cli_compute"}
-# the modules of the records and documents that no command builds
-LIBRARY_ONLY = {"edcalc.subspace", "edcalc.documents"}
+# the module of the documents that no command writes
+LIBRARY_ONLY = {"edcalc.documents"}
 NOT_AT_START = {"argparse", "dataclasses"} | LIBRARY_ONLY
 CERTIFY = {"edcalc.extraspecial", "edcalc.cli_certify"}
 
@@ -149,9 +150,9 @@ def test_help_and_usage_errors_load_argparse_and_no_algorithm(argv, code):
 # edcalc.cli` runs cli.py as __main__, so it counts besides the modules imported.
 # A change that makes a command load more raises its bound here.
 SOURCE_BUDGET = {
-    "compute": (["compute", str(DATA / "c1.json")], 1373),
-    "certify": (["certify", "builtin:small4"], 1315),
-    "table": (["table"], 541),
+    "compute": (["compute", str(DATA / "c1.json")], 1368),
+    "certify": (["certify", "builtin:small4"], 1310),
+    "table": (["table"], 536),
 }
 
 
@@ -192,6 +193,21 @@ def test_readme_states_the_exit_codes_and_the_small_product_limits():
     )
     assert stated, "README no longer states the small-product limits in the expected words"
     assert tuple(map(int, stated.groups())) == (SMALL_MAX_RANK, SMALL_MAX_FACTORS)
+
+
+def test_readme_states_the_survey_counts():
+    # each row of the "Answer quality" table: the group and its size, then the first
+    # number of each cell, in the order of the columns
+    rows = re.findall(r"^\| (\w+(?: = 64)?), (\d+) \|(.*)\|$", readme_text(), re.MULTILINE)
+    stated = {
+        group.replace(" = ", ""): [int(size)] + [int(cell.split()[0]) for cell in cells.split("|")]
+        for group, size, cells in rows
+    }
+    columns = ("exact", "bounds-only", "lower = 0", "no upper", "capped")
+    assert stated == {
+        group: [c["exact"] + c["bounds-only"]] + [c[column] for column in columns]
+        for group, c in summary(load()).items()
+    }
 
 
 def test_every_source_file_parses_under_the_oldest_supported_python():

@@ -222,12 +222,15 @@ def test_certify_spec_validation_error(tmp_path, capsys):
 
 
 def test_certify_names_an_empty_spec_before_its_generators(tmp_path, capsys):
-    # the empty generator and the bad note are not reached: the spec is named, as compute names it
-    doc = {"spec": {"type": "B", "n": []}, "generators": [[]], "note": 5}
-    code, out, err = run(capsys, "certify", write_doc(tmp_path, "cert.json", doc))
-    assert (code, out, err) == (3, "", "error: spec has no factors\n")
-    code, _, err = run(capsys, "compute", write_doc(tmp_path, "spec.json", doc["spec"]))
-    assert code == 3 and err.endswith(": spec has no factors\n")
+    # the empty generator and the bad note are not reached: the spec is named, as compute
+    # names it, also when it has an empty row of mu or of its dual
+    for rows in ({}, {"mu_generators": [[]]}, {"r_generators": [[]]}):
+        doc = {"spec": {"type": "B", "n": [], **rows}, "generators": [[]], "note": 5}
+        code, out, err = run(capsys, "certify", write_doc(tmp_path, "cert.json", doc))
+        assert (code, out, err) == (3, "", "error: spec has no factors\n"), rows
+        path = write_doc(tmp_path, "spec.json", doc["spec"])
+        code, out, err = run(capsys, "compute", path)
+        assert (code, out, err) == (3, "", f"error: {path}: spec has no factors\n"), rows
 
 
 def test_certify_closure_cap(capsys):

@@ -25,11 +25,8 @@ from edcalc import (
     SpecFormatError,
     compute_ed,
     count_bases,
-    diagonal_mu,
     group_dim,
     is_small_product,
-    maximal_mu,
-    rref,
     spec_from_doc,
     spec_to_doc,
     validate,
@@ -43,9 +40,8 @@ from edcalc.core import (
 )
 
 from edcalc.caps import DEFAULT_ENUM_CAP
-from edcalc.gf2 import check_basis_count
+from edcalc.gf2 import check_basis_count, rref_bits
 from edcalc.ledger import known_case_of_rows
-from edcalc.subspace import dual_subspace, mu_subspace
 
 from bases_reference import reference_enumerate_bases
 from exactness_reference import ReferencePatternWeights, reference_small_product_text
@@ -56,7 +52,9 @@ from helpers import (
     brute_min_basis,
     check_restricted_greedy,
     compare_greedy_brute,
+    dual_rows,
     greedy_basis,
+    mu_rows,
     random_group_spec,
     support_ranks,
 )
@@ -96,7 +94,7 @@ def per_factor_validate(spec):
     """The check validate made before it read mu's reduced rows: one unit pattern per factor."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
-    mu = mu_subspace(spec)
+    mu = mu_rows(spec)
     for i in range(spec.m):
         if in_span(BitVec(spec.m, 1 << i), mu):
             raise NotReducedError(i + 1)
@@ -122,7 +120,7 @@ def test_validate_matches_the_per_factor_check():
             assert str(err.value) == str(expected)
         else:
             outcomes["reduced"] += 1
-            assert validate(spec) == [v.bits for v in mu_subspace(spec).basis]
+            assert validate(spec) == mu_rows(spec)
     assert min(outcomes.values()) > 150, outcomes
 
 
@@ -255,13 +253,13 @@ def test_pattern_weights_follow_an_extended_list(monkeypatch, extra):
 def test_greedy_on_full_space_picks_units():
     n = (2, 1, 3)
     # trivial mu: the dual is the whole space
-    basis, total = greedy_basis(rref([], m=3), n)
+    basis, total = greedy_basis([], n)
     assert set(v.coords() for v in basis) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
     assert total == sum(1 << r for r in n)
 
 
 def test_greedy_example_mixed():
-    basis, total = greedy_basis(mu_subspace(MIXED), MIXED.n)
+    basis, total = greedy_basis(mu_rows(MIXED), MIXED.n)
     assert [v.coords() for v in basis] == [(1, 1, 1, 0), (0, 0, 0, 1)]
     assert total == 192
 
@@ -274,9 +272,9 @@ def test_greedy_matches_brute_small_cases():
 
 
 def test_brute_on_mixed_example():
-    basis, total = brute_min_basis(dual_subspace(MIXED), MIXED.n)
+    basis, total = brute_min_basis(dual_rows(MIXED), MIXED.n)
     assert total == 192
-    assert rref(list(basis), 4) == dual_subspace(MIXED)
+    assert rref_bits(v.bits for v in basis) == dual_rows(MIXED)
 
 
 def test_theorem_hypothesis():
@@ -295,7 +293,7 @@ def test_theorem_hypothesis():
 def test_theorem_hypothesis_matches_dual_subspace_definition():
     # the hypothesis read off the dual subspace, as it was first written
     def by_dual(spec):
-        dual = dual_subspace(spec)
+        dual = dual_rows(spec)
         bad = tuple(
             i + 1
             for i, r in enumerate(spec.n)
@@ -310,10 +308,10 @@ def test_theorem_hypothesis_matches_dual_subspace_definition():
         n = tuple(rng.randint(1, 9) for _ in range(m))
         gens = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, 3)))
         spec = GroupSpecB(n, gens)
-        trivial += mu_subspace(spec).dim == 0
+        trivial += not mu_rows(spec)
         # the generators and mu's reduced rows span the same mu
-        for rows in (spec.mu_gens, mu_subspace(spec).basis):
-            assert theorem_hypothesis_holds(spec.n, [v.bits for v in rows]) == by_dual(spec), spec
+        for rows in ([v.bits for v in spec.mu_gens], mu_rows(spec)):
+            assert theorem_hypothesis_holds(spec.n, rows) == by_dual(spec), spec
     assert trivial > 100
 
 
@@ -420,7 +418,7 @@ def test_one_enum_cap_bounds_the_greedy_and_the_search():
     # five rank-2 factors under the diagonal: a dual of dimension 4, with 2^4 - 1
     # nonzero patterns and 840 bases.  15 admits the greedy and refuses the search
     spec = load_spec("rank2_five_diagonal.json")
-    mu = mu_subspace(spec)
+    mu = mu_rows(spec)
     with pytest.raises(EnumerationTooLargeError, match=" 2\\^4 - 1 nonzero elements, cap is 14$"):
         greedy_basis(mu, spec.n, enum_cap=14)
     assert compute_ed(spec, enum_cap=14).warnings == (WARN_ELEMENT_CAP,)
@@ -473,7 +471,7 @@ def test_the_search_cap_refuses_before_building_the_dual(monkeypatch):
     below = compute_ed(spec, enum_cap=count_bases(6) - 1)
     assert below.trace[-1].citation == "27998208 bases exceed the cap of 27998207; search skipped"
     with pytest.raises(EnumerationTooLargeError, match="^27998208 bases exceed the cap of 27998207$"):
-        next(bases_of(dual_subspace(spec), count_bases(6) - 1))
+        next(bases_of(dual_rows(spec), count_bases(6) - 1))
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 7, 64, 200])
@@ -512,12 +510,12 @@ def test_restricted_enumeration_keeps_exactly_the_bases_without_small_products()
     # the full enumeration's bases with no small pattern, in the same order
     some, none = 0, 0
     for spec in seeded_small_duals(1801, 200):
-        dual, weights = dual_subspace(spec), PatternWeights(spec.n)
+        dual, weights = dual_rows(spec), PatternWeights(spec.n)
         every = list(bases_of(dual))
-        assert every == list(reference_enumerate_bases(dual)), spec
+        assert every == list(reference_enumerate_bases(dual, spec.m)), spec
         full = [b for b in every if all(oracle_weight(v, spec.n) for v in b)]
         assert list(bases_of(dual, keep=weights.__getitem__)) == full, spec
-        some += 0 < len(full) < count_bases(dual.dim)
+        some += 0 < len(full) < count_bases(len(dual))
         none += not full
     assert some > 30 and none > 30
 
@@ -527,7 +525,7 @@ def test_restricted_greedy_matches_the_exhaustive_search_on_random_specs():
     # walk's bound ends its stream before the restricted greedy holds a basis
     fell_short = 0
     for spec in seeded_small_duals(1801, 200):
-        _, best, _ = brute_bounds(dual_subspace(spec), spec.n)
+        _, best, _ = brute_bounds(dual_rows(spec), spec.n)
         fell_short += check_restricted_greedy(spec, best)
     assert fell_short <= 30
 
@@ -540,7 +538,7 @@ def test_compute_ed_permutation_equivariance():
 
 
 def test_compute_ed_capped_known_exact():
-    spec = GroupSpecB((1,) * 30, diagonal_mu(30).basis)
+    spec = mk((1,) * 30, [[1] * 30])
     res = compute_ed(spec)
     assert res.status == STATUS_EXACT and res.value == 31
     assert WARN_ELEMENT_CAP in res.warnings
@@ -549,7 +547,7 @@ def test_compute_ed_capped_known_exact():
 
 def test_compute_ed_capped_no_rule():
     # one connected block with a dual of dimension 25, which no ledger family matches
-    spec = GroupSpecB((9,) * 25 + (10,), diagonal_mu(26).basis)
+    spec = mk((9,) * 25 + (10,), [[1] * 26])
     res = compute_ed(spec)
     assert res.status == STATUS_BOUNDS
     assert res.lower == 0 and res.upper is None
@@ -574,7 +572,7 @@ def test_compute_ed_capped_trace_counts_the_refused_block():
 )
 def test_compute_ed_writes_values_over_4300_digits_only_with_the_limit_lifted():
     # the trace writes the basis weight, here 2^40000 with 12042 digits, in decimal
-    spec = GroupSpecB((20000, 20000), diagonal_mu(2).basis)
+    spec = mk((20000, 20000), [[1, 1]])
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
@@ -594,12 +592,12 @@ def test_compute_ed_writes_values_over_4300_digits_only_with_the_limit_lifted():
 def test_a_refused_block_over_4300_digits_is_capped_under_the_default_limit():
     # a dual of dimension 14,399 has a count 2^k - 1 of 4335 digits; the refusal
     # writes it as a power, so the default limit lets the capped path run
-    spec = GroupSpecB((7,) * 14_400, diagonal_mu(14_400).basis)
+    spec = mk((7,) * 14_400, [[1] * 14_400])
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
         with pytest.raises(EnumerationTooLargeError) as caught:
-            greedy_basis(mu_subspace(spec), spec.n)
+            greedy_basis(mu_rows(spec), spec.n)
         res = compute_ed(spec)
     finally:
         sys.set_int_max_str_digits(limit)
@@ -687,7 +685,7 @@ def test_random_group_spec_determinism_and_ranges():
         spec = random_group_spec(rng)
         assert 1 <= spec.m <= 8
         assert all(1 <= r <= 9 for r in spec.n)
-        assert dual_subspace(spec).dim <= 4
+        assert len(dual_rows(spec)) <= 4
 
 
 def test_spec_documents_round_trip():
@@ -695,16 +693,14 @@ def test_spec_documents_round_trip():
     assert doc["type"] == "B" and doc["n"] == [1, 2, 3, 7]
     again = spec_from_doc(doc)
     assert again.n == MIXED.n
-    assert mu_subspace(again) == mu_subspace(MIXED)
+    assert mu_rows(again) == mu_rows(MIXED)
 
 
 def test_spec_from_doc_dual_rows():
     doc = {"type": "B", "n": [1, 2, 3, 7], "r_generators": [[1, 1, 1, 0], [0, 0, 0, 1]]}
     spec = spec_from_doc(doc)
-    assert dual_subspace(spec) == rref(
-        [BitVec.from_coords([1, 1, 1, 0]), BitVec.from_coords([0, 0, 0, 1])]
-    )
-    assert mu_subspace(spec) == mu_subspace(MIXED)
+    assert dual_rows(spec) == rref_bits(BitVec.from_coords(r).bits for r in doc["r_generators"])
+    assert mu_rows(spec) == mu_rows(MIXED)
 
 
 def test_spec_from_doc_rejects_malformed():
@@ -728,7 +724,10 @@ def test_spec_from_doc_rejects_malformed():
 
 
 def test_diagonal_and_maximal_mu():
-    assert [v.coords() for v in diagonal_mu(3).basis] == [(1, 1, 1)]
-    assert maximal_mu(3).dim == 2
-    assert in_span(BitVec.from_coords([1, 1, 0]), maximal_mu(3))
-    assert not in_span(BitVec.from_coords([1, 0, 0]), maximal_mu(3))
+    # the all-ones row as the one row of mu, and as the one row of the dual
+    diagonal = mk((1, 2, 3), [[1, 1, 1]])
+    maximal = GroupSpecB.from_dual_rows((1, 2, 3), [[1, 1, 1]])
+    assert [BitVec(3, r).coords() for r in validate(diagonal)] == [(1, 1, 1)]
+    assert len(validate(maximal)) == 2
+    assert in_span(BitVec.from_coords([1, 1, 0]), validate(maximal))
+    assert not in_span(BitVec.from_coords([1, 0, 0]), validate(maximal))

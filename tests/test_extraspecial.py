@@ -11,7 +11,6 @@ from random import Random
 import pytest
 
 from edcalc import (
-    BitVec,
     CertReport,
     Certificate,
     CliffordTuple,
@@ -25,9 +24,6 @@ from edcalc import (
     certificate_from_doc,
     certificate_to_doc,
     compute_ed,
-    diagonal_mu,
-    maximal_mu,
-    rref,
     verify_certificate,
 )
 from edcalc.caps import DEFAULT_ENUM_CAP
@@ -43,7 +39,6 @@ from edcalc.extraspecial import (
     small_triple_certificate,
 )
 from edcalc.gf2 import rref_bits
-from edcalc.subspace import mu_subspace
 from clifford_reference import (
     commutator_sign_vector,
     indices,
@@ -60,6 +55,7 @@ from helpers import (
     all_units,
     bench_workloads,
     even_masks,
+    mu_rows,
     packed_closure,
     packed_product,
     packed_unit_product,
@@ -259,16 +255,15 @@ def test_packed_sign_laws_match_tuple_arithmetic(dims):
 def packed_quotient_rank(packing, elements, mu):
     """`_quotient_rank_packed` on packed elements, with mu's rows as verify_certificate makes
     them; the elements themselves are the generators whose masks it squares."""
-    mu_rows = rref_bits(packing.sign_code(v.bits) for v in mu.basis)
-    return _quotient_rank_packed(elements, packing, mu_rows, [x >> packing.width for x in elements])
+    rows = rref_bits(packing.sign_code(r) for r in mu)
+    return _quotient_rank_packed(elements, packing, rows, [x >> packing.width for x in elements])
 
 
 def test_quotient_rank_cyclic():
     packing, group = packed_closure([CliffordTuple((cu(3, 1, 2),))])
-    order, rank = packed_quotient_rank(packing, group, rref([], m=1))
+    order, rank = packed_quotient_rank(packing, group, [])
     assert (order, rank) == (4, 1)  # cyclic of order 4
-    full_mu = rref([BitVec.from_coords([1])])
-    order, rank = packed_quotient_rank(packing, group, full_mu)
+    order, rank = packed_quotient_rank(packing, group, [0b1])
     assert (order, rank) == (2, 1)
 
 
@@ -276,7 +271,7 @@ def test_quotient_rank_diagonal_example():
     cert = diagonal_certificate(1, 2)
     packing, group = packed_closure(cert.generators)
     assert len(group) == 16
-    order, rank = packed_quotient_rank(packing, group, mu_subspace(cert.spec))
+    order, rank = packed_quotient_rank(packing, group, mu_rows(cert.spec))
     assert (order, rank) == (8, 3)
 
 
@@ -293,7 +288,7 @@ def test_quotient_rank_rejects_non_abelian():
 
 def test_quotient_rank_rejects_a_set_that_is_not_a_subgroup():
     packing, cyclic = packed_closure([CliffordTuple((cu(3, 1, 2),))])
-    trivial = rref([], m=1)
+    trivial = []
     c12 = packing.pack(CliffordTuple((cu(3, 1, 2),)))
     with pytest.raises(ValueError):
         packed_quotient_rank(packing, {c12}, trivial)  # no identity
@@ -344,7 +339,7 @@ def test_quotient_rank_matches_reference_on_the_benchmark_certificates():
             non_abelian += 1
             assert not report.abelian_in_quotient and report.failure_reason == failure
         else:
-            expected = assert_quotient_rank_matches_reference(group, mu_subspace(cert.spec))
+            expected = assert_quotient_rank_matches_reference(group, mu_rows(cert.spec))
             assert (report.subgroup_order, report.rank) == expected
     assert non_abelian == 5
 
@@ -373,7 +368,7 @@ def test_quotient_rank_matches_reference_on_random_abelian_certificates():
     for _ in range(150):
         m = rng.randint(1, 3)
         dims = [2 * rng.randint(1, 3) + 1 for _ in range(m)]
-        mu = rref([BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m))], m)
+        mu = rref_bits(rng.getrandbits(m) for _ in range(rng.randint(0, m)))
         gens: list[CliffordTuple] = []
         for _ in range(rng.randint(1, 6)):
             g = random_tuple(rng, dims)
@@ -389,7 +384,7 @@ def test_certificates_over_more_than_64_factors_match_the_oracles():
     # abelian modulo mu or not
     rng = Random(70)
     m, dims = 70, (3,) * 70
-    diagonal = GroupSpecB((1,) * m, diagonal_mu(m).basis)
+    diagonal = GroupSpecB.from_mu_rows((1,) * m, [[1] * m])
     certs = []
     for flips in (0, 1, 3):
         gens = [CliffordTuple((cu(3, 1, 2),) * m), CliffordTuple((cu(3, 2, 3),) * m)]
@@ -397,7 +392,7 @@ def test_certificates_over_more_than_64_factors_match_the_oracles():
             signs = (CliffordUnit(3, 0, -1 if i == f else 1) for i in range(m))
             gens.append(CliffordTuple(tuple(signs)))
         certs.append(Certificate(diagonal, gens))
-    maximal = GroupSpecB((1,) * m, maximal_mu(m).basis)
+    maximal = GroupSpecB.from_dual_rows((1,) * m, [[1] * m])
     for _ in range(12):
         gens = [random_tuple(rng, dims) for _ in range(rng.randint(1, 3))]
         certs.append(Certificate(maximal, gens))
@@ -412,7 +407,7 @@ def test_certificates_over_more_than_64_factors_match_the_oracles():
             continue
         abelian += 1
         group = reference_closure(cert.generators, DEFAULT_ENUM_CAP)
-        expected = reference_quotient_rank(group, mu_subspace(cert.spec))
+        expected = reference_quotient_rank(group, mu_rows(cert.spec))
         assert (report.subgroup_order, report.rank) == expected
         if cert.spec is diagonal:  # c(1,2) and c(2,3) separate the three coordinates
             assert report.lower_bound == report.rank
@@ -500,7 +495,7 @@ def test_packed_checks_match_object_oracles_on_random_certificates():
 
 
 def test_certificate_shape_validation():
-    spec = GroupSpecB((1, 1), diagonal_mu(2).basis)
+    spec = GroupSpecB.from_mu_rows((1, 1), [[1, 1]])
     with pytest.raises(ValueError):
         Certificate(spec, ())
     with pytest.raises(DimensionMismatchError):
@@ -541,7 +536,7 @@ def search_pair_23_extra(spec, base):
     )
     for mask in masks:
         candidate = CliffordTuple((CliffordUnit(5, mask), y))
-        if not all(in_span(commutator_sign_vector(candidate, g), mu_subspace(spec)) for g in base):
+        if not all(in_span(commutator_sign_vector(candidate, g), mu_rows(spec)) for g in base):
             continue
         if verify_certificate(Certificate(spec, base + (candidate,))).lower_bound == 5:
             return candidate
@@ -595,7 +590,7 @@ def test_builtin_certificate_keys_take_only_canonical_numbers(key):
 
 
 def test_verify_rejects_non_abelian_certificate():
-    spec = GroupSpecB((1, 1), diagonal_mu(2).basis)
+    spec = GroupSpecB.from_mu_rows((1, 1), [[1, 1]])
     gens = (
         CliffordTuple((cu(3, 1, 2), CliffordUnit(3, 0))),
         CliffordTuple((cu(3, 1, 3), CliffordUnit(3, 0))),
@@ -607,7 +602,7 @@ def test_verify_rejects_non_abelian_certificate():
 
 
 def loose_certificate():
-    spec = GroupSpecB((2, 2), diagonal_mu(2).basis)
+    spec = GroupSpecB.from_mu_rows((2, 2), [[1, 1]])
     gens = (
         CliffordTuple((cu(5, 1, 2), cu(5, 1, 2))),
         CliffordTuple((CliffordUnit(5, 0, -1), CliffordUnit(5, 0))),
@@ -631,7 +626,7 @@ NOT_SEPARATED = (
 def noted_non_abelian_certificate():
     # generators 1 and 2 anticommute in the first factor only, and the images
     # separate every coordinate of both factors
-    spec = GroupSpecB((1, 1), diagonal_mu(2).basis)
+    spec = GroupSpecB.from_mu_rows((1, 1), [[1, 1]])
     one = CliffordUnit(3, 0)
     gens = (
         CliffordTuple((cu(3, 1, 2), cu(3, 1, 2))),
@@ -667,7 +662,7 @@ def test_verify_reports_each_verdict_whole(make, expected):
 
 
 def test_verify_propagates_spec_validation():
-    spec = GroupSpecB((1, 1), (rref([BitVec.from_coords([1, 0])]).basis))
+    spec = GroupSpecB.from_mu_rows((1, 1), [[1, 0]])
     cert = Certificate(spec, (CliffordTuple((cu(3, 1, 2), cu(3, 1, 2))),))
     with pytest.raises(NotReducedError):
         verify_certificate(cert)
@@ -731,11 +726,11 @@ def test_certificate_from_doc_rejects_malformed():
 def test_certificate_rank_consistent_with_exact_values():
     # where the calculator proves exactness, certificate ranks stay at or below it
     for m in (2, 3, 4):
-        exact = compute_ed(GroupSpecB((1,) * m, diagonal_mu(m).basis)).value
+        exact = compute_ed(GroupSpecB.from_mu_rows((1,) * m, [[1] * m])).value
         assert verify_certificate(diagonal_certificate(1, m)).lower_bound == exact
-    exact = compute_ed(GroupSpecB((1, 2), diagonal_mu(2).basis)).value
+    exact = compute_ed(GroupSpecB.from_mu_rows((1, 2), [[1, 1]])).value
     assert verify_certificate(pair_certificate(1, 2)).lower_bound == exact
-    exact = compute_ed(GroupSpecB((3, 3, 3), diagonal_mu(3).basis)).value
+    exact = compute_ed(GroupSpecB.from_mu_rows((3, 3, 3), [[1, 1, 1]])).value
     assert verify_certificate(diagonal_certificate(3, 3)).lower_bound <= exact
 
 

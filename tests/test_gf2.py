@@ -8,28 +8,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edcalc import (
-    BitVec,
-    EnumerationTooLargeError,
-    GroupSpecB,
-    SubspaceF2,
-    annihilator,
-    count_bases,
-    rref,
-)
+from edcalc import BitVec, EnumerationTooLargeError, GroupSpecB, count_bases
 from edcalc.core import PatternWeights
-from edcalc.gf2 import reduce_bits, rref_bits
-from edcalc.subspace import dual_subspace
+from edcalc.gf2 import annihilator_bits, reduce_bits, rref_bits
 
 from bases_reference import reference_enumerate_bases
 from exactness_reference import reference_str
 from greedy_reference import reference_enumerate_elements
-from helpers import bases_of
+from helpers import bases_of, dual_rows
 from records_reference import in_span
 
 
-def vecs(m, rows):
-    return [BitVec.from_coords(r) for r in rows]
+def packed(rows):
+    return [BitVec.from_coords(r).bits for r in rows]
 
 
 def test_bitvec_construction():
@@ -66,34 +57,20 @@ def test_bitvec_validation():
 
 
 def test_rref_canonical_example():
-    space = rref(vecs(4, [[1, 1, 0, 0], [1, 0, 1, 0]]))
-    assert [v.coords() for v in space.basis] == [(1, 0, 1, 0), (0, 1, 1, 0)]
-    assert space.dim == 2
-
-
-def test_rref_empty_needs_dimension():
-    with pytest.raises(ValueError):
-        rref([])
-    space = rref([], m=5)
-    assert space.m == 5 and space.dim == 0
-
-
-def test_subspace_rejects_non_canonical_basis():
-    with pytest.raises(ValueError):
-        SubspaceF2(3, (BitVec.from_coords([1, 1, 0]), BitVec.from_coords([1, 0, 1])))
+    rows = rref_bits(packed([[1, 1, 0, 0], [1, 0, 1, 0]]))
+    assert [BitVec(4, r).coords() for r in rows] == [(1, 0, 1, 0), (0, 1, 1, 0)]
 
 
 def test_annihilator_example():
-    mu = rref(vecs(4, [[1, 1, 0, 0], [1, 0, 1, 0]]))
-    dual = annihilator(mu)
-    assert [v.coords() for v in dual.basis] == [(1, 1, 1, 0), (0, 0, 0, 1)]
+    mu = rref_bits(packed([[1, 1, 0, 0], [1, 0, 1, 0]]))
+    dual = rref_bits(annihilator_bits(mu, 4))
+    assert [BitVec(4, r).coords() for r in dual] == [(1, 1, 1, 0), (0, 0, 0, 1)]
 
 
 def test_annihilator_of_trivial_and_full():
-    trivial = rref([], m=3)
-    full = annihilator(trivial)
-    assert full.dim == 3
-    assert annihilator(full).dim == 0
+    full = rref_bits(annihilator_bits([], 3))
+    assert len(full) == 3
+    assert annihilator_bits(full, 3) == []
 
 
 def test_count_bases():
@@ -104,15 +81,15 @@ def test_count_bases():
 
 
 def test_enumerate_bases_full_plane():
-    space = rref([BitVec(2, 0b01), BitVec(2, 0b10)])
+    space = rref_bits([0b01, 0b10])
     bases = list(bases_of(space))
     assert bases == [(0b01, 0b10), (0b01, 0b11), (0b10, 0b11)]
     for basis in bases:
-        assert rref([BitVec(2, b) for b in basis]) == space
+        assert rref_bits(basis) == space
 
 
 def test_enumerate_bases_counts_and_membership():
-    space = rref([BitVec(5, 1 << 0), BitVec(5, 1 << 2), BitVec(5, 1 << 4)])
+    space = rref_bits([1 << 0, 1 << 2, 1 << 4])
     bases = list(bases_of(space))
     assert len(bases) == count_bases(3) == 28
     seen = set(frozenset(b) for b in bases)
@@ -120,15 +97,15 @@ def test_enumerate_bases_counts_and_membership():
     for basis in bases:
         # packed ints, coordinate i at bit i, in ascending order
         assert all(type(b) is int for b in basis) and list(basis) == sorted(basis)
-        assert rref([BitVec(5, b) for b in basis]) == space
+        assert rref_bits(basis) == space
 
 
 def test_enumerate_bases_zero_dim():
-    assert list(bases_of(rref([], m=4))) == [()]
+    assert list(bases_of([])) == [()]
 
 
 def test_enumerate_bases_cap():
-    space = rref([BitVec(3, 1 << i) for i in range(3)])
+    space = rref_bits(1 << i for i in range(3))
     with pytest.raises(EnumerationTooLargeError):
         list(bases_of(space, cap=27))
     # the cap counts every basis, also those that keep rejects
@@ -137,7 +114,7 @@ def test_enumerate_bases_cap():
 
 
 def test_enumerate_bases_keep():
-    space = rref([BitVec(3, 1 << i) for i in range(3)])
+    space = rref_bits(1 << i for i in range(3))
     bases = list(bases_of(space))
     for keep in (lambda bits: bits != 0b011, lambda bits: bits & 1, lambda bits: bits > 7):
         kept = [b for b in bases if all(keep(v) for v in b)]
@@ -146,24 +123,25 @@ def test_enumerate_bases_keep():
     assert units == [(0b001, 0b010, 0b100)]
 
 
-def random_space(rng: Random, dim: int) -> SubspaceF2:
+def random_space(rng: Random, dim: int) -> tuple[list[int], int]:
+    """The reduced rows of a random subspace of the given dimension, and its m."""
     m = rng.randint(max(dim, 1), 8)
-    vectors: list[BitVec] = []
-    while rref(vectors, m=m).dim < dim:
-        vectors.append(BitVec(m, rng.getrandbits(m)))
-    return rref(vectors, m=m)
+    vectors: list[int] = []
+    while len(rref_bits(vectors)) < dim:
+        vectors.append(rng.getrandbits(m))
+    return rref_bits(vectors), m
 
 
 def test_enumerate_bases_matches_the_recursion_oracle():
     rng = Random(1901)
     for dim in range(6):
         for _ in range(25):
-            space = random_space(rng, dim)
-            elems = [v.bits for v in reference_enumerate_elements(space)]
+            space, m = random_space(rng, dim)
+            elems = [v.bits for v in reference_enumerate_elements(space, m)]
             kept = set(rng.sample(elems, rng.randint(0, min(len(elems), 20))))
             # every basis of a dimension-5 space is left to the pool specs below
             for keep in (kept.__contains__,) if dim == 5 else (None, kept.__contains__):
-                expected = list(reference_enumerate_bases(space, keep=keep))
+                expected = list(reference_enumerate_bases(space, m, keep=keep))
                 assert list(bases_of(space, keep=keep)) == expected, (space, keep)
 
 
@@ -177,10 +155,10 @@ DUAL5_POOL = [
 
 @pytest.mark.parametrize("spec,searched", DUAL5_POOL, ids=["diagonal", "random"])
 def test_enumerate_bases_matches_the_recursion_oracle_on_the_dual5_pool_specs(spec, searched):
-    dual = dual_subspace(spec)
+    dual = dual_rows(spec)
     # the upper-bound search's filter, then every basis
     for keep, count in ((PatternWeights(spec.n).__getitem__, searched), (None, 83328)):
-        expected = list(reference_enumerate_bases(dual, keep=keep))
+        expected = list(reference_enumerate_bases(dual, spec.m, keep=keep))
         assert len(expected) == count
         assert list(bases_of(dual, keep=keep)) == expected
 
@@ -196,28 +174,28 @@ coord_rows = st.integers(min_value=1, max_value=10).flatmap(
 def test_rref_is_spanning_invariant(case):
     m, rows = case
     vectors = [BitVec.from_coords(r) for r in rows]
-    space = rref(vectors, m=m)
+    space = rref_bits(v.bits for v in vectors)
     assert all(in_span(v, space) for v in vectors)
-    assert rref(list(space.basis), m=m) == space
+    assert rref_bits(space) == space
     # permuting or duplicating the spanning set cannot change the canonical form
-    assert rref(list(reversed(vectors)) + vectors, m=m) == space
+    assert rref_bits(v.bits for v in list(reversed(vectors)) + vectors) == space
 
 
 @given(coord_rows)
 def test_double_annihilator(case):
     m, rows = case
-    space = rref([BitVec.from_coords(r) for r in rows], m=m)
-    dual = annihilator(space)
-    assert space.dim + dual.dim == m
-    assert annihilator(dual) == space
-    assert all((u.bits & v.bits).bit_count() % 2 == 0 for u in space.basis for v in dual.basis)
+    space = rref_bits(packed(rows))
+    dual = rref_bits(annihilator_bits(space, m))
+    assert len(space) + len(dual) == m
+    assert rref_bits(annihilator_bits(dual, m)) == space
+    assert all((u & v).bit_count() % 2 == 0 for u in space for v in dual)
 
 
 def test_rref_and_annihilator_rows_are_reduced():
-    # both build their subspace without the constructor's check, so check here
-    # that the rows they return are exactly rref_bits of themselves.  rref_bits puts
-    # its rows in pivot order by one sort at the end, so the inputs also hold rows up
-    # to 300 bits wide with zero and repeated rows, and rows fed highest pivot first
+    # the rows rref_bits returns, and the dual's reduced rows, are exactly rref_bits of
+    # themselves.  rref_bits puts its rows in pivot order by one sort at the end, so the
+    # inputs also hold rows up to 300 bits wide with zero and repeated rows, and rows fed
+    # highest pivot first
     rng = Random(71)
     cases = []
     for _ in range(300):
@@ -233,16 +211,13 @@ def test_rref_and_annihilator_rows_are_reduced():
         pivots = sorted(rng.sample(range(m), rng.randint(2, 12)), reverse=True)
         cases.append((m, [rng.getrandbits(m - p) << p | 1 << p for p in pivots]))
     for m, bits in cases:
-        space = rref([BitVec(m, b) for b in bits], m=m)
-        rows = [v.bits for v in space.basis]
+        rows = rref_bits(bits)
         shuffled = rng.sample(bits, len(bits))
         assert rows == rref_bits(rows) == rref_bits(iter(bits)) == rref_bits(shuffled)
         pivots = [r & -r for r in rows]
         assert all(p < q for p, q in zip(pivots, pivots[1:]))
         assert not any(reduce_bits(b, rows) for b in bits)
-        dual = annihilator(space)
-        dual_rows = [v.bits for v in dual.basis]
-        assert dual_rows == rref_bits(dual_rows)
-        assert dual.dim == m - space.dim
-        assert all(v.m == m for v in space.basis + dual.basis)
-        assert SubspaceF2(m, space.basis) == space and SubspaceF2(m, dual.basis) == dual
+        dual = rref_bits(annihilator_bits(rows, m))
+        assert dual == rref_bits(dual)
+        assert len(dual) == m - len(rows)
+        assert all(r >> m == 0 for r in rows + dual)

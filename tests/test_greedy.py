@@ -28,12 +28,10 @@ from edcalc import (
     EnumerationTooLargeError,
     GroupSpecB,
     compute_ed,
-    diagonal_mu,
     group_dim,
 )
 from edcalc.core import PIVOT_CHUNK, _basis, _blocks, _split_walk_keys
 from edcalc.gf2 import rref_bits
-from edcalc.subspace import dual_subspace, mu_subspace, rref
 
 from exactness_reference import reference_blocks
 from greedy_reference import (
@@ -41,7 +39,14 @@ from greedy_reference import (
     reference_greedy_min_basis,
     weight_exponent,
 )
-from helpers import greedy_basis, greedy_over, random_group_spec, whole_walk_keys
+from helpers import (
+    dual_rows,
+    greedy_basis,
+    greedy_over,
+    mu_rows,
+    random_group_spec,
+    whole_walk_keys,
+)
 from records_reference import support
 from survey import CYCLE, blocks_mu
 from walk_reference import reference_split_walk_keys
@@ -56,8 +61,8 @@ def test_weights():
 
 
 def assert_same_greedy(spec: GroupSpecB) -> None:
-    basis, total = greedy_basis(mu_subspace(spec), spec.n)
-    ref_basis, ref_total = reference_greedy_min_basis(dual_subspace(spec), spec.n)
+    basis, total = greedy_basis(mu_rows(spec), spec.n)
+    ref_basis, ref_total = reference_greedy_min_basis(dual_rows(spec), spec.m, spec.n)
     assert [v.bits for v in basis] == [v.bits for v in ref_basis], spec
     assert all(v.m == spec.m for v in basis)
     assert total == ref_total, spec
@@ -73,12 +78,12 @@ def assert_walk_matches_oracle(n: tuple[int, ...], mu_rows: list[int], factors: 
 def assert_walk_matches_listing(spec: GroupSpecB) -> bool:
     """The walk gives out the first keys of the listing, in order, and the greedy over
     them agrees; returns whether the walk stopped before the end of the listing."""
-    mu, dual = mu_subspace(spec), dual_subspace(spec)
-    keys = assert_walk_matches_oracle(spec.n, [v.bits for v in mu.basis], (1 << spec.m) - 1)
-    listing = reference_greedy_keys(dual, spec.n)
+    dual = dual_rows(spec)
+    keys = assert_walk_matches_oracle(spec.n, mu_rows(spec), (1 << spec.m) - 1)
+    listing = reference_greedy_keys(dual, spec.m, spec.n)
     assert keys == listing[: len(keys)], spec
-    basis, total = greedy_over(iter(keys), spec.m, dual.dim)
-    ref_basis, ref_total = reference_greedy_min_basis(dual, spec.n)
+    basis, total = greedy_over(iter(keys), spec.m, len(dual))
+    ref_basis, ref_total = reference_greedy_min_basis(dual, spec.m, spec.n)
     assert ([v.bits for v in basis], total) == ([v.bits for v in ref_basis], ref_total), spec
     return len(keys) < len(listing)
 
@@ -87,7 +92,7 @@ def spec_with_dims(rng: Random, n: tuple[int, ...], mu_dim: int) -> GroupSpecB:
     """Random mu of exactly the given dimension, with a redundant generator or two."""
     m = len(n)
     gens: list[BitVec] = []
-    while rref(gens, m).dim < mu_dim:
+    while len(rref_bits(v.bits for v in gens)) < mu_dim:
         gens.append(BitVec(m, rng.getrandbits(m)))
     return GroupSpecB(n, tuple(gens))
 
@@ -109,7 +114,7 @@ def test_matches_reference_on_compute_large_shaped_specs():
         d = rng.randint(0, 10)
         n = tuple(rng.randint(7, 12) for _ in range(k + d))
         spec = spec_with_dims(rng, n, d)
-        assert dual_subspace(spec).dim == k
+        assert len(dual_rows(spec)) == k
         assert_same_greedy(spec)
         stopped += assert_walk_matches_listing(spec)
     assert stopped > 0
@@ -129,7 +134,7 @@ def test_rank7_twelve_diagonal_ties():
     # k = 11 with 66 tied weight-2 patterns; the tie-break decides the basis
     spec = GroupSpecB((7,) * 12, (BitVec(12, (1 << 12) - 1),))
     assert_same_greedy(spec)
-    basis, _ = greedy_basis(mu_subspace(spec), spec.n)
+    basis, _ = greedy_basis(mu_rows(spec), spec.n)
     assert basis[0].coords() == (0,) * 10 + (1, 1)
 
 
@@ -160,7 +165,7 @@ def test_walk_matches_listing_across_margins():
             ranks = rng.choice([range(1, 4), range(7, 13), range(1, 13), [5]])
             n = tuple(rng.choice(ranks) for _ in range(k + d))
             spec = spec_with_dims(rng, n, d)
-            assert dual_subspace(spec).dim == k
+            assert len(dual_rows(spec)) == k
             assert_walk_matches_listing(spec)
 
 
@@ -172,7 +177,7 @@ def test_walk_with_several_chunk_tables():
         for k in (1, 2, 5, 9):
             ranks = rng.choice([range(1, 4), range(7, 13), range(1, 13)])
             spec = spec_with_dims(rng, tuple(rng.choice(ranks) for _ in range(k + d)), d)
-            assert mu_subspace(spec).dim == d > PIVOT_CHUNK
+            assert len(mu_rows(spec)) == d > PIVOT_CHUNK
             assert_walk_matches_listing(spec)
 
 
@@ -183,7 +188,7 @@ def test_walk_on_64_factors_with_a_wide_mu():
     for d in (52, 55, 58, 61, 62, 63):
         n = tuple(rng.choice([1, 2, 7, 8, 12]) for _ in range(64))
         spec = spec_with_dims(rng, n, d)
-        assert dual_subspace(spec).dim == 64 - d
+        assert len(dual_rows(spec)) == 64 - d
         assert_walk_matches_listing(spec)
 
 
@@ -215,7 +220,7 @@ def test_walk_matches_listing_on_tie_heavy_specs(spec):
 
 def columns(spec: GroupSpecB) -> list[int]:
     """Each factor's column of mu's reduced rows: its syndrome."""
-    rows = [v.bits for v in mu_subspace(spec).basis]
+    rows = mu_rows(spec)
     return [sum((r >> i & 1) << j for j, r in enumerate(rows)) for i in range(spec.m)]
 
 
@@ -252,7 +257,7 @@ def test_walk_at_its_smallest_margin():
     for d in (0, 1, 5, 12, 13, 20):
         for k in (1, 2, 3):
             spec = spec_with_dims(rng, tuple(rng.randint(1, 12) for _ in range(k + d)), d)
-            assert dual_subspace(spec).dim == k
+            assert len(dual_rows(spec)) == k
             assert_walk_matches_listing(spec)
 
 
@@ -274,15 +279,15 @@ def test_walk_reaches_position_63():
         n = tuple(rng.choice([7, 8, 12]) for _ in range(64))
         block = sorted(rng.sample(range(64), 6))
         sub = spec_with_dims(rng, tuple(n[i] for i in block), 2)
-        sub_basis, _ = reference_greedy_min_basis(dual_subspace(sub), sub.n)
+        sub_basis, _ = reference_greedy_min_basis(dual_rows(sub), sub.m, sub.n)
         spread = [sum(1 << block[j] for j in support(v)) for v in sub_basis]
         units = [1 << i for i in range(64) if i not in block]
         expected = sorted(
             (BitVec(64, b) for b in spread + units),
             key=lambda v: (weight_exponent(v, n), v.coords()),
         )
-        mu_rows = [sum(1 << block[j] for j in support(v)) for v in mu_subspace(sub).basis]
-        basis, total = greedy_over(whole_walk_keys(n, mu_rows), 64, 62)
+        spread_mu = [sum(1 << block[j] for j in support(BitVec(6, r))) for r in mu_rows(sub)]
+        basis, total = greedy_over(whole_walk_keys(n, spread_mu), 64, 62)
         assert list(basis) == expected
         assert total == sum(1 << weight_exponent(v, n) for v in expected)
 
@@ -293,13 +298,13 @@ def test_walk_on_uneven_ranks_needs_no_fallback():
     # never takes more than 2^(k-1), since the first k-1 it keeps span 2^(k-1) - 1
     rng = Random(13)
     spec = spec_with_dims(rng, (1,) * 12 + (13,), 2)
-    mu, dual = mu_subspace(spec), dual_subspace(spec)
-    assert dual.dim == 11
+    dual = dual_rows(spec)
+    assert len(dual) == 11
     taken: list[int] = []
-    walk = whole_walk_keys(spec.n, [v.bits for v in mu.basis])
+    walk = whole_walk_keys(spec.n, mu_rows(spec))
     greedy_over((taken.append(key) or key for key in walk), spec.m, 11)
     assert 1 << 9 < len(taken) <= 1 << 10
-    assert taken == reference_greedy_keys(dual, spec.n)[: len(taken)]
+    assert taken == reference_greedy_keys(dual, spec.m, spec.n)[: len(taken)]
     assert_same_greedy(spec)
 
 
@@ -309,9 +314,9 @@ def test_compute_large_shapes_never_enumerate(monkeypatch, k, d):
     # walks, and an exact answer needs no basis search either
     rng = Random(100 * k + d)
     spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(k + d)), d)
-    dual = dual_subspace(spec)
-    assert dual.dim == k
-    expected = reference_greedy_min_basis(dual, spec.n)
+    dual = dual_rows(spec)
+    assert len(dual) == k
+    expected = reference_greedy_min_basis(dual, spec.m, spec.n)
 
     def refuse(*args):
         raise AssertionError("compute_ed enumerated the dual")
@@ -330,10 +335,10 @@ def test_refuses_a_dual_above_the_dim_cap():
     rng = Random(17)
     for k, d in ((14, 10), (10, 14), (5, 0)):
         spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(k + d)), d)
-        mu = mu_subspace(spec)
+        mu = mu_rows(spec)
         if d == 0:
             # trivial mu makes five one-factor blocks, each with a dual of dimension 1
-            expected = reference_greedy_min_basis(dual_subspace(spec), spec.n)
+            expected = reference_greedy_min_basis(dual_rows(spec), spec.m, spec.n)
             assert greedy_basis(mu, spec.n, enum_cap=1) == expected
             continue
         cap = (1 << k) - 1
@@ -348,12 +353,12 @@ def test_the_cap_refuses_a_block_by_its_own_dual():
     rng = Random(21)
     n = tuple(rng.randint(7, 12) for _ in range(16))
     spec = GroupSpecB(n, [BitVec(16, 0x07F), BitVec(16, 0xFC0)])
-    mu = mu_subspace(spec)
-    assert spec.m - mu.dim == 14
+    mu = mu_rows(spec)
+    assert spec.m - len(mu) == 14
     with pytest.raises(EnumerationTooLargeError) as caught:
         greedy_basis(mu, spec.n, enum_cap=(1 << 9) - 1)
     assert str(caught.value) == "subspace of dimension 10 has 2^10 - 1 nonzero elements, cap is 511"
-    expected = reference_greedy_min_basis(dual_subspace(spec), spec.n)
+    expected = reference_greedy_min_basis(dual_rows(spec), spec.m, spec.n)
     assert greedy_basis(mu, spec.n, enum_cap=(1 << 10) - 1) == expected
 
 
@@ -379,9 +384,8 @@ def test_block_greedy_matches_the_whole_walk_on_decomposable_specs():
     rng = Random(1100)
     for _ in range(80):
         spec = decomposable_spec(rng, rng.randint(4, 64))
-        mu = mu_subspace(spec)
-        rows = [v.bits for v in mu.basis]
-        whole = greedy_over(whole_walk_keys(spec.n, rows), spec.m, spec.m - mu.dim)
+        mu = mu_rows(spec)
+        whole = greedy_over(whole_walk_keys(spec.n, mu), spec.m, spec.m - len(mu))
         assert greedy_basis(mu, spec.n) == whole, spec
 
 
@@ -397,10 +401,10 @@ def test_walk_matches_the_oracle_on_the_blocks_of_seeded_specs():
     ]
     specs += [decomposable_spec(rng, rng.randint(4, 64)) for _ in range(20)]
     specs += [GroupSpecB(CYCLE, blocks_mu(64, size)) for size in (2, 4, 8)]
-    specs.append(GroupSpecB(tuple(7 + i % 6 for i in range(100)), diagonal_mu(100).basis))
+    specs.append(GroupSpecB.from_mu_rows(tuple(7 + i % 6 for i in range(100)), [[1] * 100]))
     seen = Counter()
     for spec in specs:
-        for mask, rows in _blocks([v.bits for v in mu_subspace(spec).basis], spec.m):
+        for mask, rows in _blocks(mu_rows(spec), spec.m):
             if rows:
                 assert_walk_matches_oracle(spec.n, rows, mask)
                 # the light part holds the pivots and two more positions
@@ -417,11 +421,11 @@ def test_m64_block_specs_are_exact_at_the_default_caps(size):
     # so every block's dual has dimension size - 1 while the whole dual's is
     # 64 - 64 / size
     spec = GroupSpecB(CYCLE, blocks_mu(64, size))
-    mu = mu_subspace(spec)
+    mu = mu_rows(spec)
     result = compute_ed(spec)
     assert result.status == "exact"
     assert result == compute_ed(spec, enum_cap=(1 << 64) - 1)
-    whole = greedy_over(whole_walk_keys(CYCLE, [v.bits for v in mu.basis]), 64, 64 - mu.dim)
+    whole = greedy_over(whole_walk_keys(CYCLE, mu), 64, 64 - len(mu))
     assert (result.minimal_basis, result.basis_total_weight) == whole
 
 
@@ -442,10 +446,10 @@ def test_diagonal_mu_over_more_than_64_factors_gives_the_star_total(m):
     # of a spanning tree, and pair {i, j} weighs 2^r_i * 2^r_j.  So the star at a
     # lowest-rank factor i0 is minimal.  The walk has more than 63 heavy positions
     n = tuple(7 + i % 6 for i in range(m))
-    spec = GroupSpecB(n, diagonal_mu(m).basis)
+    spec = GroupSpecB.from_mu_rows(n, [[1] * m])
     i0 = n.index(min(n))
     star = sum(1 << (n[i0] + r) for j, r in enumerate(n) if j != i0)
-    basis, total = greedy_basis(mu_subspace(spec), n, enum_cap=(1 << m) - 1)
+    basis, total = greedy_basis(mu_rows(spec), n, enum_cap=(1 << m) - 1)
     assert total == star
     assert len(basis) == m - 1 and {v.bits.bit_count() for v in basis} == {2}
     result = compute_ed(spec, enum_cap=(1 << m) - 1)
@@ -463,9 +467,9 @@ def test_a_128_factor_block_spec_adds_up_over_its_blocks():
     blocks, gens = [], []
     for size in sizes:
         block, positions = positions[:size], positions[size:]
-        mu = diagonal_mu(size).basis if size > 1 else ()
-        blocks.append(GroupSpecB([n[i] for i in block], mu))
-        gens += [BitVec(128, sum(1 << block[j] for j in support(v))) for v in mu]
+        rows = [[1] * size] if size > 1 else []
+        blocks.append(GroupSpecB.from_mu_rows([n[i] for i in block], rows))
+        gens += [BitVec(128, sum(1 << block[j] for j, c in enumerate(r) if c)) for r in rows]
     assert not positions
     result = compute_ed(GroupSpecB(n, gens))
     parts = [compute_ed(block) for block in blocks]
@@ -508,8 +512,8 @@ def test_walk_memory_on_a_wide_mu():
     # walk without its bound at 0.20 MB; with it, 0.08 MB
     rng = Random(1410)
     spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(24)), 10)
-    mu = mu_subspace(spec)
-    assert spec.m - mu.dim == 14
+    mu = mu_rows(spec)
+    assert spec.m - len(mu) == 14
     tracemalloc.start()
     try:
         greedy_basis(mu, spec.n)
@@ -525,8 +529,8 @@ def test_walk_memory_on_a_dual_as_large_as_mu():
     # with it, the walk peaks near 0.9 MB
     rng = Random(4020)
     spec = spec_with_dims(rng, tuple(rng.randint(7, 12) for _ in range(40)), 20)
-    mu = mu_subspace(spec)
-    assert mu.dim == 20
+    mu = mu_rows(spec)
+    assert len(mu) == 20
     tracemalloc.start()
     try:
         _, total = greedy_basis(mu, spec.n)
@@ -545,11 +549,11 @@ def test_only_the_chosen_vectors_become_bitvecs(monkeypatch):
         return BitVec(*args)
 
     spec = GroupSpecB((7, 8, 9, 10, 11, 12, 7, 8), (BitVec(8, 0b11),))
-    mu = mu_subspace(spec)
+    mu = mu_rows(spec)
     expected = greedy_basis(mu, spec.n)
     monkeypatch.setattr(edcalc.core, "BitVec", counting_bitvec)
     assert greedy_basis(mu, spec.n) == expected
-    assert len(built) == spec.m - mu.dim == 7
+    assert len(built) == spec.m - len(mu) == 7
     # nor does it compute weights per element: the per-vector weight lives in the oracle only
     assert not hasattr(edcalc.core, "weight_exponent")
 

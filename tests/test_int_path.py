@@ -1,4 +1,4 @@
-"""`compute_ed` runs on mu's int rows: the int helpers against the records they
+"""`compute_ed` runs on mu's int rows: the int helpers against the record paths they
 replaced, and a count of the records a call still builds."""
 
 from __future__ import annotations
@@ -9,21 +9,12 @@ from random import Random
 
 import pytest
 
-from edcalc import (
-    BitVec,
-    GroupSpecB,
-    SubspaceF2,
-    annihilator,
-    compute_ed,
-    spec_from_doc,
-    validate,
-)
+from edcalc import BitVec, GroupSpecB, compute_ed, spec_from_doc, validate
 from edcalc.core import PatternWeights
 from edcalc.gf2 import annihilator_bits, bases_bits, rref_bits
 from edcalc.ledger import known_case_of_rows
-from edcalc.subspace import mu_subspace
 
-from helpers import bench_workloads
+from helpers import bench_workloads, mu_rows
 from ledger_reference import reference_known_cases
 from records_reference import reference_annihilator, reference_validate
 from survey import survey_specs
@@ -73,8 +64,7 @@ def test_reduced_rows_equal_the_mu_records():
         if isinstance(expected, tuple):
             assert outcome(validate, spec) == expected, spec
             continue
-        assert validate(spec) == [v.bits for v in expected.basis], spec
-        assert expected == mu_subspace(spec)
+        assert validate(spec) == expected == mu_rows(spec), spec
 
 
 def test_dual_rows_span_the_annihilator():
@@ -83,10 +73,9 @@ def test_dual_rows_span_the_annihilator():
         if isinstance(mu, tuple):
             continue
         rows = annihilator_bits(validate(spec), spec.m)
-        expected = reference_annihilator(mu)
-        assert len(rows) == expected.dim == spec.m - mu.dim
-        assert rref_bits(rows) == [v.bits for v in expected.basis], spec
-        assert annihilator(mu) == expected
+        expected = reference_annihilator(mu, spec.m)
+        assert len(rows) == len(expected) == spec.m - len(mu)
+        assert rref_bits(rows) == expected, spec
 
 
 def test_known_cases_on_rows_equal_the_record_path():
@@ -105,9 +94,9 @@ def test_the_search_enumerates_the_same_bases_from_unreduced_dual_rows():
     searched = 0
     for spec in CORPUS:
         mu = outcome(reference_validate, spec)
-        if isinstance(mu, tuple) or spec.m - mu.dim > 4:
+        if isinstance(mu, tuple) or spec.m - len(mu) > 4:
             continue
-        reduced = [v.bits for v in reference_annihilator(mu).basis]
+        reduced = reference_annihilator(mu, spec.m)
         rows = annihilator_bits(validate(spec), spec.m)
         for keep in (None, PatternWeights(spec.n).__getitem__):
             got = list(bases_bits(rows, 1 << 24, keep))
@@ -118,29 +107,21 @@ def test_the_search_enumerates_the_same_bases_from_unreduced_dual_rows():
 
 @pytest.fixture
 def count_records(monkeypatch):
-    """Runs a call and returns its result with the BitVec and SubspaceF2 records it built."""
-    counts = {"BitVec": 0, "SubspaceF2": 0}
-    bitvec_init, space_init, from_rref = BitVec.__init__, SubspaceF2.__init__, SubspaceF2._from_rref
+    """Runs a call and returns its result with the number of BitVec records it built."""
+    built = 0
+    bitvec_init = BitVec.__init__
 
     def count_bitvec(self, *args):
-        counts["BitVec"] += 1
+        nonlocal built
+        built += 1
         bitvec_init(self, *args)
 
-    def count_space(self, *args):
-        counts["SubspaceF2"] += 1
-        space_init(self, *args)
-
-    def count_from_rref(cls, *args):
-        counts["SubspaceF2"] += 1
-        return from_rref.__func__(cls, *args)
-
     monkeypatch.setattr(BitVec, "__init__", count_bitvec)
-    monkeypatch.setattr(SubspaceF2, "__init__", count_space)
-    monkeypatch.setattr(SubspaceF2, "_from_rref", classmethod(count_from_rref))
 
     def run(fn, *args, **kwargs):
-        counts.update(BitVec=0, SubspaceF2=0)
-        return fn(*args, **kwargs), dict(counts)
+        nonlocal built
+        built = 0
+        return fn(*args, **kwargs), built
 
     return run
 
@@ -164,15 +145,17 @@ def test_compute_ed_builds_only_the_minimal_basis_records(count_records, name, c
     spec = load_spec(name)
     result, built = count_records(compute_ed, spec, enum_cap=cap)
     assert result.warnings == warnings
-    assert built == {"BitVec": len(result.minimal_basis), "SubspaceF2": 0}
+    assert built == len(result.minimal_basis)
     if name == "c1.json":
         assert len(result.minimal_basis) == spec.m - len(validate(spec)) == 2
 
 
 def test_the_count_sees_the_records_of_the_public_wrappers(count_records):
-    # validate hands out mu's rows and builds no record; annihilator builds its subspace
+    # validate hands out mu's rows and builds no record; a spec read from its dual's
+    # rows holds one record for each of them and each row of mu
     spec = load_spec("c1.json")
     rows, built = count_records(validate, spec)
-    assert built == {"BitVec": 0, "SubspaceF2": 0} and len(rows) == 2
-    mu = mu_subspace(spec)
-    assert count_records(annihilator, mu)[1] == {"BitVec": 2, "SubspaceF2": 1}
+    assert built == 0 and len(rows) == 2
+    dual = [BitVec(spec.m, r).coords() for r in annihilator_bits(rows, spec.m)]
+    again, built = count_records(GroupSpecB.from_dual_rows, spec.n, dual)
+    assert validate(again) == rows and built == len(dual) + len(rows) == 4

@@ -10,14 +10,14 @@ import pytest
 
 from edcalc import BitVec, GroupSpecB, builtin_certificate, verify_certificate
 from edcalc.ledger import LEDGER, known_case_of_rows
-from edcalc.subspace import diagonal_mu, maximal_mu, mu_subspace
 
+from helpers import mu_rows
 from ledger_reference import reference_known_cases
 
 
 def known_case(spec):
     """The ledger's entry for a spec, read off the reduced rows of its mu, split or not."""
-    return known_case_of_rows([v.bits for v in mu_subspace(spec).basis], spec.m, spec.n)
+    return known_case_of_rows(mu_rows(spec), spec.m, spec.n)
 
 
 def grid_specs():
@@ -25,8 +25,8 @@ def grid_specs():
     for m in range(1, 5):
         for n in product(range(1, 7), repeat=m):
             yield GroupSpecB(n)
-            yield GroupSpecB(n, diagonal_mu(m).basis)
-            yield GroupSpecB(n, maximal_mu(m).basis)
+            yield GroupSpecB.from_mu_rows(n, [[1] * m])
+            yield GroupSpecB.from_dual_rows(n, [[1] * m])
 
 
 def random_specs(count: int, seed: int):

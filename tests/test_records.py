@@ -19,14 +19,12 @@ from edcalc import (
     EdResult,
     GroupSpecB,
     KnownCase,
-    SubspaceF2,
     TraceEntry,
 )
 
 # each builder makes a new record, equal to but not the same object as the last
 SAMPLES = {
     "BitVec": lambda: BitVec(3, 5),
-    "SubspaceF2": lambda: SubspaceF2(3, (BitVec(3, 1), BitVec(3, 6))),
     "GroupSpecB": lambda: GroupSpecB((1, 2), (BitVec(2, 3),)),
     "KnownCase": lambda: KnownCase("exact", 4, "spin3-spin5-diagonal", "Spin(3) x Spin(5)"),
     "TraceEntry": lambda: TraceEntry("dual-subspace", "dimension 1"),
@@ -46,7 +44,6 @@ SAMPLES = {
 # the repr of each sample as the frozen dataclasses printed it
 DATACLASS_REPR = {
     "BitVec": "BitVec(m=3, bits=5)",
-    "SubspaceF2": "SubspaceF2(m=3, basis=(BitVec(m=3, bits=1), BitVec(m=3, bits=6)))",
     "GroupSpecB": "GroupSpecB(n=(1, 2), mu_gens=(BitVec(m=2, bits=3),))",
     "KnownCase": "KnownCase(kind='exact', value=4, tag='spin3-spin5-diagonal',"
     " description='Spin(3) x Spin(5)')",
@@ -129,7 +126,7 @@ def test_fields_cannot_be_set_or_deleted(name):
         lambda: BitVec(2, -1),
         lambda: BitVec(0),
         lambda: BitVec(65, 1 << 65),
-        lambda: SubspaceF2(3, (BitVec(3, 3), BitVec(3, 1))),
+        lambda: GroupSpecB((1, 2), (BitVec(3, 1),)),
         lambda: GroupSpecB((0,)),
         lambda: CliffordUnit(3, 1),
         lambda: CliffordUnit(3, 3, 2),
@@ -195,10 +192,6 @@ def test_copies_are_equal_records(name, clone):
 
 # each pair builds one record from lists and from tuples
 LIST_BUILT = {
-    "SubspaceF2": (
-        lambda: SubspaceF2(3, [BitVec(3, 1), BitVec(3, 6)]),
-        lambda: SubspaceF2(3, (BitVec(3, 1), BitVec(3, 6))),
-    ),
     "GroupSpecB": (
         lambda: GroupSpecB([1, 2], [BitVec(2, 3)]),
         lambda: GroupSpecB((1, 2), (BitVec(2, 3),)),
