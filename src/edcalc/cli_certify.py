@@ -59,7 +59,7 @@ def answer(args: SimpleNamespace) -> tuple[int, dict | None, str]:
         except ValueError as exc:
             return EXIT_VALIDATION, None, str(exc)
     try:
-        report = verify_certificate(cert, closure_cap=args.enum_cap)
+        report = verify_certificate(cert, enum_cap=args.enum_cap)
     except ValueError as exc:  # EmptySpecError and NotReducedError among them
         return EXIT_VALIDATION, None, str(exc)
     except EnumerationTooLargeError as exc:

@@ -15,7 +15,7 @@ def spec_to_doc(spec: GroupSpecB) -> dict:
     return {
         "type": "B",
         "n": list(spec.n),
-        "mu_generators": [list(v.coords()) for v in spec.mu_gens],
+        "mu_generators": [[g >> i & 1 for i in range(spec.m)] for g in spec.mu_gens],
     }
 
 

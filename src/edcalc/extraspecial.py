@@ -318,7 +318,7 @@ class CertReport(_Record):
         )
 
 
-def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_ENUM_CAP) -> CertReport:
+def verify_certificate(cert: Certificate, *, enum_cap: int = DEFAULT_ENUM_CAP) -> CertReport:
     """Check a certificate from scratch and report the lower bound it proves."""
     mu_patterns = validate(cert.spec)
     packing = _Packing(2 * r + 1 for r in cert.spec.n)
@@ -329,11 +329,7 @@ def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_ENUM_CAP) -
     reason = None
     commutators = []
     for (i, a), (j, b) in combinations(enumerate(masks), 2):
-        # packing.commutator(a, b), written out: this runs once per pair of generators
-        commutator = a & b
-        for s in packing.shifts:
-            commutator ^= commutator >> s
-        commutator &= packing.off
+        commutator = packing.commutator(a, b)
         if reduce_bits(commutator, mu_rows):
             pattern = BitVec(len(packing.dims), packing.sign_pattern(commutator))
             reason = (
@@ -347,7 +343,7 @@ def verify_certificate(cert: Certificate, closure_cap: int = DEFAULT_ENUM_CAP) -
     abelian = reason is None
     order = rank = 0
     if abelian:
-        subgroup = _closure_packed(gens, packing, closure_cap, commutators)
+        subgroup = _closure_packed(gens, packing, enum_cap, commutators)
         order, rank = _quotient_rank_packed(subgroup, packing, mu_rows, masks)
     # the generators match the spec's dims, so every factor's block is split at once
     finite = _separated(masks, [(1 << d) - 1 << o for d, o in zip(packing.dims, packing.offsets)])
@@ -375,7 +371,7 @@ def _builtin(n: tuple[int, ...], mu_rows: Sequence[int], rows: list, note: str =
     """A built-in certificate from trusted tables: mu's RREF rows as ints, and per generator
     one code per factor, the index mask of a positive unit or ~mask of a negative one.
     """
-    spec = GroupSpecB(n, tuple(BitVec(len(n), r) for r in mu_rows))
+    spec = GroupSpecB(n, mu_rows)
     dims = [2 * r + 1 for r in n]
     gens = tuple(
         _tuple(tuple([_unit(d, c, 1) if c >= 0 else _unit(d, ~c, -1) for d, c in zip(dims, row)]))

@@ -56,14 +56,6 @@ class BitVec(_Record):
         if type(bits) is not int or bits < 0 or bits >> m:
             raise ValueError("coordinates must be an integer inside the ambient dimension")
 
-    @classmethod
-    def from_coords(cls, coords: Iterable[int]) -> BitVec:
-        """Build from a 0/1 coordinate sequence."""
-        coords = list(coords)
-        if any(c not in (0, 1) for c in coords):
-            raise ValueError("coordinates must be 0 or 1")
-        return cls(len(coords), sum(c << i for i, c in enumerate(coords)))
-
     def coords(self) -> tuple[int, ...]:
         return tuple((self.bits >> i) & 1 for i in range(self.m))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ._record import _Record
-from .gf2 import BitVec, DimensionMismatchError, annihilator_bits, rref_bits
+from .gf2 import DimensionMismatchError, annihilator_bits, rref_bits
 
 
 class SpecFormatError(ValueError):
@@ -38,45 +38,45 @@ class GroupSpecB(_Record):
 
     __slots__ = ("n", "mu_gens")
     n: tuple[int, ...]
-    mu_gens: tuple[BitVec, ...]
+    mu_gens: tuple[int, ...]  # as given, not reduced: sign patterns, coordinate i at bit i
 
-    def __init__(self, n: Sequence[int], mu_gens: Sequence[BitVec] = ()) -> None:
+    def __init__(self, n: Sequence[int], mu_gens: Sequence[int] = ()) -> None:
         self._fill(tuple(n), tuple(mu_gens))
         if any(not isinstance(r, int) or isinstance(r, bool) or r < 1 for r in self.n):
             raise ValueError("factor ranks must be integers >= 1")
-        if any(v.m != self.m for v in self.mu_gens):
-            raise DimensionMismatchError("mu generators must have one coordinate per factor")
+        if any(type(g) is not int or g < 0 or g >> self.m for g in self.mu_gens):
+            raise DimensionMismatchError("mu generators must be int patterns of one bit per factor")
 
     @classmethod
     def from_mu_rows(cls, n: Sequence[int], rows: Iterable[Sequence[int]]) -> GroupSpecB:
         """Build from 0/1 coordinate rows generating mu; with no factors no row is read."""
         n = tuple(n)
-        return cls(n, tuple(BitVec.from_coords(pad_row(row, len(n))) for row in rows if n))
+        gens = []
+        for row in rows if n else ():
+            if len(row) != len(n):
+                raise DimensionMismatchError(f"row of length {len(row)} for {len(n)} factors")
+            if any(c not in (0, 1) for c in row):
+                raise ValueError("coordinates must be 0 or 1")
+            gens.append(sum(c << i for i, c in enumerate(row)))
+        return cls(n, gens)
 
     @classmethod
     def from_dual_rows(cls, n: Sequence[int], rows: Iterable[Sequence[int]]) -> GroupSpecB:
         """Build from 0/1 coordinate rows generating the dual subspace; mu is its annihilator."""
         n = tuple(n)
-        m = len(n)
-        dual = rref_bits(v.bits for v in cls.from_mu_rows(n, rows).mu_gens)
-        return cls(n, tuple(BitVec(m, r) for r in rref_bits(annihilator_bits(dual, m))))
+        dual = rref_bits(cls.from_mu_rows(n, rows).mu_gens)
+        return cls(n, rref_bits(annihilator_bits(dual, len(n))))
 
     @property
     def m(self) -> int:
         return len(self.n)
 
 
-def pad_row(row: Sequence[int], m: int) -> Sequence[int]:
-    if len(row) != m:
-        raise DimensionMismatchError(f"row of length {len(row)} for {m} factors")
-    return row
-
-
 def validate(spec: GroupSpecB) -> list[int]:
     """Reject empty specs and non-reduced groups; returns mu's reduced int rows."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
-    rows = rref_bits([v.bits for v in spec.mu_gens])
+    rows = rref_bits(spec.mu_gens)
     # a unit pattern lies in mu iff it is one of mu's reduced rows, and the rows
     # come in pivot order, so the first unit row names the lowest such factor
     for r in rows:

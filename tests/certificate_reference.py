@@ -201,7 +201,7 @@ def reference_report(cert: Certificate) -> CertReport:
     order = rank = 0
     if abelian:
         group = reference_closure(cert.generators, DEFAULT_ENUM_CAP)
-        mu = rref_bits(v.bits for v in cert.spec.mu_gens)
+        mu = rref_bits(cert.spec.mu_gens)
         order, rank = reference_quotient_rank(group, mu)
     finite = reference_centralizer_finite(cert.generators, cert.generators[0].dims)
     if abelian and not finite:

@@ -85,7 +85,7 @@ def vector_image(u: CliffordUnit) -> frozenset[int]:
 
 def reference_pair_failure(cert: Certificate) -> str | None:
     """The failure reason of the first generator pair whose commutator leaves mu, or None."""
-    mu = rref_bits([v.bits for v in cert.spec.mu_gens])
+    mu = rref_bits(cert.spec.mu_gens)
     for (i, a), (j, b) in combinations(enumerate(cert.generators), 2):
         sv = commutator_sign_vector(a, b)
         if not in_span(sv, mu):

@@ -132,7 +132,7 @@ def packed_closure(
 
 def mu_rows(spec: GroupSpecB) -> list[int]:
     """The reduced rows of a spec's mu, also of a spec that `validate` rejects."""
-    return rref_bits([v.bits for v in spec.mu_gens])
+    return rref_bits(spec.mu_gens)
 
 
 def dual_rows(spec: GroupSpecB) -> list[int]:
@@ -263,12 +263,12 @@ def random_group_spec(
     n = tuple(rng.randint(1, max_rank) for _ in range(m))
     dual_dim = rng.randint(0, min(max_dual_dim, m))
     target = m - dual_dim
-    gens: list[BitVec] = []
-    while len(rref_bits(v.bits for v in gens)) < target:
+    gens: list[int] = []
+    while len(rref_bits(gens)) < target:
         bits = rng.getrandbits(m)
         if bits:
-            gens.append(BitVec(m, bits))
-    return GroupSpecB(n, tuple(gens))
+            gens.append(bits)
+    return GroupSpecB(n, gens)
 
 
 def compare_greedy_brute(
@@ -338,8 +338,8 @@ def random_certificate(rng, filtered):
     # small ranks too, so that some centralizers are finite
     n = tuple(rng.randint(1, rng.choice((2, 40))) for _ in range(m))
     while True:
-        rows = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m - 1)))
-        spec = GroupSpecB(n, tuple(r for r in rows if r.bits))
+        rows = [rng.getrandbits(m) for _ in range(rng.randint(0, m - 1))]
+        spec = GroupSpecB(n, [r for r in rows if r])
         mu = mu_rows(spec)
         if not any(in_span(BitVec(m, 1 << i), mu) for i in range(m)):
             break

@@ -14,7 +14,7 @@ from edcalc.spec import GroupSpecB
 
 def _rule_spin3_power_diagonal(spec: GroupSpecB) -> KnownCase | None:
     m = spec.m
-    diagonal = rref_bits(v.bits for v in spec.mu_gens) == [(1 << m) - 1]
+    diagonal = rref_bits(spec.mu_gens) == [(1 << m) - 1]
     if m >= 2 and all(r == 1 for r in spec.n) and diagonal:
         return KnownCase(
             "exact",
@@ -26,7 +26,7 @@ def _rule_spin3_power_diagonal(spec: GroupSpecB) -> KnownCase | None:
 
 
 def _rule_small_pair_exact(spec: GroupSpecB) -> KnownCase | None:
-    if spec.m != 2 or rref_bits(v.bits for v in spec.mu_gens) != [0b11]:
+    if spec.m != 2 or rref_bits(spec.mu_gens) != [0b11]:
         return None
     pair = tuple(sorted(spec.n))
     if pair == (1, 2):
@@ -42,7 +42,7 @@ def _rule_small_pair_exact(spec: GroupSpecB) -> KnownCase | None:
 
 def _rule_equal_rank_diagonal(spec: GroupSpecB) -> KnownCase | None:
     m = spec.m
-    diagonal = rref_bits(v.bits for v in spec.mu_gens) == [(1 << m) - 1]
+    diagonal = rref_bits(spec.mu_gens) == [(1 << m) - 1]
     if m >= 2 and len(set(spec.n)) == 1 and diagonal:
         r = spec.n[0]
         return KnownCase(
@@ -59,7 +59,7 @@ _PAIR_TABLE = {(1, 2): 4, (1, 3): 4, (1, 4): 5, (1, 5): 7, (2, 3): 5}
 
 
 def _rule_small_pair_diagonal(spec: GroupSpecB) -> KnownCase | None:
-    if spec.m != 2 or rref_bits(v.bits for v in spec.mu_gens) != [0b11]:
+    if spec.m != 2 or rref_bits(spec.mu_gens) != [0b11]:
         return None
     pair = tuple(sorted(spec.n))
     value = _PAIR_TABLE.get(pair)
@@ -81,7 +81,7 @@ def _rule_small_maximal(spec: GroupSpecB) -> KnownCase | None:
     ranks = tuple(sorted(spec.n))
     value = _MAXIMAL_TABLE.get(ranks)
     maximal = rref_bits(annihilator_bits([(1 << spec.m) - 1], spec.m))
-    if value is not None and rref_bits(v.bits for v in spec.mu_gens) == maximal:
+    if value is not None and rref_bits(spec.mu_gens) == maximal:
         return KnownCase(
             "lower",
             value,

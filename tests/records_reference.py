@@ -29,7 +29,7 @@ def reference_validate(spec: GroupSpecB) -> list[int]:
     """Reject empty specs and non-reduced groups; returns mu's reduced rows."""
     if spec.m == 0:
         raise EmptySpecError("spec has no factors")
-    mu = rref_bits([v.bits for v in spec.mu_gens])
+    mu = rref_bits(spec.mu_gens)
     for r in mu:
         if r.bit_count() == 1:
             raise NotReducedError(r.bit_length())

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Iterator
 
-from edcalc import STATUS_EXACT, BitVec, EdResult, GroupSpecB, compute_ed
+from edcalc import STATUS_EXACT, EdResult, GroupSpecB, compute_ed
 from edcalc.cli_compute import render_result_text, result_to_doc
 
 SURVEY_FILE = Path(__file__).resolve().parent / "data" / "survey.json"
@@ -32,10 +32,10 @@ REPORTS_FILE = SURVEY_FILE.with_name("survey_reports.json")
 CYCLE = tuple(7 + i % 6 for i in range(64))
 
 
-def blocks_mu(m: int, size: int) -> tuple[BitVec, ...]:
+def blocks_mu(m: int, size: int) -> tuple[int, ...]:
     """The sign flip of each block of `size` consecutive factors."""
     block = (1 << size) - 1
-    return tuple(BitVec(m, block << i) for i in range(0, m, size))
+    return tuple(block << i for i in range(0, m, size))
 
 
 def survey_specs() -> Iterator[tuple[str, str, GroupSpecB]]:

@@ -671,11 +671,11 @@ def test_verify_propagates_spec_validation():
 def test_verify_closure_cap():
     cert = diagonal_certificate(2, 3)
     with pytest.raises(EnumerationTooLargeError):
-        verify_certificate(cert, closure_cap=16)
+        verify_certificate(cert, enum_cap=16)
     order = len(packed_closure(cert.generators)[1])
-    assert verify_certificate(cert, closure_cap=order).lower_bound == 6
+    assert verify_certificate(cert, enum_cap=order).lower_bound == 6
     with pytest.raises(EnumerationTooLargeError, match=f"the cap of {order - 1} elements"):
-        verify_certificate(cert, closure_cap=order - 1)
+        verify_certificate(cert, enum_cap=order - 1)
 
 
 def test_verify_refuses_a_provably_large_closure_before_the_search():

@@ -20,12 +20,12 @@ from records_reference import in_span
 
 
 def packed(rows):
-    return [BitVec.from_coords(r).bits for r in rows]
+    return [sum(c << i for i, c in enumerate(r)) for r in rows]
 
 
 def test_bitvec_construction():
-    v = BitVec.from_coords([1, 0, 1, 0])
-    assert v.m == 4 and v.bits == 0b0101
+    assert GroupSpecB.from_mu_rows((1,) * 4, [[1, 0, 1, 0]]).mu_gens == (0b0101,)
+    v = BitVec(4, 0b0101)
     assert v.coords() == (1, 0, 1, 0)
     assert str(v) == "(1,0,1,0)"
     assert BitVec(3).coords() == (0, 0, 0)
@@ -52,8 +52,8 @@ def test_bitvec_validation():
         BitVec(65, 1 << 65)
     with pytest.raises(ValueError):
         BitVec(2, 0b100)
-    with pytest.raises(ValueError):
-        BitVec.from_coords([0, 2])
+    with pytest.raises(ValueError, match="coordinates must be 0 or 1"):
+        GroupSpecB.from_mu_rows((1, 1), [[0, 2]])
 
 
 def test_rref_canonical_example():
@@ -148,8 +148,8 @@ def test_enumerate_bases_matches_the_recursion_oracle():
 # the two specs of dual dimension 5 in the compute-small-bounds benchmark pool,
 # with the number of their bases that avoid small factor products
 DUAL5_POOL = [
-    (GroupSpecB((3, 3, 1, 2, 1, 3), (BitVec(6, 0b111111),)), 5868),
-    (GroupSpecB((2, 2, 1, 1, 1, 2), (BitVec(6, 0b011000),)), 2352),
+    (GroupSpecB((3, 3, 1, 2, 1, 3), (0b111111,)), 5868),
+    (GroupSpecB((2, 2, 1, 1, 1, 2), (0b011000,)), 2352),
 ]
 
 
@@ -173,12 +173,12 @@ coord_rows = st.integers(min_value=1, max_value=10).flatmap(
 @given(coord_rows)
 def test_rref_is_spanning_invariant(case):
     m, rows = case
-    vectors = [BitVec.from_coords(r) for r in rows]
-    space = rref_bits(v.bits for v in vectors)
-    assert all(in_span(v, space) for v in vectors)
+    vectors = packed(rows)
+    space = rref_bits(vectors)
+    assert all(in_span(BitVec(m, v), space) for v in vectors)
     assert rref_bits(space) == space
     # permuting or duplicating the spanning set cannot change the canonical form
-    assert rref_bits(v.bits for v in list(reversed(vectors)) + vectors) == space
+    assert rref_bits(list(reversed(vectors)) + vectors) == space
 
 
 @given(coord_rows)

@@ -11,6 +11,8 @@ import pytest
 
 from edcalc import BitVec, GroupSpecB, compute_ed, spec_from_doc, validate
 from edcalc.core import PatternWeights
+from edcalc.documents import certificate_to_doc
+from edcalc.extraspecial import builtin_certificate, certificate_from_doc
 from edcalc.gf2 import annihilator_bits, bases_bits, rref_bits
 from edcalc.ledger import known_case_of_rows
 
@@ -35,7 +37,7 @@ def corpus() -> list[GroupSpecB]:
     for _ in range(400):
         m = rng.randint(1, 7)
         n = tuple(rng.randint(1, 9) for _ in range(m))
-        gens = tuple(BitVec(m, rng.getrandbits(m)) for _ in range(rng.randint(0, m)))
+        gens = [rng.getrandbits(m) for _ in range(rng.randint(0, m))]
         specs.append(GroupSpecB(n, gens))
     return specs + [GroupSpecB(())]
 
@@ -151,11 +153,16 @@ def test_compute_ed_builds_only_the_minimal_basis_records(count_records, name, c
 
 
 def test_the_count_sees_the_records_of_the_public_wrappers(count_records):
-    # validate hands out mu's rows and builds no record; a spec read from its dual's
-    # rows holds one record for each of them and each row of mu
+    # validate hands out mu's rows, and the spec and certificate readers keep mu's
+    # generators as ints: none builds a record, while the count sees BitVec(m, bits)
     spec = load_spec("c1.json")
     rows, built = count_records(validate, spec)
     assert built == 0 and len(rows) == 2
-    dual = [BitVec(spec.m, r).coords() for r in annihilator_bits(rows, spec.m)]
+    dual = [[r >> i & 1 for i in range(spec.m)] for r in annihilator_bits(rows, spec.m)]
     again, built = count_records(GroupSpecB.from_dual_rows, spec.n, dual)
-    assert validate(again) == rows and built == len(dual) + len(rows) == 4
+    assert validate(again) == rows and built == 0
+    cert, built = count_records(builtin_certificate, "diagonal:1:3")
+    doc = certificate_to_doc(cert)
+    assert built == 0 and count_records(certificate_from_doc, doc)[1] == 0
+    assert count_records(spec_from_doc, doc["spec"])[1] == 0
+    assert count_records(BitVec, spec.m, rows[0])[1] == 1
