@@ -32,8 +32,6 @@ _MODULE_OF = {
     "group_dim": "core",
     "Certificate": "extraspecial",
     "CertReport": "extraspecial",
-    "CliffordTuple": "extraspecial",
-    "CliffordUnit": "extraspecial",
     "builtin_certificate": "extraspecial",
     "certificate_from_doc": "extraspecial",
     "certificate_to_doc": "documents",

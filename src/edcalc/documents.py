@@ -21,16 +21,22 @@ def spec_to_doc(spec: GroupSpecB) -> dict:
 
 def certificate_to_doc(cert: Certificate) -> dict:
     """JSON-ready document for a certificate."""
-    doc = {
-        "spec": spec_to_doc(cert.spec),
-        "generators": [
-            [
-                {"sign": c.sign, "indices": [i + 1 for i in range(c.dim) if c.mask >> i & 1]}
-                for c in g.components
-            ]
-            for g in cert.generators
-        ],
-    }
+    # extraspecial is loaded already, since it defines the certificate's class
+    from .extraspecial import _Packing
+
+    packing = _Packing(2 * r + 1 for r in cert.spec.n)
+    width = packing.width
+    generators = []
+    for g in cert.generators:
+        pattern = packing.sign_pattern(g & (1 << width) - 1)
+        generators.append([
+            {
+                "sign": -1 if pattern >> f & 1 else 1,
+                "indices": [i + 1 for i in range(d) if g >> width + o + i & 1],
+            }
+            for f, (d, o) in enumerate(zip(packing.dims, packing.offsets))
+        ])
+    doc = {"spec": spec_to_doc(cert.spec), "generators": generators}
     if cert.note:
         doc["note"] = cert.note
     return doc

@@ -16,92 +16,19 @@ from typing import Iterable, Sequence
 
 from ._record import _Record
 from .caps import DEFAULT_ENUM_CAP
-from .gf2 import BitVec, DimensionMismatchError, EnumerationTooLargeError, reduce_bits, rref_bits
+from .gf2 import DimensionMismatchError, EnumerationTooLargeError, reduce_bits, rref_bits
 from .ledger import ledger_family
 from .spec import EmptySpecError, GroupSpecB, SpecFormatError, spec_from_doc, validate
-
-
-class CliffordUnit(_Record):
-    """Signed even product of Clifford generators: +/- c(I) inside Spin(dim).
-
-    Indices are 1-based; index i is stored at bit i - 1 of mask.  The defining
-    relations are c(i)^2 = -1 and c(i)c(j) = -c(j)c(i) for i != j, so a product
-    over an even index set I is determined by I and a sign.
-    """
-
-    __slots__ = ("dim", "mask", "sign")
-    dim: int
-    mask: int
-    sign: int
-
-    def __init__(self, dim: int, mask: int, sign: int = 1) -> None:
-        self._fill(dim, mask, sign)
-        # type(x) is not int rejects bools and floats: True in (1, -1) holds
-        if type(dim) is not int or dim < 1:
-            raise ValueError("ambient dimension must be an integer >= 1")
-        if type(sign) is not int or sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if type(mask) is not int or mask < 0 or mask >> dim:
-            raise ValueError("index mask must be an integer inside the ambient dimension")
-        if mask.bit_count() % 2:
-            raise ValueError("index set must have even cardinality")
-
-    @classmethod
-    def from_indices(cls, dim: int, indices: Iterable[int], sign: int = 1) -> CliffordUnit:
-        indices = list(indices)
-        if len(set(indices)) != len(indices):
-            raise ValueError(f"repeated index in {indices}")
-        mask = 0
-        for i in indices:
-            if not 1 <= i <= dim:
-                raise ValueError(f"index {i} outside 1..{dim}")
-            mask |= 1 << (i - 1)
-        return cls(dim, mask, sign)
-
-
-class CliffordTuple(_Record):
-    """Element of a product of the sign groups, one unit per spin factor."""
-
-    __slots__ = ("components",)
-    components: tuple[CliffordUnit, ...]
-
-    def __init__(self, components: Sequence[CliffordUnit]) -> None:
-        self._fill(tuple(components))
-        if not self.components:
-            raise ValueError("a tuple needs at least one component")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c.dim for c in self.components)
-
-
-# Records of fields known to be valid, set by slot setters without the constructors' checks:
-# a unit takes 0.37 us against 1.06 us checked (CPython 3.11), and a certify op builds 10-40
-_set_dim, _set_mask, _set_sign = (getattr(CliffordUnit, f).__set__ for f in CliffordUnit.__slots__)
-_set_components = CliffordTuple.components.__set__
-
-
-def _unit(dim: int, mask: int, sign: int) -> CliffordUnit:
-    unit = object.__new__(CliffordUnit)
-    _set_dim(unit, dim)
-    _set_mask(unit, mask)
-    _set_sign(unit, sign)
-    return unit
-
-
-def _tuple(units: tuple[CliffordUnit, ...]) -> CliffordTuple:
-    t = object.__new__(CliffordTuple)
-    _set_components(t, units)
-    return t
 
 
 class _Packing:
     """One int per element of a product of the sign groups with fixed dimensions.
 
     Factor i owns mask bits [o_i, o_i + d_i) of a word of W = d_0 + ... + d_{m-1}
-    bits, where o_i = d_0 + ... + d_{i-1}.  Signs are kept cumulatively at the
-    offsets: bit o_i of the sign word sigma is the parity of the negative signs of
-    factors i, i + 1, ..., m - 1.  An element is packed as A << W | sigma.
+    bits, where o_i = d_0 + ... + d_{i-1}, and its index j sits at bit o_i + j - 1.
+    Signs are kept cumulatively at the offsets: bit o_i of the sign word sigma is the
+    parity of the negative signs of factors i, i + 1, ..., m - 1.  An element is
+    packed as A << W | sigma, the layout README states.
 
     With S(x) the suffix parity (bit j of S(x) is the parity of the bits of x at
     j and above) and OFF the bits at the offsets, the sign laws read:
@@ -156,12 +83,15 @@ class _Packing:
             pattern |= ((code >> o ^ code >> end) & 1) << i
         return pattern
 
-    def pack(self, t: CliffordTuple) -> int:
+    def pack(self, codes: Iterable[int]) -> int:
+        """Word of an element given one code per factor: the index mask of a positive
+        unit, or ~mask of a negative one."""
         masks = code = 0
-        for c, o, prefix in zip(t.components, self.offsets, self.prefixes):
-            masks |= c.mask << o
-            if c.sign < 0:
+        for c, o, prefix in zip(codes, self.offsets, self.prefixes):
+            if c < 0:
+                c = ~c
                 code ^= prefix
+            masks |= c << o
         return masks << self.width | code
 
 
@@ -261,22 +191,27 @@ def _separated(masks: Iterable[int], blocks: list[int]) -> bool:
 
 
 class Certificate(_Record):
-    """Finite abelian subgroup data for a lower bound on the essential dimension."""
+    """Finite abelian subgroup data for a lower bound on the essential dimension: each
+    generator is one int word, in the layout of `_Packing` for the spec's factors."""
 
     __slots__ = ("spec", "generators", "note")
     spec: GroupSpecB
-    generators: tuple[CliffordTuple, ...]
+    generators: tuple[int, ...]
     note: str
 
-    def __init__(
-        self, spec: GroupSpecB, generators: Sequence[CliffordTuple], note: str = ""
-    ) -> None:
+    def __init__(self, spec: GroupSpecB, generators: Sequence[int], note: str = "") -> None:
         self._fill(spec, tuple(generators), note)
         if not self.generators:
             raise ValueError("a certificate needs at least one generator")
-        dims = tuple(2 * r + 1 for r in spec.n)
-        if any(g.dims != dims for g in self.generators):
-            raise DimensionMismatchError("generator shape does not match the spec factors")
+        packing = _Packing(2 * r + 1 for r in spec.n)
+        width = packing.width
+        for g in self.generators:
+            # type(g) is not int rejects bools and floats, as GroupSpecB does for mu
+            if type(g) is not int or g < 0 or g >> 2 * width or g & ~packing.off & (1 << width) - 1:
+                raise DimensionMismatchError("generators must be int words of the spec's factors")
+            # bit o_i of S(A) is the parity of factors i, i + 1, ...: all even when no bit is set
+            if packing.suffix_parity(g >> width) & packing.off:
+                raise ValueError("index set must have even cardinality")
 
 
 class CertReport(_Record):
@@ -322,19 +257,22 @@ def verify_certificate(cert: Certificate, *, enum_cap: int = DEFAULT_ENUM_CAP) -
     """Check a certificate from scratch and report the lower bound it proves."""
     mu_patterns = validate(cert.spec)
     packing = _Packing(2 * r + 1 for r in cert.spec.n)
-    gens = [packing.pack(g) for g in cert.generators]
+    gens = cert.generators
     masks = [g >> packing.width for g in gens]
     mu_rows = rref_bits([packing.sign_code(r) for r in mu_patterns])
 
     reason = None
     commutators = []
-    for (i, a), (j, b) in combinations(enumerate(masks), 2):
+    # a generator with an empty mask is a scalar, which commutes with every element
+    movers = [(i, a) for i, a in enumerate(masks) if a]
+    for (i, a), (j, b) in combinations(movers, 2):
         commutator = packing.commutator(a, b)
         if reduce_bits(commutator, mu_rows):
-            pattern = BitVec(len(packing.dims), packing.sign_pattern(commutator))
+            # bit i of the pattern is coordinate i, so the binary numeral is read backwards
+            pattern = f"{packing.sign_pattern(commutator):0{len(packing.dims)}b}"[::-1]
             reason = (
                 f"NonAbelianQuotient: generators {i + 1} and {j + 1} have commutator"
-                f" sign pattern {pattern}, outside mu"
+                f" sign pattern ({','.join(pattern)}), outside mu"
             )
             break
         if commutator:
@@ -361,7 +299,7 @@ def _mask(*indices: int) -> int:
     return sum(1 << i for i in indices) >> 1
 
 
-def _certificate(spec: GroupSpecB, gens: tuple[CliffordTuple, ...], note: str) -> Certificate:
+def _certificate(spec: GroupSpecB, gens: tuple[int, ...], note: str) -> Certificate:
     cert = object.__new__(Certificate)
     cert._fill(spec, gens, note)
     return cert
@@ -369,15 +307,10 @@ def _certificate(spec: GroupSpecB, gens: tuple[CliffordTuple, ...], note: str) -
 
 def _builtin(n: tuple[int, ...], mu_rows: Sequence[int], rows: list, note: str = "") -> Certificate:
     """A built-in certificate from trusted tables: mu's RREF rows as ints, and per generator
-    one code per factor, the index mask of a positive unit or ~mask of a negative one.
+    the codes of `_Packing.pack`, one per factor.
     """
-    spec = GroupSpecB(n, mu_rows)
-    dims = [2 * r + 1 for r in n]
-    gens = tuple(
-        _tuple(tuple([_unit(d, c, 1) if c >= 0 else _unit(d, ~c, -1) for d, c in zip(dims, row)]))
-        for row in rows
-    )
-    return _certificate(spec, gens, note)
+    packing = _Packing(2 * r + 1 for r in n)
+    return _certificate(GroupSpecB(n, mu_rows), tuple(map(packing.pack, rows)), note)
 
 
 def diagonal_certificate(rank: int, copies: int) -> Certificate:
@@ -418,7 +351,7 @@ def pair_certificate(n1: int, n2: int) -> Certificate:
 
 
 C12, C13 = _mask(1, 2), _mask(1, 3)
-# the rows of Spin(3) x Spin(3) x Spin(2v+1), by v, in the codes of _builtin
+# the rows of Spin(3) x Spin(3) x Spin(2v+1), by v, in the codes of _Packing.pack
 SMALL3_ROWS = {
     1: [[C13, C13, C13], [C12, C12, 0], [C12, 0, C12]],
     2: [[C12, C12, _mask(2, 4)], [C13, 0, C12], [0, C13, _mask(3, 4)], [C13, C13, 0]],
@@ -468,28 +401,33 @@ def builtin_certificate(key: str) -> Certificate:
     raise ValueError(f"unknown built-in certificate key {key!r}")
 
 
-def _doc_unit(entry: object, dim: int) -> CliffordUnit:
-    """The unit a generator entry names; raises SpecFormatError naming the first fault."""
+def _doc_code(entry: object, dim: int) -> int:
+    """The code of `_Packing.pack` for a generator entry: the index mask of a positive
+    unit, or ~mask of a negative one; raises SpecFormatError naming the first fault."""
     if not isinstance(entry, dict) or not entry.keys() <= {"sign", "indices"}:
         raise SpecFormatError("generator entries must be {sign, indices} objects")
     sign = entry.get("sign", 1)
     indices = entry.get("indices", [])
-    if type(sign) is int and sign in (1, -1) and isinstance(indices, list):
-        mask = 0
-        for i in indices:
-            if type(i) is not int or not 0 < i <= dim:
-                break
-            mask |= 1 << i
-        else:
-            if mask.bit_count() == len(indices) and not len(indices) & 1:
-                return _unit(dim, mask >> 1, sign)
-        # an index out of range or repeated, or an odd count: from_indices names the fault
-        if all(type(i) is int for i in indices):
-            try:
-                return CliffordUnit.from_indices(dim, indices, sign)
-            except ValueError as exc:
-                raise SpecFormatError(f"bad generator component: {exc}") from exc
-    raise SpecFormatError("generator entries must be {sign, indices} objects with integer values")
+    valid = type(sign) is int and sign in (1, -1) and isinstance(indices, list)
+    if not valid or any(type(i) is not int for i in indices):
+        raise SpecFormatError(
+            "generator entries must be {sign, indices} objects with integer values"
+        )
+    mask = 0
+    for i in indices:
+        if not 0 < i <= dim:
+            break
+        mask |= 1 << i
+    else:
+        if mask.bit_count() == len(indices) and not len(indices) & 1:
+            return mask >> 1 if sign > 0 else ~(mask >> 1)
+    # the first fault in this order: a repeat anywhere, an index out of range, an odd count
+    if len(set(indices)) < len(indices):
+        fault = f"repeated index in {indices}"
+    else:
+        outside = (f"index {i} outside 1..{dim}" for i in indices if not 0 < i <= dim)
+        fault = next(outside, "index set must have even cardinality")
+    raise SpecFormatError(f"bad generator component: {fault}")
 
 
 def certificate_from_doc(doc: dict) -> Certificate:
@@ -504,15 +442,15 @@ def certificate_from_doc(doc: dict) -> Certificate:
     spec = spec_from_doc(doc["spec"])
     if not spec.n:
         raise EmptySpecError("spec has no factors")
-    dims = tuple(2 * r + 1 for r in spec.n)
+    packing = _Packing(2 * r + 1 for r in spec.n)
     raw_gens = doc["generators"]
     if not isinstance(raw_gens, list) or not raw_gens:
         raise SpecFormatError("'generators' must be a non-empty list")
     gens = []
     for g in raw_gens:
-        if not isinstance(g, list) or len(g) != len(dims):
+        if not isinstance(g, list) or len(g) != len(packing.dims):
             raise SpecFormatError("each generator needs one entry per factor")
-        gens.append(_tuple(tuple([_doc_unit(e, d) for e, d in zip(g, dims)])))
+        gens.append(packing.pack([_doc_code(e, d) for e, d in zip(g, packing.dims)]))
     note = doc.get("note", "")
     if not isinstance(note, str):
         raise SpecFormatError("'note' must be a string")

@@ -6,10 +6,11 @@ Kept as a test oracle: `builtin_certificate` and `certificate_from_doc` must giv
 certificates equal to these, and the reader the same error for every document.
 The reader names a spec with no factors before any generator, as
 `certificate_from_doc` has done since that check moved in front.
-Every unit goes through `CliffordUnit.from_indices`, every tuple and certificate
-through its checked constructor, and the built-in specs from the all-ones row,
-as mu or as its dual.  `reference_report` is the report `verify_certificate` must
-give, computed from the object oracles alone.
+Every unit goes through `CliffordUnit.from_indices`, every tuple through the
+test-side encoder `to_word`, every certificate through its checked constructor,
+and the built-in specs from the all-ones row, as mu or as its dual.
+`reference_report` is the report `verify_certificate` must give, computed from
+the object oracles alone.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 from edcalc import (
     CertReport,
     Certificate,
-    CliffordTuple,
-    CliffordUnit,
     EmptySpecError,
     GroupSpecB,
     SpecFormatError,
@@ -29,10 +28,14 @@ from edcalc.gf2 import rref_bits
 from edcalc.ledger import ledger_family
 
 from clifford_reference import (
+    CliffordTuple,
+    CliffordUnit,
     reference_centralizer_finite,
     reference_pair_failure,
     sign_vector,
+    to_word,
     tuple_product,
+    tuples_of,
 )
 from closure_reference import reference_closure
 from quotient_reference import reference_quotient_rank
@@ -58,7 +61,7 @@ def reference_diagonal_certificate(rank: int, copies: int) -> Certificate:
     for l in range(m - 1):
         signs = tuple(CliffordUnit(dim, 0, -1 if k == l else 1) for k in range(m))
         gens.append(CliffordTuple(signs))
-    return Certificate(spec, tuple(gens))
+    return Certificate(spec, map(to_word, gens))
 
 
 def reference_pair_certificate(n1: int, n2: int) -> Certificate:
@@ -88,7 +91,7 @@ def reference_pair_certificate(n1: int, n2: int) -> Certificate:
             "extra generator (c(4,5), c(5,7)) found by search over sign-compatible elements;"
             " it raises the rank to 5"
         )
-    return Certificate(spec, tuple(gens), note)
+    return Certificate(spec, map(to_word, gens), note)
 
 
 def reference_small_triple_certificate(third_rank: int) -> Certificate:
@@ -118,7 +121,7 @@ def reference_small_triple_certificate(third_rank: int) -> Certificate:
             (_unit(3, 1, 2), _unit(3, 1, 3), _unit(d, 5, 6)),
             (_unit(3, 1, 3), CliffordUnit(3, 0), _unit(d, 2, 5)),
         ]
-    return Certificate(spec, tuple(CliffordTuple(r) for r in rows))
+    return Certificate(spec, (to_word(CliffordTuple(r)) for r in rows))
 
 
 def reference_small_quadruple_certificate() -> Certificate:
@@ -133,7 +136,7 @@ def reference_small_quadruple_certificate() -> Certificate:
         (CliffordUnit(3, 0, -1), one, one, one),
         (c13, c13, c13, c13),
     ]
-    return Certificate(spec, tuple(CliffordTuple(r) for r in rows))
+    return Certificate(spec, (to_word(CliffordTuple(r)) for r in rows))
 
 
 def reference_builtin_certificate(key: str) -> Certificate:
@@ -187,23 +190,24 @@ def reference_certificate_from_doc(doc: dict) -> Certificate:
                 comps.append(CliffordUnit.from_indices(dim, indices, sign))
             except ValueError as exc:
                 raise SpecFormatError(f"bad generator component: {exc}") from exc
-        gens.append(CliffordTuple(tuple(comps)))
+        gens.append(CliffordTuple(comps))
     note = doc.get("note", "")
     if not isinstance(note, str):
         raise SpecFormatError("'note' must be a string")
-    return Certificate(spec, tuple(gens), note)
+    return Certificate(spec, map(to_word, gens), note)
 
 
 def reference_report(cert: Certificate) -> CertReport:
     """The verdict on a certificate of a valid spec, by the object oracles."""
     reason = reference_pair_failure(cert)
+    tuples = tuples_of(cert)
     abelian = reason is None
     order = rank = 0
     if abelian:
-        group = reference_closure(cert.generators, DEFAULT_ENUM_CAP)
+        group = reference_closure(tuples, DEFAULT_ENUM_CAP)
         mu = rref_bits(cert.spec.mu_gens)
         order, rank = reference_quotient_rank(group, mu)
-    finite = reference_centralizer_finite(cert.generators, cert.generators[0].dims)
+    finite = reference_centralizer_finite(tuples, tuples[0].dims)
     if abelian and not finite:
         reason = NOT_SEPARATED
     return CertReport(

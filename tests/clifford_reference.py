@@ -6,17 +6,87 @@ pair check of `verify_certificate`, its failure text and its centralizer test
 must agree with these functions, which work one `CliffordUnit` at a time.
 `sign_vector` reads a tuple's signs as a `BitVec`, and `indices` and
 `unit_text` read a unit's index set and its notation, which only the oracles need.
+`to_word` and `tuple_of` translate between tuples and the package's generator words,
+by README's statement of the layout, not by the package's own packing.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from edcalc import BitVec, Certificate, CliffordTuple, CliffordUnit, DimensionMismatchError
+from edcalc import BitVec, Certificate, DimensionMismatchError
+from edcalc._record import _Record
 from edcalc.gf2 import rref_bits
 
 from records_reference import in_span
+
+
+class CliffordUnit(_Record):
+    """Signed even product of Clifford generators: +/- c(I) inside Spin(dim), with
+    index i at bit i - 1 of mask; c(i)^2 = -1 and c(i)c(j) = -c(j)c(i) for i != j."""
+
+    __slots__ = ("dim", "mask", "sign")
+
+    def __init__(self, dim: int, mask: int, sign: int = 1) -> None:
+        self._fill(dim, mask, sign)
+        if mask.bit_count() % 2:
+            raise ValueError("index set must have even cardinality")
+
+    @classmethod
+    def from_indices(cls, dim: int, indices: Iterable[int], sign: int = 1) -> CliffordUnit:
+        indices = list(indices)
+        if len(set(indices)) != len(indices):
+            raise ValueError(f"repeated index in {indices}")
+        mask = 0
+        for i in indices:
+            if not 1 <= i <= dim:
+                raise ValueError(f"index {i} outside 1..{dim}")
+            mask |= 1 << (i - 1)
+        return cls(dim, mask, sign)
+
+
+class CliffordTuple(_Record):
+    """Element of a product of the sign groups, one unit per spin factor."""
+
+    __slots__ = ("components",)
+
+    def __init__(self, components: Iterable[CliffordUnit]) -> None:
+        self._fill(tuple(components))
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(c.dim for c in self.components)
+
+
+def to_word(t: CliffordTuple) -> int:
+    """The generator word of a tuple: the index masks side by side above W = sum(dims)
+    bits, factor i's from bit W + o_i on, o_i the sum of the dims before it, and below
+    them at bit o_i the parity of the negative signs of factors i, i + 1, ..., m - 1."""
+    x = parity = 0
+    o = width = sum(t.dims)
+    for c in reversed(t.components):
+        o -= c.dim
+        parity ^= c.sign < 0
+        x |= c.mask << width + o | parity << o
+    return x
+
+
+def tuple_of(x: int, dims: Sequence[int]) -> CliffordTuple:
+    """The tuple a generator word stands for: the inverse of `to_word`."""
+    width, units, o = sum(dims), [], 0
+    signs = x & (1 << width) - 1
+    for d in dims:
+        negative = (signs >> o ^ signs >> o + d) & 1
+        units.append(CliffordUnit(d, x >> width + o & (1 << d) - 1, -1 if negative else 1))
+        o += d
+    return CliffordTuple(units)
+
+
+def tuples_of(cert: Certificate) -> tuple[CliffordTuple, ...]:
+    """A certificate's generators as tuples."""
+    dims = [2 * r + 1 for r in cert.spec.n]
+    return tuple(tuple_of(x, dims) for x in cert.generators)
 
 
 def indices(u: CliffordUnit) -> tuple[int, ...]:
@@ -86,7 +156,7 @@ def vector_image(u: CliffordUnit) -> frozenset[int]:
 def reference_pair_failure(cert: Certificate) -> str | None:
     """The failure reason of the first generator pair whose commutator leaves mu, or None."""
     mu = rref_bits(cert.spec.mu_gens)
-    for (i, a), (j, b) in combinations(enumerate(cert.generators), 2):
+    for (i, a), (j, b) in combinations(enumerate(tuples_of(cert)), 2):
         sv = commutator_sign_vector(a, b)
         if not in_span(sv, mu):
             return (

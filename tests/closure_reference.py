@@ -1,7 +1,7 @@
 """Subgroup closure as computed before elements were packed into one int each.
 
 Kept as a test oracle: `_closure_packed` must return the same element set,
-packed, and raise at the same cap, on every list of generators.  This breadth-first search
+as words, and raise at the same cap, on every list of generators.  This breadth-first search
 multiplies `CliffordTuple` objects with the object oracle `tuple_product`.
 """
 
@@ -10,20 +10,16 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from edcalc import CliffordTuple, CliffordUnit, DimensionMismatchError, EnumerationTooLargeError
+from edcalc import EnumerationTooLargeError
 
-from clifford_reference import tuple_product
+from clifford_reference import CliffordTuple, CliffordUnit, tuple_product
 
 
 def reference_closure(generators: Iterable[CliffordTuple], cap: int) -> frozenset[CliffordTuple]:
     """Subgroup generated by the tuples, by breadth-first multiplication."""
+    # tuple_product refuses a generator of another product
     gens = list(generators)
-    if not gens:
-        raise ValueError("at least one generator is required")
-    dims = gens[0].dims
-    if any(g.dims != dims for g in gens):
-        raise DimensionMismatchError("generators from different products")
-    identity = CliffordTuple(tuple(CliffordUnit(d, 0) for d in dims))
+    identity = CliffordTuple(CliffordUnit(d, 0) for d in gens[0].dims)
     seen = {identity}
     queue = deque([identity])
     while queue:

@@ -13,20 +13,21 @@ from random import Random
 from typing import Iterable, Sequence
 
 import edcalc
-from edcalc import (
-    BitVec,
-    Certificate,
-    CliffordTuple,
-    CliffordUnit,
-    GroupSpecB,
-)
+from edcalc import BitVec, Certificate, GroupSpecB
 from edcalc.core import PatternWeights, _basis, _greedy_keys, _picks, _split_walk_keys
 from edcalc.caps import DEFAULT_ENUM_CAP
 from edcalc.extraspecial import _closure_packed, _Packing
 from edcalc.gf2 import annihilator_bits, bases_bits, rref_bits
 from edcalc.ledger import is_small_product
 
-from clifford_reference import commutator_sign_vector, indices
+from clifford_reference import (
+    CliffordTuple,
+    CliffordUnit,
+    commutator_sign_vector,
+    indices,
+    tuple_of,
+    to_word,
+)
 from greedy_reference import reference_greedy_keys, weight_exponent
 from records_reference import in_span, support
 
@@ -98,22 +99,10 @@ def packed_product(packing: _Packing, x: int, y: int) -> int:
     return x ^ y ^ (parity((y >> width) & parity(x >> width)) & packing.off)
 
 
-def unpack(packing: _Packing, x: int) -> CliffordTuple:
-    """The tuple a packed element stands for: the inverse of `_Packing.pack`."""
-    masks, pattern = x >> packing.width, packing.sign_pattern(x & ((1 << packing.width) - 1))
-    return CliffordTuple(tuple(
-        CliffordUnit(d, (masks >> o) & ((1 << d) - 1), -1 if pattern >> i & 1 else 1)
-        for i, (d, o) in enumerate(zip(packing.dims, packing.offsets))
-    ))
-
-
 def packed_unit_product(a: CliffordUnit, b: CliffordUnit) -> CliffordUnit:
     """Product of two units by the packed product law, on a one-factor packing."""
-    packing = _Packing((a.dim,))
-    prod = packed_product(
-        packing, packing.pack(CliffordTuple((a,))), packing.pack(CliffordTuple((b,)))
-    )
-    return unpack(packing, prod).components[0]
+    pa, pb = (to_word(CliffordTuple((u,))) for u in (a, b))
+    return tuple_of(packed_product(_Packing((a.dim,)), pa, pb), (a.dim,)).components[0]
 
 
 def packed_closure(
@@ -124,7 +113,7 @@ def packed_closure(
     Passes every pairwise commutator, the zero ones included, to the order bound.
     """
     packing = _Packing(generators[0].dims)
-    packed = [packing.pack(g) for g in generators]
+    packed = [to_word(g) for g in generators]
     width = packing.width
     commutators = [packing.commutator(a >> width, b >> width) for a, b in combinations(packed, 2)]
     return packing, _closure_packed(packed, packing, cap, commutators)
@@ -349,4 +338,4 @@ def random_certificate(rng, filtered):
         g = random_tuple(rng, dims)
         if not filtered or all(in_span(commutator_sign_vector(g, h), mu) for h in gens):
             gens.append(g)
-    return Certificate(spec, tuple(gens))
+    return Certificate(spec, map(to_word, gens))

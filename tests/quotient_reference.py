@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from edcalc import CliffordTuple
-
-from clifford_reference import sign_vector, tuple_product
+from clifford_reference import CliffordTuple, sign_vector, tuple_product
 from records_reference import in_span
 
 
